@@ -88,7 +88,7 @@ CONFIG_SCHEMA = {
         "problem": {
             "type": "object",
             "properties": {
-                "dim": {"type": "integer", "minimum": 1, "maximum": 6},
+                "dim": {"type": "integer", "minimum": 2, "maximum": 6},
                 "k": {"type": "number", "exclusiveMinimum": 0},
                 "L": {"type": "number", "exclusiveMinimum": 0},
                 "M": {"type": "integer", "minimum": 4},
@@ -157,7 +157,6 @@ CONFIG_SCHEMA = {
                 "nu": {"type": "number"},
                 "pairs": {"type": "integer", "minimum": 1},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
-                "freq_count": {"type": "integer", "minimum": 2},
                 "radii": {"type": "array",
                           "items": {"type": "number", "exclusiveMinimum": 0}},
                 "factor": {"type": "number", "exclusiveMinimum": 0},
@@ -240,9 +239,15 @@ def _atomic_write(path: str, writer):
             os.remove(tmp)
 
 
+def _write_text(path: str, text: str):
+    def writer(tmp):
+        with open(tmp, "w") as fh:
+            fh.write(text)
+    _atomic_write(path, writer)
+
+
 def _write_json(path: str, obj):
-    text = json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
-    _atomic_write(path, lambda tmp: open(tmp, "w").write(text))
+    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -458,14 +463,17 @@ def _run_farfield(cfg: dict, out: str, seed: int):
     radii = tuple(ff_cfg.get("radii",
                              (g.half_width / 4, g.half_width / 2,
                               3 * g.half_width / 4)))
-    rad = radiation_report(u_sc, prob.k, radii)
+    extraction = float(ff_cfg.get("extraction_radius", 3 * g.half_width / 4))
+    dirs, _ = sphere_quadrature(g.dim, ff_cfg.get("directions", 26))
+    try:
+        rad = radiation_report(u_sc, prob.k, radii)
+        ff = far_field(u_sc, prob.k, dirs, extraction)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     _write_csv(os.path.join(out, "radiation.csv"),
                ("radius", "averaged_residual", "pointwise_residual"),
                list(zip(rad.radii, rad.averaged_residual,
                         rad.pointwise_residual)))
-    extraction = float(ff_cfg.get("extraction_radius", 3 * g.half_width / 4))
-    dirs, _ = sphere_quadrature(g.dim, ff_cfg.get("directions", 26))
-    ff = far_field(u_sc, prob.k, dirs, extraction)
     header = tuple(f"d{i + 1}" for i in range(g.dim)) + ("re", "im", "abs")
     rows = [tuple(float(c) for c in d) + (float(a.real), float(a.imag),
                                           float(abs(a)))
@@ -528,7 +536,10 @@ def _run_verify(cfg: dict, out: str, seed: int, mode: str):
         radii = tuple(vc.get("radii", (g.half_width / 4, g.half_width / 2,
                                        3 * g.half_width / 4)))
         factor = float(vc.get("factor", 10.0))
-        res = energy_identity(u, prob.k, Q=prob.f.Q, p=prob.f.p, radii=radii)
+        try:
+            res = energy_identity(u, prob.k, Q=prob.f.Q, p=prob.f.p, radii=radii)
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
         breach = not res.within(factor)
         _write_json(path, {
             "mode": mode, "radii": res.radii, "flux_imag": res.flux_imag,
@@ -564,8 +575,7 @@ def _run_constants(dim: int, out: str):
     # full precision here: the value is a mathematical constant, not a report
     text = json.dumps(payload, sort_keys=True)
     print(text)
-    _atomic_write(os.path.join(out, "constants_zN.json"),
-                  lambda tmp: open(tmp, "w").write(text + "\n"))
+    _write_text(os.path.join(out, "constants_zN.json"), text + "\n")
     return EXIT_OK, ["constants_zN.json"], {}
 
 

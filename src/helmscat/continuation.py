@@ -15,9 +15,10 @@ blowup_probe fits the trailing branch points to the blow-up model
     sup|u| ~ C (lambda* - lambda)^(-gamma)
 
 by minimizing, over candidate lambda*, the residual of the linear regression
-of log sup|u| on log(lambda* - lambda).  The probe reports the located
-lambda*, the exponent gamma, and the fit residual; a branch that reached
-lambda_max reports no blow-up instead.
+of log sup|u| on log(lambda* - lambda) over the last 8 branch points (at
+least 4 are needed).  The probe reports the located lambda*, the exponent
+gamma, and the fit residual; a branch that reached lambda_max reports no
+blow-up instead.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class StepConfig:
     def __post_init__(self):
         if self.initial_step is not None and self.initial_step <= 0.0:
             raise ValueError("initial_step must be > 0")
+        if self.max_step is not None and self.max_step <= 0.0:
+            raise ValueError("max_step must be > 0")
+        if self.max_solves < 1:
+            raise ValueError("max_solves must be >= 1")
         if self.growth < 1.0 or self.grow_after < 1:
             raise ValueError("growth must be >= 1 and grow_after >= 1")
         if not 0.0 < self.floor_factor < 1.0:
@@ -168,6 +173,10 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
                   terminated_reason=reason, final_field=u_prev)
 
 
+_BLOWUP_WINDOW = 8
+_BLOWUP_MIN_POINTS = 4
+
+
 def _fit_at(s: float, lams: np.ndarray, sups: np.ndarray):
     """Linear regression of log sup on log(s - lam); returns (ssr, gamma, logC)."""
     z = np.log(s - lams)
@@ -177,19 +186,17 @@ def _fit_at(s: float, lams: np.ndarray, sups: np.ndarray):
     return ssr, -slope, intercept
 
 
-def blowup_probe(branch: Branch, window: int = 8, min_points: int = 4) -> BlowupEstimate:
+def blowup_probe(branch: Branch) -> BlowupEstimate:
     """Locate lambda* and gamma from the trailing branch points."""
-    if min_points < 3:
-        raise ValueError("min_points must be >= 3")
     if branch.terminated_reason == "reached_lambda_max":
         return BlowupEstimate(detected=False, lambda_star=None, gamma=None,
                               amplitude=None, fit_rms=None, points_used=0,
                               message="no blow-up detected: branch reached lambda_max")
     usable = [p for p in branch.points if p.lam > 0.0 and p.sup_norm > 0.0]
-    if len(usable) < min_points:
-        raise ValueError(f"blow-up fit needs {min_points} trailing converged "
+    if len(usable) < _BLOWUP_MIN_POINTS:
+        raise ValueError(f"blow-up fit needs {_BLOWUP_MIN_POINTS} trailing converged "
                          f"points, branch has {len(usable)}")
-    tail = usable[-window:]
+    tail = usable[-_BLOWUP_WINDOW:]
     lams = np.array([p.lam for p in tail])
     sups = np.array([p.sup_norm for p in tail])
     lam_last = lams[-1]

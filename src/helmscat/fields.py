@@ -24,10 +24,11 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -41,6 +42,9 @@ __all__ = [
     "tau",
     "sphere_quadrature",
     "product_gauss_sphere",
+    "complex_interpolator",
+    "sphere_trace",
+    "support_diameter",
     "make_incident",
     "apply_nonlinearity",
     "nonlinearity_derivative",
@@ -274,6 +278,28 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     return product_gauss_sphere(n_polar, 2 * n_polar)
 
 
+def complex_interpolator(grid: Grid, values: np.ndarray):
+    """Multilinear interpolant of complex grid values, evaluated at an
+    (n, dim) array of points inside the grid."""
+    ax = (grid.axis(),) * grid.dim
+    re = RegularGridInterpolator(ax, values.real)
+    im = RegularGridInterpolator(ax, values.imag)
+    return lambda pts: re(pts) + 1j * im(pts)
+
+
+def sphere_trace(grid: Grid, values: np.ndarray, grads, dirs: np.ndarray):
+    """R -> (u, d_r u) at the points R * dirs, interpolated from the grid
+    values of u and its precomputed gradient components."""
+    u_at = complex_interpolator(grid, values)
+    grad_at = [complex_interpolator(grid, gc) for gc in grads]
+
+    def trace(R: float):
+        pts = R * dirs
+        return u_at(pts), sum(d * g_at(pts) for d, g_at in zip(dirs.T, grad_at))
+
+    return trace
+
+
 # -- incident waves -----------------------------------------------------------
 
 @dataclass
@@ -354,6 +380,7 @@ class NonlinearitySpec:
 
     kind: str
     alpha: float
+    grid: Grid
     Q: ComplexField | None = None
     p: float | None = None
     a: ComplexField | None = None
@@ -362,13 +389,6 @@ class NonlinearitySpec:
     custom_dfn: Callable | None = None
     lipschitz_ell: float | None = None
     regime_tags: frozenset = frozenset()
-
-    @property
-    def grid(self) -> Grid:
-        for f in (self.Q, self.a, self.b):
-            if f is not None:
-                return f.grid
-        raise ValueError("custom nonlinearity carries no grid")
 
     @classmethod
     def power(cls, Q: ComplexField, p: float, alpha: float, tags=()) -> "NonlinearitySpec":
@@ -380,8 +400,8 @@ class NonlinearitySpec:
         if dim >= 3 and p >= 2.0 * dim / (dim - 2.0):
             raise ValueError(f"power p must stay below 2*dim/(dim-2) = "
                              f"{2.0 * dim / (dim - 2.0)}, got {p}")
-        spec = cls(kind="power", alpha=_check_alpha(alpha, dim), Q=Q, p=float(p),
-                   regime_tags=frozenset(tags))
+        spec = cls(kind="power", alpha=_check_alpha(alpha, dim), grid=Q.grid, Q=Q,
+                   p=float(p), regime_tags=frozenset(tags))
         _validate_tags(spec)
         return spec
 
@@ -389,36 +409,39 @@ class NonlinearitySpec:
     def affine(cls, a: ComplexField, b: ComplexField, alpha: float, tags=()) -> "NonlinearitySpec":
         if a.grid != b.grid:
             raise ValueError("affine coefficients live on different grids")
-        spec = cls(kind="affine", alpha=_check_alpha(alpha, a.grid.dim), a=a, b=b,
-                   regime_tags=frozenset(tags))
+        spec = cls(kind="affine", alpha=_check_alpha(alpha, a.grid.dim), grid=a.grid,
+                   a=a, b=b, regime_tags=frozenset(tags))
         _validate_tags(spec)
         return spec
 
     @classmethod
     def custom(cls, fn: Callable, alpha: float, grid: Grid,
                dfn: Callable | None = None, tags=()) -> "NonlinearitySpec":
-        # carry the grid through a zero placeholder coefficient
-        holder = ComplexField.zeros(grid)
-        return cls(kind="custom", alpha=_check_alpha(alpha, grid.dim), Q=holder,
+        return cls(kind="custom", alpha=_check_alpha(alpha, grid.dim), grid=grid,
                    custom_fn=fn, custom_dfn=dfn, regime_tags=frozenset(tags))
 
     def support_diameter(self) -> float:
-        """Diagonal of the bounding box of the nonzero coefficient cells
-        (an upper bound for the support diameter)."""
+        """support_diameter of the coefficient (Q for power, a for affine)."""
         coef = self.Q if self.kind == "power" else self.a
         if coef is None:
             raise ValueError("no coefficient field for support diameter")
-        mask = np.abs(coef.values) > 0.0
-        if not mask.any():
-            return 0.0
-        ax = coef.grid.axis()
-        h = coef.grid.spacing
-        extents = []
-        for axis_idx in range(coef.grid.dim):
-            proj = mask.any(axis=tuple(i for i in range(coef.grid.dim) if i != axis_idx))
-            idx = np.nonzero(proj)[0]
-            extents.append(ax[idx[-1]] - ax[idx[0]] + h)
-        return float(np.sqrt(sum(e * e for e in extents)))
+        return support_diameter(coef)
+
+
+def support_diameter(coef: ComplexField) -> float:
+    """Diagonal of the bounding box of the nonzero cells of coef (an upper
+    bound for the diameter of its support); 0 for a zero field."""
+    mask = np.abs(coef.values) > 0.0
+    if not mask.any():
+        return 0.0
+    g = coef.grid
+    ax = g.axis()
+    diag = 0.0
+    for axis_idx in range(g.dim):
+        proj = mask.any(axis=tuple(i for i in range(g.dim) if i != axis_idx))
+        lo, hi = ax[proj][0], ax[proj][-1]
+        diag += (hi - lo + g.spacing) ** 2
+    return math.sqrt(diag)
 
 
 def _check_alpha(alpha: float, dim: int) -> float:
@@ -486,7 +509,11 @@ def nonlinearity_derivative(f: NonlinearitySpec, u: ComplexField, v: ComplexFiel
     return ComplexField(u.grid, f.Q.values.real * (lin + anti))
 
 
-def _power_quotient_sup(p: float, cap: float, samples: int, rng, rounds: int) -> float:
+# shrinking refinement rounds around the best pair in the power-kind search
+_LIPSCHITZ_ROUNDS = 8
+
+
+def _power_quotient_sup(p: float, cap: float, samples: int, rng) -> float:
     """sup over |u|,|v| <= cap of ||u|^(p-2)u - |v|^(p-2)v| / |u - v| by
     randomized search with shrinking refinement around the best pair."""
     def g(z):
@@ -514,7 +541,7 @@ def _power_quotient_sup(p: float, cap: float, samples: int, rng, rounds: int) ->
     best = float(np.max(q))
     bu, bv = u[np.argmax(q)], v[np.argmax(q)]
     scale = 0.3 * cap
-    for _ in range(rounds):
+    for _ in range(_LIPSCHITZ_ROUNDS):
         n = max(64, samples // 4)
         du = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         dv = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -531,7 +558,7 @@ def _power_quotient_sup(p: float, cap: float, samples: int, rng, rounds: int) ->
 
 
 def estimate_lipschitz(f: NonlinearitySpec, cap: float, samples: int = 4000,
-                       seed: int = 0, rounds: int = 8) -> float:
+                       seed: int = 0) -> float:
     """Estimate sup over x, |u|,|v| <= cap of
     <x>^alpha |f(x,u) - f(x,v)| / |u - v|.
 
@@ -547,7 +574,7 @@ def estimate_lipschitz(f: NonlinearitySpec, cap: float, samples: int = 4000,
         est = weighted_norm(f.a, f.alpha).value
     elif f.kind == "power":
         coef = weighted_norm(f.Q, f.alpha).value
-        est = coef * _power_quotient_sup(f.p, cap, samples, rng, rounds)
+        est = coef * _power_quotient_sup(f.p, cap, samples, rng)
     else:
         est = _custom_lipschitz(f, cap, samples, rng)
     if f.lipschitz_ell is None or est > f.lipschitz_ell:

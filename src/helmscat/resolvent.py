@@ -11,7 +11,7 @@ tabulated on the difference lattice once per configuration:
 
   * regular cells: Phi at the cell center times the cell volume,
   * the 3^dim - 1 cells adjacent to the singularity: cell averages of Phi by
-    midpoint subsampling (quadrature_order points per axis),
+    midpoint subsampling (4 points per axis),
   * the singular cell itself, by one of two rules over the ball of equal
     volume (radius rho):
       - cell_average: the exact ball integral of Phi
@@ -21,9 +21,8 @@ tabulated on the difference lattice once per configuration:
         remainder; integrate the static part over the ball exactly and take
         the remainder's limit value times the cell volume.
 
-Direct summation is the reference path; the fast path evaluates the same
-lattice sum by FFT convolution and agrees with the reference to 1e-10 on
-small grids (enforced in tests).
+The lattice sum is evaluated by FFT convolution; the test suite checks it
+against direct summation to 1e-10 on small grids.
 
 kappa is estimated by pushing the extremal profile <y>^(-alpha) through the
 magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
@@ -34,16 +33,15 @@ analytic bound on the discarded exterior integral is reported alongside.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, interpolate, signal
+from scipy import integrate, signal
 
 from . import fields as _fields
-from .fields import ComplexField, Grid, WeightedNormResult, tau, weighted_norm
+from .fields import ComplexField, Grid, tau, weighted_norm
 from .specfun import FundamentalSolutionParams, fundamental_solution, hankel1
 
 __all__ = [
@@ -59,6 +57,8 @@ __all__ = [
 ]
 
 _EULER_GAMMA = float(np.euler_gamma)
+# midpoint subsamples per axis for the cells next to the singularity
+_NEAR_QUADRATURE = 4
 
 
 @dataclass(frozen=True)
@@ -69,16 +69,10 @@ class ResolventConfig:
     source_grid: Grid
     eval_grid: Grid
     singular_rule: str = "cell_average"
-    quadrature_order: int = 4
-    method: str = "fft"  # "fft" | "direct"
 
     def __post_init__(self):
         if self.singular_rule not in ("cell_average", "subtraction"):
             raise ValueError(f"unknown singular rule {self.singular_rule!r}")
-        if self.method not in ("fft", "direct"):
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.quadrature_order < 1:
-            raise ValueError("quadrature_order must be >= 1")
         # raises when grids are incompatible
         _fields._alignment_offset(self.eval_grid, self.source_grid)
         m = 2 * self.eval_grid.points_per_axis - 1
@@ -177,9 +171,11 @@ def _kernel_values(dim: int, k: float, r: np.ndarray, kind: str) -> np.ndarray:
     return vals
 
 
+@functools.lru_cache(maxsize=4)
 def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
     """Cell weights of Phi_k (or |Phi_k| / conj Phi_k) on the difference
-    lattice of the eval grid, singular and near-singular cells corrected."""
+    lattice of the eval grid, singular and near-singular cells corrected.
+    The four most recent tables are kept."""
     g = cfg.eval_grid
     h = g.spacing
     m = g.points_per_axis
@@ -191,19 +187,18 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
     table = _kernel_values(g.dim, k, r, kind) * g.cell_volume
 
     # near-singular cells: replace the midpoint value by a subsampled average
-    q = cfg.quadrature_order
-    if q > 1:
-        sub = (np.arange(q) + 0.5) / q * h - 0.5 * h
-        subgrids = np.meshgrid(*([sub] * g.dim), indexing="ij")
-        for idx in np.ndindex(*(3,) * g.dim):
-            d = tuple(i - 1 for i in idx)
-            if all(v == 0 for v in d):
-                continue
-            pt = [di * h + sg for di, sg in zip(d, subgrids)]
-            rr = np.sqrt(sum(x * x for x in pt))
-            avg = np.mean(_kernel_values(g.dim, k, rr, kind))
-            cell = tuple(m - 1 + di for di in d)
-            table[cell] = avg * g.cell_volume
+    q = _NEAR_QUADRATURE
+    sub = (np.arange(q) + 0.5) / q * h - 0.5 * h
+    subgrids = np.meshgrid(*([sub] * g.dim), indexing="ij")
+    for idx in np.ndindex(*(3,) * g.dim):
+        d = tuple(i - 1 for i in idx)
+        if all(v == 0 for v in d):
+            continue
+        pt = [di * h + sg for di, sg in zip(d, subgrids)]
+        rr = np.sqrt(sum(x * x for x in pt))
+        avg = np.mean(_kernel_values(g.dim, k, rr, kind))
+        cell = tuple(m - 1 + di for di in d)
+        table[cell] = avg * g.cell_volume
 
     if kind == "magnitude":
         table[center] = _abs_singular_cell_weight(g.dim, k, h)
@@ -211,32 +206,6 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
         w = singular_cell_weight(g.dim, k, h, cfg.singular_rule)
         table[center] = np.conj(w) if kind == "conjugate" else w
     return table
-
-
-class _TableCache:
-    """Small LRU for kernel tables; thread-safe."""
-
-    def __init__(self, capacity: int = 4):
-        self._cap = capacity
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
-        key = (cfg, float(k), kind)
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-                return self._data[key]
-        table = _kernel_table(cfg, k, kind)
-        with self._lock:
-            self._data[key] = table
-            self._data.move_to_end(key)
-            while len(self._data) > self._cap:
-                self._data.popitem(last=False)
-        return table
-
-
-_tables = _TableCache()
 
 
 def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
@@ -250,27 +219,9 @@ def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
         raise ValueError("source field does not live on the source grid")
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError("k must be finite and > 0")
-    table = _tables.get(cfg, k, kind)
+    table = _kernel_table(cfg, float(k), kind)
     src = _fields.embed_field(h_field, cfg.eval_grid).values
-    if cfg.method == "fft":
-        out = signal.fftconvolve(src, table, mode="same")
-    else:
-        out = _direct_convolve(src, table)
-    return ComplexField(cfg.eval_grid, out)
-
-
-def _direct_convolve(src: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Reference lattice sum: out[e] = sum_s src[s] * table[e - s + m - 1]."""
-    m = src.shape[0]
-    dim = src.ndim
-    out = np.zeros_like(src, dtype=complex)
-    for s in np.ndindex(*src.shape):
-        v = src[s]
-        if v == 0.0:
-            continue
-        sl = tuple(slice(m - 1 - si, 2 * m - 1 - si) for si in s)
-        out += v * table[sl]
-    return out
+    return ComplexField(cfg.eval_grid, signal.fftconvolve(src, table, mode="same"))
 
 
 # -- kappa --------------------------------------------------------------------
@@ -325,27 +276,8 @@ def estimate_kappa(alpha: float, cfg: ResolventConfig, k: float) -> KappaEstimat
 
 # -- radiation diagnostics ----------------------------------------------------
 
-def _gradient(values: np.ndarray, h: float) -> list[np.ndarray]:
-    return list(np.gradient(values, h, edge_order=2))
-
-
-def _interpolators(grid: Grid, arrays: list[np.ndarray]):
-    ax = (grid.axis(),) * grid.dim
-    interps = []
-    for arr in arrays:
-        interps.append((
-            interpolate.RegularGridInterpolator(ax, arr.real, method="linear"),
-            interpolate.RegularGridInterpolator(ax, arr.imag, method="linear"),
-        ))
-
-    def at(points: np.ndarray) -> list[np.ndarray]:
-        return [re(points) + 1j * im(points) for re, im in interps]
-
-    return at
-
-
-def radiation_report(u: ComplexField, k: float, radii, inner_radius: float | None = None,
-                     sphere_points: int = 26) -> RadiationReport:
+def radiation_report(u: ComplexField, k: float, radii,
+                     inner_radius: float | None = None) -> RadiationReport:
     """Ball-averaged and sphere-sup residuals of the outgoing radiation
     condition.
 
@@ -368,7 +300,7 @@ def radiation_report(u: ComplexField, k: float, radii, inner_radius: float | Non
         raise ValueError("inner radius must lie below the smallest radius")
 
     h = g.spacing
-    grads = _gradient(u.values, h)
+    grads = np.gradient(u.values, h, edge_order=2)
     r = g.radius()
     xs = g.meshgrid()
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -385,14 +317,11 @@ def radiation_report(u: ComplexField, k: float, radii, inner_radius: float | Non
         mask = interior & (r > r_in) & (r <= R)
         averaged.append(float(np.sum(sq[mask]) * g.cell_volume / R))
 
-    dirs, _ = _fields.sphere_quadrature(g.dim, sphere_points)
-    at = _interpolators(g, [u.values] + grads)
+    dirs, _ = _fields.sphere_quadrature(g.dim)
+    trace = _fields.sphere_trace(g, u.values, grads, dirs)
     pointwise = []
     for R in radii:
-        pts = R * dirs
-        vals = at(pts)
-        uv, gv = vals[0], vals[1:]
-        du_dr = sum(gc * d for gc, d in zip(gv, dirs.T))
+        uv, du_dr = trace(R)
         res = np.abs(du_dr - 1j * k * uv) * R ** (0.5 * (g.dim - 1))
         pointwise.append(float(np.max(res)))
 
@@ -414,11 +343,10 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
         raise ValueError("directions must be unit length")
     if radius <= 0 or 1.1 * radius > g.half_width:
         raise ValueError("need 1.1 * radius inside the grid")
-    at = _interpolators(g, [u_sc.values])
+    at = _fields.complex_interpolator(g, u_sc.values)
 
     def amp(R):
-        vals = at(R * dirs)[0]
-        return R ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * R) * vals
+        return R ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * R) * at(R * dirs)
 
     a0 = amp(radius)
     a1 = amp(1.1 * radius)

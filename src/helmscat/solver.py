@@ -27,7 +27,7 @@ nonnegative up to roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

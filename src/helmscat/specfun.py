@@ -22,9 +22,9 @@ which for N = 3 collapses to exp(i k r) / (4 pi r).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize, special
@@ -193,40 +193,23 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
     raise RuntimeError(f"zero scan exhausted after {_MAX_SCAN_STEPS} steps")
 
 
-_zero_cache: dict[tuple, ZeroTable] = {}
-_zero_cache_lock = threading.Lock()
+@functools.lru_cache(maxsize=None)
+def _zero_table(kind: str, nu: float, count: int) -> ZeroTable:
+    nu = _check_order(nu)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    fn = bessel_j if kind == "J" else bessel_y
+    return ZeroTable(order=nu, kind=kind, zeros=tuple(_scan_for_zeros(fn, nu, count)))
 
 
 def j_zeros(nu: float, count: int) -> ZeroTable:
     """First `count` positive zeros of J_nu, in increasing order."""
-    nu = _check_order(nu)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    key = ("J", nu, count)
-    with _zero_cache_lock:
-        hit = _zero_cache.get(key)
-    if hit is not None:
-        return hit
-    table = ZeroTable(order=nu, kind="J", zeros=tuple(_scan_for_zeros(bessel_j, nu, count)))
-    with _zero_cache_lock:
-        _zero_cache[key] = table
-    return table
+    return _zero_table("J", nu, count)
 
 
 def y_zeros(nu: float, count: int) -> ZeroTable:
     """First `count` positive zeros of Y_nu, in increasing order."""
-    nu = _check_order(nu)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    key = ("Y", nu, count)
-    with _zero_cache_lock:
-        hit = _zero_cache.get(key)
-    if hit is not None:
-        return hit
-    table = ZeroTable(order=nu, kind="Y", zeros=tuple(_scan_for_zeros(bessel_y, nu, count)))
-    with _zero_cache_lock:
-        _zero_cache[key] = table
-    return table
+    return _zero_table("Y", nu, count)
 
 
 def first_y_zero(nu: float) -> float:

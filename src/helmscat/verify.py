@@ -49,10 +49,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma as gamma_fn
 
-from .fields import BoundCheck, ComplexField, restrict_field, sphere_quadrature
+from .fields import (
+    BoundCheck,
+    ComplexField,
+    restrict_field,
+    sphere_quadrature,
+    sphere_trace,
+    support_diameter,
+)
 from .specfun import bessel_j, bessel_y, first_y_zero, j_zeros
 
 __all__ = [
@@ -70,6 +76,10 @@ __all__ = [
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# radial panels split at this fraction of the upper limit
+_INNER_SPLIT = 1e-4
+# largest m tried by growth_law_fit
+_GROWTH_M_MAX = 8
 
 
 def _gl_panel(fn, a: float, b: float) -> float:
@@ -92,21 +102,17 @@ class SturmResult:
         return self.left_integral - self.right_integral
 
 
-def sturm_check(nu: float, pairs: int, quad_points: int = 32) -> list[SturmResult]:
+def sturm_check(nu: float, pairs: int) -> list[SturmResult]:
     """Compare consecutive arch areas of t^(1/2)|J_nu|; margin = left - right."""
     if nu < 0.5:
         raise ValueError("arch inequality holds for order >= 1/2")
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     zeros = np.concatenate(([0.0], j_zeros(nu, 2 * pairs).zeros))
 
     def arch(a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        t = mid + half * nodes
         # J_nu keeps one sign inside the arch, so |int| = int | . |
-        return abs(half * float(np.sum(weights * np.sqrt(t) * bessel_j(nu, t))))
+        return abs(_gl_panel(lambda t: np.sqrt(t) * bessel_j(nu, t), a, b))
 
     results = []
     for m in range(1, pairs + 1):
@@ -126,12 +132,11 @@ def truncation_threshold(dim: int) -> float:
     return first_y_zero((dim - 2) / 2.0)
 
 
-def radial_transform(profile, dim: int, upper: float, freqs,
-                     inner_split: float = 1e-4) -> np.ndarray:
+def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     """F(xi) = |xi|^(-nu) int_0^upper J_nu(s xi) profile(s) s^(dim/2) ds.
 
     profile must be vectorized over s > 0 and integrable against s^(dim-1);
-    panels split at inner_split*upper and at the zeros of the Bessel factor.
+    panels split at 1e-4 * upper and at the zeros of the Bessel factor.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -142,7 +147,7 @@ def radial_transform(profile, dim: int, upper: float, freqs,
     if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
         raise ValueError("frequencies must be finite and >= 0")
     out = np.empty_like(xs)
-    eps = inner_split * upper
+    eps = _INNER_SPLIT * upper
     for i, xi in enumerate(xs):
         if xi == 0.0:
             fn = lambda s: profile(s) * s ** (dim - 1)
@@ -219,16 +224,8 @@ class EnergyIdentityResult:
                    for f, t in zip(self.flux_imag, self.quad_tol))
 
 
-def _complex_interp(grid, values):
-    ax = grid.axis()
-    re = RegularGridInterpolator((ax,) * grid.dim, values.real)
-    im = RegularGridInterpolator((ax,) * grid.dim, values.imag)
-    return lambda pts: re(pts) + 1j * im(pts)
-
-
 def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
-                    p: float | None = None, radii=(1.0,),
-                    sphere_points: int = 26) -> EnergyIdentityResult:
+                    p: float | None = None, radii=(1.0,)) -> EnergyIdentityResult:
     """Im of the boundary integral of conj(u) d_r u per radius.
 
     Vanishes (up to quadrature error) for solutions with real coefficient;
@@ -240,10 +237,8 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
     if any(r <= 0.0 or r > g.half_width for r in radii):
         raise ValueError("radii must lie in (0, half_width]")
     h = g.spacing
-    dirs, wts = sphere_quadrature(g.dim, sphere_points)
-    grads = np.gradient(u.values, h, edge_order=2)
-    u_at = _complex_interp(g, u.values)
-    g_at = [_complex_interp(g, comp) for comp in grads]
+    dirs, wts = sphere_quadrature(g.dim)
+    trace = sphere_trace(g, u.values, np.gradient(u.values, h, edge_order=2), dirs)
 
     support_radius = 0.0
     if Q is not None:
@@ -255,11 +250,7 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
     tols = []
     shell_info = []
     for rho in radii:
-        pts = rho * dirs
-        uv = u_at(pts)
-        radial = np.zeros(len(dirs), dtype=complex)
-        for axis in range(g.dim):
-            radial += dirs[:, axis] * g_at[axis](pts)
+        uv, radial = trace(rho)
         flux.append(float(rho ** (g.dim - 1)
                           * np.sum(wts * np.imag(np.conj(uv) * radial))))
         m = float(np.max(np.abs(uv)))
@@ -278,20 +269,6 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
 
 
 # -- defocusing integral chain ------------------------------------------------
-
-def _support_diameter(Q: ComplexField) -> float:
-    mask = np.abs(Q.values) > 0.0
-    if not mask.any():
-        return 0.0
-    ax = Q.grid.axis()
-    h = Q.grid.spacing
-    diag = 0.0
-    for axis_idx in range(Q.grid.dim):
-        proj = mask.any(axis=tuple(i for i in range(Q.grid.dim) if i != axis_idx))
-        lo, hi = ax[proj][0], ax[proj][-1]
-        diag += (hi - lo + h) ** 2
-    return math.sqrt(diag)
-
 
 def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
                             p: float, k: float | None = None,
@@ -346,7 +323,7 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
               extra={"dual_exponent": qdual, "support_measure": omega}),
     ]
     if k is not None:
-        diam = _support_diameter(Q)
+        diam = support_diameter(Q)
         checks.append(check("support_diameter", diam,
                             truncation_threshold(dim) / k,
                             extra={"k": k}))
@@ -362,11 +339,12 @@ class GrowthFit:
     pairs: tuple[tuple[float, float], ...]
 
 
-def growth_law_fit(phi_sups, u_sups, p: float, m_max: int = 8) -> GrowthFit:
+def growth_law_fit(phi_sups, u_sups, p: float) -> GrowthFit:
     """Fit sup|u| <= C (1 + ||phi||^((p-1)^m)) across a solve family.
 
     The growth exponent comes from the log-log slope over the larger half of
-    the family; m is the smallest integer with (p-1)^m at or above it.
+    the family; m is the smallest integer with (p-1)^m at or above it, up
+    to 8.
     """
     phis = np.asarray(phi_sups, dtype=float)
     sups = np.asarray(u_sups, dtype=float)
@@ -379,7 +357,7 @@ def growth_law_fit(phi_sups, u_sups, p: float, m_max: int = 8) -> GrowthFit:
     top = slice(phis.size // 2, None)
     slope = float(np.polyfit(np.log(phis[top]), np.log(sups[top]), 1)[0])
     m = 1
-    while (p - 1.0) ** m < slope and m < m_max:
+    while (p - 1.0) ** m < slope and m < _GROWTH_M_MAX:
         m += 1
     covers = (p - 1.0) ** m >= slope
     constant = float(np.max(sups / (1.0 + phis ** ((p - 1.0) ** m))))

@@ -75,6 +75,21 @@ def trapezoid_sphere(fn, n_polar: int = 64, n_az: int = 128) -> float:
     return total
 
 
+def direct_convolve(src: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Lattice sum out[e] = sum_s src[s] * table[e - s + m - 1], one source
+    node at a time; table is the kernel on the (2m - 1)^dim difference
+    lattice of an m^dim grid."""
+    m = src.shape[0]
+    out = np.zeros_like(src, dtype=complex)
+    for s in np.ndindex(*src.shape):
+        v = src[s]
+        if v == 0.0:
+            continue
+        sl = tuple(slice(m - 1 - si, 2 * m - 1 - si) for si in s)
+        out += v * table[sl]
+    return out
+
+
 def resolvent_matrix(cfg, k: float) -> np.ndarray:
     """Dense matrix of the discrete convolution operator, one unit source per
     column.  Same discrete operator as the library's fast path, assembled the

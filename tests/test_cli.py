@@ -116,6 +116,7 @@ class TestConfigErrors:
         lambda c: c["problem"].pop("M"),
         lambda c: c.update(unknown_block={}),
         lambda c: c["problem"].update(nonlinearity={"kind": "power"}),
+        lambda c: c.update(verify={"freq_count": 7}),
     ])
     def test_schema_and_semantic_rejects(self, tmp_path, mangle):
         cfg = base_config()
@@ -123,6 +124,20 @@ class TestConfigErrors:
         cp = write_config(tmp_path, cfg)
         assert main(["solve", "--config", cp,
                      "--out", str(tmp_path / "run")]) == 2
+
+    @pytest.mark.parametrize("action,block", [
+        (["farfield"], {"farfield": {"extraction_radius": 5.0}}),
+        (["farfield"], {"farfield": {"radii": [0.5, 9.0]}}),
+        (["verify", "energy"], {"verify": {"radii": [3.0]}}),
+    ])
+    def test_radii_outside_grid_are_config_errors(self, tmp_path, action, block):
+        cfg = base_config()
+        cfg.update(block)
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main([*action, "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
 
     def test_out_of_range_power_is_config_error(self, tmp_path):
         cfg = base_config()

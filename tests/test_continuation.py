@@ -153,6 +153,9 @@ class TestBranch:
             StepConfig(initial_step=-0.1)
         with pytest.raises(ValueError):
             StepConfig(floor_factor=2.0)
+        for bad in ({"max_step": -1.0}, {"max_step": 0.0}, {"max_solves": 0}):
+            with pytest.raises(ValueError):
+                StepConfig(**bad)
 
 
 class TestBlowupProbe:

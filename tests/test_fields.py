@@ -140,6 +140,19 @@ class TestSphereQuadrature:
         assert wts.sum() == pytest.approx(4 * np.pi, rel=1e-12)
         assert np.sum(wts * x**2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trace_of_linear_field_is_exact(self, dim):
+        # multilinear interpolation and centered differences are exact on
+        # u = a.x + b, so the trace gives u and d_r u = a.dir to roundoff
+        g = small_grid(dim=dim)
+        a = np.array([0.7 - 0.2j, -1.1 + 0.5j, 0.3j][:dim])
+        u = sum(ai * x for ai, x in zip(a, g.meshgrid())) + (0.4 - 0.9j)
+        dirs, _ = fields.sphere_quadrature(dim)
+        trace = fields.sphere_trace(g, u, np.gradient(u, g.spacing, edge_order=2), dirs)
+        uv, du_dr = trace(1.3)
+        np.testing.assert_allclose(uv, 1.3 * dirs @ a + (0.4 - 0.9j), atol=1e-13)
+        np.testing.assert_allclose(du_dr, dirs @ a, atol=1e-13)
+
 
 class TestIncidentWaves:
     def test_plane_wave_modulus_and_helmholtz(self):
@@ -305,12 +318,25 @@ class TestNonlinearity:
             return np.sin(np.abs(u)) * u
 
         spec = NonlinearitySpec.custom(fn, alpha=3.0, grid=g)
+        assert spec.grid == g and spec.Q is None
         u = ComplexField(g, np.full(g.shape, 1.0 + 0j))
         out = fields.apply_nonlinearity(spec, u)
         np.testing.assert_allclose(out.values, math.sin(1.0))
         v = ComplexField(g, np.ones(g.shape, dtype=complex))
         with pytest.raises(ValueError, match="derivative"):
             fields.nonlinearity_derivative(spec, u, v)
+
+    def test_support_diameter_is_bounding_box_diagonal(self):
+        g = small_grid()
+        vals = np.zeros(g.shape, dtype=complex)
+        vals[2, 4, 4] = vals[5, 6, 4] = -1.0
+        # nonzero cells span 4, 3 and 1 cells along the three axes
+        want = g.spacing * math.sqrt(16 + 9 + 1)
+        Q = ComplexField(g, vals)
+        assert fields.support_diameter(Q) == pytest.approx(want, rel=1e-14)
+        assert NonlinearitySpec.power(Q, p=3.0, alpha=3.0).support_diameter() == \
+            pytest.approx(want, rel=1e-14)
+        assert fields.support_diameter(ComplexField.zeros(g)) == 0.0
 
 
 class TestLipschitzEstimate:

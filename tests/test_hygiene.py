@@ -1,0 +1,44 @@
+"""Source hygiene: every name a package module imports is used in that
+module or re-exported through its __all__."""
+
+import ast
+import pathlib
+
+import pytest
+
+import helmscat
+
+SOURCES = sorted(pathlib.Path(helmscat.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """'name (line N)' for each imported name that is neither read in the
+    module nor listed in its __all__; __future__ imports are skipped."""
+    tree = ast.parse(source)
+    imported = {}
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            exported = set(ast.literal_eval(node.value))
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_reported():
+    src = ("from __future__ import annotations\nimport os\nimport os.path as osp\n"
+           "from math import pi, tau\n__all__ = ['tau']\nx = pi\n")
+    assert unused_imports(src) == ["os (line 2)", "osp (line 3)"]
