@@ -48,13 +48,20 @@ from .fields import (
     Grid,
     IncidentWave,
     NonlinearitySpec,
+    critical_exponent,
     load_field,
     make_incident,
     save_field,
     sphere_quadrature,
     write_slice_csv,
 )
-from .resolvent import ResolventConfig, estimate_kappa, far_field, radiation_report
+from .resolvent import (
+    ResolventConfig,
+    default_radii,
+    estimate_kappa,
+    far_field,
+    radiation_report,
+)
 from .solver import SolverConfig, picard_solve
 from .verify import (
     defocusing_inequalities,
@@ -191,8 +198,6 @@ CONFIG_SCHEMA = {
 
 _VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
-_NEEDS_PROBLEM = {"solve", "continue", "kappa", "farfield"}
-
 
 class ConfigError(Exception):
     pass
@@ -311,8 +316,7 @@ def _build_coefficient(grid: Grid, spec: dict) -> ComplexField:
 def _fallback_power(dim: int) -> float:
     if dim < 3:
         return 3.0
-    crit = 2.0 * dim / (dim - 2.0)
-    return 2.0 + 0.25 * (crit - 2.0)
+    return 2.0 + 0.25 * (critical_exponent(dim) - 2.0)
 
 
 def _build_nonlinearity(grid: Grid, alpha: float, spec: dict | None) -> NonlinearitySpec:
@@ -460,10 +464,9 @@ def _run_farfield(cfg: dict, out: str, seed: int):
     ff_cfg = cfg.get("farfield", {})
     g = prob.rcfg.eval_grid
     u_sc = u - prob.phi
-    radii = tuple(ff_cfg.get("radii",
-                             (g.half_width / 4, g.half_width / 2,
-                              3 * g.half_width / 4)))
-    extraction = float(ff_cfg.get("extraction_radius", 3 * g.half_width / 4))
+    default = default_radii(g.half_width)
+    radii = tuple(ff_cfg.get("radii", default))
+    extraction = float(ff_cfg.get("extraction_radius", default[-1]))
     dirs, _ = sphere_quadrature(g.dim, ff_cfg.get("directions", 26))
     try:
         rad = radiation_report(u_sc, prob.k, radii)
@@ -532,9 +535,8 @@ def _run_verify(cfg: dict, out: str, seed: int, mode: str):
         return EXIT_DIVERGED, [], {"solver_tol": scfg.tol}
 
     if mode == "energy":
-        g = prob.rcfg.eval_grid
-        radii = tuple(vc.get("radii", (g.half_width / 4, g.half_width / 2,
-                                       3 * g.half_width / 4)))
+        radii = tuple(vc.get("radii",
+                             default_radii(prob.rcfg.eval_grid.half_width)))
         factor = float(vc.get("factor", 10.0))
         try:
             res = energy_identity(u, prob.k, Q=prob.f.Q, p=prob.f.p, radii=radii)

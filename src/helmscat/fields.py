@@ -11,7 +11,8 @@ delivers for a source decaying at rate alpha is
 continuous across alpha = dim.
 
 Nonlinearities act pointwise.  The power kind is f(x, u) = Q(x)|u|^(p-2)u
-with real coefficient Q and 2 < p (< 2 dim/(dim-2) in dimension 3); its
+with real coefficient Q and 2 < p (< 2 dim/(dim-2) in dimension 3, the
+critical exponent); its
 derivative at u is the real-linear map
 
     v  ->  Q(x) ( (p/2)|u|^(p-2) v  +  ((p-2)/2)|u|^(p-4) u^2 conj(v) ),
@@ -25,7 +26,6 @@ import csv
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -45,6 +45,8 @@ __all__ = [
     "complex_interpolator",
     "sphere_trace",
     "support_diameter",
+    "critical_exponent",
+    "check_defocusing_coefficient",
     "make_incident",
     "apply_nonlinearity",
     "nonlinearity_derivative",
@@ -304,8 +306,8 @@ def sphere_trace(grid: Grid, values: np.ndarray, grads, dirs: np.ndarray):
 
 @dataclass
 class IncidentWave:
-    """Incident field description: a plane wave, a finite Herglotz
-    superposition of plane waves, or a caller-supplied field."""
+    """Incident field description: a plane wave or a finite Herglotz
+    superposition of plane waves."""
 
     kind: str
     k: float
@@ -313,7 +315,6 @@ class IncidentWave:
     directions: np.ndarray | None = None
     weights: np.ndarray | None = None
     density: np.ndarray | None = None
-    custom: ComplexField | None = None
 
     @classmethod
     def plane(cls, k: float, direction) -> "IncidentWave":
@@ -341,12 +342,6 @@ class IncidentWave:
             raise ValueError("k must be > 0")
         return cls(kind="herglotz", k=float(k), directions=dirs, weights=wts, density=dens)
 
-    @classmethod
-    def from_field(cls, k: float, fld: ComplexField) -> "IncidentWave":
-        if k <= 0:
-            raise ValueError("k must be > 0")
-        return cls(kind="custom", k=float(k), custom=fld)
-
 
 def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
     """Evaluate the incident wave on the grid."""
@@ -363,16 +358,12 @@ def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
             phase = sum(x * di for x, di in zip(xs, d))
             acc += w * g * np.exp(1j * spec.k * phase)
         return ComplexField(grid, acc)
-    if spec.kind == "custom":
-        if spec.custom.grid != grid:
-            raise ValueError("custom incident field lives on a different grid")
-        return spec.custom.copy()
     raise ValueError(f"unknown incident kind {spec.kind!r}")
 
 
 # -- nonlinearities -----------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class NonlinearitySpec:
     """Pointwise nonlinearity f(x, u) with decay rate alpha for the
     coefficient.  regime_tags is metadata ('f1', 'f2', 'defocusing');
@@ -385,9 +376,6 @@ class NonlinearitySpec:
     p: float | None = None
     a: ComplexField | None = None
     b: ComplexField | None = None
-    custom_fn: Callable | None = None
-    custom_dfn: Callable | None = None
-    lipschitz_ell: float | None = None
     regime_tags: frozenset = frozenset()
 
     @classmethod
@@ -397,9 +385,9 @@ class NonlinearitySpec:
         if p <= 2.0:
             raise ValueError(f"power p must exceed 2, got {p}")
         dim = Q.grid.dim
-        if dim >= 3 and p >= 2.0 * dim / (dim - 2.0):
+        if dim >= 3 and p >= critical_exponent(dim):
             raise ValueError(f"power p must stay below 2*dim/(dim-2) = "
-                             f"{2.0 * dim / (dim - 2.0)}, got {p}")
+                             f"{critical_exponent(dim)}, got {p}")
         spec = cls(kind="power", alpha=_check_alpha(alpha, dim), grid=Q.grid, Q=Q,
                    p=float(p), regime_tags=frozenset(tags))
         _validate_tags(spec)
@@ -413,12 +401,6 @@ class NonlinearitySpec:
                    a=a, b=b, regime_tags=frozenset(tags))
         _validate_tags(spec)
         return spec
-
-    @classmethod
-    def custom(cls, fn: Callable, alpha: float, grid: Grid,
-               dfn: Callable | None = None, tags=()) -> "NonlinearitySpec":
-        return cls(kind="custom", alpha=_check_alpha(alpha, grid.dim), grid=grid,
-                   custom_fn=fn, custom_dfn=dfn, regime_tags=frozenset(tags))
 
     def support_diameter(self) -> float:
         """support_diameter of the coefficient (Q for power, a for affine)."""
@@ -444,6 +426,25 @@ def support_diameter(coef: ComplexField) -> float:
     return math.sqrt(diag)
 
 
+def critical_exponent(dim: int) -> float:
+    """The critical power 2 dim/(dim - 2), for dim >= 3."""
+    return 2.0 * dim / (dim - 2.0)
+
+
+def check_defocusing_coefficient(Q: ComplexField):
+    """Raise ValueError unless Q is admissible for the defocusing regime:
+    real, Q <= 0, and zero on the boundary layer of its grid (compact
+    support inside the box)."""
+    if np.any(Q.values.imag != 0.0) or np.any(Q.values.real > 0.0):
+        raise ValueError("defocusing requires a real, nonpositive coefficient "
+                         "(Q <= 0 everywhere)")
+    edge = np.ones(Q.grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * Q.grid.dim] = False
+    if np.any(Q.values.real[edge] != 0.0):
+        raise ValueError("defocusing requires Q to vanish on the boundary layer "
+                         "(compact support inside the box)")
+
+
 def _check_alpha(alpha: float, dim: int) -> float:
     lo = 0.5 * (dim + 1)
     if not (math.isfinite(alpha) and alpha > lo):
@@ -459,23 +460,11 @@ def _validate_tags(spec: NonlinearitySpec):
     if "defocusing" in spec.regime_tags:
         if spec.kind != "power":
             raise ValueError("defocusing tag applies to the power kind")
-        q = spec.Q.values.real
-        if np.any(q > 0.0):
-            raise ValueError("defocusing requires Q <= 0 everywhere")
-        edge = np.ones(spec.Q.grid.shape, dtype=bool)
-        edge[(slice(1, -1),) * spec.Q.grid.dim] = False
-        if np.any(q[edge] != 0.0):
-            raise ValueError("defocusing requires Q to vanish on the boundary layer "
-                             "(compact support inside the box)")
+        check_defocusing_coefficient(spec.Q)
 
 
 def apply_nonlinearity(f: NonlinearitySpec, u: ComplexField) -> ComplexField:
     """Pointwise f(x, u(x))."""
-    if f.kind == "custom":
-        if u.grid != f.grid:
-            raise ValueError("field grid does not match nonlinearity grid")
-        return ComplexField(u.grid, np.asarray(f.custom_fn(u.grid.meshgrid(), u.values),
-                                               dtype=complex))
     if u.grid != f.grid:
         raise ValueError("field grid does not match nonlinearity grid")
     if f.kind == "power":
@@ -491,11 +480,6 @@ def nonlinearity_derivative(f: NonlinearitySpec, u: ComplexField, v: ComplexFiel
     real-linear map on the complex values."""
     if u.grid != v.grid:
         raise ValueError("u and v live on different grids")
-    if f.kind == "custom":
-        if f.custom_dfn is None:
-            raise ValueError("custom nonlinearity has no derivative rule")
-        return ComplexField(u.grid, np.asarray(
-            f.custom_dfn(u.grid.meshgrid(), u.values, v.values), dtype=complex))
     if u.grid != f.grid:
         raise ValueError("field grid does not match nonlinearity grid")
     if f.kind == "affine":
@@ -564,43 +548,15 @@ def estimate_lipschitz(f: NonlinearitySpec, cap: float, samples: int = 4000,
 
     For the affine kind the supremum is exactly the weighted norm of a.  For
     the power kind the x and (u, v) searches separate, so only the pair
-    search is randomized.  The result is a lower estimate, not a certificate;
-    it is stored into lipschitz_ell when it improves on the current value.
+    search is randomized.  The result is a lower estimate, not a certificate.
     """
     if cap <= 0.0:
         raise ValueError("cap must be > 0")
     rng = np.random.default_rng(seed)
     if f.kind == "affine":
-        est = weighted_norm(f.a, f.alpha).value
-    elif f.kind == "power":
-        coef = weighted_norm(f.Q, f.alpha).value
-        est = coef * _power_quotient_sup(f.p, cap, samples, rng)
-    else:
-        est = _custom_lipschitz(f, cap, samples, rng)
-    if f.lipschitz_ell is None or est > f.lipschitz_ell:
-        f.lipschitz_ell = est
-    return est
-
-
-def _custom_lipschitz(f: NonlinearitySpec, cap: float, samples: int, rng) -> float:
-    xs = f.grid.meshgrid()
-    wt = f.grid.bracket() ** f.alpha
-    best = 0.0
-    for _ in range(max(8, samples // 250)):
-        u = complex(cap * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        if rng.uniform() < 0.5:
-            v = u + complex(cap * 10.0 ** rng.uniform(-9, -1) * np.exp(2j * np.pi * rng.uniform()))
-            if abs(v) > cap:
-                v = u - (v - u)
-        else:
-            v = complex(cap * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform()))
-        if u == v:
-            continue
-        fu = np.asarray(f.custom_fn(xs, np.full(f.grid.shape, u, dtype=complex)))
-        fv = np.asarray(f.custom_fn(xs, np.full(f.grid.shape, v, dtype=complex)))
-        q = float(np.max(wt * np.abs(fu - fv))) / abs(u - v)
-        best = max(best, q)
-    return best
+        return weighted_norm(f.a, f.alpha).value
+    coef = weighted_norm(f.Q, f.alpha).value
+    return coef * _power_quotient_sup(f.p, cap, samples, rng)
 
 
 # -- aligned subgrids ---------------------------------------------------------

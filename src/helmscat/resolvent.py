@@ -12,14 +12,14 @@ tabulated on the difference lattice once per configuration:
   * regular cells: Phi at the cell center times the cell volume,
   * the 3^dim - 1 cells adjacent to the singularity: cell averages of Phi by
     midpoint subsampling (4 points per axis),
-  * the singular cell itself, by one of two rules over the ball of equal
-    volume (radius rho):
-      - cell_average: the exact ball integral of Phi
-          dim 3:  exp(ik rho)(rho/(ik) + 1/k^2) - 1/k^2
-          dim 2:  (i pi rho / 2k) H^(1)_1(k rho) - 1/k^2
-      - subtraction: split Phi into its static singular part and a bounded
-        remainder; integrate the static part over the ball exactly and take
-        the remainder's limit value times the cell volume.
+  * the singular cell itself: the exact integral of Phi over the ball of
+    equal volume (radius rho),
+        dim 3:  exp(ik rho)(rho/(ik) + 1/k^2) - 1/k^2
+        dim 2:  (i pi rho / 2k) H^(1)_1(k rho) - 1/k^2.
+
+The incoming kernel's table is the complex conjugate of the outgoing one.
+The test suite keeps a second singular-cell rule (static-part subtraction)
+in tests/oracles.py to check this one against.
 
 The lattice sum is evaluated by FFT convolution; the test suite checks it
 against direct summation to 1e-10 on small grids.
@@ -54,9 +54,9 @@ __all__ = [
     "radiation_report",
     "far_field",
     "singular_cell_weight",
+    "default_radii",
 ]
 
-_EULER_GAMMA = float(np.euler_gamma)
 # midpoint subsamples per axis for the cells next to the singularity
 _NEAR_QUADRATURE = 4
 
@@ -68,11 +68,8 @@ class ResolventConfig:
 
     source_grid: Grid
     eval_grid: Grid
-    singular_rule: str = "cell_average"
 
     def __post_init__(self):
-        if self.singular_rule not in ("cell_average", "subtraction"):
-            raise ValueError(f"unknown singular rule {self.singular_rule!r}")
         # raises when grids are incompatible
         _fields._alignment_offset(self.eval_grid, self.source_grid)
         m = 2 * self.eval_grid.points_per_axis - 1
@@ -80,7 +77,7 @@ class ResolventConfig:
             raise ValueError("difference lattice exceeds the memory cap")
 
     @classmethod
-    def padded(cls, source_grid: Grid, pad_cells: int = 0, **kw) -> "ResolventConfig":
+    def padded(cls, source_grid: Grid, pad_cells: int = 0) -> "ResolventConfig":
         """Eval grid = source grid extended by pad_cells nodes per side."""
         if pad_cells < 0:
             raise ValueError("pad_cells must be >= 0")
@@ -91,7 +88,7 @@ class ResolventConfig:
             points_per_axis=source_grid.points_per_axis + 2 * pad_cells,
             max_points=source_grid.max_points,
         )
-        return cls(source_grid=source_grid, eval_grid=eval_grid, **kw)
+        return cls(source_grid=source_grid, eval_grid=eval_grid)
 
 
 @dataclass(frozen=True)
@@ -130,28 +127,19 @@ def _equal_volume_radius(dim: int, h: float) -> float:
     return h / math.sqrt(np.pi)
 
 
-def singular_cell_weight(dim: int, k: float, h: float, rule: str) -> complex:
-    """Quadrature weight of the singular cell: the integral of Phi_k over
-    the ball of volume h^dim, by the named rule."""
+def singular_cell_weight(dim: int, k: float, h: float) -> complex:
+    """Quadrature weight of the singular cell: the exact integral of Phi_k
+    over the ball of volume h^dim."""
     rho = _equal_volume_radius(dim, h)
-    if rule == "cell_average":
-        if dim == 3:
-            return complex(np.exp(1j * k * rho) * (rho / (1j * k) + 1.0 / k**2)
-                           - 1.0 / k**2)
-        return complex(1j * np.pi * rho / (2.0 * k) * hankel1(1.0, k * rho)
-                       - 1.0 / k**2)
-    # subtraction: exact ball integral of the static part plus the smooth
-    # remainder's value at 0 times the cell volume
     if dim == 3:
-        return complex(0.5 * rho**2 + 1j * k / (4.0 * np.pi) * h**3)
-    static = rho**2 * (1.0 - 2.0 * math.log(rho)) / 4.0
-    smooth0 = 0.25j - (math.log(k / 2.0) + _EULER_GAMMA) / (2.0 * np.pi)
-    return complex(static + smooth0 * h**2)
+        return complex(np.exp(1j * k * rho) * (rho / (1j * k) + 1.0 / k**2)
+                       - 1.0 / k**2)
+    return complex(1j * np.pi * rho / (2.0 * k) * hankel1(1.0, k * rho)
+                   - 1.0 / k**2)
 
 
-def _abs_singular_cell_weight(dim: int, k: float, h: float) -> float:
-    """Integral of |Phi_k| over the equal-volume ball."""
-    rho = _equal_volume_radius(dim, h)
+def _abs_ball_mass(dim: int, k: float, rho: float) -> float:
+    """Integral of |Phi_k| over the ball of radius rho."""
     if dim == 3:
         # |Phi| = 1/(4 pi r) exactly
         return 0.5 * rho**2
@@ -166,8 +154,6 @@ def _kernel_values(dim: int, k: float, r: np.ndarray, kind: str) -> np.ndarray:
     vals = fundamental_solution(params, r)
     if kind == "magnitude":
         return np.abs(vals)
-    if kind == "conjugate":
-        return np.conj(vals)
     return vals
 
 
@@ -176,6 +162,8 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
     """Cell weights of Phi_k (or |Phi_k| / conj Phi_k) on the difference
     lattice of the eval grid, singular and near-singular cells corrected.
     The four most recent tables are kept."""
+    if kind == "conjugate":
+        return np.conj(_kernel_table(cfg, k, "outgoing"))
     g = cfg.eval_grid
     h = g.spacing
     m = g.points_per_axis
@@ -201,10 +189,9 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
         table[cell] = avg * g.cell_volume
 
     if kind == "magnitude":
-        table[center] = _abs_singular_cell_weight(g.dim, k, h)
+        table[center] = _abs_ball_mass(g.dim, k, _equal_volume_radius(g.dim, h))
     else:
-        w = singular_cell_weight(g.dim, k, h, cfg.singular_rule)
-        table[center] = np.conj(w) if kind == "conjugate" else w
+        table[center] = singular_cell_weight(g.dim, k, h)
     return table
 
 
@@ -236,14 +223,11 @@ def _exterior_tail_bound(alpha: float, k: float, dim: int,
     r0 = source_half_width
     if dim == 3:
         ck = 1.0 / (4.0 * np.pi)
-        near_mass = 0.5  # integral of 1/(4 pi r) over the unit ball
         omega = 4.0 * np.pi
     else:
         ck = 0.25 * math.sqrt(2.0 / (np.pi * k))
-        near_mass, _ = integrate.quad(
-            lambda r: 0.25 * abs(hankel1(0.0, k * r)) * 2.0 * np.pi * r, 0.0, 1.0,
-            limit=200)
         omega = 2.0 * np.pi
+    near_mass = _abs_ball_mass(dim, k, 1.0)
     br0 = math.sqrt(1.0 + r0 * r0)
     # y within distance 1 of some eval point: |y| still exceeds the source box
     near = near_mass * br0 ** (-alpha)
@@ -275,6 +259,13 @@ def estimate_kappa(alpha: float, cfg: ResolventConfig, k: float) -> KappaEstimat
 
 
 # -- radiation diagnostics ----------------------------------------------------
+
+def default_radii(half_width: float) -> tuple[float, float, float]:
+    """Radii at which solves report radiation, far-field and flux
+    diagnostics unless a config names others: L/4, L/2 and 3L/4."""
+    L = half_width
+    return (L / 4, L / 2, 3 * L / 4)
+
 
 def radiation_report(u: ComplexField, k: float, radii,
                      inner_radius: float | None = None) -> RadiationReport:

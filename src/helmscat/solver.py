@@ -7,8 +7,8 @@ with contraction certificates and the linear a priori sup bound.
 The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
 started at phi (or a caller-supplied warm start).  When an update increases
 the residual the damping theta is halved, down to a floor of 1/16.  A sup
-norm beyond the divergence cap stops the run with partial data; non-finite
-values abort.
+norm beyond the divergence cap stops the run with partial data; a
+non-finite iterate raises ValueError (no ComplexField holds one).
 
 The contraction certificate multiplies the kappa estimate by the sampled
 Lipschitz estimate of the nonlinearity on a ball of radius cap; a product
@@ -45,6 +45,7 @@ from .resolvent import (
     RadiationReport,
     ResolventConfig,
     apply_resolvent,
+    default_radii,
     estimate_kappa,
     radiation_report,
 )
@@ -142,8 +143,6 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
     prev_res = math.inf
     for _ in range(cfg.max_iters):
         mapped = _apply_map(f, phi, k, rcfg, u)
-        if not np.all(np.isfinite(mapped.values)):
-            raise FloatingPointError("non-finite iterate in Picard solve")
         cand = (1.0 - theta) * u.values + theta * mapped.values
         res = float(np.max(np.abs(cand - u.values)))
         while (cfg.adapt_damping and res > prev_res
@@ -168,8 +167,8 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
         final_residual = float(np.max(np.abs(
             _apply_map(f, phi, k, rcfg, u).values - u.values)))
         if cfg.compute_radiation:
-            L = rcfg.eval_grid.half_width
-            radiation = radiation_report(u - phi, k, (L / 4, L / 2, 3 * L / 4))
+            radiation = radiation_report(u - phi, k,
+                                         default_radii(rcfg.eval_grid.half_width))
         if cfg.certify:
             kappa = estimate_kappa(f.alpha, rcfg, k)
             cap = 1.05 * max(u.sup_norm, phi.sup_norm, 1e-12)

@@ -54,6 +54,8 @@ from scipy.special import gamma as gamma_fn
 from .fields import (
     BoundCheck,
     ComplexField,
+    check_defocusing_coefficient,
+    critical_exponent,
     restrict_field,
     sphere_quadrature,
     sphere_trace,
@@ -281,15 +283,10 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
     dim = Q.grid.dim
     if dim < 3:
         raise ValueError("defocusing chain requires dim >= 3")
-    crit = 2.0 * dim / (dim - 2.0)
+    crit = critical_exponent(dim)
     if not 2.0 < p < crit:
         raise ValueError(f"p must lie in (2, {crit:.4g})")
-    if np.any(Q.values.imag != 0.0) or np.max(Q.values.real) > 0.0:
-        raise ValueError("coefficient must be real and nonpositive")
-    edge = np.ones(Q.grid.shape, dtype=bool)
-    edge[(slice(1, -1),) * dim] = False
-    if np.any(np.abs(Q.values[edge]) > 0.0):
-        raise ValueError("coefficient must vanish on the boundary layer")
+    check_defocusing_coefficient(Q)
     if u.grid != Q.grid:
         u = restrict_field(u, Q.grid)
 

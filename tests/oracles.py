@@ -75,6 +75,21 @@ def trapezoid_sphere(fn, n_polar: int = 64, n_az: int = 128) -> float:
     return total
 
 
+def subtraction_cell_weight(dim: int, k: float, h: float) -> complex:
+    """Singular-cell weight by static-part subtraction: the exact integral of
+    the static singular part of Phi_k over the ball of volume h^dim, plus the
+    bounded remainder's value at 0 times the cell volume.  A second rule for
+    the library's exact ball integral; the two differ by the remainder's
+    variation over the cell."""
+    if dim == 3:
+        rho = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0)
+        return complex(0.5 * rho**2 + 1j * k / (4.0 * np.pi) * h**3)
+    rho = h / np.sqrt(np.pi)
+    static = rho**2 * (1.0 - 2.0 * np.log(rho)) / 4.0
+    smooth0 = 0.25j - (np.log(k / 2.0) + np.euler_gamma) / (2.0 * np.pi)
+    return complex(static + smooth0 * h**2)
+
+
 def direct_convolve(src: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Lattice sum out[e] = sum_s src[s] * table[e - s + m - 1], one source
     node at a time; table is the kernel on the (2m - 1)^dim difference

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in that
-module or re-exported through its __all__."""
+module or re-exported through its __all__, and every private module-level
+name it defines is read somewhere in it."""
 
 import ast
 import pathlib
@@ -33,6 +34,29 @@ def unused_imports(source: str) -> list[str]:
                   if name not in used and name not in exported)
 
 
+def unused_private_names(source: str) -> list[str]:
+    """'name (line N)' for each module-level _name (def, class or assignment
+    target) that the module never reads; dunder names are skipped."""
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, node.lineno)
+    loaded = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{name} (line {line})" for name, line in defined.items()
+                  if name not in loaded)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -42,3 +66,14 @@ def test_unused_import_is_reported():
     src = ("from __future__ import annotations\nimport os\nimport os.path as osp\n"
            "from math import pi, tau\n__all__ = ['tau']\nx = pi\n")
     assert unused_imports(src) == ["os (line 2)", "osp (line 3)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []
+
+
+def test_unused_private_name_is_reported():
+    src = ("_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\n"
+           "class _K:\n    pass\n_f()\n_D: int = 4\n")
+    assert unused_private_names(src) == ["_B (line 2)", "_D (line 9)", "_K (line 6)"]

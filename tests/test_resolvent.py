@@ -4,7 +4,7 @@ import pytest
 from helmscat import resolvent as rv
 from helmscat.fields import ComplexField, Grid, weighted_norm
 from helmscat.specfun import FundamentalSolutionParams, fundamental_solution
-from oracles import direct_convolve, discrete_laplacian
+from oracles import direct_convolve, discrete_laplacian, subtraction_cell_weight
 
 
 def gaussian_source(grid, sigma=0.5, cutoff=2.0):
@@ -14,8 +14,8 @@ def gaussian_source(grid, sigma=0.5, cutoff=2.0):
     return ComplexField(grid, v.astype(complex))
 
 
-def cfg_for(grid, **kw):
-    return rv.ResolventConfig.padded(grid, 0, **kw)
+def cfg_for(grid):
+    return rv.ResolventConfig.padded(grid, 0)
 
 
 class TestConfig:
@@ -31,8 +31,6 @@ class TestConfig:
         ev = Grid(dim=3, half_width=2.1, points_per_axis=9)
         with pytest.raises(ValueError):
             rv.ResolventConfig(source_grid=src, eval_grid=ev)
-        with pytest.raises(ValueError, match="singular rule"):
-            rv.ResolventConfig.padded(src, 0, singular_rule="punt")
 
 
 class TestSingularCell:
@@ -51,15 +49,15 @@ class TestSingularCell:
 
         want = (integrate.quad(f, 0, rho, args=("re",), limit=200)[0]
                 + 1j * integrate.quad(f, 0, rho, args=("im",), limit=200)[0])
-        got = rv.singular_cell_weight(dim, k, h, "cell_average")
+        got = rv.singular_cell_weight(dim, k, h)
         assert got == pytest.approx(want, rel=1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_subtraction_close_to_cell_average(self, dim):
         # the two rules agree to the smooth remainder's variation over the cell
         k, h = 1.0, 0.1
-        a = rv.singular_cell_weight(dim, k, h, "cell_average")
-        b = rv.singular_cell_weight(dim, k, h, "subtraction")
+        a = rv.singular_cell_weight(dim, k, h)
+        b = subtraction_cell_weight(dim, k, h)
         assert abs(a - b) < 1e-3 * abs(a)
         assert a != b
 
@@ -157,7 +155,14 @@ class TestApplyResolvent:
         norms = []
         for m in (17, 33):
             g = Grid(dim=3, half_width=3.0, points_per_axis=m)
-            u = rv.apply_resolvent(gaussian_source(g), cfg_for(g, singular_rule=rule), k)
+            src = gaussian_source(g)
+            u = rv.apply_resolvent(src, cfg_for(g), k)
+            if rule == "subtraction":
+                # eval grid = source grid: only the singular-cell weight
+                # differs, and it multiplies the source at the same node
+                dw = (subtraction_cell_weight(3, k, g.spacing)
+                      - rv.singular_cell_weight(3, k, g.spacing))
+                u = u + dw * src
             lap = discrete_laplacian(u.values, g.spacing)
             core = (slice(2, -2),) * 3
             resid = -lap[core] - k * k * u.values[core] - gaussian_source(g).values[core]
