@@ -414,9 +414,11 @@ def _run_continue(cfg: dict, out: str, seed: int):
                                  prob.rcfg, stepcfg=stepcfg, store_at=store_at)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    rows = [(p.lam, p.sup_norm, p.residual, p.status) for p in branch.points]
+    rows = [(p.lam, p.sup_norm, p.residual, p.status, p.iterations, p.step)
+            for p in branch.points]
     _write_csv(os.path.join(out, "branch.csv"),
-               ("lambda", "sup_norm", "residual", "status"), rows)
+               ("lambda", "sup_norm", "residual", "status", "iterations", "step"),
+               rows)
     summary = {
         "lambda_max": branch.lambda_max,
         "terminated_reason": branch.terminated_reason,

@@ -44,6 +44,7 @@ __all__ = [
     "product_gauss_sphere",
     "complex_interpolator",
     "sphere_trace",
+    "support_box",
     "support_diameter",
     "critical_exponent",
     "check_defocusing_coefficient",
@@ -410,20 +411,29 @@ class NonlinearitySpec:
         return support_diameter(coef)
 
 
+def support_box(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
+    """Index bounding box of the nonzero cells of values: (first, last) per
+    axis, both inclusive; None when every cell is zero."""
+    mask = values != 0
+    if not mask.any():
+        return None
+    box = []
+    for axis_idx in range(mask.ndim):
+        proj = mask.any(axis=tuple(i for i in range(mask.ndim) if i != axis_idx))
+        idx = np.flatnonzero(proj)
+        box.append((int(idx[0]), int(idx[-1])))
+    return tuple(box)
+
+
 def support_diameter(coef: ComplexField) -> float:
     """Diagonal of the bounding box of the nonzero cells of coef (an upper
     bound for the diameter of its support); 0 for a zero field."""
-    mask = np.abs(coef.values) > 0.0
-    if not mask.any():
+    box = support_box(coef.values)
+    if box is None:
         return 0.0
     g = coef.grid
     ax = g.axis()
-    diag = 0.0
-    for axis_idx in range(g.dim):
-        proj = mask.any(axis=tuple(i for i in range(g.dim) if i != axis_idx))
-        lo, hi = ax[proj][0], ax[proj][-1]
-        diag += (hi - lo + g.spacing) ** 2
-    return math.sqrt(diag)
+    return math.sqrt(sum((ax[hi] - ax[lo] + g.spacing) ** 2 for lo, hi in box))
 
 
 def critical_exponent(dim: int) -> float:

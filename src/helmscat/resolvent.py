@@ -21,8 +21,17 @@ The incoming kernel's table is the complex conjugate of the outgoing one.
 The test suite keeps a second singular-cell rule (static-part subtraction)
 in tests/oracles.py to check this one against.
 
-The lattice sum is evaluated by FFT convolution; the test suite checks it
-against direct summation to 1e-10 on small grids.
+The lattice sum is evaluated by FFT convolution over the source's support
+only.  A source whose nonzero cells fill an index box of width b per axis
+sees the window of m + b - 1 table cells per axis (m eval points per axis)
+that covers every offset from the box to the eval grid; cells outside the
+box add exactly 0 to the sum.  The window's spectrum, zero-padded to the
+circulant size next_fast_len(m + b - 1) per axis, is cached per (config,
+k, kernel kind, box), so a repeated apply costs one forward and one inverse
+FFT of that size, and the m^dim valid part of the circular convolution is
+the result.  The full table is built on a spectrum miss and not kept.  The
+test suite checks the result against direct summation over the table to
+1e-10 on small grids.
 
 kappa is estimated by pushing the extremal profile <y>^(-alpha) through the
 magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
@@ -38,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, signal
+from scipy import fft, integrate
 
 from . import fields as _fields
 from .fields import ComplexField, Grid, tau, weighted_norm
@@ -59,6 +68,8 @@ __all__ = [
 
 # midpoint subsamples per axis for the cells next to the singularity
 _NEAR_QUADRATURE = 4
+# window spectra kept by the LRU of _window_spectrum
+_SPECTRA = 4
 
 
 @dataclass(frozen=True)
@@ -72,9 +83,11 @@ class ResolventConfig:
     def __post_init__(self):
         # raises when grids are incompatible
         _fields._alignment_offset(self.eval_grid, self.source_grid)
-        m = 2 * self.eval_grid.points_per_axis - 1
-        if m ** self.eval_grid.dim > self.eval_grid.max_points * 8:
-            raise ValueError("difference lattice exceeds the memory cap")
+        # the spectrum LRU holds _SPECTRA spectra of at most
+        # next_fast_len(2m - 1) cells per axis
+        n = fft.next_fast_len(2 * self.eval_grid.points_per_axis - 1)
+        if _SPECTRA * n ** self.eval_grid.dim > self.eval_grid.max_points * 8:
+            raise ValueError("cached kernel spectra exceed the memory cap")
 
     @classmethod
     def padded(cls, source_grid: Grid, pad_cells: int = 0) -> "ResolventConfig":
@@ -157,11 +170,10 @@ def _kernel_values(dim: int, k: float, r: np.ndarray, kind: str) -> np.ndarray:
     return vals
 
 
-@functools.lru_cache(maxsize=4)
 def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
     """Cell weights of Phi_k (or |Phi_k| / conj Phi_k) on the difference
-    lattice of the eval grid, singular and near-singular cells corrected.
-    The four most recent tables are kept."""
+    lattice of the eval grid, singular and near-singular cells corrected;
+    offset d sits at index d + m - 1."""
     if kind == "conjugate":
         return np.conj(_kernel_table(cfg, k, "outgoing"))
     g = cfg.eval_grid
@@ -195,6 +207,23 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
     return table
 
 
+@functools.lru_cache(maxsize=_SPECTRA)
+def _window_spectrum(cfg: ResolventConfig, k: float, kind: str,
+                     box: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Spectrum of the table window seen by a source whose nonzero cells fill
+    box (inclusive source-grid indices per axis), zero-padded to the
+    circulant size next_fast_len(m + b - 1) per axis for box width b.  The
+    four most recent spectra are kept."""
+    m = cfg.eval_grid.points_per_axis
+    n = _fields._alignment_offset(cfg.eval_grid, cfg.source_grid)
+    # eval cells 0..m-1 minus source cells n+lo..n+hi: offsets -(n+hi)..m-1-(n+lo)
+    window = _kernel_table(cfg, k, kind)[
+        tuple(slice(m - 1 - (n + hi), 2 * m - 1 - (n + lo)) for lo, hi in box)]
+    spectrum = fft.fftn(window, [fft.next_fast_len(w) for w in window.shape])
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
                     kind: str = "outgoing") -> ComplexField:
     """Convolve a source on the source grid with the (tabulated) kernel,
@@ -206,9 +235,16 @@ def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
         raise ValueError("source field does not live on the source grid")
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError("k must be finite and > 0")
-    table = _kernel_table(cfg, float(k), kind)
-    src = _fields.embed_field(h_field, cfg.eval_grid).values
-    return ComplexField(cfg.eval_grid, signal.fftconvolve(src, table, mode="same"))
+    box = _fields.support_box(h_field.values)
+    if box is None:
+        return ComplexField.zeros(cfg.eval_grid)
+    spectrum = _window_spectrum(cfg, float(k), kind, box)
+    src = h_field.values[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    conv = fft.ifftn(fft.fftn(src, spectrum.shape) * spectrum, overwrite_x=True)
+    # eval cell i sees source cell lo + j through window index i + hi - lo - j
+    m = cfg.eval_grid.points_per_axis
+    valid = tuple(slice(hi - lo, hi - lo + m) for lo, hi in box)
+    return ComplexField(cfg.eval_grid, conv[valid].copy())
 
 
 # -- kappa --------------------------------------------------------------------

@@ -7,8 +7,9 @@ with contraction certificates and the linear a priori sup bound.
 The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
 started at phi (or a caller-supplied warm start).  When an update increases
 the residual the damping theta is halved, down to a floor of 1/16.  A sup
-norm beyond the divergence cap stops the run with partial data; a
-non-finite iterate raises ValueError (no ComplexField holds one).
+norm beyond the divergence cap stops the run with partial data, and so does
+an iterate whose map overflows float64 (the last finite iterate is
+returned): both end with status "diverged".
 
 The contraction certificate multiplies the kappa estimate by the sampled
 Lipschitz estimate of the nonlinearity on a ball of radius cap; a product
@@ -142,7 +143,13 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
     status = "max_iters"
     prev_res = math.inf
     for _ in range(cfg.max_iters):
-        mapped = _apply_map(f, phi, k, rcfg, u)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                mapped = _apply_map(f, phi, k, rcfg, u)
+        except FloatingPointError:
+            # f(u) left float64: no field holds the next iterate
+            status = "diverged"
+            break
         cand = (1.0 - theta) * u.values + theta * mapped.values
         res = float(np.max(np.abs(cand - u.values)))
         while (cfg.adapt_damping and res > prev_res

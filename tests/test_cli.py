@@ -95,6 +95,25 @@ class TestSolve:
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "divergence"
 
+    def test_overflowing_iterate_exit_code(self, tmp_path):
+        # f(u) overflows float64 below the divergence cap: still a divergence
+        cfg = base_config(
+            M=8,
+            nonlinearity={"kind": "power", "p": 5.0,
+                          "coefficient": {"type": "radial_bump",
+                                          "amplitude": 50.0, "width": 1.0,
+                                          "cutoff": 1.5}},
+            incident={"type": "plane", "direction": [1, 0, 0],
+                      "amplitude": 10.0})
+        cfg["solver"] = {"divergence_cap": 1e308}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 3
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "divergence"
+        rep = json.loads((out / "solve_report.json").read_text())
+        assert rep["status"] == "diverged" and rep["final_residual"] is None
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -155,7 +174,8 @@ class TestContinue:
         out = tmp_path / "run"
         assert main(["continue", "--config", cp, "--out", str(out)]) == 0
         header, rows = read_csv(out / "branch.csv")
-        assert header == ["lambda", "sup_norm", "residual", "status"]
+        assert header == ["lambda", "sup_norm", "residual", "status",
+                          "iterations", "step"]
         assert float(rows[0][0]) == 0.0 and float(rows[0][1]) == 0.0
         assert float(rows[-1][0]) == pytest.approx(1.0, abs=1e-12)
         assert all(r[3] == "converged" for r in rows)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helmscat import resolvent as rv
-from helmscat.fields import ComplexField, Grid, weighted_norm
+from helmscat.fields import ComplexField, Grid, embed_field, weighted_norm
 from helmscat.specfun import FundamentalSolutionParams, fundamental_solution
 from oracles import direct_convolve, discrete_laplacian, subtraction_cell_weight
 
@@ -18,6 +18,21 @@ def cfg_for(grid):
     return rv.ResolventConfig.padded(grid, 0)
 
 
+def random_source(grid, where):
+    """Random complex values on the whole grid ("full"), or on a 3-cell box
+    that touches the low face of axis 0 off centre ("face") or the high
+    corner ("corner"), zero elsewhere."""
+    rng = np.random.default_rng(1)
+    vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    m = grid.points_per_axis
+    boxes = {"full": (slice(None),) * grid.dim,
+             "face": (slice(0, 3),) + (slice(1, 4),) * (grid.dim - 1),
+             "corner": (slice(m - 3, m),) * grid.dim}
+    out = np.zeros(grid.shape, dtype=complex)
+    out[boxes[where]] = vals[boxes[where]]
+    return ComplexField(grid, out)
+
+
 class TestConfig:
     def test_padded_alignment(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)
@@ -31,6 +46,14 @@ class TestConfig:
         ev = Grid(dim=3, half_width=2.1, points_per_axis=9)
         with pytest.raises(ValueError):
             rv.ResolventConfig(source_grid=src, eval_grid=ev)
+
+    def test_memory_cap_counts_cached_spectra(self):
+        # four spectra of next_fast_len(2M - 1)^3 cells against 8 max_points:
+        # 4 * 200^3 fits under 8 * 2^22, 4 * 216^3 does not
+        rv.ResolventConfig.padded(Grid(dim=3, half_width=2.0, points_per_axis=100), 0)
+        big = Grid(dim=3, half_width=2.0, points_per_axis=101)
+        with pytest.raises(ValueError, match="memory cap"):
+            rv.ResolventConfig.padded(big, 0)
 
 
 class TestSingularCell:
@@ -63,17 +86,48 @@ class TestSingularCell:
 
 
 class TestApplyResolvent:
-    def test_fft_matches_direct_reference(self):
-        # FFT path vs the direct lattice sum over the same kernel table
-        for dim, m in ((3, 9), (2, 17)):
-            g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
-            rng = np.random.default_rng(1)
-            h = ComplexField(g, rng.standard_normal(g.shape)
-                             + 1j * rng.standard_normal(g.shape))
-            cfg = cfg_for(g)
-            uf = rv.apply_resolvent(h, cfg, 1.3)
-            ud = direct_convolve(h.values, rv._kernel_table(cfg, 1.3, "outgoing"))
-            assert np.max(np.abs(uf.values - ud)) < 1e-10
+    @pytest.mark.parametrize("kind", ["outgoing", "conjugate", "magnitude"])
+    @pytest.mark.parametrize("where", ["full", "face", "corner"])
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("dim,m", [(3, 9), (2, 17)])
+    def test_fft_matches_direct_reference(self, dim, m, pad, where, kind):
+        # FFT path, cropped to the source's support box, vs the direct
+        # lattice sum over the full kernel table
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
+        h = random_source(g, where)
+        cfg = rv.ResolventConfig.padded(g, pad)
+        uf = rv.apply_resolvent(h, cfg, 1.3, kind)
+        ud = direct_convolve(embed_field(h, cfg.eval_grid).values,
+                             rv._kernel_table(cfg, 1.3, kind))
+        assert np.max(np.abs(uf.values - ud)) < 1e-10
+
+    def test_window_spectrum_is_cached(self, monkeypatch):
+        # a repeat apply on the same support evaluates no kernel; a zero
+        # source builds nothing and returns exact zeros
+        calls = []
+        kernel = rv.fundamental_solution
+
+        def counting(params, r):
+            calls.append(np.size(r))
+            return kernel(params, r)
+
+        monkeypatch.setattr(rv, "fundamental_solution", counting)
+        rv._window_spectrum.cache_clear()
+        g = Grid(dim=3, half_width=2.0, points_per_axis=9)
+        cfg = cfg_for(g)
+        h = gaussian_source(g, sigma=0.4, cutoff=1.0)
+        first = rv.apply_resolvent(h, cfg, 1.1)
+        assert calls
+        calls.clear()
+        second = rv.apply_resolvent(h * 2.0, cfg, 1.1)
+        assert calls == []
+        np.testing.assert_array_equal(second.values, 2.0 * first.values)
+        info = rv._window_spectrum.cache_info()
+        zero = rv.apply_resolvent(ComplexField.zeros(g), cfg, 2.3)
+        assert calls == []
+        assert rv._window_spectrum.cache_info() == info
+        assert zero.grid == cfg.eval_grid
+        assert np.all(zero.values == 0.0)
 
     def test_linearity(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)
