@@ -7,7 +7,10 @@ The resolvent applied to a source h supported in the source box is
     u(x) = integral Phi_k(x - y) h(y) dy,
 
 discretized by the midpoint rule on the shared lattice.  Kernel weights are
-tabulated on the difference lattice once per configuration:
+tabulated on the difference lattice once per configuration.  Phi_k depends
+on |offset| per axis, so it is evaluated on the orthant of nonnegative
+offsets (m^dim points for m eval points per axis) and mirrored to the
+(2m - 1)^dim table before the corrections:
 
   * regular cells: Phi at the cell center times the cell volume,
   * the 3^dim - 1 cells adjacent to the singularity: cell averages of Phi by
@@ -179,27 +182,25 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
     g = cfg.eval_grid
     h = g.spacing
     m = g.points_per_axis
-    offs = np.arange(-(m - 1), m) * h
+    offs = np.arange(m) * h
     grids = np.meshgrid(*([offs] * g.dim), indexing="ij")
     r = np.sqrt(sum(x * x for x in grids))
-    center = (m - 1,) * g.dim
-    r[center] = 1.0  # placeholder, overwritten below
-    table = _kernel_values(g.dim, k, r, kind) * g.cell_volume
+    r[(0,) * g.dim] = 1.0  # placeholder, overwritten below
+    orthant = _kernel_values(g.dim, k, r, kind) * g.cell_volume
+    table = orthant[np.ix_(*[np.abs(np.arange(-(m - 1), m))] * g.dim)]
 
-    # near-singular cells: replace the midpoint value by a subsampled average
+    # near-singular cells: replace the midpoint value by a subsampled average,
+    # all 3^dim - 1 cells in one evaluation
     q = _NEAR_QUADRATURE
     sub = (np.arange(q) + 0.5) / q * h - 0.5 * h
     subgrids = np.meshgrid(*([sub] * g.dim), indexing="ij")
-    for idx in np.ndindex(*(3,) * g.dim):
-        d = tuple(i - 1 for i in idx)
-        if all(v == 0 for v in d):
-            continue
-        pt = [di * h + sg for di, sg in zip(d, subgrids)]
-        rr = np.sqrt(sum(x * x for x in pt))
-        avg = np.mean(_kernel_values(g.dim, k, rr, kind))
-        cell = tuple(m - 1 + di for di in d)
-        table[cell] = avg * g.cell_volume
+    near = np.array([d for d in np.ndindex(*(3,) * g.dim) if d != (1,) * g.dim]) - 1
+    rr = np.sqrt(sum((near[:, [a]] * h + sg.ravel()) ** 2
+                     for a, sg in enumerate(subgrids)))
+    avg = np.mean(_kernel_values(g.dim, k, rr, kind), axis=1)
+    table[tuple((m - 1 + near).T)] = avg * g.cell_volume
 
+    center = (m - 1,) * g.dim
     if kind == "magnitude":
         table[center] = _abs_ball_mass(g.dim, k, _equal_volume_radius(g.dim, h))
     else:

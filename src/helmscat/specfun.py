@@ -190,7 +190,8 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
         if len(zeros) >= count:
             return zeros
         t_prev, f_prev = t, f
-    raise RuntimeError(f"zero scan exhausted after {_MAX_SCAN_STEPS} steps")
+    raise ValueError(f"{count} zeros out of reach: the scan found "
+                     f"{len(zeros)} in {_MAX_SCAN_STEPS} steps")
 
 
 @functools.lru_cache(maxsize=None)
@@ -203,7 +204,8 @@ def _zero_table(kind: str, nu: float, count: int) -> ZeroTable:
 
 
 def j_zeros(nu: float, count: int) -> ZeroTable:
-    """First `count` positive zeros of J_nu, in increasing order."""
+    """First `count` positive zeros of J_nu, in increasing order; a count
+    the scan cannot reach raises ValueError."""
     return _zero_table("J", nu, count)
 
 

@@ -9,7 +9,8 @@ consecutive arches of |z| between zeros of J_nu are nonincreasing,
 
 with j^(0) = 0 and equality for nu = 1/2, where every arch integrates to
 2 sqrt(2/pi).  Each arch is integrated by Gauss-Legendre with 32 nodes;
-the integrand is smooth between consecutive zeros.
+the integrand is smooth between consecutive zeros.  Every check evaluates
+its integrand once, on the nodes of all its panels.
 
 Radial Fourier positivity.  The transform of a radial profile f supported
 in [0, delta] is evaluated through the one-dimensional reduction
@@ -22,7 +23,9 @@ Applied to the real part of the outgoing fundamental solution truncated to
 the ball of radius delta, the transform stays nonnegative whenever
 k delta <= z, z the first positive zero of Y_nu; truncation_threshold
 returns that z.  Panels are split at a tiny inner radius and at the zeros
-of s -> J_nu(s |xi|) so each Gauss-Legendre panel sees a single arch.
+of s -> J_nu(s |xi|) so each Gauss-Legendre panel sees a single arch; one
+zero table, sized for the largest frequency, serves the whole transform,
+and each frequency sums its panels left to right.
 
 Flux identity.  Pairing the equation with the conjugate solution over a
 ball shows Im over the boundary sphere of conj(u) d_r u vanishes for any
@@ -84,10 +87,14 @@ _INNER_SPLIT = 1e-4
 _GROWTH_M_MAX = 8
 
 
-def _gl_panel(fn, a: float, b: float) -> float:
+def _gl_panels(fn, a, b) -> np.ndarray:
+    """Gauss-Legendre integrals of fn over the panels [a_i, b_i]; fn is
+    called once, on the (P, 32) array of every panel's nodes."""
+    a = np.asarray(a, dtype=float)[:, np.newaxis]
+    b = np.asarray(b, dtype=float)[:, np.newaxis]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * float(np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES)))
+    return half[:, 0] * np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES), axis=1)
 
 
 # -- arch inequality ----------------------------------------------------------
@@ -111,18 +118,12 @@ def sturm_check(nu: float, pairs: int) -> list[SturmResult]:
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     zeros = np.concatenate(([0.0], j_zeros(nu, 2 * pairs).zeros))
-
-    def arch(a, b):
-        # J_nu keeps one sign inside the arch, so |int| = int | . |
-        return abs(_gl_panel(lambda t: np.sqrt(t) * bessel_j(nu, t), a, b))
-
-    results = []
-    for m in range(1, pairs + 1):
-        left = arch(zeros[2 * m - 2], zeros[2 * m - 1])
-        right = arch(zeros[2 * m - 1], zeros[2 * m])
-        results.append(SturmResult(order=nu, pair_index=m,
-                                   left_integral=left, right_integral=right))
-    return results
+    # J_nu keeps one sign inside each arch, so |int| = int | . |
+    arches = np.abs(_gl_panels(lambda t: np.sqrt(t) * bessel_j(nu, t),
+                               zeros[:-1], zeros[1:]))
+    return [SturmResult(order=nu, pair_index=m, left_integral=arches[2 * m - 2],
+                        right_integral=arches[2 * m - 1])
+            for m in range(1, pairs + 1)]
 
 
 # -- radial Fourier transform -------------------------------------------------
@@ -150,19 +151,30 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
         raise ValueError("frequencies must be finite and >= 0")
     out = np.empty_like(xs)
     eps = _INNER_SPLIT * upper
-    for i, xi in enumerate(xs):
-        if xi == 0.0:
-            fn = lambda s: profile(s) * s ** (dim - 1)
-            mass = _gl_panel(fn, 0.0, eps) + _gl_panel(fn, eps, upper)
-            out[i] = 2.0 ** (-nu) / gamma_fn(nu + 1.0) * mass
-            continue
-        n_zeros = int(xi * upper / math.pi) + 2
-        cuts = j_zeros(nu, n_zeros).zeros / xi
-        edges = np.concatenate(([0.0, eps], cuts[(cuts > eps) & (cuts < upper)],
-                                [upper]))
-        fn = lambda s: bessel_j(nu, s * xi) * profile(s) * s ** (dim / 2.0)
-        out[i] = sum(_gl_panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
-        out[i] *= xi ** (-nu)
+    nonzero = np.flatnonzero(xs)
+    if nonzero.size < xs.size:
+        mass = _gl_panels(lambda s: profile(s) * s ** (dim - 1),
+                          [0.0, eps], [eps, upper])
+        out[xs == 0.0] = 2.0 ** (-nu) / gamma_fn(nu + 1.0) * (mass[0] + mass[1])
+    if nonzero.size == 0:
+        return out
+    # the scan is sequential, so the largest table's first n zeros are the
+    # n-zero table of every smaller frequency
+    zeros = np.asarray(j_zeros(nu, int(xs.max() * upper / math.pi) + 2).zeros)
+    edges = []
+    for xi in xs[nonzero]:
+        cuts = zeros[:int(xi * upper / math.pi) + 2] / xi
+        edges.append(np.concatenate(
+            ([0.0, eps], cuts[(cuts > eps) & (cuts < upper)], [upper])))
+    counts = [len(e) - 1 for e in edges]
+    xi_col = np.repeat(xs[nonzero], counts)[:, np.newaxis]
+    panels = _gl_panels(
+        lambda s: bessel_j(nu, s * xi_col) * profile(s) * s ** (dim / 2.0),
+        np.concatenate([e[:-1] for e in edges]),
+        np.concatenate([e[1:] for e in edges]))
+    for i, part in zip(nonzero, np.split(panels, np.cumsum(counts)[:-1])):
+        # left to right, one add at a time
+        out[i] = sum(part) * xs[i] ** (-nu)
     return out
 
 

@@ -2,12 +2,18 @@
 
 Everything here deliberately avoids the library's own evaluation paths:
 power series, finite differences, dense linear algebra, brute-force
-maximization.  Slow is fine; these run on tiny inputs.
+maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
+full_kernel_table and radial_transform_panels, the plain loops that the
+library's mirrored kernel table and batched radial transform replace; the
+fast paths must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import gamma
 
 
 def j0_series(t: float, terms: int = 80) -> float:
@@ -88,6 +94,74 @@ def subtraction_cell_weight(dim: int, k: float, h: float) -> complex:
     static = rho**2 * (1.0 - 2.0 * np.log(rho)) / 4.0
     smooth0 = 0.25j - (np.log(k / 2.0) + np.euler_gamma) / (2.0 * np.pi)
     return complex(static + smooth0 * h**2)
+
+
+def full_kernel_table(cfg, k: float, kind: str) -> np.ndarray:
+    """The library's kernel table, with Phi_k evaluated at every one of the
+    (2m - 1)^dim offsets rather than on one orthant and mirrored; the same
+    near-singular averages and singular cell."""
+    from helmscat import resolvent as rv
+
+    if kind == "conjugate":
+        return np.conj(full_kernel_table(cfg, k, "outgoing"))
+    g = cfg.eval_grid
+    h = g.spacing
+    m = g.points_per_axis
+    offs = np.arange(-(m - 1), m) * h
+    grids = np.meshgrid(*([offs] * g.dim), indexing="ij")
+    r = np.sqrt(sum(x * x for x in grids))
+    center = (m - 1,) * g.dim
+    r[center] = 1.0
+    table = rv._kernel_values(g.dim, k, r, kind) * g.cell_volume
+    q = 4
+    sub = (np.arange(q) + 0.5) / q * h - 0.5 * h
+    subgrids = np.meshgrid(*([sub] * g.dim), indexing="ij")
+    for idx in np.ndindex(*(3,) * g.dim):
+        d = tuple(i - 1 for i in idx)
+        if all(v == 0 for v in d):
+            continue
+        pt = [di * h + sg for di, sg in zip(d, subgrids)]
+        rr = np.sqrt(sum(x * x for x in pt))
+        avg = np.mean(rv._kernel_values(g.dim, k, rr, kind))
+        table[tuple(m - 1 + di for di in d)] = avg * g.cell_volume
+    if kind == "magnitude":
+        table[center] = rv._abs_ball_mass(g.dim, k,
+                                          rv._equal_volume_radius(g.dim, h))
+    else:
+        table[center] = rv.singular_cell_weight(g.dim, k, h)
+    return table
+
+
+def radial_transform_panels(profile, dim: int, upper: float, freqs) -> np.ndarray:
+    """The library's radial transform one frequency and one Gauss-Legendre
+    panel at a time, each frequency with its own zero table; the same
+    panels, nodes and summation order as the batched evaluation."""
+    from helmscat.specfun import bessel_j, j_zeros
+
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+
+    def panel(fn, a, b):
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        return half * float(np.sum(weights * fn(mid + half * nodes)))
+
+    nu = (dim - 2) / 2.0
+    xs = np.atleast_1d(np.asarray(freqs, dtype=float))
+    out = np.empty_like(xs)
+    eps = 1e-4 * upper
+    for i, xi in enumerate(xs):
+        if xi == 0.0:
+            fn = lambda s: profile(s) * s ** (dim - 1)
+            mass = panel(fn, 0.0, eps) + panel(fn, eps, upper)
+            out[i] = 2.0 ** (-nu) / gamma(nu + 1.0) * mass
+            continue
+        cuts = j_zeros(nu, int(xi * upper / math.pi) + 2).zeros / xi
+        edges = np.concatenate(([0.0, eps], cuts[(cuts > eps) & (cuts < upper)],
+                                [upper]))
+        fn = lambda s: bessel_j(nu, s * xi) * profile(s) * s ** (dim / 2.0)
+        out[i] = sum(panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
+        out[i] *= xi ** (-nu)
+    return out
 
 
 def direct_convolve(src: np.ndarray, table: np.ndarray) -> np.ndarray:

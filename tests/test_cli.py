@@ -239,6 +239,15 @@ class TestVerifyModes:
         assert not res["breach"]
         assert all(abs(m) <= 1e-10 for m in res["margins"])
 
+    def test_sturm_out_of_reach_is_config_error(self, tmp_path):
+        # 6000 zeros lie beyond the zero scan's range
+        cp = write_config(tmp_path, {"verify": {"nu": 1.5, "pairs": 3000}})
+        out = tmp_path / "run"
+        assert main(["verify", "sturm", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert "out of reach" in man["error"]
+
     def test_fourier_at_and_past_threshold(self, tmp_path):
         cfg = {"problem": {"dim": 3, "k": 1.0, "L": 2.0, "M": 10}}
         cp = write_config(tmp_path, cfg)

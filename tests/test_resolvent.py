@@ -4,7 +4,12 @@ import pytest
 from helmscat import resolvent as rv
 from helmscat.fields import ComplexField, Grid, embed_field, weighted_norm
 from helmscat.specfun import FundamentalSolutionParams, fundamental_solution
-from oracles import direct_convolve, discrete_laplacian, subtraction_cell_weight
+from oracles import (
+    direct_convolve,
+    discrete_laplacian,
+    full_kernel_table,
+    subtraction_cell_weight,
+)
 
 
 def gaussian_source(grid, sigma=0.5, cutoff=2.0):
@@ -128,6 +133,32 @@ class TestApplyResolvent:
         assert rv._window_spectrum.cache_info() == info
         assert zero.grid == cfg.eval_grid
         assert np.all(zero.values == 0.0)
+
+    @pytest.mark.parametrize("dim,m", [(3, 8), (3, 9), (2, 16), (2, 17)])
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("kind", ["outgoing", "conjugate", "magnitude"])
+    def test_mirrored_table_matches_full_oracle(self, dim, m, pad, kind):
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
+        cfg = rv.ResolventConfig.padded(g, pad)
+        for k in (0.55, 1.3):
+            np.testing.assert_array_equal(rv._kernel_table(cfg, k, kind),
+                                          full_kernel_table(cfg, k, kind))
+
+    @pytest.mark.parametrize("dim,m", [(3, 32), (2, 33)])
+    def test_table_evaluates_one_orthant(self, monkeypatch, dim, m):
+        # one call on the m^dim orthant points, one on 4^dim subsamples in
+        # each of the 3^dim - 1 near-singular cells: 34,432 at 3D m = 32
+        points = []
+        kernel = rv.fundamental_solution
+
+        def counting(params, r):
+            points.append(np.size(r))
+            return kernel(params, r)
+
+        monkeypatch.setattr(rv, "fundamental_solution", counting)
+        cfg = cfg_for(Grid(dim=dim, half_width=2.0, points_per_axis=m))
+        rv._kernel_table(cfg, 1.1, "outgoing")
+        assert points == [m ** dim, (3 ** dim - 1) * 4 ** dim]
 
     def test_linearity(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)

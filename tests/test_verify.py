@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import y1_zeros
 
+from helmscat import verify
 from helmscat.fields import (
     ComplexField,
     Grid,
@@ -13,6 +14,7 @@ from helmscat.fields import (
 )
 from helmscat.resolvent import ResolventConfig
 from helmscat.solver import SolverConfig, picard_solve
+from helmscat.specfun import bessel_y
 from helmscat.verify import (
     defocusing_inequalities,
     energy_identity,
@@ -22,8 +24,16 @@ from helmscat.verify import (
     sturm_check,
     truncation_threshold,
 )
+from oracles import radial_transform_panels
 
 EQUAL_ARCH = 2.0 * math.sqrt(2.0 / math.pi)  # every arch at order 1/2
+
+
+def kernel_profile(dim, k):
+    """The profile fourier_positivity transforms: the real part of Phi_k."""
+    nu = (dim - 2) / 2.0
+    return lambda s: (-0.25 * (k / (2.0 * math.pi)) ** nu
+                      * s ** (-nu) * bessel_y(nu, k * s))
 
 
 class TestSturm:
@@ -96,6 +106,50 @@ class TestRadialTransform:
         freqs = np.concatenate(([0.0], np.geomspace(0.1, 50.0, 60)))
         vals = radial_transform(lambda s: s ** (-(dim - 1) / 2.0), dim, 1.0, freqs)
         assert vals.min() >= -1e-8
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("profile", ["kernel", "decay", "linear"])
+    def test_batched_matches_panel_oracle(self, dim, profile):
+        upper = 1.1
+        profiles = {"kernel": kernel_profile(dim, 1.3),
+                    "decay": lambda s: s ** (-(dim - 1) / 2.0),
+                    "linear": lambda s: s}
+        freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / upper,
+                                [2.0, 0.0, 0.5]))
+        got = radial_transform(profiles[profile], dim, upper, freqs)
+        want = radial_transform_panels(profiles[profile], dim, upper, freqs)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_fourier_positivity_matches_panel_oracle(self, dim):
+        res = fourier_positivity(dim, 0.8)
+        want = radial_transform_panels(kernel_profile(dim, 0.8), dim,
+                                       res.delta, res.freqs)
+        np.testing.assert_array_equal(res.values, want)
+
+    @pytest.mark.parametrize("n_freqs", [1, 7, 180])
+    def test_one_bessel_call_and_zero_table_per_transform(self, monkeypatch,
+                                                          n_freqs):
+        # one Bessel evaluation and one zero table, whatever the number of
+        # frequencies (or of arches)
+        calls = []
+
+        def counted(name):
+            original = getattr(verify, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+            return wrapper
+
+        for name in ("bessel_j", "j_zeros"):
+            monkeypatch.setattr(verify, name, counted(name))
+        freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, n_freqs)))
+        fourier_positivity(4, 1.0, delta=1.5, freqs=freqs)
+        assert sorted(calls) == ["bessel_j", "j_zeros"]
+        calls.clear()
+        sturm_check(1.5, n_freqs)
+        assert sorted(calls) == ["bessel_j", "j_zeros"]
 
     def test_validation(self):
         with pytest.raises(ValueError):
