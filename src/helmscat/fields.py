@@ -53,7 +53,6 @@ __all__ = [
     "nonlinearity_derivative",
     "estimate_lipschitz",
     "restrict_field",
-    "embed_field",
     "save_field",
     "load_field",
     "write_slice_csv",
@@ -594,15 +593,6 @@ def restrict_field(fld: ComplexField, inner: Grid) -> ComplexField:
     n = _alignment_offset(fld.grid, inner)
     sl = (slice(n, n + inner.points_per_axis),) * inner.dim
     return ComplexField(inner, fld.values[sl].copy())
-
-def embed_field(fld: ComplexField, outer: Grid) -> ComplexField:
-    """Zero-extension to an aligned supergrid."""
-    n = _alignment_offset(outer, fld.grid)
-    out = np.zeros(outer.shape, dtype=complex)
-    sl = (slice(n, n + fld.grid.points_per_axis),) * outer.dim
-    out[sl] = fld.values
-    return ComplexField(outer, out)
-
 
 # -- serialization ------------------------------------------------------------
 

@@ -34,7 +34,10 @@ k, kernel kind, box), so a repeated apply costs one forward and one inverse
 FFT of that size, and the m^dim valid part of the circular convolution is
 the result.  The full table is built on a spectrum miss and not kept.  The
 test suite checks the result against direct summation over the table to
-1e-10 on small grids.
+1e-10 on small grids.  In 3D the magnitude kernel is |Phi_k| = 1/(4 pi r)
+for every k, so its table is evaluated without k and one cached spectrum
+per (config, box) serves every k; in 2D |Phi_k| = |H^(1)_0(k r)|/4 depends
+on k and its spectra are keyed by k.
 
 kappa is estimated by pushing the extremal profile <y>^(-alpha) through the
 magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
@@ -154,7 +157,7 @@ def singular_cell_weight(dim: int, k: float, h: float) -> complex:
                    - 1.0 / k**2)
 
 
-def _abs_ball_mass(dim: int, k: float, rho: float) -> float:
+def _abs_ball_mass(dim: int, k: float | None, rho: float) -> float:
     """Integral of |Phi_k| over the ball of radius rho."""
     if dim == 3:
         # |Phi| = 1/(4 pi r) exactly
@@ -165,15 +168,17 @@ def _abs_ball_mass(dim: int, k: float, rho: float) -> float:
     return float(val)
 
 
-def _kernel_values(dim: int, k: float, r: np.ndarray, kind: str) -> np.ndarray:
-    params = FundamentalSolutionParams(k=k, dim=dim)
-    vals = fundamental_solution(params, r)
+def _kernel_values(dim: int, k: float | None, r: np.ndarray, kind: str) -> np.ndarray:
+    if kind == "magnitude" and dim == 3:
+        # |Phi_k| = 1/(4 pi r) exactly, for every k
+        return 1.0 / (4.0 * np.pi * r)
+    vals = fundamental_solution(FundamentalSolutionParams(k=k, dim=dim), r)
     if kind == "magnitude":
         return np.abs(vals)
     return vals
 
 
-def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
+def _kernel_table(cfg: ResolventConfig, k: float | None, kind: str) -> np.ndarray:
     """Cell weights of Phi_k (or |Phi_k| / conj Phi_k) on the difference
     lattice of the eval grid, singular and near-singular cells corrected;
     offset d sits at index d + m - 1."""
@@ -209,12 +214,13 @@ def _kernel_table(cfg: ResolventConfig, k: float, kind: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_SPECTRA)
-def _window_spectrum(cfg: ResolventConfig, k: float, kind: str,
+def _window_spectrum(cfg: ResolventConfig, k: float | None, kind: str,
                      box: tuple[tuple[int, int], ...]) -> np.ndarray:
     """Spectrum of the table window seen by a source whose nonzero cells fill
     box (inclusive source-grid indices per axis), zero-padded to the
-    circulant size next_fast_len(m + b - 1) per axis for box width b.  The
-    four most recent spectra are kept."""
+    circulant size next_fast_len(m + b - 1) per axis for box width b.  k is
+    None for the k-free 3D magnitude kernel.  The four most recent spectra
+    are kept."""
     m = cfg.eval_grid.points_per_axis
     n = _fields._alignment_offset(cfg.eval_grid, cfg.source_grid)
     # eval cells 0..m-1 minus source cells n+lo..n+hi: offsets -(n+hi)..m-1-(n+lo)
@@ -239,7 +245,9 @@ def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
     box = _fields.support_box(h_field.values)
     if box is None:
         return ComplexField.zeros(cfg.eval_grid)
-    spectrum = _window_spectrum(cfg, float(k), kind, box)
+    # the 3D magnitude table is the same for every k: one spectrum serves all
+    k_key = None if kind == "magnitude" and cfg.eval_grid.dim == 3 else float(k)
+    spectrum = _window_spectrum(cfg, k_key, kind, box)
     src = h_field.values[tuple(slice(lo, hi + 1) for lo, hi in box)]
     conv = fft.ifftn(fft.fftn(src, spectrum.shape) * spectrum, overwrite_x=True)
     # eval cell i sees source cell lo + j through window index i + hi - lo - j

@@ -1,17 +1,27 @@
 """Cylinder functions of real order, their positive zeros, and the outgoing
 Helmholtz point source.
 
-Evaluation of J_nu, Y_nu and H^(1)_nu for real order goes through
-scipy.special, which holds better than 1e-12 relative accuracy (relative to
-the modulus envelope near zeros) over the working range t in [1e-6, 1e4].
-Half-integer orders 1/2 and 3/2 take closed-form trigonometric fast paths;
-the generic route stays available and the two are cross-checked in the test
-suite.
+Evaluation of J_nu, Y_nu and H^(1)_nu holds better than 1e-12 relative
+accuracy (relative to the modulus envelope sqrt(2/(pi t)) near zeros) over
+the working range t in [1e-6, 1e4].  J_nu and Y_nu take closed forms at the
+orders the kernels of dimensions 2 to 6 use:
+
+  * nu = 0, 1: the dedicated integer-order routines j0, j1, y0, y1;
+  * nu = 2: one upward recurrence step, J_2 = 2 J_1/t - J_0 and
+    Y_2 = 2 Y_1/t - Y_0, except that J_2 is summed from its power series
+    below t = 1, where the step cancels;
+  * nu = 1/2, 3/2: trigonometric forms.
+
+Every other order goes through scipy's generic jv and yv.  H^(1)_nu has
+closed forms at 1/2 and 3/2 only and goes through scipy's hankel1 otherwise.
+The test suite checks each closed form against the generic route.
 
 Zeros are never read from a table.  A sign-change scan at pi/8 spacing
 brackets each zero (consecutive positive zeros of a cylinder function are
 separated by more than 2.9, so the scan cannot skip one) and Brent's method
-polishes the bracket to near machine precision.
+polishes the bracket to near machine precision.  The scan ends at
+20000 pi/8; a count whose last zero must lie past that end, by the spacing
+bound, is rejected before any evaluation.
 
 The outgoing point source in dimension N >= 2 is
 
@@ -42,10 +52,15 @@ __all__ = [
 ]
 
 # Scan step for zero bracketing.  Positive zeros of any fixed-order cylinder
-# function are spaced by more than 2.9, so pi/8 cannot straddle two.
+# function are spaced by more than _MIN_ZERO_GAP, so pi/8 cannot straddle two.
 _SCAN_STEP = math.pi / 8.0
+_MIN_ZERO_GAP = 2.9
 _MAX_SCAN_STEPS = 20000
 _BRENT_XTOL = 1e-14
+# J_2 is summed from its power series below this argument; the terms kept
+# leave a relative remainder below 1e-17 there
+_J2_SERIES_CUT = 1.0
+_J2_SERIES_TERMS = 8
 
 
 def _check_order(nu: float) -> float:
@@ -66,11 +81,30 @@ def _ret(arr: np.ndarray, scalar: bool):
     return arr.item() if scalar else arr
 
 
+def _bessel_j2(t: np.ndarray) -> np.ndarray:
+    out = np.asarray(2.0 * special.j1(t) / t - special.j0(t))
+    small = t < _J2_SERIES_CUT
+    if np.any(small):
+        # sum_m (-1)^m q^(m+1) / (m! (m+2)!), q = t^2/4, by Horner
+        q = 0.25 * t[small] ** 2
+        acc = 1.0
+        for m in range(_J2_SERIES_TERMS, 0, -1):
+            acc = 1.0 - q / (m * (m + 2)) * acc
+        out[small] = 0.5 * q * acc
+    return out
+
+
 def bessel_j(nu: float, t):
     """J_nu(t) for real nu >= 0, t > 0.  Scalar or array t."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
-    if nu == 0.5:
+    if nu == 0.0:
+        out = special.j0(arr)
+    elif nu == 1.0:
+        out = special.j1(arr)
+    elif nu == 2.0:
+        out = _bessel_j2(arr)
+    elif nu == 0.5:
         out = np.sqrt(2.0 / (np.pi * arr)) * np.sin(arr)
     elif nu == 1.5:
         out = np.sqrt(2.0 / (np.pi * arr)) * (np.sin(arr) / arr - np.cos(arr))
@@ -83,7 +117,13 @@ def bessel_y(nu: float, t):
     """Y_nu(t) for real nu >= 0, t > 0.  Scalar or array t."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
-    if nu == 0.5:
+    if nu == 0.0:
+        out = special.y0(arr)
+    elif nu == 1.0:
+        out = special.y1(arr)
+    elif nu == 2.0:
+        out = 2.0 * special.y1(arr) / arr - special.y0(arr)
+    elif nu == 0.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * np.cos(arr)
     elif nu == 1.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * (np.cos(arr) / arr + np.sin(arr))
@@ -172,6 +212,12 @@ class ZeroTable:
 
 
 def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
+    # The count-th zero lies past (count - 1) * _MIN_ZERO_GAP; a count whose
+    # bound is past the scan's end is out of reach without a scan.
+    end = _MAX_SCAN_STEPS * _SCAN_STEP
+    if (count - 1) * _MIN_ZERO_GAP >= end:
+        raise ValueError(f"{count} zeros out of reach: zero {count} lies "
+                         f"beyond t = {end:.6g}, where the scan ends")
     # Walk t upward in pi/8 steps, polishing each sign-change bracket.
     zeros: list[float] = []
     t_prev = _SCAN_STEP

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import gamma, jv, yv
 
 
 def j0_series(t: float, terms: int = 80) -> float:
@@ -27,6 +27,13 @@ def j0_series(t: float, terms: int = 80) -> float:
         if abs(term) < 1e-18 * abs(acc):
             break
     return acc
+
+
+def generic_bessel(kind: str, nu: float, t):
+    """J_nu ("J") or Y_nu ("Y") by scipy's generic real-order routines jv and
+    yv, the route the library's closed forms at orders 0, 1, 2, 1/2 and 3/2
+    replace."""
+    return (jv if kind == "J" else yv)(nu, t)
 
 
 def bisect(fn, a: float, b: float, iters: int = 200) -> float:
@@ -162,6 +169,16 @@ def radial_transform_panels(profile, dim: int, upper: float, freqs) -> np.ndarra
         out[i] = sum(panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
         out[i] *= xi ** (-nu)
     return out
+
+
+def embed_field(fld, outer):
+    """Zero-extension of a field to an aligned supergrid."""
+    from helmscat.fields import ComplexField, _alignment_offset
+
+    n = _alignment_offset(outer, fld.grid)
+    out = np.zeros(outer.shape, dtype=complex)
+    out[(slice(n, n + fld.grid.points_per_axis),) * outer.dim] = fld.values
+    return ComplexField(outer, out)
 
 
 def direct_convolve(src: np.ndarray, table: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from helmscat import resolvent as rv
-from helmscat.fields import ComplexField, Grid, embed_field, weighted_norm
+from helmscat.fields import ComplexField, Grid, weighted_norm
 from helmscat.specfun import FundamentalSolutionParams, fundamental_solution
 from oracles import (
     direct_convolve,
     discrete_laplacian,
+    embed_field,
     full_kernel_table,
     subtraction_cell_weight,
 )
@@ -133,6 +134,23 @@ class TestApplyResolvent:
         assert rv._window_spectrum.cache_info() == info
         assert zero.grid == cfg.eval_grid
         assert np.all(zero.values == 0.0)
+
+        # |Phi_k| = 1/(4 pi r) in 3D: magnitude applies at two k share one
+        # spectrum and evaluate no point source
+        rv._window_spectrum.cache_clear()
+        mag = [rv.apply_resolvent(h, cfg, k, "magnitude") for k in (0.5, 1.0)]
+        assert calls == []
+        assert rv._window_spectrum.cache_info().misses == 1
+        np.testing.assert_array_equal(mag[0].values, mag[1].values)
+        # in 2D |Phi_k| depends on k: two k build two spectra, from two
+        # tables of two point-source evaluations each
+        g2 = Grid(dim=2, half_width=2.0, points_per_axis=17)
+        h2 = gaussian_source(g2, sigma=0.4, cutoff=1.0)
+        rv._window_spectrum.cache_clear()
+        for k in (0.5, 1.0):
+            rv.apply_resolvent(h2, cfg_for(g2), k, "magnitude")
+        assert len(calls) == 4
+        assert rv._window_spectrum.cache_info().misses == 2
 
     @pytest.mark.parametrize("dim,m", [(3, 8), (3, 9), (2, 16), (2, 17)])
     @pytest.mark.parametrize("pad", [0, 2])
@@ -265,6 +283,12 @@ class TestKappa:
         assert np.isfinite(a.kappa_hat) and a.kappa_hat > 0
         assert a.truncation_tail_bound > 0
         assert a.tau_alpha == 1.0
+
+    def test_3d_kappa_is_k_free(self):
+        # |Phi_k| = 1/(4 pi r) in 3D, so kappa does not depend on k, to the bit
+        g = Grid(dim=3, half_width=2.0, points_per_axis=10)
+        vals = [rv.estimate_kappa(3.0, cfg_for(g), k).kappa_hat for k in (0.5, 1.0)]
+        assert vals[0] == vals[1]
 
     def test_refinement_stability(self):
         vals = []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helmscat import specfun
-from oracles import bisect, cyl_derivative, j0_series
+from oracles import bisect, cyl_derivative, generic_bessel, j0_series
 
 # Anchors computed with independent oracles (power-series bisection for J_0,
 # 30-digit mpmath for the rest) and frozen here.
@@ -33,17 +33,36 @@ class TestEvaluation:
     @pytest.mark.parametrize("t", np.geomspace(1e-6, 1e4, 13).tolist())
     def test_half_order_closed_form_matches_generic(self, t):
         # fast path vs the generic backend, both routes kept alive
-        from scipy import special
-
         envelope = math.sqrt(2.0 / (math.pi * t))
         assert specfun.bessel_j(0.5, t) == pytest.approx(
-            special.jv(0.5, t), rel=1e-11, abs=1e-11 * envelope)
+            generic_bessel("J", 0.5, t), rel=1e-11, abs=1e-11 * envelope)
         assert specfun.bessel_y(0.5, t) == pytest.approx(
-            special.yv(0.5, t), rel=1e-11, abs=1e-11 * envelope)
+            generic_bessel("Y", 0.5, t), rel=1e-11, abs=1e-11 * envelope)
         assert specfun.bessel_j(1.5, t) == pytest.approx(
-            special.jv(1.5, t), rel=1e-11, abs=1e-11 * envelope * max(1.0, 1.0 / t))
+            generic_bessel("J", 1.5, t), rel=1e-11,
+            abs=1e-11 * envelope * max(1.0, 1.0 / t))
         assert specfun.bessel_y(1.5, t) == pytest.approx(
-            special.yv(1.5, t), rel=1e-11, abs=1e-11 * envelope * max(1.0, 1.0 / t))
+            generic_bessel("Y", 1.5, t), rel=1e-11,
+            abs=1e-11 * envelope * max(1.0, 1.0 / t))
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0, 2.0])
+    @pytest.mark.parametrize("kind", ["J", "Y"])
+    def test_integer_order_closed_form_matches_generic(self, kind, nu):
+        # the module's accuracy claim: 1e-12 relative to the larger of the
+        # value and the envelope sqrt(2/(pi t))
+        t = np.geomspace(1e-6, 1e4, 4001)
+        fn = specfun.bessel_j if kind == "J" else specfun.bessel_y
+        want = generic_bessel(kind, nu, t)
+        scale = np.maximum(np.abs(want), np.sqrt(2.0 / (np.pi * t)))
+        assert np.all(np.abs(fn(nu, t) - want) <= 1e-12 * scale)
+
+    def test_j2_series_region_is_relatively_accurate(self):
+        # below t = 1 the recurrence 2 J_1/t - J_0 cancels; the series holds
+        # full relative accuracy down to t = 1e-6, where J_2 ~ 1.25e-13
+        t = np.geomspace(1e-6, 1.0, 2001)
+        want = generic_bessel("J", 2.0, t)
+        np.testing.assert_allclose(specfun.bessel_j(2.0, t), want,
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.5, 2.0])
     def test_hankel_is_j_plus_iy(self, nu):
@@ -75,9 +94,13 @@ class TestEvaluation:
             specfun.bessel_j(0.5, np.array([1.0, np.nan]))
 
     def test_array_and_scalar_shapes(self):
-        t = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert specfun.bessel_j(1.0, t).shape == (2, 2)
-        assert isinstance(specfun.bessel_j(1.0, 2.0), float)
+        t = np.array([[0.5, 2.0], [3.0, 4.0]])
+        for fn in (specfun.bessel_j, specfun.bessel_y):
+            for nu in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5):
+                assert fn(nu, t).shape == (2, 2)
+                # 0.5 takes J_2's series, 2.0 its recurrence
+                assert isinstance(fn(nu, 0.5), float)
+                assert isinstance(fn(nu, 2.0), float)
 
 
 class TestFundamentalSolution:
@@ -158,6 +181,31 @@ class TestZeros:
             want = special.jn_zeros(n, 10)
             got = specfun.j_zeros(float(n), 10).zeros
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_out_of_reach_count_is_rejected_before_scanning(self, monkeypatch):
+        # zero 6000 lies past 5999 * 2.9 > 20000 pi/8, the scan's end
+        calls = []
+
+        def counting(nu, t):
+            calls.append(t)
+            return 1.0
+
+        monkeypatch.setattr(specfun, "bessel_j", counting)
+        monkeypatch.setattr(specfun, "bessel_y", counting)
+        for zeros in (specfun.j_zeros, specfun.y_zeros):
+            with pytest.raises(ValueError, match="out of reach"):
+                zeros(1.5, 6000)
+        assert calls == []
+
+    def test_largest_reachable_count_is_not_rejected(self):
+        # J_0 has the smallest zeros of any J_nu, so its scan reaches the most
+        from scipy import special
+
+        end = (specfun._MAX_SCAN_STEPS - 1) * specfun._SCAN_STEP
+        want = special.jn_zeros(0, 3000)
+        n = int(np.sum(want < end))
+        np.testing.assert_allclose(specfun.j_zeros(0.0, n).zeros, want[:n],
+                                   rtol=1e-12)
 
     def test_zero_table_validation(self):
         with pytest.raises(ValueError):
