@@ -19,8 +19,9 @@ input before any numerics run.  Floats in JSON and CSV reports are rounded to
 reports; field binaries and the manifest (which records wall time) are exempt.
 
 Exit codes: 0 success, 2 config error, 3 solver failed to converge,
-4 verification margin breach, 1 unexpected error.  Failures are also
-recorded in the manifest.
+4 verification margin breach (for ``solve``, a failed bound check of a
+certified affine solve), 1 unexpected error.  A thread count that is not an
+integer >= 1 is a config error.  Failures are also recorded in the manifest.
 """
 
 from __future__ import annotations
@@ -153,7 +154,6 @@ CONFIG_SCHEMA = {
                 "grow_after": {"type": "integer", "minimum": 1},
                 "floor_factor": {"type": "number", "exclusiveMinimum": 0},
                 "max_solves": {"type": "integer", "minimum": 1},
-                "store_at": {"type": "array", "items": {"type": "number"}},
             },
             "required": ["lambda_max"],
             "additionalProperties": False,
@@ -384,20 +384,33 @@ def _solver_config(cfg: dict, seed: int) -> SolverConfig:
         raise ConfigError(str(e)) from e
 
 
-# -- action runners -----------------------------------------------------------
-
-def _run_solve(cfg: dict, out: str, seed: int):
+def _solve(cfg: dict, seed: int):
+    """Build the config's problem and solve it: (problem, field, report,
+    manifest tolerances)."""
     prob = _build_problem(cfg)
     scfg = _solver_config(cfg, seed)
     u, rep = picard_solve(prob.f, prob.phi, prob.k, scfg, prob.rcfg)
-    field_path = os.path.join(out, "field.cfld")
-    _atomic_write(field_path, lambda tmp: save_field(tmp, u, k=prob.k))
+    return prob, u, rep, {"solver_tol": scfg.tol}
+
+
+def _write_field(path: str, fld: ComplexField, k: float):
+    _atomic_write(path, lambda tmp: save_field(tmp, fld, k=k))
+
+
+# -- action runners -----------------------------------------------------------
+
+def _run_solve(cfg: dict, out: str, seed: int):
+    prob, u, rep, tolerances = _solve(cfg, seed)
+    _write_field(os.path.join(out, "field.cfld"), u, prob.k)
     report = rep.as_dict()
     report["sup_norm"] = u.sup_norm
     report["field_file"] = "field.cfld"
     _write_json(os.path.join(out, "solve_report.json"), report)
     code = EXIT_OK if rep.converged else EXIT_DIVERGED
-    return code, ["field.cfld", "solve_report.json"], {"solver_tol": scfg.tol}
+    # bound checks come with converged solves only
+    if not all(c.satisfied for c in rep.bound_checks):
+        code = EXIT_BREACH
+    return code, ["field.cfld", "solve_report.json"], tolerances
 
 
 def _run_continue(cfg: dict, out: str, seed: int):
@@ -405,13 +418,12 @@ def _run_continue(cfg: dict, out: str, seed: int):
         raise ConfigError("config needs a 'continuation' block")
     cc = dict(cfg["continuation"])
     lam_max = float(cc.pop("lambda_max"))
-    store_at = tuple(cc.pop("store_at", ()))
     prob = _build_problem(cfg)
     scfg = _solver_config(cfg, seed)
     try:
         stepcfg = StepConfig(**cc)
         branch = continue_branch(prob.f, prob.phi, prob.k, lam_max, scfg,
-                                 prob.rcfg, stepcfg=stepcfg, store_at=store_at)
+                                 prob.rcfg, stepcfg=stepcfg)
     except ValueError as e:
         raise ConfigError(str(e)) from e
     rows = [(p.lam, p.sup_norm, p.residual, p.status, p.iterations, p.step)
@@ -433,9 +445,8 @@ def _run_continue(cfg: dict, out: str, seed: int):
             summary["blowup"] = {"detected": False, "message": str(e)}
     files = ["branch.csv", "branch_summary.json"]
     if branch.final_field is not None:
-        path = os.path.join(out, "final_field.cfld")
-        _atomic_write(path, lambda tmp: save_field(tmp, branch.final_field,
-                                                   k=prob.k))
+        _write_field(os.path.join(out, "final_field.cfld"), branch.final_field,
+                     prob.k)
         summary["final_field_file"] = "final_field.cfld"
         files.append("final_field.cfld")
     _write_json(os.path.join(out, "branch_summary.json"), summary)
@@ -458,11 +469,9 @@ def _run_kappa(cfg: dict, out: str, seed: int):
 
 
 def _run_farfield(cfg: dict, out: str, seed: int):
-    prob = _build_problem(cfg)
-    scfg = _solver_config(cfg, seed)
-    u, rep = picard_solve(prob.f, prob.phi, prob.k, scfg, prob.rcfg)
+    prob, u, rep, tolerances = _solve(cfg, seed)
     if not rep.converged:
-        return EXIT_DIVERGED, [], {"solver_tol": scfg.tol}
+        return EXIT_DIVERGED, [], tolerances
     ff_cfg = cfg.get("farfield", {})
     g = prob.rcfg.eval_grid
     u_sc = u - prob.phi
@@ -484,10 +493,8 @@ def _run_farfield(cfg: dict, out: str, seed: int):
                                           float(abs(a)))
             for d, a in zip(ff.directions, ff.amplitude)]
     _write_csv(os.path.join(out, "farfield.csv"), header, rows)
-    field_path = os.path.join(out, "field.cfld")
-    _atomic_write(field_path, lambda tmp: save_field(tmp, u, k=prob.k))
-    return EXIT_OK, ["field.cfld", "radiation.csv", "farfield.csv"], {
-        "solver_tol": scfg.tol}
+    _write_field(os.path.join(out, "field.cfld"), u, prob.k)
+    return EXIT_OK, ["field.cfld", "radiation.csv", "farfield.csv"], tolerances
 
 
 def _run_verify(cfg: dict, out: str, seed: int, mode: str):
@@ -530,11 +537,9 @@ def _run_verify(cfg: dict, out: str, seed: int, mode: str):
         return (EXIT_BREACH if breach else EXIT_OK), [name], {"value_tol": tol}
 
     # the remaining modes check an actual solve
-    prob = _build_problem(cfg)
-    scfg = _solver_config(cfg, seed)
-    u, rep = picard_solve(prob.f, prob.phi, prob.k, scfg, prob.rcfg)
+    prob, u, rep, tolerances = _solve(cfg, seed)
     if not rep.converged:
-        return EXIT_DIVERGED, [], {"solver_tol": scfg.tol}
+        return EXIT_DIVERGED, [], tolerances
 
     if mode == "energy":
         radii = tuple(vc.get("radii",
@@ -658,24 +663,33 @@ def _resolve_out(args) -> str:
 
 
 def _resolve_threads(args) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("HELMSCAT_THREADS")
-    return int(env) if env else None
+    """FFT worker count from --threads, else $HELMSCAT_THREADS, else None."""
+    raw = (os.environ.get("HELMSCAT_THREADS", "") if args.threads is None
+           else args.threads)
+    if raw == "":
+        return None
+    try:
+        threads = int(raw)
+        if threads < 1:
+            raise ValueError
+    except ValueError:
+        raise ConfigError(
+            f"thread count must be an integer >= 1, got {raw!r}") from None
+    return threads
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out = _resolve_out(args)
-    threads = _resolve_threads(args)
     seed = getattr(args, "seed", 0)
     t0 = time.perf_counter()
 
-    cfg = None
+    cfg = threads = None
     inputs = {}
     status, code, error = "ok", EXIT_OK, None
     files, tolerances = [], {}
     try:
+        threads = _resolve_threads(args)
         if args.config is not None:
             cfg = load_config(args.config)
             inputs[os.path.basename(args.config)] = _sha256(args.config)

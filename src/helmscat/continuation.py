@@ -10,6 +10,9 @@ consecutive successful solves (capped), halved on failure, floor at
     blow_up             the step floor was hit and the last failure diverged,
     step_floor          the step floor was hit with a stagnating solver.
 
+The branch keeps the final field only; a callback receives every accepted
+field as the march goes.
+
 blowup_probe fits the trailing branch points to the blow-up model
 
     sup|u| ~ C (lambda* - lambda)^(-gamma)
@@ -73,7 +76,6 @@ class BranchPoint:
     status: str = "converged"
     iterations: int = 0
     step: float = 0.0
-    field_ref: ComplexField | None = None
 
 
 @dataclass(frozen=True)
@@ -82,12 +84,6 @@ class Branch:
     lambda_max: float
     terminated_reason: str
     final_field: ComplexField | None = None
-
-    def lams(self) -> np.ndarray:
-        return np.array([p.lam for p in self.points])
-
-    def sup_norms(self) -> np.ndarray:
-        return np.array([p.sup_norm for p in self.points])
 
 
 @dataclass(frozen=True)
@@ -104,13 +100,12 @@ class BlowupEstimate:
 def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
                     lambda_max: float, scfg: SolverConfig, rcfg: ResolventConfig,
                     stepcfg: StepConfig = StepConfig(),
-                    store_at: tuple[float, ...] = (),
                     callback=None) -> Branch:
     """March the solution branch from lam = 0 to lambda_max or breakdown.
 
-    store_at lists amplitudes at which the full field is attached to the
-    branch point (the first accepted point at or past each requested value).
-    callback(lam, u, report), when given, runs after every accepted point.
+    callback(lam, u, report), when given, runs after every accepted point
+    (and first at lam = 0 with the zero field and no report); it is how a
+    caller keeps the fields along the branch.
     """
     if lambda_max <= 0.0:
         raise ValueError("lambda_max must be > 0")
@@ -124,7 +119,6 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
     max_step = stepcfg.max_step if stepcfg.max_step is not None else lambda_max / 4.0
     floor = stepcfg.floor_factor * lambda_max
     easy_iters = max(1, scfg.max_iters // 4)
-    wanted = sorted(store_at)
 
     points = [BranchPoint(lam=0.0, sup_norm=0.0, residual=0.0)]
     u_prev = zero
@@ -144,14 +138,9 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
         u, rep = picard_solve(f, phi * trial, k, scfg, rcfg, u0=u0)
         solves += 1
         if rep.converged:
-            keep = None
-            while wanted and trial >= wanted[0] * (1.0 - 1e-12):
-                keep = u
-                wanted.pop(0)
             points.append(BranchPoint(lam=trial, sup_norm=u.sup_norm,
                                       residual=rep.final_residual,
-                                      iterations=rep.iterations,
-                                      step=step, field_ref=keep))
+                                      iterations=rep.iterations, step=step))
             if callback is not None:
                 callback(trial, u, rep)
             u_prev = u

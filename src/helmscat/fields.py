@@ -1,5 +1,5 @@
-"""Uniform grids, complex fields, weighted sup norms, incident waves and
-pointwise nonlinearities.
+"""Uniform grids, complex fields, weighted sup norms, plane incident waves
+and pointwise nonlinearities.
 
 Weighted norms use the bracket weight <x> = sqrt(1 + |x|^2) and
 ||w||_alpha = sup <x>^alpha |w(x)|.  The decay exponent the resolvent
@@ -12,12 +12,7 @@ continuous across alpha = dim.
 
 Nonlinearities act pointwise.  The power kind is f(x, u) = Q(x)|u|^(p-2)u
 with real coefficient Q and 2 < p (< 2 dim/(dim-2) in dimension 3, the
-critical exponent); its
-derivative at u is the real-linear map
-
-    v  ->  Q(x) ( (p/2)|u|^(p-2) v  +  ((p-2)/2)|u|^(p-4) u^2 conj(v) ),
-
-which vanishes at u = 0.  The affine kind is f(x, u) = a(x) u + b(x).
+critical exponent).  The affine kind is f(x, u) = a(x) u + b(x).
 """
 
 from __future__ import annotations
@@ -50,7 +45,6 @@ __all__ = [
     "check_defocusing_coefficient",
     "make_incident",
     "apply_nonlinearity",
-    "nonlinearity_derivative",
     "estimate_lipschitz",
     "restrict_field",
     "save_field",
@@ -136,9 +130,6 @@ class ComplexField:
 
     def copy(self) -> "ComplexField":
         return ComplexField(self.grid, self.values.copy())
-
-    def conj(self) -> "ComplexField":
-        return ComplexField(self.grid, np.conj(self.values))
 
     def _require_same_grid(self, other: "ComplexField"):
         if self.grid != other.grid:
@@ -306,15 +297,10 @@ def sphere_trace(grid: Grid, values: np.ndarray, grads, dirs: np.ndarray):
 
 @dataclass
 class IncidentWave:
-    """Incident field description: a plane wave or a finite Herglotz
-    superposition of plane waves."""
+    """Plane incident wave exp(i k d.x) with unit direction d."""
 
-    kind: str
     k: float
-    direction: np.ndarray | None = None
-    directions: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    density: np.ndarray | None = None
+    direction: np.ndarray
 
     @classmethod
     def plane(cls, k: float, direction) -> "IncidentWave":
@@ -324,41 +310,14 @@ class IncidentWave:
             raise ValueError(f"direction must be unit length, |d| = {norm}")
         if k <= 0:
             raise ValueError("k must be > 0")
-        return cls(kind="plane", k=float(k), direction=d / norm)
-
-    @classmethod
-    def herglotz(cls, k: float, directions, weights, density) -> "IncidentWave":
-        dirs = np.asarray(directions, dtype=float)
-        wts = np.asarray(weights, dtype=float)
-        dens = np.asarray(density, dtype=complex)
-        if dirs.ndim != 2 or dirs.shape[0] != len(wts) or len(dens) != len(wts):
-            raise ValueError("directions, weights and density sizes disagree")
-        if np.any(wts <= 0.0):
-            raise ValueError("quadrature weights must be positive")
-        measure = {2: 2.0 * np.pi, 3: 4.0 * np.pi}[dirs.shape[1]]
-        if abs(wts.sum() - measure) > 1e-6 * measure:
-            raise ValueError("weights must sum to the sphere measure")
-        if k <= 0:
-            raise ValueError("k must be > 0")
-        return cls(kind="herglotz", k=float(k), directions=dirs, weights=wts, density=dens)
+        return cls(k=float(k), direction=d / norm)
 
 
 def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
     """Evaluate the incident wave on the grid."""
-    if spec.kind == "plane":
-        xs = grid.meshgrid()
-        phase = sum(x * d for x, d in zip(xs, spec.direction))
-        return ComplexField(grid, np.exp(1j * spec.k * phase))
-    if spec.kind == "herglotz":
-        if spec.directions.shape[1] != grid.dim:
-            raise ValueError("direction dimension does not match grid")
-        xs = grid.meshgrid()
-        acc = np.zeros(grid.shape, dtype=complex)
-        for d, w, g in zip(spec.directions, spec.weights, spec.density):
-            phase = sum(x * di for x, di in zip(xs, d))
-            acc += w * g * np.exp(1j * spec.k * phase)
-        return ComplexField(grid, acc)
-    raise ValueError(f"unknown incident kind {spec.kind!r}")
+    xs = grid.meshgrid()
+    phase = sum(x * d for x, d in zip(xs, spec.direction))
+    return ComplexField(grid, np.exp(1j * spec.k * phase))
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -401,13 +360,6 @@ class NonlinearitySpec:
                    a=a, b=b, regime_tags=frozenset(tags))
         _validate_tags(spec)
         return spec
-
-    def support_diameter(self) -> float:
-        """support_diameter of the coefficient (Q for power, a for affine)."""
-        coef = self.Q if self.kind == "power" else self.a
-        if coef is None:
-            raise ValueError("no coefficient field for support diameter")
-        return support_diameter(coef)
 
 
 def support_box(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
@@ -484,29 +436,13 @@ def apply_nonlinearity(f: NonlinearitySpec, u: ComplexField) -> ComplexField:
     raise ValueError(f"unknown nonlinearity kind {f.kind!r}")
 
 
-def nonlinearity_derivative(f: NonlinearitySpec, u: ComplexField, v: ComplexField) -> ComplexField:
-    """Directional derivative of u -> f(x, u) at u applied to v, as a
-    real-linear map on the complex values."""
-    if u.grid != v.grid:
-        raise ValueError("u and v live on different grids")
-    if u.grid != f.grid:
-        raise ValueError("field grid does not match nonlinearity grid")
-    if f.kind == "affine":
-        return ComplexField(u.grid, f.a.values * v.values)
-    au = np.abs(u.values)
-    amp = au ** (f.p - 2.0)
-    # |u|^(p-4) u^2 = |u|^(p-2) (u/|u|)^2, removing the 0/0 at u = 0
-    unit = np.where(au > 0.0, u.values / np.where(au > 0.0, au, 1.0), 0.0)
-    lin = 0.5 * f.p * amp * v.values
-    anti = 0.5 * (f.p - 2.0) * amp * unit * unit * np.conj(v.values)
-    return ComplexField(u.grid, f.Q.values.real * (lin + anti))
-
-
-# shrinking refinement rounds around the best pair in the power-kind search
+# random (u, v) pairs in the power-kind search, and the shrinking refinement
+# rounds around the best pair
+_LIPSCHITZ_SAMPLES = 4000
 _LIPSCHITZ_ROUNDS = 8
 
 
-def _power_quotient_sup(p: float, cap: float, samples: int, rng) -> float:
+def _power_quotient_sup(p: float, cap: float, rng) -> float:
     """sup over |u|,|v| <= cap of ||u|^(p-2)u - |v|^(p-2)v| / |u - v| by
     randomized search with shrinking refinement around the best pair."""
     def g(z):
@@ -529,13 +465,13 @@ def _power_quotient_sup(p: float, cap: float, samples: int, rng) -> float:
         v = np.where(av > cap, v * (cap / np.maximum(av, 1e-300)), v)
         return u, v
 
-    u, v = draw(samples)
+    u, v = draw(_LIPSCHITZ_SAMPLES)
     q = quot(u, v)
     best = float(np.max(q))
     bu, bv = u[np.argmax(q)], v[np.argmax(q)]
     scale = 0.3 * cap
+    n = _LIPSCHITZ_SAMPLES // 4
     for _ in range(_LIPSCHITZ_ROUNDS):
-        n = max(64, samples // 4)
         du = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         dv = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         u = bu + du
@@ -550,8 +486,7 @@ def _power_quotient_sup(p: float, cap: float, samples: int, rng) -> float:
     return best
 
 
-def estimate_lipschitz(f: NonlinearitySpec, cap: float, samples: int = 4000,
-                       seed: int = 0) -> float:
+def estimate_lipschitz(f: NonlinearitySpec, cap: float, seed: int = 0) -> float:
     """Estimate sup over x, |u|,|v| <= cap of
     <x>^alpha |f(x,u) - f(x,v)| / |u - v|.
 
@@ -565,7 +500,7 @@ def estimate_lipschitz(f: NonlinearitySpec, cap: float, samples: int = 4000,
     if f.kind == "affine":
         return weighted_norm(f.a, f.alpha).value
     coef = weighted_norm(f.Q, f.alpha).value
-    return coef * _power_quotient_sup(f.p, cap, samples, rng)
+    return coef * _power_quotient_sup(f.p, cap, rng)
 
 
 # -- aligned subgrids ---------------------------------------------------------
@@ -610,7 +545,7 @@ def save_field(path, fld: ComplexField, k: float = 0.0):
         fh.write(np.ascontiguousarray(fld.values).astype("<c16").tobytes())
 
 
-def load_field(path, max_points: int = DEFAULT_MAX_POINTS) -> tuple[ComplexField, float]:
+def load_field(path) -> tuple[ComplexField, float]:
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) != _HEADER.size:
@@ -620,8 +555,7 @@ def load_field(path, max_points: int = DEFAULT_MAX_POINTS) -> tuple[ComplexField
             raise ValueError("not a field file")
         if version != 1:
             raise ValueError(f"unsupported field file version {version}")
-        grid = Grid(dim=dim, half_width=half_width, points_per_axis=m,
-                    max_points=max_points)
+        grid = Grid(dim=dim, half_width=half_width, points_per_axis=m)
         raw = fh.read(16 * m ** dim)
         if len(raw) != 16 * m ** dim:
             raise ValueError("truncated field file payload")
@@ -629,26 +563,15 @@ def load_field(path, max_points: int = DEFAULT_MAX_POINTS) -> tuple[ComplexField
     return ComplexField(grid, vals), float(k)
 
 
-def write_slice_csv(path, fld: ComplexField, axis: int | None = None,
-                    index: int | None = None):
-    """CSV of an axis-aligned slice: coordinates, re, im, abs.  For dim 3 the
-    default slices the mid-plane normal to the last axis; dim 2 writes the
-    whole field."""
+def write_slice_csv(path, fld: ComplexField):
+    """CSV of an axis-aligned slice: coordinates, re, im, abs.  dim 3 writes
+    the mid-plane normal to the last axis; dim 2 writes the whole field."""
     g = fld.grid
     ax = g.axis()
-    if g.dim == 2:
-        plane = fld.values
-        labels = ("x1", "x2")
-    else:
-        axis = g.dim - 1 if axis is None else axis
-        index = g.points_per_axis // 2 if index is None else index
-        if not (0 <= axis < g.dim and 0 <= index < g.points_per_axis):
-            raise ValueError("slice axis or index out of range")
-        plane = np.take(fld.values, index, axis=axis)
-        labels = tuple(f"x{i + 1}" for i in range(g.dim) if i != axis)
+    plane = fld.values if g.dim == 2 else fld.values[:, :, g.points_per_axis // 2]
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow([*labels, "re", "im", "abs"])
+        wr.writerow(["x1", "x2", "re", "im", "abs"])
         for i in range(plane.shape[0]):
             for j in range(plane.shape[1]):
                 z = complex(plane[i, j])

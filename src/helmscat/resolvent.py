@@ -20,7 +20,6 @@ offsets (m^dim points for m eval points per axis) and mirrored to the
         dim 3:  exp(ik rho)(rho/(ik) + 1/k^2) - 1/k^2
         dim 2:  (i pi rho / 2k) H^(1)_1(k rho) - 1/k^2.
 
-The incoming kernel's table is the complex conjugate of the outgoing one.
 The test suite keeps a second singular-cell rule (static-part subtraction)
 in tests/oracles.py to check this one against.
 
@@ -179,11 +178,9 @@ def _kernel_values(dim: int, k: float | None, r: np.ndarray, kind: str) -> np.nd
 
 
 def _kernel_table(cfg: ResolventConfig, k: float | None, kind: str) -> np.ndarray:
-    """Cell weights of Phi_k (or |Phi_k| / conj Phi_k) on the difference
-    lattice of the eval grid, singular and near-singular cells corrected;
-    offset d sits at index d + m - 1."""
-    if kind == "conjugate":
-        return np.conj(_kernel_table(cfg, k, "outgoing"))
+    """Cell weights of Phi_k (or |Phi_k|) on the difference lattice of the
+    eval grid, singular and near-singular cells corrected; offset d sits at
+    index d + m - 1."""
     g = cfg.eval_grid
     h = g.spacing
     m = g.points_per_axis
@@ -234,9 +231,9 @@ def _window_spectrum(cfg: ResolventConfig, k: float | None, kind: str,
 def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
                     kind: str = "outgoing") -> ComplexField:
     """Convolve a source on the source grid with the (tabulated) kernel,
-    evaluated on the eval grid.  kind selects the outgoing kernel, its
-    complex conjugate (incoming) or its magnitude."""
-    if kind not in ("outgoing", "conjugate", "magnitude"):
+    evaluated on the eval grid.  kind selects the outgoing kernel or its
+    magnitude."""
+    if kind not in ("outgoing", "magnitude"):
         raise ValueError(f"unknown kernel kind {kind!r}")
     if h_field.grid != cfg.source_grid:
         raise ValueError("source field does not live on the source grid")
@@ -312,8 +309,7 @@ def default_radii(half_width: float) -> tuple[float, float, float]:
     return (L / 4, L / 2, 3 * L / 4)
 
 
-def radiation_report(u: ComplexField, k: float, radii,
-                     inner_radius: float | None = None) -> RadiationReport:
+def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     """Ball-averaged and sphere-sup residuals of the outgoing radiation
     condition.
 
@@ -322,8 +318,8 @@ def radiation_report(u: ComplexField, k: float, radii,
     pointwise(R) = max over sphere directions of
                   R^((dim-1)/2) |du/dr - i k u| at |x| = R.
 
-    The inner exclusion radius keeps point-source test fields integrable; it
-    defaults to half the smallest radius.  Radii must stay inside the grid.
+    The inner exclusion radius, half the smallest radius, keeps point-source
+    test fields integrable.  Radii must stay inside the grid.
     """
     g = u.grid
     radii = tuple(float(R) for R in radii)
@@ -331,9 +327,7 @@ def radiation_report(u: ComplexField, k: float, radii,
         raise ValueError("radii must be positive and increasing")
     if radii[-1] > g.half_width:
         raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {g.half_width}")
-    r_in = 0.5 * radii[0] if inner_radius is None else float(inner_radius)
-    if not 0.0 <= r_in < radii[0]:
-        raise ValueError("inner radius must lie below the smallest radius")
+    r_in = 0.5 * radii[0]
 
     h = g.spacing
     grads = np.gradient(u.values, h, edge_order=2)

@@ -191,7 +191,6 @@ class ZeroTable:
     order: float
     kind: str  # "J" or "Y"
     zeros: tuple[float, ...]
-    precision: float = _BRENT_XTOL
 
     def __post_init__(self):
         if self.kind not in ("J", "Y"):
@@ -200,15 +199,6 @@ class ZeroTable:
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise ValueError("zeros must be strictly increasing")
         object.__setattr__(self, "zeros", zs)
-
-    def verify_brackets(self, width: float = 1e-9) -> bool:
-        """Check a sign change of the named function across each zero."""
-        fn = bessel_j if self.kind == "J" else bessel_y
-        for z in self.zeros:
-            w = width * max(1.0, abs(z))
-            if fn(self.order, z - w) * fn(self.order, z + w) >= 0.0:
-                return False
-        return True
 
 
 def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:

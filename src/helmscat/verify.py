@@ -76,15 +76,11 @@ __all__ = [
     "EnergyIdentityResult",
     "energy_identity",
     "defocusing_inequalities",
-    "GrowthFit",
-    "growth_law_fit",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # radial panels split at this fraction of the upper limit
 _INNER_SPLIT = 1e-4
-# largest m tried by growth_law_fit
-_GROWTH_M_MAX = 8
 
 
 def _gl_panels(fn, a, b) -> np.ndarray:
@@ -338,37 +334,3 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
                             extra={"k": k}))
     return tuple(checks)
 
-
-@dataclass(frozen=True)
-class GrowthFit:
-    exponent: float
-    m: int
-    constant: float
-    covers_all: bool
-    pairs: tuple[tuple[float, float], ...]
-
-
-def growth_law_fit(phi_sups, u_sups, p: float) -> GrowthFit:
-    """Fit sup|u| <= C (1 + ||phi||^((p-1)^m)) across a solve family.
-
-    The growth exponent comes from the log-log slope over the larger half of
-    the family; m is the smallest integer with (p-1)^m at or above it, up
-    to 8.
-    """
-    phis = np.asarray(phi_sups, dtype=float)
-    sups = np.asarray(u_sups, dtype=float)
-    if phis.shape != sups.shape or phis.size < 3:
-        raise ValueError("need at least 3 matching (phi, u) pairs")
-    if np.any(phis <= 0.0) or np.any(sups <= 0.0):
-        raise ValueError("norms must be positive")
-    order = np.argsort(phis)
-    phis, sups = phis[order], sups[order]
-    top = slice(phis.size // 2, None)
-    slope = float(np.polyfit(np.log(phis[top]), np.log(sups[top]), 1)[0])
-    m = 1
-    while (p - 1.0) ** m < slope and m < _GROWTH_M_MAX:
-        m += 1
-    covers = (p - 1.0) ** m >= slope
-    constant = float(np.max(sups / (1.0 + phis ** ((p - 1.0) ** m))))
-    return GrowthFit(exponent=slope, m=m, constant=constant, covers_all=covers,
-                     pairs=tuple(zip(phis.tolist(), sups.tolist())))

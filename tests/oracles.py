@@ -5,7 +5,9 @@ power series, finite differences, dense linear algebra, brute-force
 maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
 full_kernel_table and radial_transform_panels, the plain loops that the
 library's mirrored kernel table and batched radial transform replace; the
-fast paths must reproduce them bit for bit.
+fast paths must reproduce them bit for bit.  nonlinearity_derivative (checked
+against finite differences) and verify_brackets (a sign-change check of the
+library's zero tables) came from the library, where no path called them.
 """
 
 from __future__ import annotations
@@ -50,6 +52,18 @@ def bisect(fn, a: float, b: float, iters: int = 200) -> float:
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+def verify_brackets(table, width: float = 1e-9) -> bool:
+    """Check a sign change of the zero table's function across each zero."""
+    from helmscat.specfun import bessel_j, bessel_y
+
+    fn = bessel_j if table.kind == "J" else bessel_y
+    for z in table.zeros:
+        w = width * max(1.0, abs(z))
+        if fn(table.order, z - w) * fn(table.order, z + w) >= 0.0:
+            return False
+    return True
 
 
 def cyl_derivative(fn, nu: float, t):
@@ -109,8 +123,6 @@ def full_kernel_table(cfg, k: float, kind: str) -> np.ndarray:
     near-singular averages and singular cell."""
     from helmscat import resolvent as rv
 
-    if kind == "conjugate":
-        return np.conj(full_kernel_table(cfg, k, "outgoing"))
     g = cfg.eval_grid
     h = g.spacing
     m = g.points_per_axis
@@ -169,6 +181,30 @@ def radial_transform_panels(profile, dim: int, upper: float, freqs) -> np.ndarra
         out[i] = sum(panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
         out[i] *= xi ** (-nu)
     return out
+
+
+def nonlinearity_derivative(f, u, v):
+    """Directional derivative of u -> f(x, u) at u applied to v, as a
+    real-linear map on the complex values.  For the power kind it is
+
+        v  ->  Q(x) ( (p/2)|u|^(p-2) v  +  ((p-2)/2)|u|^(p-4) u^2 conj(v) ),
+
+    which vanishes at u = 0; for the affine kind it is v -> a(x) v."""
+    from helmscat.fields import ComplexField
+
+    if u.grid != v.grid:
+        raise ValueError("u and v live on different grids")
+    if u.grid != f.grid:
+        raise ValueError("field grid does not match nonlinearity grid")
+    if f.kind == "affine":
+        return ComplexField(u.grid, f.a.values * v.values)
+    au = np.abs(u.values)
+    amp = au ** (f.p - 2.0)
+    # |u|^(p-4) u^2 = |u|^(p-2) (u/|u|)^2, removing the 0/0 at u = 0
+    unit = np.where(au > 0.0, u.values / np.where(au > 0.0, au, 1.0), 0.0)
+    lin = 0.5 * f.p * amp * v.values
+    anti = 0.5 * (f.p - 2.0) * amp * unit * unit * np.conj(v.values)
+    return ComplexField(u.grid, f.Q.values.real * (lin + anti))
 
 
 def embed_field(fld, outer):

@@ -7,8 +7,9 @@ import os
 import numpy as np
 import pytest
 
+from helmscat import solver
 from helmscat.cli import main, reconstruct_time_field
-from helmscat.fields import Grid, IncidentWave, load_field, make_incident
+from helmscat.fields import BoundCheck, Grid, IncidentWave, load_field, make_incident
 
 
 def base_config(**problem_overrides):
@@ -22,6 +23,15 @@ def base_config(**problem_overrides):
     }
     problem.update(problem_overrides)
     return {"problem": problem, "solver": {"tol": 1e-11}}
+
+
+def affine_config():
+    cfg = base_config(nonlinearity={
+        "kind": "affine",
+        "a": {"type": "radial_bump", "amplitude": -0.3},
+        "b": {"type": "radial_bump", "amplitude": 0.3}})
+    cfg["solver"]["certify"] = True
+    return cfg
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -78,6 +88,30 @@ class TestSolve:
                 == (outs[1] / "solve_report.json").read_bytes())
         assert ((outs[0] / "field.cfld").read_bytes()
                 == (outs[1] / "field.cfld").read_bytes())
+
+    def test_certified_affine_solve_reports_bound(self, tmp_path):
+        cp = write_config(tmp_path, affine_config())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
+        rep = json.loads((out / "solve_report.json").read_text())
+        [check] = rep["bound_checks"]
+        assert check["name"] == "linear_sup_bound"
+        assert check["satisfied"] and check["margin"] >= 0.0
+        assert check["lhs"] == pytest.approx(rep["sup_norm"], rel=1e-11)
+
+    def test_failed_bound_check_exit_code(self, tmp_path, monkeypatch):
+        breach = BoundCheck(name="linear_sup_bound", lhs=2.0, rhs=1.0,
+                            margin=-1.0, satisfied=False)
+        monkeypatch.setattr(solver, "linear_bound_check",
+                            lambda f, phi, u, kappa: breach)
+        cp = write_config(tmp_path, affine_config())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 4
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "verification_breach"
+        rep = json.loads((out / "solve_report.json").read_text())
+        assert rep["converged"]
+        assert [c["satisfied"] for c in rep["bound_checks"]] == [False]
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = base_config(
@@ -136,6 +170,7 @@ class TestConfigErrors:
         lambda c: c.update(unknown_block={}),
         lambda c: c["problem"].update(nonlinearity={"kind": "power"}),
         lambda c: c.update(verify={"freq_count": 7}),
+        lambda c: c.update(continuation={"lambda_max": 1.0, "store_at": [1.0]}),
     ])
     def test_schema_and_semantic_rejects(self, tmp_path, mangle):
         cfg = base_config()
@@ -169,7 +204,7 @@ class TestConfigErrors:
 class TestContinue:
     def test_branch_artifacts(self, tmp_path):
         cfg = base_config()
-        cfg["continuation"] = {"lambda_max": 1.0, "store_at": [1.0]}
+        cfg["continuation"] = {"lambda_max": 1.0}
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert main(["continue", "--config", cp, "--out", str(out)]) == 0
@@ -364,6 +399,24 @@ class TestEnvOverrides:
         capsys.readouterr()
         assert (target / "constants_zN.json").exists()
         assert (target / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flag,env,code", [
+        ([], "abc", 2), (["--threads", "-5"], None, 2), (["--threads", "0"], None, 2),
+        (["--threads", "1"], None, 0)])
+    def test_thread_count(self, tmp_path, monkeypatch, flag, env, code):
+        # a count that is not an integer >= 1 is a config error, from the
+        # flag or the environment
+        if env is not None:
+            monkeypatch.setenv("HELMSCAT_THREADS", env)
+        cp = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out), *flag]) == code
+        man = json.loads((out / "manifest.json").read_text())
+        if code == 0:
+            assert man["status"] == "ok" and man["threads"] == 1
+        else:
+            assert man["status"] == "config_error"
+            assert "thread count" in man["error"]
 
     def test_no_temp_files_left(self, tmp_path):
         cp = write_config(tmp_path, base_config())

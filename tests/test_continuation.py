@@ -79,7 +79,7 @@ class TestBranch:
         for (lam, sup), p in zip(seen, branch.points):
             assert sup == p.sup_norm
         # sup norms grow with amplitude but sublinearly against the envelope
-        sups = branch.sup_norms()
+        sups = [p.sup_norm for p in branch.points]
         assert np.all(np.diff(sups) > 0.0)
 
     def test_resolve_from_scratch_matches_branch_point(self):
@@ -105,7 +105,7 @@ class TestBranch:
             stepcfg=StepConfig(floor_factor=1e-3))
         assert branch.terminated_reason in ("blow_up", "step_floor")
         assert branch.points[-1].lam < 10.0
-        sups = branch.sup_norms()
+        sups = [p.sup_norm for p in branch.points]
         assert sups[-1] > sups[1]
 
     def test_final_field_matches_last_point(self):
@@ -126,21 +126,6 @@ class TestBranch:
         with pytest.raises(ValueError, match="power kind"):
             continue_branch(f, plane_phi(g), K_REF, lambda_max=1.0,
                             scfg=SolverConfig(), rcfg=rcfg)
-
-    def test_store_at_attaches_fields(self):
-        rcfg = small_rcfg()
-        f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.5), p=3.0,
-                                   alpha=ALPHA)
-        phi = plane_phi(rcfg.eval_grid)
-        branch = continue_branch(f, phi, K_REF, lambda_max=1.0,
-                                 scfg=SolverConfig(), rcfg=rcfg,
-                                 store_at=(0.5, 1.0))
-        stored = [p for p in branch.points if p.field_ref is not None]
-        assert len(stored) == 2
-        assert stored[0].lam >= 0.5
-        assert stored[-1].lam == pytest.approx(1.0, rel=1e-12)
-        for p in stored:
-            assert p.field_ref.sup_norm == p.sup_norm
 
     def test_validation(self):
         rcfg = small_rcfg()

@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in that
-module or re-exported through its __all__, and every private module-level
-name it defines is read somewhere in it."""
+module or re-exported through its __all__, every private module-level
+name it defines is read somewhere in it, and every public function or
+method has a reader somewhere in the package."""
 
 import ast
 import pathlib
@@ -57,6 +58,41 @@ def unused_private_names(source: str) -> list[str]:
                   if name not in loaded)
 
 
+def uncalled_public_names(sources, exempt=()) -> list[str]:
+    """'name' for each public module-level function, and 'Class.name' for
+    each public method that is not a property, that no source reads outside
+    the definition's own body.  A function is read by a Name or an Attribute
+    load of its name, a method by an Attribute load only; names in exempt
+    are skipped."""
+    trees = [ast.parse(src) for src in sources]
+    defs = []  # (reported name, defined name, node, is_method)
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs.append((node.name, node.name, node, False))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not any(
+                            isinstance(d, ast.Name) and d.id == "property"
+                            for d in item.decorator_list):
+                        defs.append((f"{node.name}.{item.name}", item.name,
+                                     item, True))
+    loads = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(getattr(n, "ctx", None), ast.Load)]
+    missing = []
+    for shown, name, node, is_method in defs:
+        if name.startswith("_") or shown in exempt:
+            continue
+        own = {id(n) for n in ast.walk(node)}
+        if not any(id(n) not in own
+                   and ((isinstance(n, ast.Attribute) and n.attr == name)
+                        or (not is_method and isinstance(n, ast.Name)
+                            and n.id == name))
+                   for n in loads):
+            missing.append(shown)
+    return sorted(missing)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -77,3 +113,25 @@ def test_unused_private_name_is_reported():
     src = ("_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\n"
            "class _K:\n    pass\n_f()\n_D: int = 4\n")
     assert unused_private_names(src) == ["_B (line 2)", "_D (line 9)", "_K (line 6)"]
+
+
+def test_every_public_function_has_a_caller():
+    sources = [p.read_text() for p in SOURCES]
+    assert uncalled_public_names(sources, exempt=set(helmscat.__all__)) == []
+
+
+def test_uncalled_public_name_is_reported():
+    # used and K.meth read only themselves; K.named is read only by a Name
+    # load, which does not count for a method; K.prop is a property
+    lib = ("def used():\n    return used()\n"
+           "def called():\n    pass\n"
+           "def exported():\n    pass\n"
+           "def _private():\n    pass\n"
+           "class K:\n"
+           "    def meth(self):\n        return self.meth()\n"
+           "    def named(self):\n        return called\n"
+           "    def attr(self):\n        pass\n"
+           "    @property\n    def prop(self):\n        pass\n")
+    user = "import lib\nlib.K().attr()\nnamed = 1\nx = named\n"
+    assert uncalled_public_names([lib, user], exempt={"exported"}) == [
+        "K.meth", "K.named", "used"]

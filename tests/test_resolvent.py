@@ -92,7 +92,7 @@ class TestSingularCell:
 
 
 class TestApplyResolvent:
-    @pytest.mark.parametrize("kind", ["outgoing", "conjugate", "magnitude"])
+    @pytest.mark.parametrize("kind", ["outgoing", "magnitude"])
     @pytest.mark.parametrize("where", ["full", "face", "corner"])
     @pytest.mark.parametrize("pad", [0, 2])
     @pytest.mark.parametrize("dim,m", [(3, 9), (2, 17)])
@@ -154,7 +154,7 @@ class TestApplyResolvent:
 
     @pytest.mark.parametrize("dim,m", [(3, 8), (3, 9), (2, 16), (2, 17)])
     @pytest.mark.parametrize("pad", [0, 2])
-    @pytest.mark.parametrize("kind", ["outgoing", "conjugate", "magnitude"])
+    @pytest.mark.parametrize("kind", ["outgoing", "magnitude"])
     def test_mirrored_table_matches_full_oracle(self, dim, m, pad, kind):
         g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
         cfg = rv.ResolventConfig.padded(g, pad)
@@ -218,16 +218,6 @@ class TestApplyResolvent:
         got = u1.values[2:, :, :]
         want = np.roll(u0.values, 1, axis=0)[2:, :, :]
         assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_conjugate_kernel(self):
-        # conj kernel applied to conj source = conj of outgoing applied to source
-        g = Grid(dim=3, half_width=2.0, points_per_axis=9)
-        cfg = cfg_for(g)
-        rng = np.random.default_rng(3)
-        h = ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-        a = rv.apply_resolvent(h.conj(), cfg, 1.0, kind="conjugate")
-        b = rv.apply_resolvent(h, cfg, 1.0, kind="outgoing")
-        np.testing.assert_allclose(a.values, np.conj(b.values), rtol=0, atol=1e-13)
 
     def test_eval_grid_padding(self):
         g = Grid(dim=3, half_width=1.5, points_per_axis=7)
@@ -365,8 +355,6 @@ class TestRadiation:
             rv.radiation_report(u, 1.0, (1.0, 3.0))
         with pytest.raises(ValueError, match="increasing"):
             rv.radiation_report(u, 1.0, (2.0, 1.0))
-        with pytest.raises(ValueError, match="inner"):
-            rv.radiation_report(u, 1.0, (1.0, 2.0), inner_radius=1.5)
 
 
 class TestFarField:

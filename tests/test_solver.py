@@ -6,11 +6,10 @@ from helmscat.fields import (
     Grid,
     IncidentWave,
     NonlinearitySpec,
-    apply_nonlinearity,
     make_incident,
     weighted_norm,
 )
-from helmscat.resolvent import ResolventConfig, apply_resolvent, estimate_kappa
+from helmscat.resolvent import ResolventConfig, estimate_kappa
 from helmscat.solver import (
     SolverConfig,
     contraction_certificate,
@@ -91,25 +90,6 @@ class TestPicard:
         assert r1.converged and r2.converged
         assert np.max(np.abs(u1.values - u2.values)) < 5e-11
         assert r2.iterations > r1.iterations  # half steps, slower march
-
-    def test_conjugate_kernel_symmetry(self):
-        # conj(u) solves the fixed point with the conjugated kernel and
-        # incident wave, because the coefficient is real
-        rcfg = small_rcfg()
-        Q = radial_bump(rcfg.source_grid, -0.5)
-        f = NonlinearitySpec.power(Q, p=3.0, alpha=ALPHA)
-        phi = plane_phi(rcfg.eval_grid)
-        u, _ = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-13), rcfg)
-        ubar = u.conj()
-        mapped = apply_resolvent(apply_nonlinearity(f, ubar), rcfg, K_REF,
-                                 kind="conjugate") + phi.conj()
-        assert np.max(np.abs(mapped.values - ubar.values)) < 1e-11
-        # and a plain Picard loop on the incoming kernel lands on conj(u)
-        v = phi.conj()
-        for _ in range(60):
-            v = apply_resolvent(apply_nonlinearity(f, v), rcfg, K_REF,
-                                kind="conjugate") + phi.conj()
-        assert np.max(np.abs(v.values - ubar.values)) < 1e-11
 
     def test_rotation_equivariance(self):
         # radial coefficient, incident direction rotated by the axis swap
@@ -270,6 +250,46 @@ class TestLinearBound:
         assert check.satisfied
         assert check.margin >= -1e-10
         assert check.lhs == u.sup_norm
+
+    def test_certified_affine_solve_runs_the_bound(self):
+        rcfg = small_rcfg()
+        g = rcfg.source_grid
+        f = NonlinearitySpec.affine(radial_bump(g, -0.4), radial_bump(g, 0.3),
+                                    alpha=ALPHA)
+        phi = plane_phi(g)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-13, certify=True),
+                              rcfg)
+        assert rep.converged
+        want = linear_bound_check(f, phi, u, estimate_kappa(ALPHA, rcfg, K_REF))
+        assert rep.bound_checks == (want,)
+        assert want.name == "linear_sup_bound" and want.satisfied
+        assert rep.as_dict()["bound_checks"] == [want.__dict__]
+
+    @pytest.mark.parametrize("case", ["power", "uncertified", "max_iters", "void"])
+    def test_no_bound_check_outside_its_scope(self, case):
+        # the bound is for converged, certified affine solves with
+        # kappa_hat ||a||_alpha < 1; a void bound is no breach
+        rcfg = small_rcfg()
+        g = rcfg.source_grid
+        f = NonlinearitySpec.affine(radial_bump(g, -0.4), radial_bump(g, 0.3),
+                                    alpha=ALPHA)
+        cfg = SolverConfig(tol=1e-13, certify=True)
+        if case == "power":
+            f = NonlinearitySpec.power(radial_bump(g, -0.4), p=3.0, alpha=ALPHA)
+        elif case == "uncertified":
+            cfg = SolverConfig(tol=1e-13)
+        elif case == "max_iters":
+            cfg = SolverConfig(tol=1e-13, certify=True, max_iters=1)
+        else:
+            # kappa_hat ||a||_alpha >> 1; a tol no residual exceeds lets the
+            # first iterate end converged, so only the void bound is left
+            a = ComplexField(g, np.full(g.shape, 40.0, dtype=complex))
+            f = NonlinearitySpec.affine(a, ComplexField.zeros(g), alpha=ALPHA)
+            cfg = SolverConfig(certify=True, max_iters=1, tol=1e300)
+        _, rep = picard_solve(f, plane_phi(g), K_REF, cfg, rcfg)
+        assert rep.status == ("max_iters" if case == "max_iters" else "converged")
+        assert rep.bound_checks == ()
+        assert "bound_checks" not in rep.as_dict()
 
     def test_bound_scales_with_incident_amplitude(self):
         rcfg = small_rcfg()

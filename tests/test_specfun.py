@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helmscat import specfun
-from oracles import bisect, cyl_derivative, generic_bessel, j0_series
+from oracles import bisect, cyl_derivative, generic_bessel, j0_series, verify_brackets
 
 # Anchors computed with independent oracles (power-series bisection for J_0,
 # 30-digit mpmath for the rest) and frozen here.
@@ -169,7 +169,7 @@ class TestZeros:
     def test_j_zero_tables(self, nu):
         table = specfun.j_zeros(nu, 12)
         assert len(table.zeros) == 12
-        assert table.verify_brackets()
+        assert verify_brackets(table)
         diffs = np.diff(table.zeros)
         # spacing approaches pi and never collapses
         assert np.all(diffs > 2.8)

@@ -19,7 +19,6 @@ from helmscat.verify import (
     defocusing_inequalities,
     energy_identity,
     fourier_positivity,
-    growth_law_fit,
     radial_transform,
     sturm_check,
     truncation_threshold,
@@ -322,34 +321,3 @@ class TestDefocusing:
         with pytest.raises(ValueError, match="dim"):
             defocusing_inequalities(zero, zero, zero, 3.0)
 
-
-class TestGrowthFit:
-    def test_exact_power_law(self):
-        phis = np.array([0.5, 1.0, 2.0, 4.0, 8.0])
-        sups = 2.0 * phis ** 3
-        fit = growth_law_fit(phis, sups, p=3.0)
-        assert fit.exponent == pytest.approx(3.0, rel=1e-10)
-        assert fit.m == 2  # (p-1)^2 = 4 >= 3
-        assert fit.covers_all
-        for ph, su in fit.pairs:
-            assert su <= fit.constant * (1.0 + ph ** 4.0) + 1e-12
-
-    def test_linear_family_from_solves(self):
-        rcfg, Q, f, phi = scattering_setup()
-        amps = (0.5, 1.0, 2.0, 4.0)
-        sups = []
-        for s in amps:
-            u, rep = picard_solve(f, phi * s, K_REF,
-                                  SolverConfig(tol=1e-11, max_iters=400), rcfg)
-            assert rep.converged
-            sups.append(u.sup_norm)
-        fit = growth_law_fit(amps, sups, p=3.0)
-        assert fit.m == 1
-        assert fit.covers_all
-        assert fit.exponent == pytest.approx(1.0, abs=0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            growth_law_fit([1.0, 2.0], [1.0, 2.0], p=3.0)
-        with pytest.raises(ValueError):
-            growth_law_fit([1.0, 2.0, 0.0], [1.0, 2.0, 3.0], p=3.0)
