@@ -30,6 +30,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -627,7 +628,9 @@ def _run_animate(cfg: dict, out: str):
 
 # -- entry point --------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="helmscat",
         description="Nonlinear Helmholtz scattering: solve, continue, verify.")

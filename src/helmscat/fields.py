@@ -315,6 +315,9 @@ class IncidentWave:
 
 def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
     """Evaluate the incident wave on the grid."""
+    if np.shape(spec.direction) != (grid.dim,):
+        raise ValueError(f"direction of shape {np.shape(spec.direction)} on a "
+                         f"grid of dim {grid.dim}")
     xs = grid.meshgrid()
     phase = sum(x * d for x, d in zip(xs, spec.direction))
     return ComplexField(grid, np.exp(1j * spec.k * phase))

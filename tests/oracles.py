@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own evaluation paths:
 power series, finite differences, dense linear algebra, brute-force
 maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
-full_kernel_table and radial_transform_panels, the plain loops that the
-library's mirrored kernel table and batched radial transform replace; the
+full_kernel_table, radial_transform_panels and full_fft_convolve, the
+plain loops and the whole-box transform that the library's mirrored kernel
+table, batched radial transform and pruned FFT convolution replace; the
 fast paths must reproduce them bit for bit.  nonlinearity_derivative (checked
 against finite differences) and verify_brackets (a sign-change check of the
 library's zero tables) came from the library, where no path called them.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import fft
 from scipy.special import gamma, jv, yv
 
 
@@ -215,6 +217,16 @@ def embed_field(fld, outer):
     out = np.zeros(outer.shape, dtype=complex)
     out[(slice(n, n + fld.grid.points_per_axis),) * outer.dim] = fld.values
     return ComplexField(outer, out)
+
+
+def full_fft_convolve(src: np.ndarray, spectrum: np.ndarray, box, m: int) -> np.ndarray:
+    """The m^dim valid part of the circular convolution of the source's
+    support box with a window spectrum, by whole-box fftn and ifftn; src is
+    the source-grid array and box its support box.  This is the transform
+    the library's axis-by-axis apply prunes."""
+    crop = src[tuple(slice(lo, hi + 1) for lo, hi in box)]
+    conv = fft.ifftn(fft.fftn(crop, spectrum.shape) * spectrum)
+    return conv[tuple(slice(hi - lo, hi - lo + m) for lo, hi in box)]
 
 
 def direct_convolve(src: np.ndarray, table: np.ndarray) -> np.ndarray:

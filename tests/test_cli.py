@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helmscat import solver
-from helmscat.cli import main, reconstruct_time_field
+from helmscat.cli import _parser, main, reconstruct_time_field
 from helmscat.fields import BoundCheck, Grid, IncidentWave, load_field, make_incident
 
 
@@ -171,6 +171,7 @@ class TestConfigErrors:
         lambda c: c["problem"].update(nonlinearity={"kind": "power"}),
         lambda c: c.update(verify={"freq_count": 7}),
         lambda c: c.update(continuation={"lambda_max": 1.0, "store_at": [1.0]}),
+        lambda c: c["problem"]["incident"].update(direction=[0.6, 0.8]),
     ])
     def test_schema_and_semantic_rejects(self, tmp_path, mangle):
         cfg = base_config()
@@ -417,6 +418,22 @@ class TestEnvOverrides:
         else:
             assert man["status"] == "config_error"
             assert "thread count" in man["error"]
+
+    def test_parser_is_built_once(self, tmp_path):
+        # one process, two actions on the one cached parser: each manifest
+        # names its own action, seed and outputs
+        assert _parser() is _parser()
+        cp = write_config(tmp_path, base_config())
+        runs = [(["solve"], "solve", "solve_report.json"),
+                (["verify", "fourier"], "verify fourier", "verify_fourier.json")]
+        for seed, (action, name, report) in enumerate(runs, start=3):
+            out = tmp_path / name.replace(" ", "_")
+            assert main([*action, "--config", cp, "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            man = json.loads((out / "manifest.json").read_text())
+            assert (man["action"], man["status"], man["seed"]) == (name, "ok", seed)
+            assert report in man["outputs"]
+        assert _parser() is _parser()
 
     def test_no_temp_files_left(self, tmp_path):
         cp = write_config(tmp_path, base_config())

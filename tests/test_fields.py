@@ -172,6 +172,13 @@ class TestIncidentWaves:
         with pytest.raises(ValueError):
             IncidentWave.plane(-1.0, [0, 0, 1])
 
+    @pytest.mark.parametrize("dim,direction", [(2, (0.6, 0.0, 0.8)),
+                                               (3, (0.6, 0.8))])
+    def test_direction_length_must_match_grid(self, dim, direction):
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=9)
+        with pytest.raises(ValueError, match="dim"):
+            fields.make_incident(IncidentWave.plane(1.0, direction), g)
+
 
 class TestNonlinearity:
     def test_power_pointwise_oracle(self):

@@ -13,12 +13,10 @@ import helmscat
 SOURCES = sorted(pathlib.Path(helmscat.__file__).parent.glob("*.py"))
 
 
-def unused_imports(source: str) -> list[str]:
-    """'name (line N)' for each imported name that is neither read in the
-    module nor listed in its __all__; __future__ imports are skipped."""
-    tree = ast.parse(source)
+def imported_names(tree) -> dict[str, int]:
+    """Line of the import statement that binds each name in a module;
+    __future__ imports are skipped."""
     imported = {}
-    exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -26,9 +24,19 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
+    return imported
+
+
+def unused_imports(source: str) -> list[str]:
+    """'name (line N)' for each imported name that is neither read in the
+    module nor listed in its __all__; __future__ imports are skipped."""
+    tree = ast.parse(source)
+    imported = imported_names(tree)
+    exported = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
             exported = set(ast.literal_eval(node.value))
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     return sorted(f"{name} (line {line})" for name, line in imported.items()
@@ -62,33 +70,43 @@ def uncalled_public_names(sources, exempt=()) -> list[str]:
     """'name' for each public module-level function, and 'Class.name' for
     each public method that is not a property, that no source reads outside
     the definition's own body.  A function is read by a Name or an Attribute
-    load of its name, a method by an Attribute load only; names in exempt
-    are skipped."""
+    load of its name, a method by an Attribute load only, and not by one on
+    an imported name other than a class the sources define (np.conj does
+    not read a conj method); names in exempt are skipped."""
     trees = [ast.parse(src) for src in sources]
     defs = []  # (reported name, defined name, node, is_method)
+    classes = set()
     for tree in trees:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 defs.append((node.name, node.name, node, False))
             elif isinstance(node, ast.ClassDef):
+                classes.add(node.name)
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not any(
                             isinstance(d, ast.Name) and d.id == "property"
                             for d in item.decorator_list):
                         defs.append((f"{node.name}.{item.name}", item.name,
                                      item, True))
-    loads = [n for tree in trees for n in ast.walk(tree)
-             if isinstance(getattr(n, "ctx", None), ast.Load)]
+    loads = []  # (node, whether it can read a method)
+    for tree in trees:
+        foreign = imported_names(tree).keys() - classes
+        loads += [(n, not (isinstance(n, ast.Attribute)
+                           and isinstance(n.value, ast.Name)
+                           and n.value.id in foreign))
+                  for n in ast.walk(tree)
+                  if isinstance(getattr(n, "ctx", None), ast.Load)]
     missing = []
     for shown, name, node, is_method in defs:
         if name.startswith("_") or shown in exempt:
             continue
         own = {id(n) for n in ast.walk(node)}
         if not any(id(n) not in own
-                   and ((isinstance(n, ast.Attribute) and n.attr == name)
+                   and ((isinstance(n, ast.Attribute) and n.attr == name
+                         and (reads_method or not is_method))
                         or (not is_method and isinstance(n, ast.Name)
                             and n.id == name))
-                   for n in loads):
+                   for n, reads_method in loads):
             missing.append(shown)
     return sorted(missing)
 
@@ -122,7 +140,10 @@ def test_every_public_function_has_a_caller():
 
 def test_uncalled_public_name_is_reported():
     # used and K.meth read only themselves; K.named is read only by a Name
-    # load, which does not count for a method; K.prop is a property
+    # load, which does not count for a method; K.conj is read only as an
+    # attribute of the imported numpy (np.conj), which does not count for a
+    # method either, while K.make is read through the imported class K and
+    # K.attr through an instance; K.prop is a property
     lib = ("def used():\n    return used()\n"
            "def called():\n    pass\n"
            "def exported():\n    pass\n"
@@ -131,7 +152,11 @@ def test_uncalled_public_name_is_reported():
            "    def meth(self):\n        return self.meth()\n"
            "    def named(self):\n        return called\n"
            "    def attr(self):\n        pass\n"
+           "    def conj(self):\n        pass\n"
+           "    def make(self):\n        pass\n"
            "    @property\n    def prop(self):\n        pass\n")
-    user = "import lib\nlib.K().attr()\nnamed = 1\nx = named\n"
+    user = ("import lib\nimport numpy as np\nfrom lib import K\n"
+            "lib.K().attr()\nnamed = 1\nx = named\ny = np.conj(1j)\n"
+            "z = K.make\n")
     assert uncalled_public_names([lib, user], exempt={"exported"}) == [
-        "K.meth", "K.named", "used"]
+        "K.conj", "K.meth", "K.named", "used"]

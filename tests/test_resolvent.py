@@ -8,6 +8,7 @@ from oracles import (
     direct_convolve,
     discrete_laplacian,
     embed_field,
+    full_fft_convolve,
     full_kernel_table,
     subtraction_cell_weight,
 )
@@ -25,15 +26,16 @@ def cfg_for(grid):
 
 
 def random_source(grid, where):
-    """Random complex values on the whole grid ("full"), or on a 3-cell box
+    """Random complex values on the whole grid ("full"), on a 3-cell box
     that touches the low face of axis 0 off centre ("face") or the high
-    corner ("corner"), zero elsewhere."""
+    corner ("corner"), or on one off-centre cell ("cell"), zero elsewhere."""
     rng = np.random.default_rng(1)
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     m = grid.points_per_axis
     boxes = {"full": (slice(None),) * grid.dim,
              "face": (slice(0, 3),) + (slice(1, 4),) * (grid.dim - 1),
-             "corner": (slice(m - 3, m),) * grid.dim}
+             "corner": (slice(m - 3, m),) * grid.dim,
+             "cell": (slice(1, 2),) + (slice(m - 2, m - 1),) * (grid.dim - 1)}
     out = np.zeros(grid.shape, dtype=complex)
     out[boxes[where]] = vals[boxes[where]]
     return ComplexField(grid, out)
@@ -93,19 +95,63 @@ class TestSingularCell:
 
 class TestApplyResolvent:
     @pytest.mark.parametrize("kind", ["outgoing", "magnitude"])
-    @pytest.mark.parametrize("where", ["full", "face", "corner"])
+    @pytest.mark.parametrize("where", ["full", "face", "corner", "cell"])
     @pytest.mark.parametrize("pad", [0, 2])
-    @pytest.mark.parametrize("dim,m", [(3, 9), (2, 17)])
+    @pytest.mark.parametrize("dim,m", [(3, 8), (3, 9), (2, 16), (2, 17)])
     def test_fft_matches_direct_reference(self, dim, m, pad, where, kind):
-        # FFT path, cropped to the source's support box, vs the direct
-        # lattice sum over the full kernel table
+        # FFT path, cropped to the source's support box and pruned axis by
+        # axis: bit for bit the whole-box fftn/ifftn, and within 1e-10 of
+        # the direct lattice sum over the full kernel table
         g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
         h = random_source(g, where)
         cfg = rv.ResolventConfig.padded(g, pad)
         uf = rv.apply_resolvent(h, cfg, 1.3, kind)
+        box = rv._fields.support_box(h.values)
+        k_key = None if kind == "magnitude" and dim == 3 else 1.3
+        spectrum = rv._window_spectrum(cfg, k_key, kind, box)
+        np.testing.assert_array_equal(
+            uf.values,
+            full_fft_convolve(h.values, spectrum, box, cfg.eval_grid.points_per_axis))
         ud = direct_convolve(embed_field(h, cfg.eval_grid).values,
                              rv._kernel_table(cfg, 1.3, kind))
         assert np.max(np.abs(uf.values - ud)) < 1e-10
+
+    def test_transforms_only_lines_that_carry_data(self, monkeypatch):
+        # 3D m = 32, 6-cell box, n = next_fast_len(37) = 40: forward
+        # 6*6 + 40*6 + 40*40 lines, inverse 40*40 + 32*40 + 32*32, where the
+        # whole box transforms 3 * 40^2 lines each way
+        g = Grid(dim=3, half_width=2.0, points_per_axis=32)
+        vals = np.zeros(g.shape, dtype=complex)
+        vals[(slice(13, 19),) * 3] = 1.0
+        h = ComplexField(g, vals)
+        cfg = cfg_for(g)
+        rv.apply_resolvent(h, cfg, 1.0)  # spectrum cached before counting
+        lines = {"fft": 0, "ifft": 0}
+
+        def counting(name):
+            transform = getattr(rv.fft, name)
+
+            def wrapped(x, *args, axis=-1, **kwargs):
+                lines[name] += np.size(x) // np.shape(x)[axis]
+                return transform(x, *args, axis=axis, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(rv.fft, "fft", counting("fft"))
+        monkeypatch.setattr(rv.fft, "ifft", counting("ifft"))
+        rv.apply_resolvent(h, cfg, 1.0)
+        assert lines == {"fft": 1876, "ifft": 3904}
+
+    def test_forward_transform_need_not_work_in_place(self, monkeypatch):
+        # a transform that returns a new array is copied back into the box
+        g = Grid(dim=3, half_width=2.0, points_per_axis=9)
+        h = random_source(g, "corner")
+        cfg = cfg_for(g)
+        want = rv.apply_resolvent(h, cfg, 1.3)
+        transform = rv.fft.fft
+        monkeypatch.setattr(rv.fft, "fft",
+                            lambda x, *args, **kwargs: transform(x.copy(), *args, **kwargs))
+        np.testing.assert_array_equal(rv.apply_resolvent(h, cfg, 1.3).values,
+                                      want.values)
 
     def test_window_spectrum_is_cached(self, monkeypatch):
         # a repeat apply on the same support evaluates no kernel; a zero
