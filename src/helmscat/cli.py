@@ -346,8 +346,6 @@ def _build_incident(grid: Grid, k: float, spec: dict | None) -> ComplexField:
     if spec["type"] == "zero":
         return ComplexField.zeros(grid)
     direction = spec.get("direction") or [1.0] + [0.0] * (grid.dim - 1)
-    if len(direction) != grid.dim:
-        raise ConfigError(f"incident direction needs {grid.dim} components")
     phi = make_incident(IncidentWave.plane(k, direction), grid)
     return phi * float(spec.get("amplitude", 1.0))
 

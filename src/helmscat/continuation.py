@@ -11,7 +11,7 @@ consecutive successful solves (capped), halved on failure, floor at
     step_floor          the step floor was hit with a stagnating solver.
 
 The branch keeps the final field only; a callback receives every accepted
-field as the march goes.
+field as the march goes.  Branch solves skip radiation and certificates.
 
 blowup_probe fits the trailing branch points to the blow-up model
 
@@ -27,7 +27,7 @@ blow-up instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -105,7 +105,8 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
 
     callback(lam, u, report), when given, runs after every accepted point
     (and first at lam = 0 with the zero field and no report); it is how a
-    caller keeps the fields along the branch.
+    caller keeps the fields along the branch.  Whatever scfg asks, the
+    reports carry no radiation report and no certificate.
     """
     if lambda_max <= 0.0:
         raise ValueError("lambda_max must be > 0")
@@ -119,6 +120,7 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
     max_step = stepcfg.max_step if stepcfg.max_step is not None else lambda_max / 4.0
     floor = stepcfg.floor_factor * lambda_max
     easy_iters = max(1, scfg.max_iters // 4)
+    point_cfg = replace(scfg, compute_radiation=False, certify=False)
 
     points = [BranchPoint(lam=0.0, sup_norm=0.0, residual=0.0)]
     u_prev = zero
@@ -135,7 +137,7 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
         step = min(step, lambda_max - lam)
         trial = lam + step
         u0 = u_prev + phi * (trial - lam)
-        u, rep = picard_solve(f, phi * trial, k, scfg, rcfg, u0=u0)
+        u, rep = picard_solve(f, phi * trial, k, point_cfg, rcfg, u0=u0)
         solves += 1
         if rep.converged:
             points.append(BranchPoint(lam=trial, sup_norm=u.sup_norm,

@@ -1,5 +1,5 @@
-"""Uniform grids, complex fields, weighted sup norms, plane incident waves
-and pointwise nonlinearities.
+"""Uniform grids, complex fields, weighted sup norms, sphere quadrature and
+sphere traces, plane incident waves and pointwise nonlinearities.
 
 Weighted norms use the bracket weight <x> = sqrt(1 + |x|^2) and
 ||w||_alpha = sup <x>^alpha |w(x)|.  The decay exponent the resolvent
@@ -37,7 +37,6 @@ __all__ = [
     "tau",
     "sphere_quadrature",
     "product_gauss_sphere",
-    "complex_interpolator",
     "sphere_trace",
     "support_box",
     "support_diameter",
@@ -271,26 +270,24 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     return product_gauss_sphere(n_polar, 2 * n_polar)
 
 
-def complex_interpolator(grid: Grid, values: np.ndarray):
-    """Multilinear interpolant of complex grid values, evaluated at an
-    (n, dim) array of points inside the grid."""
-    ax = (grid.axis(),) * grid.dim
-    re = RegularGridInterpolator(ax, values.real)
-    im = RegularGridInterpolator(ax, values.imag)
-    return lambda pts: re(pts) + 1j * im(pts)
-
-
-def sphere_trace(grid: Grid, values: np.ndarray, grads, dirs: np.ndarray):
-    """R -> (u, d_r u) at the points R * dirs, interpolated from the grid
-    values of u and its precomputed gradient components."""
-    u_at = complex_interpolator(grid, values)
-    grad_at = [complex_interpolator(grid, gc) for gc in grads]
+def sphere_trace(grid: Grid, values: np.ndarray, dirs: np.ndarray):
+    """Centered-difference gradient of the grid values u, and the trace
+    R -> (u, d_r u) at the points R * dirs.  u and the gradient components
+    are written into one complex array, stacked along a last axis, which one
+    multilinear interpolant samples; the radiation and flux diagnostics read
+    u through here.  Returns (gradient components, trace), the components as
+    views into that array."""
+    stack = np.empty(grid.shape + (grid.dim + 1,), dtype=complex)
+    stack[..., 0] = values
+    for a in range(grid.dim):
+        stack[..., a + 1] = np.gradient(values, grid.spacing, axis=a, edge_order=2)
+    at = RegularGridInterpolator((grid.axis(),) * grid.dim, stack)
 
     def trace(R: float):
-        pts = R * dirs
-        return u_at(pts), sum(d * g_at(pts) for d, g_at in zip(dirs.T, grad_at))
+        vals = at(R * dirs)
+        return vals[:, 0], sum(d * vals[:, a + 1] for a, d in enumerate(dirs.T))
 
-    return trace
+    return [stack[..., a + 1] for a in range(grid.dim)], trace
 
 
 # -- incident waves -----------------------------------------------------------

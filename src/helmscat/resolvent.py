@@ -53,6 +53,9 @@ magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
 magnitude kernel is nonnegative, the profile majorizes every unit-norm
 source, so the estimate is exact for the truncated discrete operator; an
 analytic bound on the discarded exterior integral is reported alongside.
+
+The radiation residuals read u and its gradient through fields.sphere_trace;
+far_field interpolates u alone, through one complex interpolant.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft, integrate
+from scipy.interpolate import RegularGridInterpolator
 
 from . import fields as _fields
 from .fields import ComplexField, Grid, tau, weighted_norm
@@ -357,17 +361,18 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
         raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {g.half_width}")
     r_in = 0.5 * radii[0]
 
-    h = g.spacing
-    grads = np.gradient(u.values, h, edge_order=2)
+    dirs, _ = _fields.sphere_quadrature(g.dim)
+    grads, trace = _fields.sphere_trace(g, u.values, dirs)
     r = g.radius()
-    xs = g.meshgrid()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        units = [np.where(r > 0, x / np.where(r > 0, r, 1.0), 0.0) for x in xs]
     interior = np.zeros(g.shape, dtype=bool)
     interior[(slice(1, -1),) * g.dim] = True
 
+    # x/|x| one component at a time, each coordinate broadcast along its axis
+    safe_r = np.where(r > 0, r, 1.0)
     sq = np.zeros(g.shape)
-    for gc, un in zip(grads, units):
+    for a, gc in enumerate(grads):
+        x = g.axis().reshape((-1,) + (1,) * (g.dim - 1 - a))
+        un = np.where(r > 0, x / safe_r, 0.0)
         sq += np.abs(gc - 1j * k * u.values * un) ** 2
 
     averaged = []
@@ -375,8 +380,6 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
         mask = interior & (r > r_in) & (r <= R)
         averaged.append(float(np.sum(sq[mask]) * g.cell_volume / R))
 
-    dirs, _ = _fields.sphere_quadrature(g.dim)
-    trace = _fields.sphere_trace(g, u.values, grads, dirs)
     pointwise = []
     for R in radii:
         uv, du_dr = trace(R)
@@ -401,7 +404,7 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
         raise ValueError("directions must be unit length")
     if radius <= 0 or 1.1 * radius > g.half_width:
         raise ValueError("need 1.1 * radius inside the grid")
-    at = _fields.complex_interpolator(g, u_sc.values)
+    at = RegularGridInterpolator((g.axis(),) * g.dim, u_sc.values)
 
     def amp(R):
         return R ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * R) * at(R * dirs)

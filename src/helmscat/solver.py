@@ -6,7 +6,7 @@ with contraction certificates and the linear a priori sup bound.
 
 The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
 started at phi (or a caller-supplied warm start).  When an update increases
-the residual the damping theta is halved, down to a floor of 1/16.  A sup
+the residual the damping theta is halved, down to min(1/16, damping).  A sup
 norm beyond the divergence cap stops the run with partial data, and so does
 an iterate whose map overflows float64 (the last finite iterate is
 returned): both end with status "diverged".
@@ -63,13 +63,14 @@ __all__ = [
     "linear_bound_check",
 ]
 
+_DAMPING_FLOOR = 1.0 / 16.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 200
     tol: float = 1e-10
     damping: float = 1.0
-    damping_floor: float = 1.0 / 16.0
     adapt_damping: bool = True
     divergence_cap: float = 1e6
     compute_radiation: bool = True
@@ -81,8 +82,6 @@ class SolverConfig:
             raise ValueError("max_iters must be >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not 0.0 < self.damping_floor <= self.damping:
-            raise ValueError("damping_floor must lie in (0, damping]")
         if self.tol <= 0.0 or self.divergence_cap <= 0.0:
             raise ValueError("tol and divergence_cap must be > 0")
 
@@ -156,9 +155,8 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
             break
         cand = (1.0 - theta) * u.values + theta * mapped.values
         res = float(np.max(np.abs(cand - u.values)))
-        while (cfg.adapt_damping and res > prev_res
-               and theta > cfg.damping_floor):
-            theta = max(0.5 * theta, cfg.damping_floor)
+        while cfg.adapt_damping and res > prev_res and theta > _DAMPING_FLOOR:
+            theta = max(0.5 * theta, _DAMPING_FLOOR)
             cand = (1.0 - theta) * u.values + theta * mapped.values
             res = float(np.max(np.abs(cand - u.values)))
         u = ComplexField(u.grid, cand)

@@ -248,7 +248,7 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
         raise ValueError("radii must lie in (0, half_width]")
     h = g.spacing
     dirs, wts = sphere_quadrature(g.dim)
-    trace = sphere_trace(g, u.values, np.gradient(u.values, h, edge_order=2), dirs)
+    _, trace = sphere_trace(g, u.values, dirs)
 
     support_radius = 0.0
     if Q is not None:

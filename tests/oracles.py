@@ -6,7 +6,11 @@ maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
 full_kernel_table, radial_transform_panels and full_fft_convolve, the
 plain loops and the whole-box transform that the library's mirrored kernel
 table, batched radial transform and pruned FFT convolution replace; the
-fast paths must reproduce them bit for bit.  nonlinearity_derivative (checked
+fast paths must reproduce them bit for bit.  split_interpolator and
+split_sphere_trace are the real/imaginary split that the library's single
+complex interpolant over u and its gradient replaces; 3D sphere diagnostics
+must reproduce them bit for bit, and 2D ones, where scipy's real-valued 2D
+fast path took the split, to roundoff.  nonlinearity_derivative (checked
 against finite differences) and verify_brackets (a sign-change check of the
 library's zero tables) came from the library, where no path called them.
 """
@@ -17,6 +21,7 @@ import math
 
 import numpy as np
 from scipy import fft
+from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma, jv, yv
 
 
@@ -217,6 +222,31 @@ def embed_field(fld, outer):
     out = np.zeros(outer.shape, dtype=complex)
     out[(slice(n, n + fld.grid.points_per_axis),) * outer.dim] = fld.values
     return ComplexField(outer, out)
+
+
+def split_interpolator(axes, values):
+    """Multilinear interpolant of complex grid values as two real
+    RegularGridInterpolators, one per part; called like the
+    RegularGridInterpolator constructor on the grid axes."""
+    re = RegularGridInterpolator(axes, values.real)
+    im = RegularGridInterpolator(axes, values.imag)
+    return lambda pts: re(pts) + 1j * im(pts)
+
+
+def split_sphere_trace(grid, values, dirs):
+    """fields.sphere_trace with the gradient of every axis in one np.gradient
+    call and a split interpolator per component: 2 (dim + 1) real
+    interpolants, each called once per radius."""
+    grads = np.gradient(values, grid.spacing, edge_order=2)
+    axes = (grid.axis(),) * grid.dim
+    u_at = split_interpolator(axes, values)
+    grad_at = [split_interpolator(axes, gc) for gc in grads]
+
+    def trace(R):
+        pts = R * dirs
+        return u_at(pts), sum(d * g_at(pts) for d, g_at in zip(dirs.T, grad_at))
+
+    return grads, trace
 
 
 def full_fft_convolve(src: np.ndarray, spectrum: np.ndarray, box, m: int) -> np.ndarray:

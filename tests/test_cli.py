@@ -148,6 +148,17 @@ class TestSolve:
         rep = json.loads((out / "solve_report.json").read_text())
         assert rep["status"] == "diverged" and rep["final_residual"] is None
 
+    def test_damping_below_adaptive_floor_is_kept(self, tmp_path):
+        # the schema admits any damping in (0, 1]; one below the adaptive
+        # floor of 1/16 is kept, not rejected
+        cfg = base_config()
+        cfg["solver"]["damping"] = 0.05
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) != 2
+        rep = json.loads((out / "solve_report.json").read_text())
+        assert rep["damping_used"] == 0.05
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helmscat import solver
 from helmscat.continuation import (
     Branch,
     BranchPoint,
@@ -117,6 +118,26 @@ class TestBranch:
                                  scfg=SolverConfig(), rcfg=rcfg)
         assert branch.final_field is not None
         assert branch.final_field.sup_norm == branch.points[-1].sup_norm
+
+    def test_branch_solves_skip_radiation_and_certificate(self, monkeypatch):
+        # no caller reads a branch point's radiation report or certificate,
+        # so the solves compute neither, whatever the solver config asks
+        calls = []
+        for name in ("radiation_report", "contraction_certificate"):
+            monkeypatch.setattr(solver, name,
+                                lambda *a, name=name, **kw: calls.append(name))
+        rcfg = small_rcfg()
+        f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.5), p=3.0,
+                                   alpha=ALPHA)
+        reports = []
+        branch = continue_branch(f, plane_phi(rcfg.eval_grid), K_REF, lambda_max=1.0,
+                                 scfg=SolverConfig(certify=True), rcfg=rcfg,
+                                 callback=lambda lam, u, rep: reports.append(rep))
+        assert branch.terminated_reason == "reached_lambda_max"
+        assert calls == []
+        assert len(reports) == len(branch.points) >= 2
+        assert all(rep.radiation is None and rep.contraction_certificate is None
+                   for rep in reports[1:])
 
     def test_nonpower_kind_rejected(self):
         rcfg = small_rcfg()

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
-from helmscat import fields
+from helmscat import fields, resolvent, verify
 from helmscat.fields import ComplexField, Grid, IncidentWave, NonlinearitySpec
-from oracles import discrete_laplacian, embed_field, nonlinearity_derivative
+from oracles import (
+    discrete_laplacian,
+    embed_field,
+    nonlinearity_derivative,
+    split_interpolator,
+    split_sphere_trace,
+)
 
 
 def small_grid(dim=3, L=2.0, m=9):
@@ -148,10 +155,108 @@ class TestSphereQuadrature:
         a = np.array([0.7 - 0.2j, -1.1 + 0.5j, 0.3j][:dim])
         u = sum(ai * x for ai, x in zip(a, g.meshgrid())) + (0.4 - 0.9j)
         dirs, _ = fields.sphere_quadrature(dim)
-        trace = fields.sphere_trace(g, u, np.gradient(u, g.spacing, edge_order=2), dirs)
+        grads, trace = fields.sphere_trace(g, u, dirs)
         uv, du_dr = trace(1.3)
         np.testing.assert_allclose(uv, 1.3 * dirs @ a + (0.4 - 0.9j), atol=1e-13)
         np.testing.assert_allclose(du_dr, dirs @ a, atol=1e-13)
+        for gc, ai in zip(grads, a):
+            np.testing.assert_allclose(gc, ai, atol=1e-13)
+
+
+def wave_field(grid, k=1.3):
+    """Smooth complex test field: an outgoing spherical wave plus a plane
+    wave along the first axis."""
+    r = grid.radius()
+    return (np.exp(1j * k * r) / np.sqrt(1.0 + r * r)
+            + 0.3 * np.exp(1j * k * grid.meshgrid()[0]))
+
+
+def assert_matches_oracle(got, ref, dim, scale=None):
+    """Bit for bit in 3D; in 2D within 2e-15 of scale (default: each
+    reference value's magnitude)."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    if dim == 3:
+        assert np.array_equal(got, ref)
+    else:
+        bound = 2e-15 * (np.abs(ref) if scale is None else scale)
+        assert np.all(np.abs(got - ref) <= bound)
+
+
+class TestSphereTrace:
+    POINTS = {2: 33, 3: 17}
+    RADII = (0.5, 1.0, 1.5)
+    K = 1.3
+
+    def field(self, dim):
+        g = small_grid(dim=dim, m=self.POINTS[dim])
+        return ComplexField(g, wave_field(g, self.K))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_split_oracle(self, dim):
+        u = self.field(dim)
+        g = u.grid
+        dirs, _ = fields.sphere_quadrature(dim)
+        grads, trace = fields.sphere_trace(g, u.values, dirs)
+        ref_grads, ref_trace = split_sphere_trace(g, u.values, dirs)
+        for gc, rc in zip(grads, ref_grads, strict=True):
+            assert np.array_equal(gc, rc)
+        for R in self.RADII:
+            for got, ref in zip(trace(R), ref_trace(R)):
+                assert_matches_oracle(got, ref, dim)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diagnostics_match_split_oracle(self, dim, monkeypatch):
+        u = self.field(dim)
+        dirs, _ = fields.sphere_quadrature(dim)
+
+        def diagnostics():
+            return (resolvent.radiation_report(u, self.K, self.RADII),
+                    verify.energy_identity(u, self.K, radii=self.RADII),
+                    resolvent.far_field(u, self.K, dirs, self.RADII[-1]))
+
+        rad, flux, ff = diagnostics()
+        monkeypatch.setattr(fields, "sphere_trace", split_sphere_trace)
+        monkeypatch.setattr(verify, "sphere_trace", split_sphere_trace)
+        monkeypatch.setattr(resolvent, "RegularGridInterpolator", split_interpolator)
+        ref_rad, ref_flux, ref_ff = diagnostics()
+
+        # the ball average reads the gradient only, which is the same array
+        assert rad.averaged_residual == ref_rad.averaged_residual
+        assert_matches_oracle(rad.pointwise_residual, ref_rad.pointwise_residual, dim)
+        # the flux is a cancelling sum: compare it on the scale of its terms,
+        # area * max|u| * max|d_r u| per shell
+        _, wts = fields.sphere_quadrature(dim)
+        terms = [R ** (dim - 1) * np.sum(wts) * s["shell_max"] * s["shell_grad_max"]
+                 for R, s in zip(self.RADII, ref_flux.context["shells"])]
+        assert_matches_oracle(flux.flux_imag, ref_flux.flux_imag, dim, scale=max(terms))
+        assert_matches_oracle(flux.quad_tol, ref_flux.quad_tol, dim)
+        scale = np.max(np.abs(ref_ff.amplitude))
+        assert_matches_oracle(ff.amplitude, ref_ff.amplitude, dim, scale=scale)
+        assert_matches_oracle(ff.convergence_indicator, ref_ff.convergence_indicator,
+                              dim, scale=scale)
+
+    def test_one_interpolant_per_diagnostic(self, monkeypatch):
+        built, calls = [], []
+        init, call = RegularGridInterpolator.__init__, RegularGridInterpolator.__call__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_call(self, *args, **kwargs):
+            calls.append(1)
+            return call(self, *args, **kwargs)
+
+        monkeypatch.setattr(RegularGridInterpolator, "__init__", counting_init)
+        monkeypatch.setattr(RegularGridInterpolator, "__call__", counting_call)
+        u = self.field(3)
+        dirs, _ = fields.sphere_quadrature(3)
+        resolvent.radiation_report(u, self.K, self.RADII)
+        assert (len(built), len(calls)) == (1, len(self.RADII))
+        resolvent.far_field(u, self.K, dirs, self.RADII[-1])
+        assert (len(built), len(calls)) == (2, len(self.RADII) + 2)
+        verify.energy_identity(u, self.K, radii=self.RADII)
+        assert (len(built), len(calls)) == (3, 2 * len(self.RADII) + 2)
 
 
 class TestIncidentWaves:
