@@ -64,7 +64,7 @@ from .resolvent import (
     far_field,
     radiation_report,
 )
-from .solver import SolverConfig, picard_solve
+from .solver import SolverConfig, diagnose, picard_solve
 from .verify import (
     defocusing_inequalities,
     energy_identity,
@@ -140,7 +140,6 @@ CONFIG_SCHEMA = {
                             "maximum": 1},
                 "adapt_damping": {"type": "boolean"},
                 "divergence_cap": {"type": "number", "exclusiveMinimum": 0},
-                "compute_radiation": {"type": "boolean"},
                 "certify": {"type": "boolean"},
             },
             "additionalProperties": False,
@@ -151,8 +150,6 @@ CONFIG_SCHEMA = {
                 "lambda_max": {"type": "number", "exclusiveMinimum": 0},
                 "initial_step": {"type": "number", "exclusiveMinimum": 0},
                 "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "growth": {"type": "number", "exclusiveMinimum": 1},
-                "grow_after": {"type": "integer", "minimum": 1},
                 "floor_factor": {"type": "number", "exclusiveMinimum": 0},
                 "max_solves": {"type": "integer", "minimum": 1},
             },
@@ -376,18 +373,20 @@ def _build_problem(cfg: dict) -> _Problem:
     return _Problem(k=float(pr["k"]), alpha=alpha, rcfg=rcfg, f=f, phi=phi)
 
 
-def _solver_config(cfg: dict, seed: int) -> SolverConfig:
+def _solver_config(cfg: dict) -> SolverConfig:
+    """The solver block without ``certify``, which only ``solve`` reads."""
+    block = {k: v for k, v in cfg.get("solver", {}).items() if k != "certify"}
     try:
-        return SolverConfig(seed=seed, **cfg.get("solver", {}))
+        return SolverConfig(**block)
     except (TypeError, ValueError) as e:
         raise ConfigError(str(e)) from e
 
 
-def _solve(cfg: dict, seed: int):
+def _solve(cfg: dict):
     """Build the config's problem and solve it: (problem, field, report,
     manifest tolerances)."""
     prob = _build_problem(cfg)
-    scfg = _solver_config(cfg, seed)
+    scfg = _solver_config(cfg)
     u, rep = picard_solve(prob.f, prob.phi, prob.k, scfg, prob.rcfg)
     return prob, u, rep, {"solver_tol": scfg.tol}
 
@@ -399,7 +398,9 @@ def _write_field(path: str, fld: ComplexField, k: float):
 # -- action runners -----------------------------------------------------------
 
 def _run_solve(cfg: dict, out: str, seed: int):
-    prob, u, rep, tolerances = _solve(cfg, seed)
+    prob, u, rep, tolerances = _solve(cfg)
+    rep = diagnose(prob.f, prob.phi, prob.k, prob.rcfg, u, rep,
+                   certify=cfg.get("solver", {}).get("certify", False), seed=seed)
     _write_field(os.path.join(out, "field.cfld"), u, prob.k)
     report = rep.as_dict()
     report["sup_norm"] = u.sup_norm
@@ -418,7 +419,7 @@ def _run_continue(cfg: dict, out: str, seed: int):
     cc = dict(cfg["continuation"])
     lam_max = float(cc.pop("lambda_max"))
     prob = _build_problem(cfg)
-    scfg = _solver_config(cfg, seed)
+    scfg = _solver_config(cfg)
     try:
         stepcfg = StepConfig(**cc)
         branch = continue_branch(prob.f, prob.phi, prob.k, lam_max, scfg,
@@ -468,7 +469,7 @@ def _run_kappa(cfg: dict, out: str, seed: int):
 
 
 def _run_farfield(cfg: dict, out: str, seed: int):
-    prob, u, rep, tolerances = _solve(cfg, seed)
+    prob, u, rep, tolerances = _solve(cfg)
     if not rep.converged:
         return EXIT_DIVERGED, [], tolerances
     ff_cfg = cfg.get("farfield", {})
@@ -536,7 +537,7 @@ def _run_verify(cfg: dict, out: str, seed: int, mode: str):
         return (EXIT_BREACH if breach else EXIT_OK), [name], {"value_tol": tol}
 
     # the remaining modes check an actual solve
-    prob, u, rep, tolerances = _solve(cfg, seed)
+    prob, u, rep, tolerances = _solve(cfg)
     if not rep.converged:
         return EXIT_DIVERGED, [], tolerances
 

@@ -11,7 +11,8 @@ consecutive successful solves (capped), halved on failure, floor at
     step_floor          the step floor was hit with a stagnating solver.
 
 The branch keeps the final field only; a callback receives every accepted
-field as the march goes.  Branch solves skip radiation and certificates.
+field as the march goes.  Branch solves are plain picard_solve calls, so
+their reports carry no radiation report and no certificate.
 
 blowup_probe fits the trailing branch points to the blow-up model
 
@@ -27,7 +28,7 @@ blow-up instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -46,12 +47,15 @@ __all__ = [
 ]
 
 
+# the step doubles after two consecutive easy solves
+_GROWTH = 2.0
+_GROW_AFTER = 2
+
+
 @dataclass(frozen=True)
 class StepConfig:
     initial_step: float | None = None  # default lambda_max / 16
     max_step: float | None = None      # default lambda_max / 4
-    growth: float = 2.0
-    grow_after: int = 2
     floor_factor: float = 1e-4
     max_solves: int = 1000
 
@@ -62,8 +66,6 @@ class StepConfig:
             raise ValueError("max_step must be > 0")
         if self.max_solves < 1:
             raise ValueError("max_solves must be >= 1")
-        if self.growth < 1.0 or self.grow_after < 1:
-            raise ValueError("growth must be >= 1 and grow_after >= 1")
         if not 0.0 < self.floor_factor < 1.0:
             raise ValueError("floor_factor must lie in (0, 1)")
 
@@ -105,8 +107,7 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
 
     callback(lam, u, report), when given, runs after every accepted point
     (and first at lam = 0 with the zero field and no report); it is how a
-    caller keeps the fields along the branch.  Whatever scfg asks, the
-    reports carry no radiation report and no certificate.
+    caller keeps the fields along the branch.
     """
     if lambda_max <= 0.0:
         raise ValueError("lambda_max must be > 0")
@@ -120,7 +121,6 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
     max_step = stepcfg.max_step if stepcfg.max_step is not None else lambda_max / 4.0
     floor = stepcfg.floor_factor * lambda_max
     easy_iters = max(1, scfg.max_iters // 4)
-    point_cfg = replace(scfg, compute_radiation=False, certify=False)
 
     points = [BranchPoint(lam=0.0, sup_norm=0.0, residual=0.0)]
     u_prev = zero
@@ -137,7 +137,7 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
         step = min(step, lambda_max - lam)
         trial = lam + step
         u0 = u_prev + phi * (trial - lam)
-        u, rep = picard_solve(f, phi * trial, k, point_cfg, rcfg, u0=u0)
+        u, rep = picard_solve(f, phi * trial, k, scfg, rcfg, u0=u0)
         solves += 1
         if rep.converged:
             points.append(BranchPoint(lam=trial, sup_norm=u.sup_norm,
@@ -148,8 +148,8 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
             u_prev = u
             lam = trial
             easy = easy + 1 if rep.iterations < easy_iters else 0
-            if easy >= stepcfg.grow_after:
-                step = min(step * stepcfg.growth, max_step)
+            if easy >= _GROW_AFTER:
+                step = min(step * _GROWTH, max_step)
                 easy = 0
         else:
             easy = 0

@@ -61,7 +61,6 @@ class Grid:
     dim: int
     half_width: float
     points_per_axis: int
-    max_points: int = DEFAULT_MAX_POINTS
 
     def __post_init__(self):
         if self.dim not in (2, 3):
@@ -70,10 +69,10 @@ class Grid:
             raise ValueError("half_width must be finite and > 0")
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
-        if self.points_per_axis ** self.dim > self.max_points:
+        if self.points_per_axis ** self.dim > DEFAULT_MAX_POINTS:
             raise ValueError(
                 f"grid of {self.points_per_axis}^{self.dim} points exceeds "
-                f"the memory cap of {self.max_points} points")
+                f"the memory cap of {DEFAULT_MAX_POINTS} points")
 
     @property
     def spacing(self) -> float:

@@ -105,7 +105,7 @@ class ResolventConfig:
         # the spectrum LRU holds _SPECTRA spectra of at most
         # next_fast_len(2m - 1) cells per axis
         n = fft.next_fast_len(2 * self.eval_grid.points_per_axis - 1)
-        if _SPECTRA * n ** self.eval_grid.dim > self.eval_grid.max_points * 8:
+        if _SPECTRA * n ** self.eval_grid.dim > _fields.DEFAULT_MAX_POINTS * 8:
             raise ValueError("cached kernel spectra exceed the memory cap")
 
     @classmethod
@@ -118,7 +118,6 @@ class ResolventConfig:
             dim=source_grid.dim,
             half_width=source_grid.half_width + pad_cells * h,
             points_per_axis=source_grid.points_per_axis + 2 * pad_cells,
-            max_points=source_grid.max_points,
         )
         return cls(source_grid=source_grid, eval_grid=eval_grid)
 

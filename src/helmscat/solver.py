@@ -22,17 +22,21 @@ kappa_hat ||a||_alpha < 1 the solution obeys
 
 checked by linear_bound_check.  On matching grids the kappa estimate is the
 exact norm bound of the truncated discrete operator, so the margin is
-nonnegative up to roundoff.  A certified solve of the affine kind that ends
-converged runs this check with the kappa estimate of its contraction
-certificate; a void bound (kappa_hat ||a||_alpha >= 1) adds no check, and a
-run that does not converge gets none, since the bound holds for solutions,
-not iterates.
+nonnegative up to roundoff.
+
+picard_solve only solves: its report holds the iteration record and the
+final residual.  diagnose tests a solution and attaches the results to that
+report: the radiation report of u - phi and, for a certified solve, the
+contraction certificate and, when an affine solve converged, the a priori
+bound with the certificate's kappa estimate.  A void bound
+(kappa_hat ||a||_alpha >= 1) adds no check, and a run that does not
+converge gets none, since the bound holds for solutions, not iterates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -59,6 +63,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "picard_solve",
+    "diagnose",
     "contraction_certificate",
     "linear_bound_check",
 ]
@@ -73,9 +78,6 @@ class SolverConfig:
     damping: float = 1.0
     adapt_damping: bool = True
     divergence_cap: float = 1e6
-    compute_radiation: bool = True
-    certify: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -99,27 +101,11 @@ class SolveReport:
     radiation: RadiationReport | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "converged": self.converged,
-            "status": self.status,
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "final_residual": self.final_residual,
-            "damping_used": self.damping_used,
-        }
-        if self.contraction_certificate is not None:
-            out["contraction_certificate"] = dict(self.contraction_certificate)
-        if self.bound_checks:
-            out["bound_checks"] = [bc.__dict__ for bc in self.bound_checks]
-        if self.radiation is not None:
-            r = self.radiation
-            out["radiation"] = {
-                "radii": list(r.radii),
-                "averaged_residual": list(r.averaged_residual),
-                "pointwise_residual": list(r.pointwise_residual),
-                "inner_radius": r.inner_radius,
-                "monotone_decreasing": r.monotone_decreasing,
-            }
+        """The report as plain data, without the diagnostics it lacks."""
+        out = asdict(self)
+        for name in ("contraction_certificate", "bound_checks", "radiation"):
+            if not out[name]:
+                del out[name]
         return out
 
 
@@ -170,25 +156,9 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
             break
 
     final_residual = None
-    radiation = None
-    certificate = None
-    bound_checks = ()
     if status != "diverged":
         final_residual = float(np.max(np.abs(
             _apply_map(f, phi, k, rcfg, u).values - u.values)))
-        if cfg.compute_radiation:
-            radiation = radiation_report(u - phi, k,
-                                         default_radii(rcfg.eval_grid.half_width))
-        if cfg.certify:
-            kappa = estimate_kappa(f.alpha, rcfg, k)
-            cap = 1.05 * max(u.sup_norm, phi.sup_norm, 1e-12)
-            certificate = contraction_certificate(f, kappa, cap, seed=cfg.seed)
-            if f.kind == "affine" and status == "converged":
-                try:
-                    bound_checks = (linear_bound_check(f, phi, u, kappa),)
-                except ValueError:
-                    pass  # kappa_hat ||a||_alpha >= 1: void, not breached
-
     report = SolveReport(
         converged=(status == "converged"),
         status=status,
@@ -196,11 +166,31 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
         residual_history=tuple(history),
         final_residual=final_residual,
         damping_used=theta,
-        contraction_certificate=certificate,
-        bound_checks=bound_checks,
-        radiation=radiation,
     )
     return u, report
+
+
+def diagnose(f: NonlinearitySpec, phi: ComplexField, k: float,
+             rcfg: ResolventConfig, u: ComplexField, report: SolveReport,
+             certify: bool = False, seed: int = 0) -> SolveReport:
+    """report with the checks of the solution u attached; a diverged report
+    comes back as it is."""
+    if report.status == "diverged":
+        return report
+    radiation = radiation_report(u - phi, k, default_radii(rcfg.eval_grid.half_width))
+    if not certify:
+        return replace(report, radiation=radiation)
+    kappa = estimate_kappa(f.alpha, rcfg, k)
+    cap = 1.05 * max(u.sup_norm, phi.sup_norm, 1e-12)
+    certificate = contraction_certificate(f, kappa, cap, seed=seed)
+    bound_checks = ()
+    if f.kind == "affine" and report.converged:
+        try:
+            bound_checks = (linear_bound_check(f, phi, u, kappa),)
+        except ValueError:
+            pass  # kappa_hat ||a||_alpha >= 1: void, not breached
+    return replace(report, radiation=radiation,
+                   contraction_certificate=certificate, bound_checks=bound_checks)
 
 
 def contraction_certificate(f: NonlinearitySpec, kappa: KappaEstimate,

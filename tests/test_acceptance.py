@@ -29,7 +29,7 @@ from helmscat.resolvent import (
     estimate_kappa,
     radiation_report,
 )
-from helmscat.solver import SolverConfig, linear_bound_check, picard_solve
+from helmscat.solver import SolverConfig, diagnose, linear_bound_check, picard_solve
 from helmscat.specfun import (
     FundamentalSolutionParams,
     bessel_j,
@@ -128,8 +128,8 @@ def test_04_contraction_behavior(report):
     f = NonlinearitySpec.power(_bump(g, -0.2, width=2.0, cutoff=1.5), p=3.0,
                                alpha=3.0)
     phi = _plane(g)
-    u, rep = picard_solve(f, phi, 1.0, SolverConfig(tol=1e-10, certify=True),
-                          rcfg)
+    u, rep = picard_solve(f, phi, 1.0, SolverConfig(tol=1e-10), rcfg)
+    rep = diagnose(f, phi, 1.0, rcfg, u, rep, certify=True)
     cert = rep.contraction_certificate
     hist = rep.residual_history
     ratios = [hist[i + 1] / hist[i] for i in range(2, len(hist) - 1)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from helmscat import solver
+from helmscat import cli, solver
 from helmscat.cli import _parser, main, reconstruct_time_field
 from helmscat.fields import BoundCheck, Grid, IncidentWave, load_field, make_incident
 
@@ -32,6 +32,31 @@ def affine_config():
         "b": {"type": "radial_bump", "amplitude": 0.3}})
     cfg["solver"]["certify"] = True
     return cfg
+
+
+def certified_config():
+    cfg = base_config()
+    cfg["solver"]["certify"] = True
+    return cfg
+
+
+@pytest.fixture
+def diagnostics(monkeypatch):
+    """Call counts of the radiation reports and certificates made through
+    helmscat.solver, and of the radiation reports made through helmscat.cli;
+    each call still runs."""
+    calls = {}
+    for module, name in ((solver, "radiation_report"),
+                         (solver, "contraction_certificate"),
+                         (cli, "radiation_report")):
+        key = f"{module.__name__.split('.')[-1]}.{name}"
+        calls[key] = 0
+
+        def counted(*a, key=key, fn=getattr(module, name), **kw):
+            calls[key] += 1
+            return fn(*a, **kw)
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -89,10 +114,13 @@ class TestSolve:
         assert ((outs[0] / "field.cfld").read_bytes()
                 == (outs[1] / "field.cfld").read_bytes())
 
-    def test_certified_affine_solve_reports_bound(self, tmp_path):
+    def test_certified_affine_solve_reports_bound(self, tmp_path, diagnostics):
         cp = write_config(tmp_path, affine_config())
         out = tmp_path / "run"
         assert main(["solve", "--config", cp, "--out", str(out)]) == 0
+        assert diagnostics == {"solver.radiation_report": 1,
+                               "solver.contraction_certificate": 1,
+                               "cli.radiation_report": 0}
         rep = json.loads((out / "solve_report.json").read_text())
         [check] = rep["bound_checks"]
         assert check["name"] == "linear_sup_bound"
@@ -183,6 +211,9 @@ class TestConfigErrors:
         lambda c: c.update(verify={"freq_count": 7}),
         lambda c: c.update(continuation={"lambda_max": 1.0, "store_at": [1.0]}),
         lambda c: c["problem"]["incident"].update(direction=[0.6, 0.8]),
+        lambda c: c["solver"].update(compute_radiation=False),
+        lambda c: c.update(continuation={"lambda_max": 1.0, "growth": 2.0}),
+        lambda c: c.update(continuation={"lambda_max": 1.0, "grow_after": 2}),
     ])
     def test_schema_and_semantic_rejects(self, tmp_path, mangle):
         cfg = base_config()
@@ -261,10 +292,15 @@ class TestKappaFarfield:
         assert est["tau_alpha"] > 0.0
         assert est["grid"] == {"dim": 3, "L": 2.0, "M": 10}
 
-    def test_farfield_tables(self, tmp_path):
-        cp = write_config(tmp_path, base_config())
+    def test_farfield_tables(self, tmp_path, diagnostics):
+        # the solve behind farfield is not diagnosed, even when certify is
+        # set; farfield makes its own report at its own radii
+        cp = write_config(tmp_path, certified_config())
         out = tmp_path / "run"
         assert main(["farfield", "--config", cp, "--out", str(out)]) == 0
+        assert diagnostics == {"solver.radiation_report": 0,
+                               "solver.contraction_certificate": 0,
+                               "cli.radiation_report": 1}
         header, rows = read_csv(out / "radiation.csv")
         assert header == ["radius", "averaged_residual", "pointwise_residual"]
         assert len(rows) == 3
@@ -316,20 +352,22 @@ class TestVerifyModes:
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "verification_breach"
 
-    def test_energy_on_solve(self, tmp_path):
-        cp = write_config(tmp_path, base_config())
+    def test_energy_on_solve(self, tmp_path, diagnostics):
+        cp = write_config(tmp_path, certified_config())
         out = tmp_path / "run"
         assert main(["verify", "energy", "--config", cp,
                      "--out", str(out)]) == 0
+        assert set(diagnostics.values()) == {0}
         res = json.loads((out / "verify_energy.json").read_text())
         assert not res["breach"]
         assert len(res["flux_imag"]) == 3
 
-    def test_defocusing_pass_and_breach(self, tmp_path):
-        cp = write_config(tmp_path, base_config())
+    def test_defocusing_pass_and_breach(self, tmp_path, diagnostics):
+        cp = write_config(tmp_path, certified_config())
         out = tmp_path / "ok"
         assert main(["verify", "defocusing", "--config", cp,
                      "--out", str(out)]) == 0
+        assert set(diagnostics.values()) == {0}
         res = json.loads((out / "verify_defocusing.json").read_text())
         assert [c["name"] for c in res["checks"]] == [
             "defocusing_first_bound", "weighted_mass_p_minus_1",

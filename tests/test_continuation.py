@@ -121,7 +121,7 @@ class TestBranch:
 
     def test_branch_solves_skip_radiation_and_certificate(self, monkeypatch):
         # no caller reads a branch point's radiation report or certificate,
-        # so the solves compute neither, whatever the solver config asks
+        # so the solves compute neither
         calls = []
         for name in ("radiation_report", "contraction_certificate"):
             monkeypatch.setattr(solver, name,
@@ -131,7 +131,7 @@ class TestBranch:
                                    alpha=ALPHA)
         reports = []
         branch = continue_branch(f, plane_phi(rcfg.eval_grid), K_REF, lambda_max=1.0,
-                                 scfg=SolverConfig(certify=True), rcfg=rcfg,
+                                 scfg=SolverConfig(), rcfg=rcfg,
                                  callback=lambda lam, u, rep: reports.append(rep))
         assert branch.terminated_reason == "reached_lambda_max"
         assert calls == []

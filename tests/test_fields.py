@@ -39,7 +39,10 @@ class TestGrid:
     def test_memory_cap(self):
         with pytest.raises(ValueError, match="memory cap"):
             Grid(dim=3, half_width=1.0, points_per_axis=300)
-        Grid(dim=3, half_width=1.0, points_per_axis=300, max_points=300 ** 3)
+        # 161^3 fits under DEFAULT_MAX_POINTS = 2^22, 162^3 does not
+        Grid(dim=3, half_width=1.0, points_per_axis=161)
+        with pytest.raises(ValueError, match="memory cap"):
+            Grid(dim=3, half_width=1.0, points_per_axis=162)
 
     @pytest.mark.parametrize("kw", [
         dict(dim=4, half_width=1.0, points_per_axis=5),

@@ -56,7 +56,7 @@ class TestConfig:
             rv.ResolventConfig(source_grid=src, eval_grid=ev)
 
     def test_memory_cap_counts_cached_spectra(self):
-        # four spectra of next_fast_len(2M - 1)^3 cells against 8 max_points:
+        # four spectra of next_fast_len(2M - 1)^3 cells against 8 DEFAULT_MAX_POINTS:
         # 4 * 200^3 fits under 8 * 2^22, 4 * 216^3 does not
         rv.ResolventConfig.padded(Grid(dim=3, half_width=2.0, points_per_axis=100), 0)
         big = Grid(dim=3, half_width=2.0, points_per_axis=101)

@@ -9,10 +9,12 @@ from helmscat.fields import (
     make_incident,
     weighted_norm,
 )
+from helmscat import solver
 from helmscat.resolvent import ResolventConfig, estimate_kappa
 from helmscat.solver import (
     SolverConfig,
     contraction_certificate,
+    diagnose,
     linear_bound_check,
     picard_solve,
 )
@@ -126,6 +128,8 @@ class TestPicard:
         assert rep.final_residual is None
         assert rep.radiation is None
         assert len(rep.residual_history) == rep.iterations
+        # a diverged report comes back as it is
+        assert diagnose(f, phi, K_REF, rcfg, u, rep, certify=True) is rep
 
     def test_non_finite_iterate_diverges(self):
         # a cap no finite field exceeds: f(u) overflows float64 first, which
@@ -158,7 +162,8 @@ class TestPicard:
         rcfg = small_rcfg()
         f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.3), p=3.0, alpha=ALPHA)
         phi = plane_phi(rcfg.eval_grid)
-        _, rep = picard_solve(f, phi, K_REF, SolverConfig(), rcfg)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(), rcfg)
+        rep = diagnose(f, phi, K_REF, rcfg, u, rep)
         assert rep.radiation is not None
         assert len(rep.radiation.radii) == 3
         assert all(np.isfinite(rep.radiation.averaged_residual))
@@ -167,11 +172,36 @@ class TestPicard:
         rcfg = small_rcfg()
         f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.2), p=3.0, alpha=ALPHA)
         phi = plane_phi(rcfg.eval_grid)
-        _, rep = picard_solve(f, phi, K_REF, SolverConfig(certify=True), rcfg)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(), rcfg)
+        rep = diagnose(f, phi, K_REF, rcfg, u, rep, certify=True)
         cert = rep.contraction_certificate
         assert cert is not None
         assert cert["certified"]
         assert cert["product"] == cert["kappa_hat"] * cert["ell_estimate"]
+
+    def test_solve_alone_runs_no_diagnostics(self, monkeypatch):
+        # picard_solve only solves; diagnose makes one report and, when
+        # certifying, one certificate
+        calls = []
+        for name in ("radiation_report", "contraction_certificate"):
+            fn = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *a, name=name, fn=fn, **kw:
+                                calls.append(name) or fn(*a, **kw))
+        rcfg = small_rcfg()
+        g = rcfg.source_grid
+        f = NonlinearitySpec.affine(radial_bump(g, -0.4), radial_bump(g, 0.3),
+                                    alpha=ALPHA)
+        phi = plane_phi(g)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-13), rcfg)
+        assert rep.converged
+        assert calls == []
+        assert rep.radiation is None and rep.contraction_certificate is None
+        assert rep.bound_checks == ()
+        diagnose(f, phi, K_REF, rcfg, u, rep)
+        assert calls == ["radiation_report"]
+        calls.clear()
+        diagnose(f, phi, K_REF, rcfg, u, rep, certify=True)
+        assert calls == ["radiation_report", "contraction_certificate"]
 
     def test_certificate_scales_linearly_in_coefficient(self):
         rcfg = small_rcfg()
@@ -255,13 +285,13 @@ class TestLinearBound:
         f = NonlinearitySpec.affine(radial_bump(g, -0.4), radial_bump(g, 0.3),
                                     alpha=ALPHA)
         phi = plane_phi(g)
-        u, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-13, certify=True),
-                              rcfg)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-13), rcfg)
+        rep = diagnose(f, phi, K_REF, rcfg, u, rep, certify=True)
         assert rep.converged
         want = linear_bound_check(f, phi, u, estimate_kappa(ALPHA, rcfg, K_REF))
         assert rep.bound_checks == (want,)
         assert want.name == "linear_sup_bound" and want.satisfied
-        assert rep.as_dict()["bound_checks"] == [want.__dict__]
+        assert rep.as_dict()["bound_checks"] == (want.__dict__,)
 
     @pytest.mark.parametrize("case", ["power", "uncertified", "max_iters", "void"])
     def test_no_bound_check_outside_its_scope(self, case):
@@ -271,20 +301,20 @@ class TestLinearBound:
         g = rcfg.source_grid
         f = NonlinearitySpec.affine(radial_bump(g, -0.4), radial_bump(g, 0.3),
                                     alpha=ALPHA)
-        cfg = SolverConfig(tol=1e-13, certify=True)
+        cfg = SolverConfig(tol=1e-13)
         if case == "power":
             f = NonlinearitySpec.power(radial_bump(g, -0.4), p=3.0, alpha=ALPHA)
-        elif case == "uncertified":
-            cfg = SolverConfig(tol=1e-13)
         elif case == "max_iters":
-            cfg = SolverConfig(tol=1e-13, certify=True, max_iters=1)
-        else:
+            cfg = SolverConfig(tol=1e-13, max_iters=1)
+        elif case == "void":
             # kappa_hat ||a||_alpha >> 1; a tol no residual exceeds lets the
             # first iterate end converged, so only the void bound is left
             a = ComplexField(g, np.full(g.shape, 40.0, dtype=complex))
             f = NonlinearitySpec.affine(a, ComplexField.zeros(g), alpha=ALPHA)
-            cfg = SolverConfig(certify=True, max_iters=1, tol=1e300)
-        _, rep = picard_solve(f, plane_phi(g), K_REF, cfg, rcfg)
+            cfg = SolverConfig(max_iters=1, tol=1e300)
+        phi = plane_phi(g)
+        u, rep = picard_solve(f, phi, K_REF, cfg, rcfg)
+        rep = diagnose(f, phi, K_REF, rcfg, u, rep, certify=case != "uncertified")
         assert rep.status == ("max_iters" if case == "max_iters" else "converged")
         assert rep.bound_checks == ()
         assert "bound_checks" not in rep.as_dict()
