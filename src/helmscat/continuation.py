@@ -3,8 +3,8 @@
 The family of problems is u = R_k N_f(u) + lam * phi for lam in [0, lambda_max].
 The branch starts at the exact solution (0, 0) whenever f(., 0) = 0 and marches
 with an adaptive step: warm start u_prev + (dlam) phi, step doubled after two
-consecutive successful solves (capped), halved on failure, floor at
-1e-4 * lambda_max.  Termination reasons:
+consecutive easy solves (fewer than max_iters // 4 iterations; capped),
+halved on failure, floor at 1e-4 * lambda_max.  Termination reasons:
 
     reached_lambda_max  the target amplitude was reached,
     blow_up             the step floor was hit and the last failure diverged,
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 
-# the step doubles after two consecutive easy solves
 _GROWTH = 2.0
 _GROW_AFTER = 2
 

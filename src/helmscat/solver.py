@@ -26,11 +26,12 @@ nonnegative up to roundoff.
 
 picard_solve only solves: its report holds the iteration record and the
 final residual.  diagnose tests a solution and attaches the results to that
-report: the radiation report of u - phi and, for a certified solve, the
-contraction certificate and, when an affine solve converged, the a priori
-bound with the certificate's kappa estimate.  A void bound
-(kappa_hat ||a||_alpha >= 1) adds no check, and a run that does not
-converge gets none, since the bound holds for solutions, not iterates.
+report (a diverged report comes back unchanged): the radiation report of
+u - phi and, for a certified solve, the contraction certificate and, when
+an affine solve converged, the a priori bound with the certificate's kappa
+estimate.  A void bound (kappa_hat ||a||_alpha >= 1) adds no check, and a
+run that does not converge gets none, since the bound holds for solutions,
+not iterates.
 """
 
 from __future__ import annotations
