@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .fields import ComplexField, NonlinearitySpec
 from .resolvent import ResolventConfig
@@ -199,6 +198,10 @@ def blowup_probe(branch: Branch) -> BlowupEstimate:
         if gamma <= 0.0:
             return ssr + 1e6
         return ssr
+
+    # imported here: scipy.optimize costs a fresh process about 0.2 s, and
+    # only a branch that stops short of lambda_max gets this far
+    from scipy.optimize import minimize_scalar
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12 * max(hi, 1.0)})

@@ -1,5 +1,6 @@
 """Uniform grids, complex fields, weighted sup norms, sphere quadrature and
-sphere traces, plane incident waves and pointwise nonlinearities.
+sphere traces, the one multilinear grid interpolant, the one Gauss-Legendre
+panel rule, plane incident waves and pointwise nonlinearities.
 
 Weighted norms use the bracket weight <x> = sqrt(1 + |x|^2) and
 ||w||_alpha = sup <x>^alpha |w(x)|.  The decay exponent the resolvent
@@ -18,12 +19,12 @@ critical exponent).  The affine kind is f(x, u) = a(x) u + b(x).
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 __all__ = [
     "DEFAULT_MAX_POINTS",
@@ -37,7 +38,9 @@ __all__ = [
     "tau",
     "sphere_quadrature",
     "product_gauss_sphere",
+    "grid_interpolant",
     "sphere_trace",
+    "gl_panels",
     "support_box",
     "support_diameter",
     "critical_exponent",
@@ -269,24 +272,71 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     return product_gauss_sphere(n_polar, 2 * n_polar)
 
 
+def grid_interpolant(grid: Grid, values: np.ndarray):
+    """Multilinear interpolant of values given on the grid's nodes.  values
+    has shape grid.shape + trailing, so one interpolant samples a stack of
+    fields.  Returns at(points) for points of shape (..., dim), with values
+    of shape points.shape[:-1] + trailing.  As scipy's
+    RegularGridInterpolator, which the test suite checks it against, it
+    raises ValueError for a point outside the grid."""
+    m = grid.points_per_axis
+    trailing = (np.newaxis,) * (values.ndim - grid.dim)
+
+    def at(points):
+        pts = np.asarray(points, dtype=float)
+        if not np.all(np.abs(pts) <= grid.half_width):
+            raise ValueError(f"interpolation point outside the grid "
+                             f"[-{grid.half_width}, {grid.half_width}]^{grid.dim}")
+        # fractional node index per axis; a point on the last node sits at
+        # the far face of the last cell
+        s = (pts + grid.half_width) / grid.spacing
+        lo = np.minimum(s.astype(int), m - 2)
+        frac = s - lo
+        out = 0.0
+        for corner in itertools.product((0, 1), repeat=grid.dim):
+            weight = 1.0
+            for a, c in enumerate(corner):
+                weight = weight * (frac[..., a] if c else 1.0 - frac[..., a])
+            node = tuple(lo[..., a] + c for a, c in enumerate(corner))
+            out = out + values[node] * weight[(Ellipsis,) + trailing]
+        return out
+
+    return at
+
+
 def sphere_trace(grid: Grid, values: np.ndarray, dirs: np.ndarray):
     """Centered-difference gradient of the grid values u, and the trace
     R -> (u, d_r u) at the points R * dirs.  u and the gradient components
     are written into one complex array, stacked along a last axis, which one
-    multilinear interpolant samples; the radiation and flux diagnostics read
-    u through here.  Returns (gradient components, trace), the components as
+    grid_interpolant samples; the radiation and flux diagnostics read u
+    through here.  Returns (gradient components, trace), the components as
     views into that array."""
     stack = np.empty(grid.shape + (grid.dim + 1,), dtype=complex)
     stack[..., 0] = values
     for a in range(grid.dim):
         stack[..., a + 1] = np.gradient(values, grid.spacing, axis=a, edge_order=2)
-    at = RegularGridInterpolator((grid.axis(),) * grid.dim, stack)
+    at = grid_interpolant(grid, stack)
 
     def trace(R: float):
         vals = at(R * dirs)
         return vals[:, 0], sum(d * vals[:, a + 1] for a, d in enumerate(dirs.T))
 
     return [stack[..., a + 1] for a in range(grid.dim)], trace
+
+
+# -- Gauss-Legendre panels ----------------------------------------------------
+
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+
+
+def gl_panels(fn, a, b) -> np.ndarray:
+    """32-point Gauss-Legendre integrals of fn over the panels [a_i, b_i]; fn
+    is called once, on the (P, 32) array of every panel's nodes."""
+    a = np.asarray(a, dtype=float)[:, np.newaxis]
+    b = np.asarray(b, dtype=float)[:, np.newaxis]
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half[:, 0] * np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES), axis=1)
 
 
 # -- incident waves -----------------------------------------------------------

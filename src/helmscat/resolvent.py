@@ -55,7 +55,9 @@ source, so the estimate is exact for the truncated discrete operator; an
 analytic bound on the discarded exterior integral is reported alongside.
 
 The radiation residuals read u and its gradient through fields.sphere_trace;
-far_field interpolates u alone, through one complex interpolant.
+far_field interpolates u alone, through one fields.grid_interpolant.  The
+two radial integrals, the 2D magnitude ball mass and the annulus term of
+the kappa tail bound, are Gauss-Legendre panel sums (fields.gl_panels).
 """
 
 from __future__ import annotations
@@ -65,11 +67,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft, integrate
-from scipy.interpolate import RegularGridInterpolator
+from scipy import fft
 
 from . import fields as _fields
-from .fields import ComplexField, Grid, tau, weighted_norm
+from .fields import ComplexField, Grid, gl_panels, tau, weighted_norm
 from .specfun import FundamentalSolutionParams, fundamental_solution, hankel1
 
 __all__ = [
@@ -89,6 +90,12 @@ __all__ = [
 _NEAR_QUADRATURE = 4
 # window spectra kept by the LRU of _window_spectrum
 _SPECTRA = 4
+# the 2D magnitude ball mass integrates r |H_0(k r)|, which behaves like
+# r log r at 0: panels [rho 2^-(j+1), rho 2^-j] for j < _BALL_PANELS - 1,
+# then [0, rho 2^-(_BALL_PANELS - 1)]
+_BALL_PANELS = 21
+# uniform panels for the smooth annulus integral of the kappa tail bound
+_ANNULUS_PANELS = 4
 
 
 @dataclass(frozen=True)
@@ -174,10 +181,12 @@ def _abs_ball_mass(dim: int, k: float | None, rho: float) -> float:
     if dim == 3:
         # |Phi| = 1/(4 pi r) exactly
         return 0.5 * rho**2
-    val, _ = integrate.quad(
-        lambda r: 0.25 * abs(hankel1(0.0, k * r)) * 2.0 * np.pi * r, 0.0, rho,
-        limit=200)
-    return float(val)
+    # Gauss-Legendre on panels graded geometrically toward the r log r end
+    edges = rho * 2.0 ** -np.arange(_BALL_PANELS, dtype=float)
+    lo = np.append(edges[1:], 0.0)
+    panels = gl_panels(lambda r: 0.5 * np.pi * r * np.abs(hankel1(0.0, k * r)),
+                       lo, edges)
+    return float(np.sum(panels))
 
 
 def _kernel_values(dim: int, k: float | None, r: np.ndarray, kind: str) -> np.ndarray:
@@ -307,9 +316,10 @@ def _exterior_tail_bound(alpha: float, k: float, dim: int,
     s0 = max(2.0 * rho_x, 2.0 * r0, 2.0)
     half = 0.5 * (dim + 1)
     # annulus r0 < |y| < s0 at kernel distance > 1: |Phi| <= C_k there
-    ann, _ = integrate.quad(lambda s: s ** (dim - 1) * (1.0 + s * s) ** (-0.5 * alpha),
-                            r0, s0, limit=200)
-    mid = ck * omega * ann
+    edges = np.linspace(r0, s0, _ANNULUS_PANELS + 1)
+    ann = gl_panels(lambda s: s ** (dim - 1) * (1.0 + s * s) ** (-0.5 * alpha),
+                    edges[:-1], edges[1:])
+    mid = ck * omega * float(np.sum(ann))
     # |y| >= s0 implies |x - y| >= |y|/2
     far = ck * 2.0 ** (0.5 * (dim - 1)) * omega * s0 ** (half - alpha) / (alpha - half)
     weight = (1.0 + rho_x * rho_x) ** (0.5 * tau(alpha, dim))
@@ -403,7 +413,7 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
         raise ValueError("directions must be unit length")
     if radius <= 0 or 1.1 * radius > g.half_width:
         raise ValueError("need 1.1 * radius inside the grid")
-    at = RegularGridInterpolator((g.axis(),) * g.dim, u_sc.values)
+    at = _fields.grid_interpolant(g, u_sc.values)
 
     def amp(R):
         return R ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * R) * at(R * dirs)

@@ -16,10 +16,14 @@ Every other order goes through scipy's generic jv and yv.  H^(1)_nu has
 closed forms at 1/2 and 3/2 only and goes through scipy's hankel1 otherwise.
 The test suite checks each closed form against the generic route.
 
-Zeros are never read from a table.  A sign-change scan at pi/8 spacing
-brackets each zero (consecutive positive zeros of a cylinder function are
-separated by more than 2.9, so the scan cannot skip one) and Brent's method
-polishes the bracket to near machine precision.  The scan ends at
+Zeros are never read from a table.  A sign-change scan on the lattice of
+pi/8 steps brackets each zero (consecutive positive zeros of a cylinder
+function are separated by more than 2.9, so the scan cannot skip one); the
+lattice is evaluated in one vectorized call, and every bracket is then
+bisected at once, one call per step for all brackets, until its ends are
+adjacent floats; the end where the function is smaller is the zero.  Each
+zero stays certified by its bracket.  The test suite keeps the scalar scan
+with Brent's method that this replaces as the oracle.  The scan ends at
 20000 pi/8; a count whose last zero must lie past that end, by the spacing
 bound, is rejected before any evaluation.
 
@@ -37,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 __all__ = [
     "FundamentalSolutionParams",
@@ -56,7 +60,6 @@ __all__ = [
 _SCAN_STEP = math.pi / 8.0
 _MIN_ZERO_GAP = 2.9
 _MAX_SCAN_STEPS = 20000
-_BRENT_XTOL = 1e-14
 # J_2 is summed from its power series below this argument; the terms kept
 # leave a relative remainder below 1e-17 there
 _J2_SERIES_CUT = 1.0
@@ -208,26 +211,43 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
     if (count - 1) * _MIN_ZERO_GAP >= end:
         raise ValueError(f"{count} zeros out of reach: zero {count} lies "
                          f"beyond t = {end:.6g}, where the scan ends")
-    # Walk t upward in pi/8 steps, polishing each sign-change bracket.
-    zeros: list[float] = []
-    t_prev = _SCAN_STEP
-    f_prev = fn(nu, t_prev)
-    for j in range(2, _MAX_SCAN_STEPS):
-        t = j * _SCAN_STEP
+    # The lattice t_j = j pi/8, 1 <= j < _MAX_SCAN_STEPS, is evaluated from
+    # its start, doubled until it holds count zeros: a lattice node where fn
+    # vanishes (other than the last) or a sign change between two nonzero
+    # neighbours.  Zeros are spaced by about pi = 8 steps.
+    n = min(_MAX_SCAN_STEPS - 1, 8 * count + 16 + int(nu / _SCAN_STEP))
+    while True:
+        t = np.arange(1, n + 1) * _SCAN_STEP
         f = fn(nu, t)
-        if f_prev == 0.0:
-            zeros.append(t_prev)
-        elif np.sign(f) != np.sign(f_prev) and f != 0.0:
-            z = optimize.brentq(
-                lambda x: fn(nu, x), t_prev, t,
-                xtol=_BRENT_XTOL, rtol=4 * np.finfo(float).eps,
-            )
-            zeros.append(z)
-        if len(zeros) >= count:
-            return zeros
-        t_prev, f_prev = t, f
-    raise ValueError(f"{count} zeros out of reach: the scan found "
-                     f"{len(zeros)} in {_MAX_SCAN_STEPS} steps")
+        sign = np.sign(f)
+        exact = sign[:-1] == 0.0
+        change = sign[:-1] * sign[1:] < 0.0
+        found = np.flatnonzero(exact | change)
+        if found.size >= count or n == _MAX_SCAN_STEPS - 1:
+            break
+        n = min(_MAX_SCAN_STEPS - 1, 2 * n)
+    if found.size < count:
+        raise ValueError(f"{count} zeros out of reach: the scan found "
+                         f"{found.size} in {_MAX_SCAN_STEPS} steps")
+    found = found[:count]
+    zeros = t[found]
+    bracketed = change[found]
+    brackets = found[bracketed]
+    a, b = t[brackets], t[brackets + 1]
+    fa, fb = f[brackets], f[brackets + 1]
+    # bisect every bracket at once until its ends are adjacent floats
+    while True:
+        mid = 0.5 * (a + b)
+        live = (a < mid) & (mid < b)
+        if not live.any():
+            break
+        fm = fn(nu, mid)
+        left = live & (np.sign(fa) * np.sign(fm) <= 0.0)
+        right = live & ~left
+        b, fb = np.where(left, mid, b), np.where(left, fm, fb)
+        a, fa = np.where(right, mid, a), np.where(right, fm, fa)
+    zeros[bracketed] = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    return zeros.tolist()
 
 
 @functools.lru_cache(maxsize=None)

@@ -59,6 +59,7 @@ from .fields import (
     ComplexField,
     check_defocusing_coefficient,
     critical_exponent,
+    gl_panels,
     restrict_field,
     sphere_quadrature,
     sphere_trace,
@@ -78,19 +79,8 @@ __all__ = [
     "defocusing_inequalities",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 # radial panels split at this fraction of the upper limit
 _INNER_SPLIT = 1e-4
-
-
-def _gl_panels(fn, a, b) -> np.ndarray:
-    """Gauss-Legendre integrals of fn over the panels [a_i, b_i]; fn is
-    called once, on the (P, 32) array of every panel's nodes."""
-    a = np.asarray(a, dtype=float)[:, np.newaxis]
-    b = np.asarray(b, dtype=float)[:, np.newaxis]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half[:, 0] * np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES), axis=1)
 
 
 # -- arch inequality ----------------------------------------------------------
@@ -115,8 +105,8 @@ def sturm_check(nu: float, pairs: int) -> list[SturmResult]:
         raise ValueError("pairs must be >= 1")
     zeros = np.concatenate(([0.0], j_zeros(nu, 2 * pairs).zeros))
     # J_nu keeps one sign inside each arch, so |int| = int | . |
-    arches = np.abs(_gl_panels(lambda t: np.sqrt(t) * bessel_j(nu, t),
-                               zeros[:-1], zeros[1:]))
+    arches = np.abs(gl_panels(lambda t: np.sqrt(t) * bessel_j(nu, t),
+                              zeros[:-1], zeros[1:]))
     return [SturmResult(order=nu, pair_index=m, left_integral=arches[2 * m - 2],
                         right_integral=arches[2 * m - 1])
             for m in range(1, pairs + 1)]
@@ -149,8 +139,8 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     eps = _INNER_SPLIT * upper
     nonzero = np.flatnonzero(xs)
     if nonzero.size < xs.size:
-        mass = _gl_panels(lambda s: profile(s) * s ** (dim - 1),
-                          [0.0, eps], [eps, upper])
+        mass = gl_panels(lambda s: profile(s) * s ** (dim - 1),
+                         [0.0, eps], [eps, upper])
         out[xs == 0.0] = 2.0 ** (-nu) / gamma_fn(nu + 1.0) * (mass[0] + mass[1])
     if nonzero.size == 0:
         return out
@@ -164,7 +154,7 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
             ([0.0, eps], cuts[(cuts > eps) & (cuts < upper)], [upper])))
     counts = [len(e) - 1 for e in edges]
     xi_col = np.repeat(xs[nonzero], counts)[:, np.newaxis]
-    panels = _gl_panels(
+    panels = gl_panels(
         lambda s: bessel_j(nu, s * xi_col) * profile(s) * s ** (dim / 2.0),
         np.concatenate([e[:-1] for e in edges]),
         np.concatenate([e[1:] for e in edges]))
@@ -190,8 +180,9 @@ class FourierPositivityResult:
 
 
 def fourier_positivity(dim: int, k: float, delta: float | None = None,
-                       freqs=None, tolerance: float = 1e-8) -> FourierPositivityResult:
-    """Transform of the ball-truncated real-part kernel, sampled over freqs.
+                       tolerance: float = 1e-8) -> FourierPositivityResult:
+    """Transform of the ball-truncated real-part kernel, sampled at 0 and at
+    180 frequencies geometrically spaced over [0.1, 60] / delta.
 
     delta defaults to the threshold radius z/k; below it the sampled
     transform is expected nonnegative up to quadrature error.
@@ -204,8 +195,7 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
         delta = truncation_threshold(dim) / k
     if delta <= 0.0:
         raise ValueError("delta must be > 0")
-    if freqs is None:
-        freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / delta))
+    freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / delta))
     nu = (dim - 2) / 2.0
     const = -0.25 * (k / (2.0 * math.pi)) ** nu
 
@@ -215,7 +205,7 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
     vals = radial_transform(profile, dim, delta, freqs)
     return FourierPositivityResult(
         dim=dim, k=k, delta=float(delta),
-        freqs=tuple(float(x) for x in np.atleast_1d(freqs)),
+        freqs=tuple(float(x) for x in freqs),
         values=tuple(float(v) for v in vals),
         min_value=float(np.min(vals)), tolerance=tolerance)
 

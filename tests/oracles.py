@@ -6,13 +6,17 @@ maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
 full_kernel_table, radial_transform_panels and full_fft_convolve, the
 plain loops and the whole-box transform that the library's mirrored kernel
 table, batched radial transform and pruned FFT convolution replace; the
-fast paths must reproduce them bit for bit.  split_interpolator and
-split_sphere_trace are the real/imaginary split that the library's single
-complex interpolant over u and its gradient replaces; 3D sphere diagnostics
-must reproduce them bit for bit, and 2D ones, where scipy's real-valued 2D
-fast path took the split, to roundoff.  nonlinearity_derivative (checked
-against finite differences) and verify_brackets (a sign-change check of the
-library's zero tables) came from the library, where no path called them.
+fast paths must reproduce them bit for bit.  split_interpolant and
+split_sphere_trace are the real/imaginary split, one interpolant per part
+and per component, that the library's single complex interpolant over u
+and its gradient replaces; sphere diagnostics must reproduce them.
+rgi_interpolant (scipy's RegularGridInterpolator) and brentq_zeros (a
+scalar scan with Brent's method) are the routes that the library's own
+multilinear interpolant and vectorized zero scan replace, so that no solve
+imports scipy.interpolate or scipy.optimize; these agree to roundoff.
+nonlinearity_derivative (checked against finite differences) and
+verify_brackets (a sign-change check of the library's zero tables) came
+from the library, where no path called them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import numpy as np
 from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma, jv, yv
+
+from helmscat.fields import grid_interpolant
 
 
 def j0_series(t: float, terms: int = 80) -> float:
@@ -59,6 +65,41 @@ def bisect(fn, a: float, b: float, iters: int = 200) -> float:
         else:
             a, fa = m, fm
     return 0.5 * (a + b)
+
+
+# the tolerances brentq_zeros passes to brentq: a zero x it returns lies
+# within BRENT_XTOL + BRENT_RTOL |x| of a sign change of the function
+BRENT_XTOL = 1e-14
+BRENT_RTOL = 4 * np.finfo(float).eps
+
+
+def brentq_zeros(kind: str, nu: float, count: int) -> list[float]:
+    """The first count positive zeros of J_nu ("J") or Y_nu ("Y") by the
+    scalar scan the library's vectorized one replaces: walk t upward in pi/8
+    steps and polish each sign-change bracket with scipy's brentq, to
+    BRENT_XTOL and a relative tolerance of BRENT_RTOL.  Raises ValueError
+    when the scan ends short of count."""
+    from scipy.optimize import brentq
+
+    from helmscat import specfun
+
+    fn = specfun.bessel_j if kind == "J" else specfun.bessel_y
+    zeros: list[float] = []
+    t_prev = specfun._SCAN_STEP
+    f_prev = fn(nu, t_prev)
+    for j in range(2, specfun._MAX_SCAN_STEPS):
+        t = j * specfun._SCAN_STEP
+        f = fn(nu, t)
+        if f_prev == 0.0:
+            zeros.append(t_prev)
+        elif np.sign(f) != np.sign(f_prev) and f != 0.0:
+            zeros.append(brentq(lambda x: fn(nu, x), t_prev, t,
+                                xtol=BRENT_XTOL, rtol=BRENT_RTOL))
+        if len(zeros) >= count:
+            return zeros
+        t_prev, f_prev = t, f
+    raise ValueError(f"{count} zeros out of reach: the scan found "
+                     f"{len(zeros)} in {specfun._MAX_SCAN_STEPS} steps")
 
 
 def verify_brackets(table, width: float = 1e-9) -> bool:
@@ -158,6 +199,36 @@ def full_kernel_table(cfg, k: float, kind: str) -> np.ndarray:
     return table
 
 
+def exterior_tail_bound_quad(alpha: float, k: float, dim: int,
+                             source_half_width: float,
+                             eval_half_width: float) -> float:
+    """resolvent._exterior_tail_bound with its two radial integrals, the
+    near-singularity mass of |Phi_k| over the unit ball and the annulus
+    term, by scipy's adaptive quad in place of Gauss-Legendre panels."""
+    from scipy import integrate
+
+    from helmscat.fields import tau
+    from helmscat.specfun import hankel1
+
+    rho_x = math.sqrt(dim) * eval_half_width
+    r0 = source_half_width
+    if dim == 3:
+        ck, omega, near_mass = 1.0 / (4.0 * np.pi), 4.0 * np.pi, 0.5
+    else:
+        ck, omega = 0.25 * math.sqrt(2.0 / (np.pi * k)), 2.0 * np.pi
+        near_mass = integrate.quad(
+            lambda r: 0.25 * abs(hankel1(0.0, k * r)) * 2.0 * np.pi * r,
+            0.0, 1.0, limit=200)[0]
+    near = near_mass * (1.0 + r0 * r0) ** (-0.5 * alpha)
+    s0 = max(2.0 * rho_x, 2.0 * r0, 2.0)
+    half = 0.5 * (dim + 1)
+    ann = integrate.quad(lambda s: s ** (dim - 1) * (1.0 + s * s) ** (-0.5 * alpha),
+                         r0, s0, limit=200)[0]
+    far = ck * 2.0 ** (0.5 * (dim - 1)) * omega * s0 ** (half - alpha) / (alpha - half)
+    weight = (1.0 + rho_x * rho_x) ** (0.5 * tau(alpha, dim))
+    return float(weight * (near + ck * omega * ann + far))
+
+
 def radial_transform_panels(profile, dim: int, upper: float, freqs) -> np.ndarray:
     """The library's radial transform one frequency and one Gauss-Legendre
     panel at a time, each frequency with its own zero table; the same
@@ -224,23 +295,29 @@ def embed_field(fld, outer):
     return ComplexField(outer, out)
 
 
-def split_interpolator(axes, values):
+def rgi_interpolant(grid, values):
+    """scipy's RegularGridInterpolator (linear, out-of-bounds points raise
+    ValueError) over the grid's axes, called like fields.grid_interpolant."""
+    return RegularGridInterpolator((grid.axis(),) * grid.dim, values)
+
+
+def split_interpolant(grid, values):
     """Multilinear interpolant of complex grid values as two real
-    RegularGridInterpolators, one per part; called like the
-    RegularGridInterpolator constructor on the grid axes."""
-    re = RegularGridInterpolator(axes, values.real)
-    im = RegularGridInterpolator(axes, values.imag)
+    fields.grid_interpolants, one per part; called like
+    fields.grid_interpolant.  The library function is bound at import, so a
+    test may put this one in its place."""
+    re = grid_interpolant(grid, np.ascontiguousarray(values.real))
+    im = grid_interpolant(grid, np.ascontiguousarray(values.imag))
     return lambda pts: re(pts) + 1j * im(pts)
 
 
 def split_sphere_trace(grid, values, dirs):
     """fields.sphere_trace with the gradient of every axis in one np.gradient
-    call and a split interpolator per component: 2 (dim + 1) real
+    call and a split interpolant per component: 2 (dim + 1) real
     interpolants, each called once per radius."""
     grads = np.gradient(values, grid.spacing, edge_order=2)
-    axes = (grid.axis(),) * grid.dim
-    u_at = split_interpolator(axes, values)
-    grad_at = [split_interpolator(axes, gc) for gc in grads]
+    u_at = split_interpolant(grid, values)
+    grad_at = [split_interpolant(grid, gc) for gc in grads]
 
     def trace(R):
         pts = R * dirs

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import RegularGridInterpolator
 
 from helmscat import fields, resolvent, verify
 from helmscat.fields import ComplexField, Grid, IncidentWave, NonlinearitySpec
@@ -12,7 +11,8 @@ from oracles import (
     discrete_laplacian,
     embed_field,
     nonlinearity_derivative,
-    split_interpolator,
+    rgi_interpolant,
+    split_interpolant,
     split_sphere_trace,
 )
 
@@ -220,7 +220,7 @@ class TestSphereTrace:
         rad, flux, ff = diagnostics()
         monkeypatch.setattr(fields, "sphere_trace", split_sphere_trace)
         monkeypatch.setattr(verify, "sphere_trace", split_sphere_trace)
-        monkeypatch.setattr(resolvent, "RegularGridInterpolator", split_interpolator)
+        monkeypatch.setattr(fields, "grid_interpolant", split_interpolant)
         ref_rad, ref_flux, ref_ff = diagnostics()
 
         # the ball average reads the gradient only, which is the same array
@@ -240,18 +240,18 @@ class TestSphereTrace:
 
     def test_one_interpolant_per_diagnostic(self, monkeypatch):
         built, calls = [], []
-        init, call = RegularGridInterpolator.__init__, RegularGridInterpolator.__call__
+        build = fields.grid_interpolant
 
-        def counting_init(self, *args, **kwargs):
+        def counting_build(*args, **kwargs):
             built.append(1)
-            init(self, *args, **kwargs)
+            at = build(*args, **kwargs)
 
-        def counting_call(self, *args, **kwargs):
-            calls.append(1)
-            return call(self, *args, **kwargs)
+            def counting_call(*args, **kwargs):
+                calls.append(1)
+                return at(*args, **kwargs)
+            return counting_call
 
-        monkeypatch.setattr(RegularGridInterpolator, "__init__", counting_init)
-        monkeypatch.setattr(RegularGridInterpolator, "__call__", counting_call)
+        monkeypatch.setattr(fields, "grid_interpolant", counting_build)
         u = self.field(3)
         dirs, _ = fields.sphere_quadrature(3)
         resolvent.radiation_report(u, self.K, self.RADII)
@@ -260,6 +260,64 @@ class TestSphereTrace:
         assert (len(built), len(calls)) == (2, len(self.RADII) + 2)
         verify.energy_identity(u, self.K, radii=self.RADII)
         assert (len(built), len(calls)) == (3, 2 * len(self.RADII) + 2)
+
+
+class TestGridInterpolant:
+    """fields.grid_interpolant against scipy's RegularGridInterpolator, on
+    random complex stacks of dim + 1 fields."""
+
+    SIZES = {2: 41, 3: 32}
+
+    def stack(self, dim, seed=3):
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=self.SIZES[dim])
+        rng = np.random.default_rng(seed)
+        shape = g.shape + (dim + 1,)
+        return g, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def assert_agrees(self, g, vals, pts):
+        # roundoff in the cell weights, on the scale of the values
+        got = fields.grid_interpolant(g, vals)(pts)
+        ref = rgi_interpolant(g, vals)(pts)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_rgi_on_spheres_and_random_points(self, dim):
+        g, vals = self.stack(dim)
+        dirs, _ = fields.sphere_quadrature(dim)
+        for R in (0.5, 1.0, 1.5, 1.73):
+            self.assert_agrees(g, vals, R * dirs)
+        pts = np.random.default_rng(4).uniform(-2.0, 2.0, (400, dim))
+        self.assert_agrees(g, vals, pts)
+        # one field, no trailing axis
+        self.assert_agrees(g, vals[..., 0], pts)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_rgi_on_the_last_cell_face(self, dim):
+        g, vals = self.stack(dim)
+        L = g.half_width
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-L, L, (60, dim))
+        for i, row in enumerate(pts):
+            row[i % dim] = L if i % 2 else -L
+        corners = np.array([[L] * dim, [-L] * dim, [L] + [-L] * (dim - 1)])
+        self.assert_agrees(g, vals, np.concatenate([pts, corners]))
+        # nodes are reproduced: the far corner is the last node's value
+        np.testing.assert_allclose(fields.grid_interpolant(g, vals)(corners[:1])[0],
+                                   vals[(-1,) * dim], rtol=1e-14)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_out_of_bounds_raises_like_rgi(self, dim):
+        g, vals = self.stack(dim)
+        L = g.half_width
+        at = fields.grid_interpolant(g, vals)
+        ref = rgi_interpolant(g, vals)
+        for bad in (L * (1 + 1e-12), -L * (1 + 1e-12), 3.0, math.nan):
+            pts = np.zeros((3, dim))
+            pts[1, dim - 1] = bad
+            for fn in (at, ref):
+                with pytest.raises(ValueError):
+                    fn(pts)
 
 
 class TestIncidentWaves:

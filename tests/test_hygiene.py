@@ -1,10 +1,15 @@
 """Source hygiene: every name a package module imports is used in that
 module or re-exported through its __all__, every private module-level
-name it defines is read somewhere in it, and every public function or
-method has a reader somewhere in the package."""
+name it defines is read somewhere in it, every public function or method
+has a reader somewhere in the package, and a CLI run imports none of the
+scipy subpackages it has no use for."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -160,3 +165,48 @@ def test_uncalled_public_name_is_reported():
             "z = K.make\n")
     assert uncalled_public_names([lib, user], exempt={"exported"}) == [
         "K.conj", "K.meth", "K.named", "used"]
+
+
+# scipy subpackages that together cost a fresh process most of a second to
+# import; the package uses only scipy.fft and scipy.special on these paths
+HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
+               "scipy.linalg", "scipy.sparse")
+
+# run in a fresh interpreter: which heavy modules each step has loaded, and
+# the exit code of each CLI action
+CLI_RUNS = """
+import json, os, sys, tempfile
+heavy = json.loads(sys.argv[1])
+loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+from helmscat import cli
+report = {"import helmscat.cli": [0, loaded()]}
+cfg = {
+    "problem": {"dim": 3, "k": 1.0, "L": 2.0, "M": 10,
+                "nonlinearity": {"kind": "power", "p": 3.0, "coefficient": {
+                    "type": "radial_bump", "amplitude": -0.8, "width": 4.0,
+                    "cutoff": 0.45}}},
+    "solver": {"tol": 1e-10, "certify": True},
+    "verify": {"nu": 1.5, "pairs": 3},
+}
+with tempfile.TemporaryDirectory() as d:
+    path = os.path.join(d, "cfg.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    for action in (["solve"], ["kappa"], ["farfield"], ["verify", "fourier"],
+                   ["verify", "sturm"], ["verify", "energy"],
+                   ["verify", "defocusing"], ["constants", "zN"]):
+        code = cli.main(action + ["--config", path, "--out", d])
+        report[" ".join(action)] = [code, loaded()]
+print(json.dumps(report))
+"""
+
+
+def test_cli_runs_import_no_heavy_scipy():
+    src = pathlib.Path(helmscat.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_RUNS, json.dumps(HEAVY_SCIPY)],
+        capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {step: [0, []] for step in report}
+    assert len(report) == 9

@@ -8,6 +8,7 @@ from oracles import (
     direct_convolve,
     discrete_laplacian,
     embed_field,
+    exterior_tail_bound_quad,
     full_fft_convolve,
     full_kernel_table,
     subtraction_cell_weight,
@@ -354,6 +355,25 @@ class TestKappa:
             pushed = rv.apply_resolvent(ComplexField(g, np.abs(w.values) + 0j),
                                         cfg, k, kind="magnitude")
             assert weighted_norm(pushed, t).value <= est.kappa_hat * (1 + 1e-12)
+
+    @pytest.mark.parametrize("k,rho", [(1.0, 0.1), (2.0, 0.05), (1.0, 1.0)])
+    def test_2d_ball_mass_against_mpmath(self, k, rho):
+        # |Phi_k| = |H_0(k r)|/4 has a log singularity at r = 0; the graded
+        # panels resolve it to roundoff
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            want = mp.quad(lambda r: mp.pi / 2 * r * abs(mp.hankel1(0, k * r)),
+                           [0, rho * mp.mpf(2) ** -20, rho / 4, rho])
+        assert rv._abs_ball_mass(2, k, rho) == pytest.approx(float(want), rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
+    @pytest.mark.parametrize("k,src,ev", [(1.0, 2.0, 2.0), (0.5, 2.0, 2.5),
+                                          (2.0, 1.0, 1.0)])
+    def test_tail_bound_against_quad(self, dim, alpha, k, src, ev):
+        got = rv._exterior_tail_bound(alpha, k, dim, src, ev)
+        want = exterior_tail_bound_quad(alpha, k, dim, src, ev)
+        assert got == pytest.approx(want, rel=1e-13)
 
     def test_alpha_domain(self):
         g = Grid(dim=3, half_width=4.0, points_per_axis=9)

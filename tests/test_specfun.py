@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from helmscat import specfun
-from oracles import bisect, cyl_derivative, generic_bessel, j0_series, verify_brackets
+from oracles import (
+    BRENT_RTOL,
+    BRENT_XTOL,
+    bisect,
+    brentq_zeros,
+    cyl_derivative,
+    generic_bessel,
+    j0_series,
+    verify_brackets,
+)
 
 # Anchors computed with independent oracles (power-series bisection for J_0,
 # 30-digit mpmath for the rest) and frozen here.
@@ -181,6 +190,29 @@ class TestZeros:
             want = special.jn_zeros(n, 10)
             got = specfun.j_zeros(float(n), 10).zeros
             np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["J", "Y"])
+    @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_vectorized_scan_matches_brentq_oracle(self, kind, nu):
+        # both stop within BRENT_XTOL + BRENT_RTOL |z| of the same sign
+        # change (the library's bracket is two adjacent floats), so they
+        # agree to twice that
+        table = specfun.j_zeros if kind == "J" else specfun.y_zeros
+        want = np.array(brentq_zeros(kind, nu, 60))
+        for count in (1, 7, 60):
+            got = np.array(table(nu, count).zeros)
+            assert len(got) == count
+            tol = 2.0 * (BRENT_XTOL + BRENT_RTOL * want[:count])
+            assert np.all(np.abs(got - want[:count]) <= tol)
+
+    def test_scan_that_runs_out_raises_like_the_oracle(self):
+        # J_0 has about 2500 zeros below the scan's end, 20000 pi/8; 2600
+        # passes the spacing test and is found short only by scanning
+        for scan in (lambda: specfun.j_zeros(0.0, 2600),
+                     lambda: brentq_zeros("J", 0.0, 2600)):
+            with pytest.raises(ValueError, match=r"out of reach: the scan found "
+                                                 r"\d+ in 20000 steps"):
+                scan()
 
     def test_out_of_reach_count_is_rejected_before_scanning(self, monkeypatch):
         # zero 6000 lies past 5999 * 2.9 > 20000 pi/8, the scan's end

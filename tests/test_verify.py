@@ -89,16 +89,16 @@ class TestRadialTransform:
     def test_matches_elementary_integral_3d(self):
         k, d = 1.3, 1.1
         freqs = np.array([0.4, 1.0, 1.3, 2.7, 9.3, 24.0])
-        res = fourier_positivity(3, k=k, delta=d, freqs=freqs)
-        for xi, v in zip(res.freqs, res.values):
+        vals = radial_transform(kernel_profile(3, k), 3, d, freqs)
+        for xi, v in zip(freqs, vals):
             assert v == pytest.approx(closed_form_3d(k, d, xi), abs=1e-14)
 
     def test_zero_frequency_is_scaled_ball_integral(self):
         k, d = 1.3, 1.1
-        res = fourier_positivity(3, k=k, delta=d, freqs=np.array([0.0]))
+        vals = radial_transform(kernel_profile(3, k), 3, d, np.array([0.0]))
         plain = (math.cos(k * d) - 1.0 + k * d * math.sin(k * d)) / k ** 2
-        assert res.values[0] == pytest.approx((2.0 * math.pi) ** -1.5 * plain,
-                                              rel=1e-12)
+        assert vals[0] == pytest.approx((2.0 * math.pi) ** -1.5 * plain,
+                                        rel=1e-12)
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_synthetic_nonincreasing_profile(self, dim):
@@ -144,7 +144,7 @@ class TestRadialTransform:
         for name in ("bessel_j", "j_zeros"):
             monkeypatch.setattr(verify, name, counted(name))
         freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, n_freqs)))
-        fourier_positivity(4, 1.0, delta=1.5, freqs=freqs)
+        radial_transform(kernel_profile(4, 1.0), 4, 1.5, freqs)
         assert sorted(calls) == ["bessel_j", "j_zeros"]
         calls.clear()
         sturm_check(1.5, n_freqs)
@@ -172,9 +172,8 @@ class TestFourierPositivity:
     def test_nonnegative_at_threshold(self, dim, k):
         freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 60)))
         delta = truncation_threshold(dim) / k
-        res = fourier_positivity(dim, k=k, delta=delta, freqs=freqs / delta)
-        assert res.min_value >= -1e-8
-        assert res.nonnegative
+        vals = radial_transform(kernel_profile(dim, k), dim, delta, freqs / delta)
+        assert vals.min() >= -1e-8
 
     def test_nonnegative_below_threshold(self):
         res = fourier_positivity(3, k=1.0, delta=0.5 * truncation_threshold(3))
@@ -188,7 +187,7 @@ class TestFourierPositivity:
         assert not res.nonnegative
 
     def test_default_delta_is_threshold(self):
-        res = fourier_positivity(3, k=2.0, freqs=np.array([0.0, 1.0]))
+        res = fourier_positivity(3, k=2.0)
         assert res.delta == pytest.approx(truncation_threshold(3) / 2.0, rel=1e-14)
 
     def test_validation(self):
