@@ -306,8 +306,8 @@ def split_interpolant(grid, values):
     fields.grid_interpolants, one per part; called like
     fields.grid_interpolant.  The library function is bound at import, so a
     test may put this one in its place."""
-    re = grid_interpolant(grid, np.ascontiguousarray(values.real))
-    im = grid_interpolant(grid, np.ascontiguousarray(values.imag))
+    re = grid_interpolant(grid, values.real)
+    im = grid_interpolant(grid, values.imag)
     return lambda pts: re(pts) + 1j * im(pts)
 
 
