@@ -18,6 +18,11 @@ input before any numerics run.  Floats in JSON and CSV reports are rounded to
 12 significant digits so identical config + seed reproduces byte-identical
 reports; field binaries and the manifest (which records wall time) are exempt.
 
+Every action takes ``--config``, ``--out`` and ``--threads``; ``--seed`` is a
+``solve`` flag, the seed of the certificate's randomized Lipschitz search, and
+the other actions reject it and record ``"seed": null``.  ``_ACTIONS`` and
+``_VERIFY_MODES`` below are the one list of actions and of verify modes.
+
 Exit codes: 0 success, 2 config error, 3 solver failed to converge,
 4 verification margin breach (for ``solve``, a failed bound check of a
 certified affine solve), 1 unexpected error.  A thread count that is not an
@@ -50,7 +55,6 @@ from .fields import (
     Grid,
     IncidentWave,
     NonlinearitySpec,
-    critical_exponent,
     load_field,
     make_incident,
     save_field,
@@ -220,12 +224,6 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
         return _round_sig(float(obj))
-    if isinstance(obj, complex):
-        return {"re": _round_sig(obj.real), "im": _round_sig(obj.imag)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
     return obj
 
 
@@ -290,11 +288,6 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _default_alpha(dim: int) -> float:
-    # strictly above the (dim+1)/2 admissibility floor
-    return 0.5 * (dim + 3)
-
-
 def _build_coefficient(grid: Grid, spec: dict) -> ComplexField:
     kind = spec["type"]
     if kind == "zero":
@@ -311,20 +304,14 @@ def _build_coefficient(grid: Grid, spec: dict) -> ComplexField:
     return ComplexField(grid, vals.astype(complex))
 
 
-def _fallback_power(dim: int) -> float:
-    if dim < 3:
-        return 3.0
-    return 2.0 + 0.25 * (critical_exponent(dim) - 2.0)
-
-
 def _build_nonlinearity(grid: Grid, alpha: float, spec: dict | None) -> NonlinearitySpec:
     spec = spec or {"kind": "zero"}
     kind = spec["kind"]
     tags = tuple(spec.get("tags", ()))
     if kind == "zero":
         # inert power law so continuation stays available
-        return NonlinearitySpec.power(ComplexField.zeros(grid),
-                                      p=_fallback_power(grid.dim), alpha=alpha)
+        return NonlinearitySpec.power(ComplexField.zeros(grid), p=3.0,
+                                      alpha=alpha)
     if kind == "power":
         if "p" not in spec or "coefficient" not in spec:
             raise ConfigError("power nonlinearity needs 'p' and 'coefficient'")
@@ -350,7 +337,6 @@ def _build_incident(grid: Grid, k: float, spec: dict | None) -> ComplexField:
 @dataclasses.dataclass(frozen=True)
 class _Problem:
     k: float
-    alpha: float
     rcfg: ResolventConfig
     f: NonlinearitySpec
     phi: ComplexField
@@ -364,13 +350,14 @@ def _build_problem(cfg: dict) -> _Problem:
         grid = Grid(dim=pr["dim"], half_width=float(pr["L"]),
                     points_per_axis=pr["M"])
         rcfg = ResolventConfig.padded(grid, pad_cells=pr.get("pad_cells", 0))
-        alpha = float(pr.get("alpha", _default_alpha(grid.dim)))
+        # the default lies strictly above the (dim+1)/2 admissibility floor
+        alpha = float(pr.get("alpha", 0.5 * (grid.dim + 3)))
         f = _build_nonlinearity(grid, alpha, pr.get("nonlinearity"))
         phi = _build_incident(rcfg.eval_grid, float(pr["k"]),
                               pr.get("incident"))
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    return _Problem(k=float(pr["k"]), alpha=alpha, rcfg=rcfg, f=f, phi=phi)
+    return _Problem(k=float(pr["k"]), rcfg=rcfg, f=f, phi=phi)
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
@@ -396,11 +383,14 @@ def _write_field(path: str, fld: ComplexField, k: float):
 
 
 # -- action runners -----------------------------------------------------------
+# Each runner takes (cfg, args, out) and returns (exit code, files written,
+# manifest tolerances).
 
-def _run_solve(cfg: dict, out: str, seed: int):
+def _run_solve(cfg: dict, args, out: str):
     prob, u, rep, tolerances = _solve(cfg)
     rep = diagnose(prob.f, prob.phi, prob.k, prob.rcfg, u, rep,
-                   certify=cfg.get("solver", {}).get("certify", False), seed=seed)
+                   certify=cfg.get("solver", {}).get("certify", False),
+                   seed=args.seed)
     _write_field(os.path.join(out, "field.cfld"), u, prob.k)
     report = rep.as_dict()
     report["sup_norm"] = u.sup_norm
@@ -413,7 +403,7 @@ def _run_solve(cfg: dict, out: str, seed: int):
     return code, ["field.cfld", "solve_report.json"], tolerances
 
 
-def _run_continue(cfg: dict, out: str, seed: int):
+def _run_continue(cfg: dict, args, out: str):
     if "continuation" not in cfg:
         raise ConfigError("config needs a 'continuation' block")
     cc = dict(cfg["continuation"])
@@ -454,9 +444,9 @@ def _run_continue(cfg: dict, out: str, seed: int):
     return code, files, {"solver_tol": scfg.tol}
 
 
-def _run_kappa(cfg: dict, out: str, seed: int):
+def _run_kappa(cfg: dict, args, out: str):
     prob = _build_problem(cfg)
-    est = estimate_kappa(prob.alpha, prob.rcfg, prob.k)
+    est = estimate_kappa(prob.f.alpha, prob.rcfg, prob.k)
     _write_json(os.path.join(out, "kappa.json"), {
         "alpha": est.alpha,
         "tau_alpha": est.tau_alpha,
@@ -468,7 +458,7 @@ def _run_kappa(cfg: dict, out: str, seed: int):
     return EXIT_OK, ["kappa.json"], {}
 
 
-def _run_farfield(cfg: dict, out: str, seed: int):
+def _run_farfield(cfg: dict, args, out: str):
     prob, u, rep, tolerances = _solve(cfg)
     if not rep.converged:
         return EXIT_DIVERGED, [], tolerances
@@ -497,90 +487,87 @@ def _run_farfield(cfg: dict, out: str, seed: int):
     return EXIT_OK, ["field.cfld", "radiation.csv", "farfield.csv"], tolerances
 
 
-def _run_verify(cfg: dict, out: str, seed: int, mode: str):
-    vc = cfg.get("verify", {})
-    name = f"verify_{mode}.json"
-    path = os.path.join(out, name)
+# -- verify modes -------------------------------------------------------------
+# Each mode takes (cfg, verify block, problem, solution) and returns (report,
+# breach, manifest tolerances); problem and solution are None for the modes
+# that do not solve.
 
-    if mode == "sturm":
-        tol = float(vc.get("tolerance", 1e-9))
-        try:
-            results = sturm_check(float(vc.get("nu", 0.5)),
-                                  int(vc.get("pairs", 5)))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        margins = [r.margin for r in results]
-        breach = any(m < -tol for m in margins)
-        _write_json(path, {
-            "mode": mode, "nu": vc.get("nu", 0.5), "tolerance": tol,
-            "margins": margins, "min_margin": min(margins), "breach": breach,
-        })
-        return (EXIT_BREACH if breach else EXIT_OK), [name], {"margin_tol": tol}
+def _verify_sturm(cfg: dict, vc: dict, prob, u):
+    tol = float(vc.get("tolerance", 1e-9))
+    margins = [r.margin for r in sturm_check(float(vc.get("nu", 0.5)),
+                                             int(vc.get("pairs", 5)))]
+    return ({"nu": vc.get("nu", 0.5), "tolerance": tol, "margins": margins,
+             "min_margin": min(margins)},
+            any(m < -tol for m in margins), {"margin_tol": tol})
 
-    if mode == "fourier":
-        if "problem" not in cfg:
-            raise ConfigError("verify fourier draws dim and k from 'problem'")
-        pr = cfg["problem"]
-        tol = float(vc.get("tolerance", 1e-8))
-        try:
-            res = fourier_positivity(pr["dim"], k=float(pr["k"]),
-                                     delta=vc.get("delta"), tolerance=tol)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        breach = not res.nonnegative
-        _write_json(path, {
-            "mode": mode, "dim": res.dim, "k": res.k, "delta": res.delta,
-            "threshold_delta": truncation_threshold(res.dim) / res.k,
-            "min_value": res.min_value, "tolerance": res.tolerance,
-            "breach": breach,
-        })
-        return (EXIT_BREACH if breach else EXIT_OK), [name], {"value_tol": tol}
 
-    # the remaining modes check an actual solve
-    prob, u, rep, tolerances = _solve(cfg)
-    if not rep.converged:
-        return EXIT_DIVERGED, [], tolerances
+def _verify_fourier(cfg: dict, vc: dict, prob, u):
+    if "problem" not in cfg:
+        raise ConfigError("verify fourier draws dim and k from 'problem'")
+    pr = cfg["problem"]
+    tol = float(vc.get("tolerance", 1e-8))
+    res = fourier_positivity(pr["dim"], k=float(pr["k"]),
+                             delta=vc.get("delta"), tolerance=tol)
+    return ({"dim": res.dim, "k": res.k, "delta": res.delta,
+             "threshold_delta": truncation_threshold(res.dim) / res.k,
+             "min_value": res.min_value, "tolerance": res.tolerance},
+            not res.nonnegative, {"value_tol": tol})
 
-    if mode == "energy":
-        radii = tuple(vc.get("radii",
-                             default_radii(prob.rcfg.eval_grid.half_width)))
-        factor = float(vc.get("factor", 10.0))
-        try:
-            res = energy_identity(u, prob.k, Q=prob.f.Q, p=prob.f.p, radii=radii)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-        breach = not res.within(factor)
-        _write_json(path, {
-            "mode": mode, "radii": res.radii, "flux_imag": res.flux_imag,
-            "quad_tol": res.quad_tol, "factor": factor, "breach": breach,
-            "context": res.context,
-        })
-        return (EXIT_BREACH if breach else EXIT_OK), [name], {"factor": factor}
 
-    # defocusing
+def _verify_energy(cfg: dict, vc: dict, prob, u):
+    radii = tuple(vc.get("radii", default_radii(prob.rcfg.eval_grid.half_width)))
+    factor = float(vc.get("factor", 10.0))
+    res = energy_identity(u, prob.k, Q=prob.f.Q, p=prob.f.p, radii=radii)
+    return ({"radii": res.radii, "flux_imag": res.flux_imag,
+             "quad_tol": res.quad_tol, "factor": factor,
+             "context": res.context},
+            not res.within(factor), {"factor": factor})
+
+
+def _verify_defocusing(cfg: dict, vc: dict, prob, u):
     if prob.f.kind != "power":
         raise ConfigError("verify defocusing needs a power nonlinearity")
     tol = float(vc.get("tolerance", 1e-10))
+    checks = defocusing_inequalities(u, prob.phi, prob.f.Q, prob.f.p,
+                                     k=prob.k, tolerance=tol)
+    return ({"tolerance": tol,
+             "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
+                         "margin": c.margin, "satisfied": c.satisfied}
+                        for c in checks]},
+            not all(c.satisfied for c in checks), {"margin_tol": tol})
+
+
+# mode -> (check, whether it checks a solve of the config's problem)
+_VERIFY_MODES = {
+    "sturm": (_verify_sturm, False),
+    "fourier": (_verify_fourier, False),
+    "energy": (_verify_energy, True),
+    "defocusing": (_verify_defocusing, True),
+}
+
+
+def _run_verify(cfg: dict, args, out: str):
+    check, solves = _VERIFY_MODES[args.mode]
+    prob = u = None
+    if solves:
+        prob, u, rep, tolerances = _solve(cfg)
+        if not rep.converged:
+            return EXIT_DIVERGED, [], tolerances
     try:
-        checks = defocusing_inequalities(u, prob.phi, prob.f.Q, prob.f.p,
-                                         k=prob.k, tolerance=tol)
+        report, breach, tolerances = check(cfg, cfg.get("verify", {}), prob, u)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    breach = not all(c.satisfied for c in checks)
-    _write_json(path, {
-        "mode": mode, "tolerance": tol, "breach": breach,
-        "checks": [{"name": c.name, "lhs": c.lhs, "rhs": c.rhs,
-                    "margin": c.margin, "satisfied": c.satisfied}
-                   for c in checks],
-    })
-    return (EXIT_BREACH if breach else EXIT_OK), [name], {"margin_tol": tol}
+    name = f"verify_{args.mode}.json"
+    _write_json(os.path.join(out, name),
+                {**report, "mode": args.mode, "breach": breach})
+    return (EXIT_BREACH if breach else EXIT_OK), [name], tolerances
 
 
-def _run_constants(dim: int, out: str):
-    if dim < 3:
+def _run_constants(cfg: dict | None, args, out: str):
+    if args.dim < 3:
         raise ConfigError("threshold constants are defined for dim >= 3")
-    payload = {"dim": dim, "nu": (dim - 2) / 2.0,
-               "z": truncation_threshold(dim)}
+    payload = {"dim": args.dim, "nu": (args.dim - 2) / 2.0,
+               "z": truncation_threshold(args.dim)}
     # full precision here: the value is a mathematical constant, not a report
     text = json.dumps(payload, sort_keys=True)
     print(text)
@@ -609,7 +596,7 @@ def reconstruct_time_field(field_path: str, times, out_dir: str,
     return names
 
 
-def _run_animate(cfg: dict, out: str):
+def _run_animate(cfg: dict, args, out: str):
     if "animate" not in cfg:
         raise ConfigError("config needs an 'animate' block")
     ac = cfg["animate"]
@@ -627,6 +614,22 @@ def _run_animate(cfg: dict, out: str):
 
 # -- entry point --------------------------------------------------------------
 
+# action -> (runner, its own arguments); every action also takes --config
+# (optional for constants only), --out and --threads
+_ACTIONS = {
+    "solve": (_run_solve, {"--seed": {
+        "type": int, "default": 0,
+        "help": "seed of the certificate's randomized Lipschitz search"}}),
+    "continue": (_run_continue, {}),
+    "kappa": (_run_kappa, {}),
+    "farfield": (_run_farfield, {}),
+    "verify": (_run_verify, {"mode": {"choices": tuple(_VERIFY_MODES)}}),
+    "constants": (_run_constants, {"what": {"choices": ("zN",)},
+                                   "--dim": {"type": int, "default": 3}}),
+    "animate": (_run_animate, {}),
+}
+
+
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process."""
@@ -634,27 +637,16 @@ def _parser() -> argparse.ArgumentParser:
         prog="helmscat",
         description="Nonlinear Helmholtz scattering: solve, continue, verify.")
     sub = p.add_subparsers(dest="action", required=True)
-
-    def common(sp, config_required=True):
-        sp.add_argument("--config", required=config_required,
+    for name, (_, own) in _ACTIONS.items():
+        sp = sub.add_parser(name)
+        for flag, kwargs in own.items():
+            sp.add_argument(flag, **kwargs)
+        sp.add_argument("--config", required=name != "constants",
                         help="JSON config file")
         sp.add_argument("--out", default=None,
                         help="output directory (default $HELMSCAT_OUT or .)")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=None,
                         help="FFT worker count (default $HELMSCAT_THREADS)")
-
-    for name in ("solve", "continue", "kappa", "farfield"):
-        common(sub.add_parser(name))
-    sp = sub.add_parser("verify")
-    sp.add_argument("mode", choices=("sturm", "fourier", "energy",
-                                     "defocusing"))
-    common(sp)
-    sp = sub.add_parser("constants")
-    sp.add_argument("what", choices=("zN",))
-    sp.add_argument("--dim", type=int, default=3)
-    common(sp, config_required=False)
-    common(sub.add_parser("animate"))
     return p
 
 
@@ -683,7 +675,6 @@ def _resolve_threads(args) -> int | None:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out = _resolve_out(args)
-    seed = getattr(args, "seed", 0)
     t0 = time.perf_counter()
 
     cfg = threads = None
@@ -695,26 +686,10 @@ def main(argv=None) -> int:
         if args.config is not None:
             cfg = load_config(args.config)
             inputs[os.path.basename(args.config)] = _sha256(args.config)
-        elif args.action != "constants":
-            raise ConfigError("--config is required")
         workers = (scipy.fft.set_workers(threads) if threads
                    else contextlib.nullcontext())
         with workers:
-            if args.action == "solve":
-                code, files, tolerances = _run_solve(cfg, out, seed)
-            elif args.action == "continue":
-                code, files, tolerances = _run_continue(cfg, out, seed)
-            elif args.action == "kappa":
-                code, files, tolerances = _run_kappa(cfg, out, seed)
-            elif args.action == "farfield":
-                code, files, tolerances = _run_farfield(cfg, out, seed)
-            elif args.action == "verify":
-                code, files, tolerances = _run_verify(cfg, out, seed,
-                                                      args.mode)
-            elif args.action == "constants":
-                code, files, tolerances = _run_constants(args.dim, out)
-            else:
-                code, files, tolerances = _run_animate(cfg, out)
+            code, files, tolerances = _ACTIONS[args.action][0](cfg, args, out)
     except ConfigError as e:
         status, code, error = "config_error", EXIT_CONFIG, str(e)
     except Exception as e:  # noqa: BLE001 - everything lands in the manifest
@@ -725,10 +700,10 @@ def main(argv=None) -> int:
         status = "verification_breach"
 
     manifest = {
-        "action": args.action + (f" {args.mode}" if args.action == "verify"
-                                 else ""),
+        "action": " ".join(filter(None, (args.action,
+                                         getattr(args, "mode", None)))),
         "version": __version__,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "threads": threads,
         "status": status,
         "error": error,

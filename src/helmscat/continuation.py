@@ -8,7 +8,9 @@ halved on failure, floor at 1e-4 * lambda_max.  Termination reasons:
 
     reached_lambda_max  the target amplitude was reached,
     blow_up             the step floor was hit and the last failure diverged,
-    step_floor          the step floor was hit with a stagnating solver.
+    step_floor          the step floor was hit with a stagnating solver,
+    max_solves          the solve budget (StepConfig.max_solves) ran out
+                        short of lambda_max.
 
 The branch keeps the final field only; a callback receives every accepted
 field as the march goes.  Branch solves are plain picard_solve calls, so
@@ -131,7 +133,8 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
 
     while lam < lambda_max * (1.0 - 1e-12):
         if solves >= stepcfg.max_solves:
-            raise RuntimeError("continuation exceeded max_solves")
+            reason = "max_solves"
+            break
         step = min(step, lambda_max - lam)
         trial = lam + step
         u0 = u_prev + phi * (trial - lam)

@@ -59,6 +59,11 @@ def diagnostics(monkeypatch):
     return calls
 
 
+def action_id(action):
+    """Test id of an argv prefix: the action, with its mode for verify."""
+    return "_".join(action[:2]) if action[0] == "verify" else action[0]
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -101,18 +106,32 @@ class TestSolve:
         phi = make_incident(IncidentWave.plane(1.0, (1.0, 0.0, 0.0)), g)
         assert np.array_equal(fld.values, phi.values)
 
-    def test_determinism(self, tmp_path):
-        cp = write_config(tmp_path, base_config())
-        outs = []
+    @pytest.mark.parametrize("action", [
+        ["solve", "--seed", "5"], ["continue"], ["kappa"], ["farfield"],
+        ["verify", "sturm"], ["verify", "fourier"], ["verify", "energy"],
+        ["verify", "defocusing"], ["constants", "zN"], ["animate"],
+    ], ids=action_id)
+    def test_determinism(self, tmp_path, action):
+        # same config and seed: same exit code and byte-identical outputs;
+        # only the manifest (which records wall time) may differ
+        cfg = certified_config()
+        cfg["continuation"] = {"lambda_max": 1.0}
+        if action == ["animate"]:
+            solved = tmp_path / "solved"
+            assert main(["solve", "--config", write_config(tmp_path, cfg),
+                         "--out", str(solved)]) == 0
+            cfg = {"animate": {"field": str(solved / "field.cfld"),
+                               "times": [0.0, 0.5]}}
+        cp = write_config(tmp_path, cfg)
+        runs = []
         for tag in ("a", "b"):
             out = tmp_path / tag
-            assert main(["solve", "--config", cp, "--out", str(out),
-                         "--seed", "5"]) == 0
-            outs.append(out)
-        assert ((outs[0] / "solve_report.json").read_bytes()
-                == (outs[1] / "solve_report.json").read_bytes())
-        assert ((outs[0] / "field.cfld").read_bytes()
-                == (outs[1] / "field.cfld").read_bytes())
+            code = main([*action, "--config", cp, "--out", str(out)])
+            files = {n: (out / n).read_bytes() for n in os.listdir(out)
+                     if n != "manifest.json"}
+            runs.append((code, files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1]
 
     def test_certified_affine_solve_reports_bound(self, tmp_path, diagnostics):
         cp = write_config(tmp_path, affine_config())
@@ -141,7 +160,13 @@ class TestSolve:
         assert rep["converged"]
         assert [c["satisfied"] for c in rep["bound_checks"]] == [False]
 
-    def test_divergence_exit_code(self, tmp_path):
+    @pytest.mark.parametrize("action", [
+        ["solve"], ["farfield"], ["verify", "energy"], ["verify", "defocusing"],
+    ], ids=action_id)
+    def test_divergence_exit_code(self, tmp_path, action):
+        # a solve that fails stops every action that solves with exit 3;
+        # only solve writes its report of the failure
+        outputs = ["field.cfld", "solve_report.json"] if action == ["solve"] else []
         cfg = base_config(
             nonlinearity={"kind": "power", "p": 4.0,
                           "coefficient": {"type": "radial_bump",
@@ -153,9 +178,11 @@ class TestSolve:
                         "max_iters": 100}
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
-        assert main(["solve", "--config", cp, "--out", str(out)]) == 3
+        assert main([*action, "--config", cp, "--out", str(out)]) == 3
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "divergence"
+        assert sorted(man["outputs"]) == outputs
+        assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
 
     def test_overflowing_iterate_exit_code(self, tmp_path):
         # f(u) overflows float64 below the divergence cap: still a divergence
@@ -281,6 +308,28 @@ class TestContinue:
         assert main(["continue", "--config", cp,
                      "--out", str(tmp_path / "run")]) == 2
 
+    def test_solve_budget_ends_the_branch(self, tmp_path):
+        # two solves cannot reach lambda_max: the branch so far is written
+        # and the run exits 3; three points are too few for a blow-up fit
+        cfg = base_config()
+        cfg["continuation"] = {"lambda_max": 1.0, "max_solves": 2}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["continue", "--config", cp, "--out", str(out)]) == 3
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "divergence"
+        assert sorted(man["outputs"]) == ["branch.csv", "branch_summary.json",
+                                          "final_field.cfld"]
+        _, rows = read_csv(out / "branch.csv")
+        summ = json.loads((out / "branch_summary.json").read_text())
+        assert summ["terminated_reason"] == "max_solves"
+        assert summ["n_points"] == len(rows) == 3
+        assert float(rows[-1][0]) == summ["last_lambda"] < 1.0
+        assert summ["blowup"] == {
+            "detected": False,
+            "message": "blow-up fit needs 4 trailing converged points, "
+                       "branch has 2"}
+
 
 class TestKappaFarfield:
     def test_kappa_report(self, tmp_path):
@@ -310,6 +359,23 @@ class TestKappaFarfield:
         for row in rows:
             d = np.array([float(v) for v in row[:3]])
             assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_farfield_product_rule_directions(self, tmp_path):
+        # any count but 26 takes sphere_quadrature's product rule: 5 polar
+        # by 10 azimuthal nodes here
+        cfg = base_config()
+        cfg["farfield"] = {"directions": 50}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["farfield", "--config", cp, "--out", str(out)]) == 0
+        header, rows = read_csv(out / "farfield.csv")
+        assert header == ["d1", "d2", "d3", "re", "im", "abs"]
+        values = np.array([[float(v) for v in row] for row in rows])
+        assert values.shape == (50, 6)
+        np.testing.assert_allclose(np.linalg.norm(values[:, :3], axis=1), 1.0,
+                                   atol=1e-12)
+        assert np.all(np.isfinite(values[:, 3:]))
 
 
 class TestVerifyModes:
@@ -351,6 +417,23 @@ class TestVerifyModes:
         assert res["breach"]
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "verification_breach"
+
+    def test_fourier_without_problem_is_config_error(self, tmp_path):
+        cp = write_config(tmp_path, {"verify": {"tolerance": 1e-8}})
+        out = tmp_path / "run"
+        assert main(["verify", "fourier", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert "'problem'" in man["error"]
+
+    def test_defocusing_on_affine_is_config_error(self, tmp_path):
+        cp = write_config(tmp_path, affine_config())
+        out = tmp_path / "run"
+        assert main(["verify", "defocusing", "--config", cp,
+                     "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert "power nonlinearity" in man["error"]
 
     def test_energy_on_solve(self, tmp_path, diagnostics):
         cp = write_config(tmp_path, certified_config())
@@ -470,19 +553,30 @@ class TestEnvOverrides:
 
     def test_parser_is_built_once(self, tmp_path):
         # one process, two actions on the one cached parser: each manifest
-        # names its own action, seed and outputs
+        # names its own action, seed and outputs; only solve takes a seed
         assert _parser() is _parser()
         cp = write_config(tmp_path, base_config())
-        runs = [(["solve"], "solve", "solve_report.json"),
-                (["verify", "fourier"], "verify fourier", "verify_fourier.json")]
-        for seed, (action, name, report) in enumerate(runs, start=3):
+        runs = [(["solve", "--seed", "3"], "solve", 3, "solve_report.json"),
+                (["verify", "fourier"], "verify fourier", None,
+                 "verify_fourier.json")]
+        for action, name, seed, report in runs:
             out = tmp_path / name.replace(" ", "_")
-            assert main([*action, "--config", cp, "--out", str(out),
-                         "--seed", str(seed)]) == 0
+            assert main([*action, "--config", cp, "--out", str(out)]) == 0
             man = json.loads((out / "manifest.json").read_text())
             assert (man["action"], man["status"], man["seed"]) == (name, "ok", seed)
             assert report in man["outputs"]
         assert _parser() is _parser()
+
+    @pytest.mark.parametrize("action", [
+        ["continue"], ["kappa"], ["farfield"], ["verify", "fourier"],
+        ["constants", "zN"], ["animate"]], ids=action_id)
+    def test_seed_is_a_solve_flag(self, tmp_path, action, capsys):
+        cp = write_config(tmp_path, base_config())
+        with pytest.raises(SystemExit) as exc:
+            main([*action, "--config", cp, "--out", str(tmp_path / "run"),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_no_temp_files_left(self, tmp_path):
         cp = write_config(tmp_path, base_config())

@@ -119,6 +119,24 @@ class TestBranch:
         assert branch.final_field is not None
         assert branch.final_field.sup_norm == branch.points[-1].sup_norm
 
+    def test_solve_budget_ends_the_branch(self):
+        # the branch stops at the budget with the points it accepted, short
+        # of lambda_max; one more solve reaches lambda_max
+        rcfg = small_rcfg()
+        f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.5), p=3.0,
+                                   alpha=ALPHA)
+        phi = plane_phi(rcfg.eval_grid)
+        full = continue_branch(f, phi, K_REF, lambda_max=1.0,
+                               scfg=SolverConfig(), rcfg=rcfg)
+        assert full.terminated_reason == "reached_lambda_max"
+        budget = len(full.points) - 2
+        branch = continue_branch(f, phi, K_REF, lambda_max=1.0,
+                                 scfg=SolverConfig(), rcfg=rcfg,
+                                 stepcfg=StepConfig(max_solves=budget))
+        assert branch.terminated_reason == "max_solves"
+        assert branch.points == full.points[:budget + 1]
+        assert branch.final_field.sup_norm == branch.points[-1].sup_norm
+
     def test_branch_solves_skip_radiation_and_certificate(self, monkeypatch):
         # no caller reads a branch point's radiation report or certificate,
         # so the solves compute neither

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in that
 module or re-exported through its __all__, every private module-level
 name it defines is read somewhere in it, every public function or method
-has a reader somewhere in the package, and a CLI run imports none of the
-scipy subpackages it has no use for."""
+has a reader somewhere in the package, a CLI run imports none of the
+scipy subpackages it has no use for, and README's command list names
+exactly the CLI's actions and verify modes."""
 
 import ast
 import json
@@ -14,6 +15,7 @@ import sys
 import pytest
 
 import helmscat
+from helmscat import cli
 
 SOURCES = sorted(pathlib.Path(helmscat.__file__).parent.glob("*.py"))
 
@@ -210,3 +212,21 @@ def test_cli_runs_import_no_heavy_scipy():
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {step: [0, []] for step in report}
     assert len(report) == 9
+
+
+def readme_commands() -> tuple[set[str], set[str]]:
+    """The actions and the verify modes of README's indented
+    ``helmscat <action>`` command lines."""
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    actions, modes = set(), set()
+    for line in readme.read_text().splitlines():
+        words = line.split()
+        if line.startswith("    helmscat ") and len(words) > 1:
+            actions.add(words[1])
+            if words[1] == "verify":
+                modes.add(words[2])
+    return actions, modes
+
+
+def test_readme_lists_every_action_and_verify_mode():
+    assert readme_commands() == (set(cli._ACTIONS), set(cli._VERIFY_MODES))
