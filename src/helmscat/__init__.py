@@ -8,6 +8,7 @@ from .fields import (
     Grid,
     IncidentWave,
     NonlinearitySpec,
+    apply_nonlinearity,
     load_field,
     make_incident,
     save_field,
@@ -35,6 +36,7 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "StepConfig",
+    "apply_nonlinearity",
     "apply_resolvent",
     "blowup_probe",
     "continue_branch",

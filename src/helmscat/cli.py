@@ -23,10 +23,13 @@ Every action takes ``--config``, ``--out`` and ``--threads``; ``--seed`` is a
 the other actions reject it and record ``"seed": null``.  ``_ACTIONS`` and
 ``_VERIFY_MODES`` below are the one list of actions and of verify modes.
 
-Exit codes: 0 success, 2 config error, 3 solver failed to converge,
-4 verification margin breach (for ``solve``, a failed bound check of a
-certified affine solve), 1 unexpected error.  A thread count that is not an
-integer >= 1 is a config error.  Failures are also recorded in the manifest.
+Exit codes: 0 success, 2 config error, 3 solver failed to converge or a
+branch stopped short of lambda_max, 4 verification margin breach (for
+``solve``, a failed bound check of a certified affine solve), 1 unexpected
+error.  A thread count that is not an integer >= 1 is a config error.  The
+manifest's status names the outcome; exit 3 is "divergence" when the solver
+diverged (for ``continue``, a blow-up) and "incomplete" for a branch that
+ended on its step floor or its solve budget.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ from .verify import (
     truncation_threshold,
 )
 
-EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DIVERGED = 3
-EXIT_BREACH = 4
+# manifest status -> exit code.  A run that stops short of its goal exits 3:
+# "divergence" when the solver diverged, "incomplete" when it did not (a
+# branch that ended on its step floor or its solve budget)
+_EXIT_CODES = {"ok": 0, "error": 1, "config_error": 2, "divergence": 3,
+               "incomplete": 3, "verification_breach": 4}
 
 _COEFFICIENT = {
     "type": "object",
@@ -383,8 +387,8 @@ def _write_field(path: str, fld: ComplexField, k: float):
 
 
 # -- action runners -----------------------------------------------------------
-# Each runner takes (cfg, args, out) and returns (exit code, files written,
-# manifest tolerances).
+# Each runner takes (cfg, args, out) and returns (manifest status, files
+# written, manifest tolerances).
 
 def _run_solve(cfg: dict, args, out: str):
     prob, u, rep, tolerances = _solve(cfg)
@@ -396,11 +400,11 @@ def _run_solve(cfg: dict, args, out: str):
     report["sup_norm"] = u.sup_norm
     report["field_file"] = "field.cfld"
     _write_json(os.path.join(out, "solve_report.json"), report)
-    code = EXIT_OK if rep.converged else EXIT_DIVERGED
+    status = "ok" if rep.converged else "divergence"
     # bound checks come with converged solves only
     if not all(c.satisfied for c in rep.bound_checks):
-        code = EXIT_BREACH
-    return code, ["field.cfld", "solve_report.json"], tolerances
+        status = "verification_breach"
+    return status, ["field.cfld", "solve_report.json"], tolerances
 
 
 def _run_continue(cfg: dict, args, out: str):
@@ -440,8 +444,9 @@ def _run_continue(cfg: dict, args, out: str):
         summary["final_field_file"] = "final_field.cfld"
         files.append("final_field.cfld")
     _write_json(os.path.join(out, "branch_summary.json"), summary)
-    code = EXIT_OK if branch.terminated_reason == "reached_lambda_max" else EXIT_DIVERGED
-    return code, files, {"solver_tol": scfg.tol}
+    status = {"reached_lambda_max": "ok",
+              "blow_up": "divergence"}.get(branch.terminated_reason, "incomplete")
+    return status, files, {"solver_tol": scfg.tol}
 
 
 def _run_kappa(cfg: dict, args, out: str):
@@ -455,13 +460,13 @@ def _run_kappa(cfg: dict, args, out: str):
         "grid": {"dim": est.grid.dim, "L": est.grid.half_width,
                  "M": est.grid.points_per_axis},
     })
-    return EXIT_OK, ["kappa.json"], {}
+    return "ok", ["kappa.json"], {}
 
 
 def _run_farfield(cfg: dict, args, out: str):
     prob, u, rep, tolerances = _solve(cfg)
     if not rep.converged:
-        return EXIT_DIVERGED, [], tolerances
+        return "divergence", [], tolerances
     ff_cfg = cfg.get("farfield", {})
     g = prob.rcfg.eval_grid
     u_sc = u - prob.phi
@@ -484,7 +489,7 @@ def _run_farfield(cfg: dict, args, out: str):
             for d, a in zip(ff.directions, ff.amplitude)]
     _write_csv(os.path.join(out, "farfield.csv"), header, rows)
     _write_field(os.path.join(out, "field.cfld"), u, prob.k)
-    return EXIT_OK, ["field.cfld", "radiation.csv", "farfield.csv"], tolerances
+    return "ok", ["field.cfld", "radiation.csv", "farfield.csv"], tolerances
 
 
 # -- verify modes -------------------------------------------------------------
@@ -552,7 +557,7 @@ def _run_verify(cfg: dict, args, out: str):
     if solves:
         prob, u, rep, tolerances = _solve(cfg)
         if not rep.converged:
-            return EXIT_DIVERGED, [], tolerances
+            return "divergence", [], tolerances
     try:
         report, breach, tolerances = check(cfg, cfg.get("verify", {}), prob, u)
     except ValueError as e:
@@ -560,7 +565,7 @@ def _run_verify(cfg: dict, args, out: str):
     name = f"verify_{args.mode}.json"
     _write_json(os.path.join(out, name),
                 {**report, "mode": args.mode, "breach": breach})
-    return (EXIT_BREACH if breach else EXIT_OK), [name], tolerances
+    return ("verification_breach" if breach else "ok"), [name], tolerances
 
 
 def _run_constants(cfg: dict | None, args, out: str):
@@ -572,7 +577,7 @@ def _run_constants(cfg: dict | None, args, out: str):
     text = json.dumps(payload, sort_keys=True)
     print(text)
     _write_text(os.path.join(out, "constants_zN.json"), text + "\n")
-    return EXIT_OK, ["constants_zN.json"], {}
+    return "ok", ["constants_zN.json"], {}
 
 
 def reconstruct_time_field(field_path: str, times, out_dir: str,
@@ -609,7 +614,7 @@ def _run_animate(cfg: dict, args, out: str):
         "source_field": ac["field"], "times": list(ac["times"]),
         "files": names,
     })
-    return EXIT_OK, names + ["frames.json"], {}
+    return "ok", names + ["frames.json"], {}
 
 
 # -- entry point --------------------------------------------------------------
@@ -679,7 +684,7 @@ def main(argv=None) -> int:
 
     cfg = threads = None
     inputs = {}
-    status, code, error = "ok", EXIT_OK, None
+    status, error = "ok", None
     files, tolerances = [], {}
     try:
         threads = _resolve_threads(args)
@@ -689,15 +694,11 @@ def main(argv=None) -> int:
         workers = (scipy.fft.set_workers(threads) if threads
                    else contextlib.nullcontext())
         with workers:
-            code, files, tolerances = _ACTIONS[args.action][0](cfg, args, out)
+            status, files, tolerances = _ACTIONS[args.action][0](cfg, args, out)
     except ConfigError as e:
-        status, code, error = "config_error", EXIT_CONFIG, str(e)
+        status, error = "config_error", str(e)
     except Exception as e:  # noqa: BLE001 - everything lands in the manifest
-        status, code, error = "error", 1, f"{type(e).__name__}: {e}"
-    if code == EXIT_DIVERGED:
-        status = "divergence"
-    elif code == EXIT_BREACH:
-        status = "verification_breach"
+        status, error = "error", f"{type(e).__name__}: {e}"
 
     manifest = {
         "action": " ".join(filter(None, (args.action,
@@ -716,7 +717,7 @@ def main(argv=None) -> int:
     _write_json(os.path.join(out, "manifest.json"), manifest)
     if error is not None:
         print(f"helmscat {args.action}: {error}", file=sys.stderr)
-    return code
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

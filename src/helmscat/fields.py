@@ -13,7 +13,9 @@ continuous across alpha = dim.
 
 Nonlinearities act pointwise.  The power kind is f(x, u) = Q(x)|u|^(p-2)u
 with real coefficient Q and 2 < p (< 2 dim/(dim-2) in dimension 3, the
-critical exponent).  The affine kind is f(x, u) = a(x) u + b(x).
+critical exponent).  The affine kind is f(x, u) = a(x) u + b(x).  Both
+vanish off the index box of their coefficients' support, which a
+NonlinearitySpec records once; the formula is evaluated on that box only.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "sphere_trace",
     "gl_panels",
     "support_box",
+    "box_slices",
     "support_diameter",
     "critical_exponent",
     "check_defocusing_coefficient",
@@ -375,7 +378,11 @@ def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
 class NonlinearitySpec:
     """Pointwise nonlinearity f(x, u) with decay rate alpha for the
     coefficient.  regime_tags is metadata ('f1', 'f2', 'defocusing');
-    'defocusing' is validated: real Q <= 0 vanishing on the boundary layer."""
+    'defocusing' is validated: real Q <= 0 vanishing on the boundary layer.
+
+    box, recorded once, is the index box of the coefficients' support: the
+    support_box of Q, or of supp a U supp b; None when they vanish.  f(x, u)
+    is 0 off the box for every u, and on_box evaluates it on the box."""
 
     kind: str
     alpha: float
@@ -385,6 +392,17 @@ class NonlinearitySpec:
     a: ComplexField | None = None
     b: ComplexField | None = None
     regime_tags: frozenset = frozenset()
+    box: tuple[tuple[int, int], ...] | None = field(init=False, repr=False,
+                                                    compare=False)
+
+    def __post_init__(self):
+        if self.kind == "power":
+            support = self.Q.values
+        elif self.kind == "affine":
+            support = (self.a.values != 0) | (self.b.values != 0)
+        else:
+            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        object.__setattr__(self, "box", support_box(support))
 
     @classmethod
     def power(cls, Q: ComplexField, p: float, alpha: float, tags=()) -> "NonlinearitySpec":
@@ -410,6 +428,15 @@ class NonlinearitySpec:
         _validate_tags(spec)
         return spec
 
+    def on_box(self, u: np.ndarray) -> np.ndarray:
+        """f(x, u) on the cells of box, for the values u of an iterate there
+        (an array of the box's shape): the one place the pointwise formula
+        is written."""
+        sl = box_slices(self.box, self.grid.dim)
+        if self.kind == "power":
+            return self.Q.values.real[sl] * np.abs(u) ** (self.p - 2.0) * u
+        return self.a.values[sl] * u + self.b.values[sl]
+
 
 def support_box(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     """Index bounding box of the nonzero cells of values: (first, last) per
@@ -423,6 +450,16 @@ def support_box(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
         idx = np.flatnonzero(proj)
         box.append((int(idx[0]), int(idx[-1])))
     return tuple(box)
+
+
+def box_slices(box: tuple[tuple[int, int], ...] | None, dim: int,
+               offset: int = 0) -> tuple[slice, ...]:
+    """Index slices that select the cells of box, shifted by offset on every
+    axis (the index of the box's grid inside a larger aligned grid); for
+    box None they select nothing."""
+    if box is None:
+        return (slice(0, 0),) * dim
+    return tuple(slice(offset + lo, offset + hi + 1) for lo, hi in box)
 
 
 def support_diameter(coef: ComplexField) -> float:
@@ -474,15 +511,13 @@ def _validate_tags(spec: NonlinearitySpec):
 
 
 def apply_nonlinearity(f: NonlinearitySpec, u: ComplexField) -> ComplexField:
-    """Pointwise f(x, u(x))."""
+    """Pointwise f(x, u(x)): f.on_box on the coefficients' box, 0 off it."""
     if u.grid != f.grid:
         raise ValueError("field grid does not match nonlinearity grid")
-    if f.kind == "power":
-        au = np.abs(u.values)
-        return ComplexField(u.grid, f.Q.values.real * au ** (f.p - 2.0) * u.values)
-    if f.kind == "affine":
-        return ComplexField(u.grid, f.a.values * u.values + f.b.values)
-    raise ValueError(f"unknown nonlinearity kind {f.kind!r}")
+    out = np.zeros(u.grid.shape, dtype=complex)
+    sl = box_slices(f.box, u.grid.dim)
+    out[sl] = f.on_box(u.values[sl])
+    return ComplexField(u.grid, out)
 
 
 # random (u, v) pairs in the power-kind search, and the shrinking refinement

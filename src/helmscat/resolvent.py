@@ -41,7 +41,15 @@ that is 9,600 lines of length 40 against 1,876 + 3,904 = 5,780.  The axis
 order and the place of the inverse's 1/size factor (after its first axis)
 are those of fftn and ifftn, so the result is bit-identical to the
 whole-box transform.  The full table is built on a spectrum miss and not
-kept.  The test suite checks the result against the whole-box transform
+kept.
+
+This transform is one operator object, BoxResolvent: bound to one box, it
+holds the box's spectrum and slices and maps the source's values on the
+box to the result on the eval grid.  apply_resolvent binds one to the
+support box of each source it is given; the Picard solver binds one per
+solve to the box of the nonlinearity's coefficients, which holds the
+support of f(x, u) for every iterate, so its iterations make no support
+search and no spectrum lookup.  The test suite checks the result against the whole-box transform
 bit for bit and against direct summation over the table to 1e-10 on small
 grids.  In 3D the magnitude kernel is |Phi_k| = 1/(4 pi r) for every k, so
 its table is evaluated without k and one cached spectrum per (config, box)
@@ -78,6 +86,7 @@ __all__ = [
     "KappaEstimate",
     "RadiationReport",
     "FarField",
+    "BoxResolvent",
     "apply_resolvent",
     "estimate_kappa",
     "radiation_report",
@@ -250,47 +259,81 @@ def _window_spectrum(cfg: ResolventConfig, k: float | None, kind: str,
     return spectrum
 
 
+class BoxResolvent:
+    """The resolvent bound to one source box: R_k (kind "outgoing") or its
+    magnitude kernel (kind "magnitude") for sources on cfg's source grid
+    whose nonzero cells lie in box (inclusive source-grid indices per axis,
+    None for none).  It holds the box's window spectrum, taken once from
+    the _window_spectrum LRU, and the slices of the box: source and
+    in_eval select its cells on the source and the eval grid.  Called with
+    a source's values on the box, it returns the result on the eval grid."""
+
+    def __init__(self, cfg: ResolventConfig, k: float, box, kind: str = "outgoing"):
+        if kind not in ("outgoing", "magnitude"):
+            raise ValueError(f"unknown kernel kind {kind!r}")
+        if not (math.isfinite(k) and k > 0.0):
+            raise ValueError("k must be finite and > 0")
+        g = cfg.eval_grid
+        m = g.points_per_axis
+        self._shape = g.shape
+        self.source = _fields.box_slices(box, g.dim)
+        self.in_eval = _fields.box_slices(
+            box, g.dim, _fields._alignment_offset(g, cfg.source_grid))
+        self._spectrum = None
+        if box is None:
+            return
+        # the 3D magnitude table is the same for every k: one spectrum serves all
+        k_key = None if kind == "magnitude" and g.dim == 3 else float(k)
+        self._spectrum = _window_spectrum(cfg, k_key, kind, box)
+        whole = (slice(None),) * g.dim
+        self._crop = tuple(slice(0, hi - lo + 1) for lo, hi in box)
+        # forward axis j transforms the lines that cross the box on the axes
+        # after it
+        self._lines = [whole[:ax + 1] + self._crop[ax + 1:] for ax in range(g.dim)]
+        # eval cell i sees source cell lo + j through window index
+        # i + hi - lo - j: inverse axis j keeps the m valid cells from hi - lo
+        self._valid = [whole[:ax] + (slice(hi - lo, hi - lo + m),)
+                       for ax, (lo, hi) in enumerate(box)]
+
+    def __call__(self, box_values: np.ndarray) -> np.ndarray:
+        """The result on the eval grid of the source with box_values on the
+        box and 0 elsewhere; a view into the transform's buffer."""
+        if self._spectrum is None:
+            return np.zeros(self._shape, dtype=complex)
+        # the box, zero-padded to the circulant size, is transformed in place
+        # axis by axis in fftn's order; the axes not yet transformed still
+        # hold only the box, so the all-zero lines outside it are skipped
+        conv = np.zeros(self._spectrum.shape, dtype=complex)
+        conv[self._crop] = box_values
+        for ax, index in enumerate(self._lines):
+            lines = conv[index]
+            out = fft.fft(lines, axis=ax, overwrite_x=True)
+            # scipy transforms a complex input it may overwrite in place;
+            # should it return a new array instead, the lines are copied
+            # back from it
+            if not np.may_share_memory(out, lines):
+                lines[...] = out
+        conv *= self._spectrum
+        # each inverse axis keeps its m valid cells before the next one, and
+        # the 1/size factor goes where ifftn applies it, after the first axis
+        for ax, index in enumerate(self._valid):
+            conv = fft.ifft(conv, axis=ax, norm="forward", overwrite_x=True)
+            if ax == 0:
+                conv *= 1.0 / self._spectrum.size
+            conv = conv[index]
+        return conv
+
+
 def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
                     kind: str = "outgoing") -> ComplexField:
     """Convolve a source on the source grid with the (tabulated) kernel,
-    evaluated on the eval grid.  kind selects the outgoing kernel or its
-    magnitude."""
-    if kind not in ("outgoing", "magnitude"):
-        raise ValueError(f"unknown kernel kind {kind!r}")
+    evaluated on the eval grid: the BoxResolvent of the source's support
+    box.  kind selects the outgoing kernel or its magnitude."""
     if h_field.grid != cfg.source_grid:
         raise ValueError("source field does not live on the source grid")
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError("k must be finite and > 0")
-    box = _fields.support_box(h_field.values)
-    if box is None:
-        return ComplexField.zeros(cfg.eval_grid)
-    # the 3D magnitude table is the same for every k: one spectrum serves all
-    k_key = None if kind == "magnitude" and cfg.eval_grid.dim == 3 else float(k)
-    spectrum = _window_spectrum(cfg, k_key, kind, box)
-    # the box, zero-padded to the circulant size, is transformed in place
-    # axis by axis in fftn's order; the axes not yet transformed still hold
-    # only the box, so the all-zero lines outside it are skipped
-    crop = tuple(slice(0, hi - lo + 1) for lo, hi in box)
-    conv = np.zeros(spectrum.shape, dtype=complex)
-    conv[crop] = h_field.values[tuple(slice(lo, hi + 1) for lo, hi in box)]
-    for ax in range(conv.ndim):
-        lines = conv[(slice(None),) * (ax + 1) + crop[ax + 1:]]
-        out = fft.fft(lines, axis=ax, overwrite_x=True)
-        # scipy transforms a complex input it may overwrite in place; should
-        # it return a new array instead, the lines are copied back from it
-        if not np.may_share_memory(out, lines):
-            lines[...] = out
-    conv *= spectrum
-    # eval cell i sees source cell lo + j through window index i + hi - lo - j;
-    # each inverse axis keeps its m valid cells before the next one, and the
-    # 1/size factor goes where ifftn applies it, after the first axis
-    m = cfg.eval_grid.points_per_axis
-    for ax, (lo, hi) in enumerate(box):
-        conv = fft.ifft(conv, axis=ax, norm="forward", overwrite_x=True)
-        if ax == 0:
-            conv *= 1.0 / spectrum.size
-        conv = conv[(slice(None),) * ax + (slice(hi - lo, hi - lo + m),)]
-    return ComplexField(cfg.eval_grid, conv.copy())
+    op = BoxResolvent(cfg, k, _fields.support_box(h_field.values), kind)
+    return ComplexField(cfg.eval_grid,
+                        np.ascontiguousarray(op(h_field.values[op.source])))
 
 
 # -- kappa --------------------------------------------------------------------

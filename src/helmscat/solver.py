@@ -8,8 +8,20 @@ The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
 started at phi (or a caller-supplied warm start).  When an update increases
 the residual the damping theta is halved, down to min(1/16, damping).  A sup
 norm beyond the divergence cap stops the run with partial data, and so does
-an iterate whose map overflows float64 (the last finite iterate is
-returned): both end with status "diverged".
+an iterate whose map leaves float64, in the loop or in the final residual:
+an overflow or invalid operation, or a non-finite value the FFT produces
+without a floating-point flag.  Both end with status "diverged", the last
+finite iterate returned and no final residual.
+
+f(x, u) vanishes off the index box of the coefficients' support for every
+u, so the map is bound once per solve to that box: the eval-grid slice
+that reads an iterate there, the BoxResolvent of the box and the values of
+phi.  Each iteration then evaluates f on the box, applies the operator and
+adds phi, all on arrays; the iterates are still checked as fields.  The
+arithmetic per cell and the transforms are those of restricting u,
+applying f on the whole source grid and calling apply_resolvent, so the
+iterates are bit-identical to that route wherever f(., u) fills the box,
+and agree to roundoff where it does not.
 
 The contraction certificate multiplies the kappa estimate by the sampled
 Lipschitz estimate of the nonlinearity on a ball of radius cap; a product
@@ -51,6 +63,7 @@ from .fields import (
     weighted_norm,
 )
 from .resolvent import (
+    BoxResolvent,
     KappaEstimate,
     RadiationReport,
     ResolventConfig,
@@ -67,6 +80,11 @@ __all__ = [
     "diagnose",
     "contraction_certificate",
     "linear_bound_check",
+    # picard_solve no longer calls these three, but the benchmark's tracer
+    # (perfbench/tracing.py) wraps them where this module binds them
+    "apply_nonlinearity",
+    "apply_resolvent",
+    "restrict_field",
 ]
 
 _DAMPING_FLOOR = 1.0 / 16.0
@@ -110,10 +128,27 @@ class SolveReport:
         return out
 
 
-def _apply_map(f: NonlinearitySpec, phi: ComplexField, k: float,
-               rcfg: ResolventConfig, u: ComplexField) -> ComplexField:
-    src = restrict_field(u, rcfg.source_grid)
-    return apply_resolvent(apply_nonlinearity(f, src), rcfg, k) + phi
+def _bound_map(f: NonlinearitySpec, phi: ComplexField, k: float,
+               rcfg: ResolventConfig):
+    """The fixed-point map u -> R_k[f(., u)] + phi on eval-grid arrays,
+    bound once: f(., u) vanishes off the coefficients' box, so the map
+    reads u on that box, evaluates f there and applies the resolvent bound
+    to the box."""
+    op = BoxResolvent(rcfg, k, f.box)
+    box, phi_values = op.in_eval, phi.values
+    return lambda u: op(f.on_box(u[box])) + phi_values
+
+
+def _image(fixed_point_map, u: np.ndarray) -> np.ndarray | None:
+    """fixed_point_map(u), or None when the map leaves float64: an overflow
+    or invalid operation that numpy flags, or a non-finite value that it
+    does not (the FFT overflows silently)."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            out = fixed_point_map(u)
+    except FloatingPointError:
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
@@ -127,24 +162,23 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
     u = (u0 if u0 is not None else phi).copy()
     if u.grid != rcfg.eval_grid:
         raise ValueError("warm start must live on the eval grid")
+    fixed_point_map = _bound_map(f, phi, k, rcfg)
 
     theta = cfg.damping
     history: list[float] = []
     status = "max_iters"
     prev_res = math.inf
     for _ in range(cfg.max_iters):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                mapped = _apply_map(f, phi, k, rcfg, u)
-        except FloatingPointError:
-            # f(u) left float64: no field holds the next iterate
+        mapped = _image(fixed_point_map, u.values)
+        if mapped is None:
+            # no field holds the next iterate
             status = "diverged"
             break
-        cand = (1.0 - theta) * u.values + theta * mapped.values
+        cand = (1.0 - theta) * u.values + theta * mapped
         res = float(np.max(np.abs(cand - u.values)))
         while cfg.adapt_damping and res > prev_res and theta > _DAMPING_FLOOR:
             theta = max(0.5 * theta, _DAMPING_FLOOR)
-            cand = (1.0 - theta) * u.values + theta * mapped.values
+            cand = (1.0 - theta) * u.values + theta * mapped
             res = float(np.max(np.abs(cand - u.values)))
         u = ComplexField(u.grid, cand)
         history.append(res)
@@ -158,8 +192,11 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
 
     final_residual = None
     if status != "diverged":
-        final_residual = float(np.max(np.abs(
-            _apply_map(f, phi, k, rcfg, u).values - u.values)))
+        mapped = _image(fixed_point_map, u.values)
+        if mapped is None:
+            status = "diverged"
+        else:
+            final_residual = float(np.max(np.abs(mapped - u.values)))
     report = SolveReport(
         converged=(status == "converged"),
         status=status,

@@ -14,6 +14,10 @@ rgi_interpolant (scipy's RegularGridInterpolator) and brentq_zeros (a
 scalar scan with Brent's method) are the routes that the library's own
 multilinear interpolant and vectorized zero scan replace, so that no solve
 imports scipy.interpolate or scipy.optimize; these agree to roundoff.
+whole_grid_nonlinearity and picard_map are the whole-grid nonlinearity
+and the field-by-field Picard map that the library's evaluation on the
+coefficients' box and the solver's bound map replace; the bound map must
+reproduce picard_map bit for bit wherever f(., u) fills the box.
 nonlinearity_derivative (checked against finite differences) and
 verify_brackets (a sign-change check of the library's zero tables) came
 from the library, where no path called them.
@@ -283,6 +287,29 @@ def nonlinearity_derivative(f, u, v):
     lin = 0.5 * f.p * amp * v.values
     anti = 0.5 * (f.p - 2.0) * amp * unit * unit * np.conj(v.values)
     return ComplexField(u.grid, f.Q.values.real * (lin + anti))
+
+
+def whole_grid_nonlinearity(f, u):
+    """f(x, u(x)) by the pointwise formula on every cell of the grid, the
+    route that the library's evaluation on the coefficients' box replaces."""
+    from helmscat.fields import ComplexField
+
+    if f.kind == "power":
+        au = np.abs(u.values)
+        return ComplexField(u.grid, f.Q.values.real * au ** (f.p - 2.0) * u.values)
+    return ComplexField(u.grid, f.a.values * u.values + f.b.values)
+
+
+def picard_map(f, phi, k, rcfg, u):
+    """One undamped Picard image R_k[f(., u)] + phi through fields: restrict
+    u to the source grid, evaluate f on the whole grid, apply the resolvent
+    (which finds the support box of f(., u) afresh) and add phi.  The
+    solver's map, bound once to the coefficients' box, replaces this."""
+    from helmscat.fields import restrict_field
+    from helmscat.resolvent import apply_resolvent
+
+    src = restrict_field(u, rcfg.source_grid)
+    return apply_resolvent(whole_grid_nonlinearity(f, src), rcfg, k) + phi
 
 
 def embed_field(fld, outer):

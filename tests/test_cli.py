@@ -310,14 +310,15 @@ class TestContinue:
 
     def test_solve_budget_ends_the_branch(self, tmp_path):
         # two solves cannot reach lambda_max: the branch so far is written
-        # and the run exits 3; three points are too few for a blow-up fit
+        # and the run exits 3, incomplete, since every solve converged;
+        # three points are too few for a blow-up fit
         cfg = base_config()
         cfg["continuation"] = {"lambda_max": 1.0, "max_solves": 2}
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert main(["continue", "--config", cp, "--out", str(out)]) == 3
         man = json.loads((out / "manifest.json").read_text())
-        assert man["status"] == "divergence"
+        assert man["status"] == "incomplete"
         assert sorted(man["outputs"]) == ["branch.csv", "branch_summary.json",
                                           "final_field.cfld"]
         _, rows = read_csv(out / "branch.csv")
@@ -329,6 +330,31 @@ class TestContinue:
             "detected": False,
             "message": "blow-up fit needs 4 trailing converged points, "
                        "branch has 2"}
+
+
+    @pytest.mark.parametrize("reason,status", [("step_floor", "incomplete"),
+                                               ("blow_up", "divergence")])
+    def test_branch_end_sets_the_manifest_status(self, tmp_path, reason, status):
+        # both stop short of lambda_max with exit 3; only a branch whose
+        # last failed solve diverged is a divergence
+        if reason == "step_floor":
+            cfg = base_config()
+            cfg["solver"]["max_iters"] = 2
+        else:
+            cfg = base_config(nonlinearity={
+                "kind": "power", "p": 4.0,
+                "coefficient": {"type": "radial_bump", "amplitude": 80.0,
+                                "width": 4.0, "cutoff": 0.8}})
+            cfg["solver"] = {"adapt_damping": False, "divergence_cap": 1e4}
+        cfg["continuation"] = {"lambda_max": 3.0, "floor_factor": 0.01}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["continue", "--config", cp, "--out", str(out)]) == 3
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == status
+        summ = json.loads((out / "branch_summary.json").read_text())
+        assert summ["terminated_reason"] == reason
+        assert summ["last_lambda"] < 3.0
 
 
 class TestKappaFarfield:

@@ -14,6 +14,7 @@ from oracles import (
     rgi_interpolant,
     split_interpolant,
     split_sphere_trace,
+    whole_grid_nonlinearity,
 )
 
 
@@ -443,6 +444,43 @@ class TestNonlinearity:
         np.testing.assert_allclose(out.values, a.values * u.values + b.values, rtol=1e-14)
         d = nonlinearity_derivative(spec, u, u)
         np.testing.assert_allclose(d.values, a.values * u.values, rtol=1e-14)
+
+    def test_box_is_the_coefficients_support_box(self):
+        g = small_grid()
+        Q = bump_field(g, amp=-0.7, radius=1.2)
+        assert NonlinearitySpec.power(Q, p=3.0, alpha=3.0).box == \
+            fields.support_box(Q.values) == ((2, 6),) * 3
+        # affine: the box of supp a U supp b
+        a_vals = np.zeros(g.shape, dtype=complex)
+        b_vals = np.zeros(g.shape, dtype=complex)
+        a_vals[3, 4, 4] = 0.5
+        b_vals[5, 1, 4] = b_vals[5, 4, 7] = 0.1j
+        spec = NonlinearitySpec.affine(ComplexField(g, a_vals), ComplexField(g, b_vals),
+                                       alpha=3.0)
+        assert spec.box == ((3, 5), (1, 4), (4, 7))
+        zero = NonlinearitySpec.affine(ComplexField.zeros(g), ComplexField.zeros(g),
+                                       alpha=3.0)
+        assert zero.box is None
+        out = fields.apply_nonlinearity(zero, ComplexField(g, np.ones(g.shape) + 0j))
+        assert np.all(out.values == 0.0)
+
+    @pytest.mark.parametrize("kind", ["power", "affine"])
+    def test_box_evaluation_matches_whole_grid_formula(self, kind):
+        # evaluated on the box and embedded in zeros: bit for bit the
+        # formula on every cell
+        g = small_grid(dim=2, m=12)
+        if kind == "power":
+            spec = NonlinearitySpec.power(bump_field(g, amp=0.9, radius=1.3), p=3.5,
+                                          alpha=3.0)
+        else:
+            spec = NonlinearitySpec.affine(bump_field(g, amp=0.3, radius=0.9),
+                                           bump_field(g, amp=-0.2, radius=1.5),
+                                           alpha=3.0)
+        assert spec.box != ((0, 11),) * 2
+        rng = np.random.default_rng(4)
+        u = ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        np.testing.assert_array_equal(fields.apply_nonlinearity(spec, u).values,
+                                      whole_grid_nonlinearity(spec, u).values)
 
     def test_support_diameter_is_bounding_box_diagonal(self):
         g = small_grid()

@@ -310,6 +310,47 @@ class TestApplyResolvent:
         assert norms[0] / norms[1] > 2.4
 
 
+class TestBoxResolvent:
+    @pytest.mark.parametrize("kind", ["outgoing", "magnitude"])
+    @pytest.mark.parametrize("where", ["full", "face", "corner", "cell"])
+    @pytest.mark.parametrize("dim,m,pad", [(3, 9, 0), (3, 8, 2), (2, 17, 1)])
+    def test_equals_apply_resolvent_bit_for_bit(self, dim, m, pad, where, kind):
+        # the operator bound to the source's box, called with the values on
+        # the box, is apply_resolvent; all-zero values give exact zeros
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
+        h = random_source(g, where)
+        cfg = rv.ResolventConfig.padded(g, pad)
+        op = rv.BoxResolvent(cfg, 1.3, rv._fields.support_box(h.values), kind)
+        np.testing.assert_array_equal(op(h.values[op.source]),
+                                      rv.apply_resolvent(h, cfg, 1.3, kind).values)
+        np.testing.assert_array_equal(embed_field(h, cfg.eval_grid).values[op.in_eval],
+                                      h.values[op.source])
+        zero = op(np.zeros_like(h.values[op.source]))
+        assert zero.shape == cfg.eval_grid.shape
+        assert np.all(zero == 0.0)
+
+    def test_empty_box_builds_nothing(self):
+        # no box: nothing to read, no spectrum, exact zeros on the eval grid
+        g = Grid(dim=3, half_width=2.0, points_per_axis=9)
+        cfg = rv.ResolventConfig.padded(g, 1)
+        info = rv._window_spectrum.cache_info()
+        op = rv.BoxResolvent(cfg, 1.0, None)
+        assert rv._window_spectrum.cache_info() == info
+        src = np.ones(g.shape, dtype=complex)[op.source]
+        assert src.size == 0
+        out = op(src)
+        assert out.shape == cfg.eval_grid.shape and np.all(out == 0.0)
+
+    def test_rejects_bad_kind_and_k(self):
+        cfg = cfg_for(Grid(dim=2, half_width=2.0, points_per_axis=9))
+        box = ((2, 4), (3, 3))
+        with pytest.raises(ValueError, match="kind"):
+            rv.BoxResolvent(cfg, 1.0, box, "incoming")
+        for k in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="k must"):
+                rv.BoxResolvent(cfg, k, box)
+
+
 class TestKappa:
     def test_deterministic_and_finite(self):
         g = Grid(dim=3, half_width=4.0, points_per_axis=17)

@@ -7,6 +7,8 @@ from helmscat.fields import (
     IncidentWave,
     NonlinearitySpec,
     make_incident,
+    restrict_field,
+    support_box,
     weighted_norm,
 )
 from helmscat import solver
@@ -19,7 +21,13 @@ from helmscat.solver import (
     picard_solve,
 )
 
-from oracles import newton_fixed_point, resolvent_matrix, solve_affine_dense
+from oracles import (
+    newton_fixed_point,
+    picard_map,
+    resolvent_matrix,
+    solve_affine_dense,
+    whole_grid_nonlinearity,
+)
 
 K_REF = 1.0
 ALPHA = 3.0
@@ -146,6 +154,29 @@ class TestPicard:
         assert rep.iterations == len(rep.residual_history) >= 1
         assert np.isfinite(u.sup_norm)
 
+    def test_overflowing_final_residual_diverges(self):
+        # the last iterate is finite but its image is not: the final
+        # residual follows the loop's rule and ends the run as diverged
+        rcfg = small_rcfg()
+        f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.8, width=1.0),
+                                   p=3.0, alpha=ALPHA)
+        phi = plane_phi(rcfg.eval_grid) * 1e80
+        u, rep = picard_solve(f, phi, K_REF,
+                              SolverConfig(max_iters=1, divergence_cap=1e308), rcfg)
+        assert rep.status == "diverged" and not rep.converged
+        assert rep.final_residual is None
+        assert rep.iterations == len(rep.residual_history) == 1
+        assert np.isfinite(u.sup_norm) and u.sup_norm > 1e150
+
+    def test_map_that_leaves_float64_has_no_image(self):
+        # an overflow numpy flags and a non-finite value it does not flag
+        # both leave float64
+        u = np.ones(3, dtype=complex)
+        np.testing.assert_array_equal(solver._image(lambda v: 2.0 * v, u), 2.0 * u)
+        assert solver._image(lambda v: v * 1e308 * 10.0, u) is None
+        assert solver._image(lambda v: np.full(3, complex(np.inf, 0.0)), u) is None
+        assert solver._image(lambda v: np.full(3, complex(np.nan, 0.0)), u) is None
+
     def test_adaptive_damping_reaches_floor_or_converges(self):
         rcfg = small_rcfg()
         Q = radial_bump(rcfg.source_grid, -6.0)
@@ -242,6 +273,70 @@ class TestPicard:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(tol=-1.0)
+
+
+def box_coefficients(kind, grid):
+    """A power or affine nonlinearity whose coefficients fill a box smaller
+    than the grid: a bump on r <= 1.2 and, for the affine kind, a constant
+    off-centre ball that widens the box along the first axis."""
+    if kind == "power":
+        return NonlinearitySpec.power(radial_bump(grid, -0.6, cutoff=1.2),
+                                      p=3.0, alpha=ALPHA)
+    shifted = np.sqrt((grid.meshgrid()[0] - 0.9) ** 2
+                      + sum(x * x for x in grid.meshgrid()[1:]))
+    b = ComplexField(grid, (0.3 + 0.2j) * (shifted <= 0.8))
+    return NonlinearitySpec.affine(radial_bump(grid, -0.4, cutoff=0.7), b,
+                                   alpha=ALPHA)
+
+
+class TestBoundMap:
+    """The solver's map, bound once to the coefficients' box, against the
+    field-by-field route (restrict, whole-grid f, apply_resolvent, + phi)."""
+
+    def problem(self, dim, m, kind, pad):
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
+        rcfg = ResolventConfig.padded(g, pad)
+        f = box_coefficients(kind, g)
+        assert all(hi - lo + 1 < m for lo, hi in f.box)
+        rng = np.random.default_rng(7)
+        shape = rcfg.eval_grid.shape
+        u = ComplexField(rcfg.eval_grid, rng.uniform(0.5, 1.5, shape)
+                         * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, shape)))
+        direction = (0.6, 0.8) if dim == 2 else (0.6, 0.0, 0.8)
+        phi = make_incident(IncidentWave.plane(K_REF, direction), rcfg.eval_grid)
+        return rcfg, f, u, phi
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("kind", ["power", "affine"])
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 9)])
+    def test_equals_field_route_bit_for_bit(self, dim, m, kind, pad):
+        rcfg, f, u, phi = self.problem(dim, m, kind, pad)
+        mapped = solver._bound_map(f, phi, K_REF, rcfg)(u.values)
+        np.testing.assert_array_equal(mapped,
+                                      picard_map(f, phi, K_REF, rcfg, u).values)
+
+    @pytest.mark.parametrize("dim,m", [(2, 16), (3, 9)])
+    def test_zero_on_a_box_face_agrees_to_roundoff(self, dim, m):
+        # u = 0 on the box's first face along axis 0: f(., u) no longer
+        # fills the box, so the field route convolves a smaller window
+        rcfg, f, u, phi = self.problem(dim, m, "power", 1)
+        u.values[(1 + f.box[0][0],)] = 0.0
+        src = restrict_field(u, rcfg.source_grid)
+        assert support_box(whole_grid_nonlinearity(f, src).values) != f.box
+        mapped = solver._bound_map(f, phi, K_REF, rcfg)(u.values)
+        want = picard_map(f, phi, K_REF, rcfg, u).values
+        assert np.max(np.abs(mapped - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_zero_coefficients_map_to_phi(self):
+        rcfg = small_rcfg()
+        f = NonlinearitySpec.power(ComplexField.zeros(rcfg.source_grid), p=3.0,
+                                   alpha=ALPHA)
+        phi = plane_phi(rcfg.eval_grid)
+        u = phi * 2.0
+        mapped = solver._bound_map(f, phi, K_REF, rcfg)(u.values)
+        np.testing.assert_array_equal(mapped,
+                                      picard_map(f, phi, K_REF, rcfg, u).values)
+        np.testing.assert_array_equal(mapped, phi.values)
 
 
 class TestContractionRatios:
