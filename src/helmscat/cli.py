@@ -28,8 +28,9 @@ branch stopped short of lambda_max, 4 verification margin breach (for
 ``solve``, a failed bound check of a certified affine solve), 1 unexpected
 error.  A thread count that is not an integer >= 1 is a config error.  The
 manifest's status names the outcome; exit 3 is "divergence" when the solver
-diverged (for ``continue``, a blow-up) and "incomplete" for a branch that
-ended on its step floor or its solve budget.
+diverged (for ``continue``, a blow-up) and "incomplete" when it did not: a
+solve that ran out of iterations, or a branch that ended on its step floor
+or its solve budget.
 """
 
 from __future__ import annotations
@@ -80,11 +81,19 @@ from .verify import (
     truncation_threshold,
 )
 
-# manifest status -> exit code.  A run that stops short of its goal exits 3:
-# "divergence" when the solver diverged, "incomplete" when it did not (a
-# branch that ended on its step floor or its solve budget)
+# manifest status -> exit code.  A run that stops short of its goal exits 3
+# with the status _short_of_goal gives it
 _EXIT_CODES = {"ok": 0, "error": 1, "config_error": 2, "divergence": 3,
                "incomplete": 3, "verification_breach": 4}
+
+
+def _short_of_goal(diverged: bool) -> str:
+    """Manifest status of a run that stopped short of its goal: "divergence"
+    when the solver diverged (for a branch, a blow-up), "incomplete" when it
+    did not (a solve out of iterations, a branch on its step floor or out of
+    its solve budget)."""
+    return "divergence" if diverged else "incomplete"
+
 
 _COEFFICIENT = {
     "type": "object",
@@ -400,7 +409,7 @@ def _run_solve(cfg: dict, args, out: str):
     report["sup_norm"] = u.sup_norm
     report["field_file"] = "field.cfld"
     _write_json(os.path.join(out, "solve_report.json"), report)
-    status = "ok" if rep.converged else "divergence"
+    status = "ok" if rep.converged else _short_of_goal(rep.status == "diverged")
     # bound checks come with converged solves only
     if not all(c.satisfied for c in rep.bound_checks):
         status = "verification_breach"
@@ -444,8 +453,8 @@ def _run_continue(cfg: dict, args, out: str):
         summary["final_field_file"] = "final_field.cfld"
         files.append("final_field.cfld")
     _write_json(os.path.join(out, "branch_summary.json"), summary)
-    status = {"reached_lambda_max": "ok",
-              "blow_up": "divergence"}.get(branch.terminated_reason, "incomplete")
+    status = ("ok" if branch.terminated_reason == "reached_lambda_max"
+              else _short_of_goal(branch.terminated_reason == "blow_up"))
     return status, files, {"solver_tol": scfg.tol}
 
 
@@ -466,7 +475,7 @@ def _run_kappa(cfg: dict, args, out: str):
 def _run_farfield(cfg: dict, args, out: str):
     prob, u, rep, tolerances = _solve(cfg)
     if not rep.converged:
-        return "divergence", [], tolerances
+        return _short_of_goal(rep.status == "diverged"), [], tolerances
     ff_cfg = cfg.get("farfield", {})
     g = prob.rcfg.eval_grid
     u_sc = u - prob.phi
@@ -557,7 +566,7 @@ def _run_verify(cfg: dict, args, out: str):
     if solves:
         prob, u, rep, tolerances = _solve(cfg)
         if not rep.converged:
-            return "divergence", [], tolerances
+            return _short_of_goal(rep.status == "diverged"), [], tolerances
     try:
         report, breach, tolerances = check(cfg, cfg.get("verify", {}), prob, u)
     except ValueError as e:

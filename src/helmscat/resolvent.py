@@ -61,6 +61,10 @@ magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
 magnitude kernel is nonnegative, the profile majorizes every unit-norm
 source, so the estimate is exact for the truncated discrete operator; an
 analytic bound on the discarded exterior integral is reported alongside.
+In 3D neither reads k (the kernel is 1/(4 pi r) and the tail bound's
+constants are k-free), so kappa is computed once per (alpha, config) and
+kept in a small LRU of estimates keyed by those two alone; an estimate
+holds no array.  In 2D kappa depends on k and is computed on every call.
 
 The radiation residuals read u and its gradient through fields.sphere_trace;
 far_field interpolates u alone, through one fields.grid_interpolant.  The
@@ -105,6 +109,8 @@ _SPECTRA = 4
 _BALL_PANELS = 21
 # uniform panels for the smooth annulus integral of the kappa tail bound
 _ANNULUS_PANELS = 4
+# 3D kappa estimates kept by the LRU of _k_free_kappa; each holds no array
+_KAPPAS = 8
 
 
 @dataclass(frozen=True)
@@ -268,12 +274,16 @@ class BoxResolvent:
     in_eval select its cells on the source and the eval grid.  Called with
     a source's values on the box, it returns the result on the eval grid."""
 
-    def __init__(self, cfg: ResolventConfig, k: float, box, kind: str = "outgoing"):
+    def __init__(self, cfg: ResolventConfig, k: float | None, box,
+                 kind: str = "outgoing"):
         if kind not in ("outgoing", "magnitude"):
             raise ValueError(f"unknown kernel kind {kind!r}")
-        if not (math.isfinite(k) and k > 0.0):
-            raise ValueError("k must be finite and > 0")
         g = cfg.eval_grid
+        # the 3D magnitude table is the same for every k, which may be None
+        k_free = kind == "magnitude" and g.dim == 3
+        if not (k is None and k_free
+                or k is not None and math.isfinite(k) and k > 0.0):
+            raise ValueError("k must be finite and > 0")
         m = g.points_per_axis
         self._shape = g.shape
         self.source = _fields.box_slices(box, g.dim)
@@ -282,9 +292,9 @@ class BoxResolvent:
         self._spectrum = None
         if box is None:
             return
-        # the 3D magnitude table is the same for every k: one spectrum serves all
-        k_key = None if kind == "magnitude" and g.dim == 3 else float(k)
-        self._spectrum = _window_spectrum(cfg, k_key, kind, box)
+        # one spectrum serves every k of the k-free table
+        self._spectrum = _window_spectrum(cfg, None if k_free else float(k),
+                                          kind, box)
         whole = (slice(None),) * g.dim
         self._crop = tuple(slice(0, hi - lo + 1) for lo, hi in box)
         # forward axis j transforms the lines that cross the box on the axes
@@ -324,11 +334,12 @@ class BoxResolvent:
         return conv
 
 
-def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
+def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float | None,
                     kind: str = "outgoing") -> ComplexField:
     """Convolve a source on the source grid with the (tabulated) kernel,
     evaluated on the eval grid: the BoxResolvent of the source's support
-    box.  kind selects the outgoing kernel or its magnitude."""
+    box.  kind selects the outgoing kernel or its magnitude; k may be None
+    for the 3D magnitude kernel, which is the same for every k."""
     if h_field.grid != cfg.source_grid:
         raise ValueError("source field does not live on the source grid")
     op = BoxResolvent(cfg, k, _fields.support_box(h_field.values), kind)
@@ -338,12 +349,13 @@ def apply_resolvent(h_field: ComplexField, cfg: ResolventConfig, k: float,
 
 # -- kappa --------------------------------------------------------------------
 
-def _exterior_tail_bound(alpha: float, k: float, dim: int,
+def _exterior_tail_bound(alpha: float, k: float | None, dim: int,
                          source_half_width: float, eval_half_width: float) -> float:
     """Bound on the tau-weighted sup of the exterior part
         integral over |y| > L_src of |Phi_k(x-y)| <y>^(-alpha) dy
     for x in the eval box, via |Phi_k(z)| <= C_k |z|^((1-dim)/2) away from
-    the singularity and the near-singularity mass of |Phi_k|."""
+    the singularity and the near-singularity mass of |Phi_k|.  Only the 2D
+    bound reads k; in 3D it may be None."""
     rho_x = math.sqrt(dim) * eval_half_width
     r0 = source_half_width
     if dim == 3:
@@ -371,7 +383,22 @@ def _exterior_tail_bound(alpha: float, k: float, dim: int,
 
 def estimate_kappa(alpha: float, cfg: ResolventConfig, k: float) -> KappaEstimate:
     """kappa for the truncated discrete operator, via the extremal profile
-    <y>^(-alpha), plus an analytic bound for the discarded exterior."""
+    <y>^(-alpha), plus an analytic bound for the discarded exterior.  In 3D
+    neither depends on k: the estimate is computed once per (alpha, cfg)."""
+    if cfg.source_grid.dim == 3:
+        return _k_free_kappa(float(alpha), cfg)
+    return _kappa(alpha, cfg, k)
+
+
+@functools.lru_cache(maxsize=_KAPPAS)
+def _k_free_kappa(alpha: float, cfg: ResolventConfig) -> KappaEstimate:
+    """The 3D kappa, which reads no k: |Phi_k| = 1/(4 pi r) and the tail
+    bound's constants are k-free."""
+    return _kappa(alpha, cfg, None)
+
+
+def _kappa(alpha: float, cfg: ResolventConfig, k: float | None) -> KappaEstimate:
+    """kappa at k; k is None for the k-free 3D kernel."""
     dim = cfg.source_grid.dim
     t = tau(alpha, dim)
     profile = ComplexField(cfg.source_grid,

@@ -24,8 +24,16 @@ the ball of radius delta, the transform stays nonnegative whenever
 k delta <= z, z the first positive zero of Y_nu; truncation_threshold
 returns that z.  Panels are split at a tiny inner radius and at the zeros
 of s -> J_nu(s |xi|) so each Gauss-Legendre panel sees a single arch; one
-zero table, sized for the largest frequency, serves the whole transform,
-and each frequency sums its panels left to right.
+zero table, sized for the largest frequency, serves the whole transform.
+There is no loop over frequencies: every frequency's panel edges come from
+one (frequency x zero) table of zeros / xi and a mask, every panel is
+integrated in one Gauss-Legendre evaluation, and the panel integrals,
+zero-padded to a (frequency x panel) table, are summed by accumulating its
+columns, so each frequency still sums its panels left to right from +0.0.
+Only the final xi^(-nu) is taken one scalar at a time, because the
+vectorized power may differ from the scalar one in the last bit.  Every
+value equals the one-frequency-at-a-time evaluation in tests/oracles.py to
+the bit.
 
 Flux identity.  Pairing the equation with the conjugate solution over a
 ball shows Im over the boundary sphere of conj(u) d_r u vanishes for any
@@ -146,21 +154,35 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
         return out
     # the scan is sequential, so the largest table's first n zeros are the
     # n-zero table of every smaller frequency
-    zeros = np.asarray(j_zeros(nu, int(xs.max() * upper / math.pi) + 2).zeros)
-    edges = []
-    for xi in xs[nonzero]:
-        cuts = zeros[:int(xi * upper / math.pi) + 2] / xi
-        edges.append(np.concatenate(
-            ([0.0, eps], cuts[(cuts > eps) & (cuts < upper)], [upper])))
-    counts = [len(e) - 1 for e in edges]
-    xi_col = np.repeat(xs[nonzero], counts)[:, np.newaxis]
+    xi = xs[nonzero]
+    zeros = np.asarray(j_zeros(nu, int(xi.max() * upper / math.pi) + 2).zeros)
+    n_zeros = (xi * upper / math.pi).astype(int) + 2
+    # every frequency's cuts, one row each: the zeros of J_nu(s xi) strictly
+    # inside (eps, upper), in increasing order
+    cuts = zeros / xi[:, np.newaxis]
+    inside = ((np.arange(zeros.size) < n_zeros[:, np.newaxis])
+              & (cuts > eps) & (cuts < upper))
+    # row i's panels run 0 | eps | its cuts | upper; masking the left and the
+    # right edge tables alike lists every row's panels in order, row by row
+    one = np.ones((xi.size, 1))
+    lo = np.hstack([0.0 * one, eps * one, cuts])
+    hi = np.hstack([eps * one, cuts, upper * one])
+    every = one.astype(bool)
+    counts = np.count_nonzero(inside, axis=1) + 2
+    xi_col = np.repeat(xi, counts)[:, np.newaxis]
     panels = gl_panels(
         lambda s: bessel_j(nu, s * xi_col) * profile(s) * s ** (dim / 2.0),
-        np.concatenate([e[:-1] for e in edges]),
-        np.concatenate([e[1:] for e in edges]))
-    for i, part in zip(nonzero, np.split(panels, np.cumsum(counts)[:-1])):
-        # left to right, one add at a time
-        out[i] = sum(part) * xs[i] ** (-nu)
+        lo[np.hstack([every, every, inside])], hi[np.hstack([every, inside, every])])
+    # each row's panels summed left to right from +0.0, as sum() does: the
+    # sum is never -0.0, so the +0.0 pads after a row's last panel leave it
+    # unchanged
+    width = counts.max()
+    table = np.zeros((xi.size, 1 + width))
+    table[:, 1:][np.arange(width) < counts[:, np.newaxis]] = panels
+    sums = np.add.accumulate(table, axis=1)[:, -1]
+    # the scalar power, element by element: the vectorized one may differ
+    # from it in the last bit
+    out[nonzero] = sums * np.array([x ** -nu for x in xi])
     return out
 
 

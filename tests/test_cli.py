@@ -184,6 +184,23 @@ class TestSolve:
         assert sorted(man["outputs"]) == outputs
         assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
 
+    @pytest.mark.parametrize("action", [
+        ["solve"], ["farfield"], ["verify", "energy"], ["verify", "defocusing"],
+    ], ids=action_id)
+    def test_iteration_budget_is_incomplete(self, tmp_path, action):
+        # a solve that runs out of iterations without diverging exits 3 as
+        # "incomplete", not "divergence"
+        cfg = base_config()
+        cfg["solver"]["max_iters"] = 1
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main([*action, "--config", cp, "--out", str(out)]) == 3
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "incomplete"
+        if action == ["solve"]:
+            rep = json.loads((out / "solve_report.json").read_text())
+            assert rep["status"] == "max_iters"
+
     def test_overflowing_iterate_exit_code(self, tmp_path):
         # f(u) overflows float64 below the divergence cap: still a divergence
         cfg = base_config(

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helmscat import resolvent as rv
-from helmscat.fields import ComplexField, Grid, weighted_norm
+from helmscat.fields import ComplexField, Grid, tau, weighted_norm
 from helmscat.specfun import FundamentalSolutionParams, fundamental_solution
 from oracles import (
     direct_convolve,
@@ -24,6 +26,15 @@ def gaussian_source(grid, sigma=0.5, cutoff=2.0):
 
 def cfg_for(grid):
     return rv.ResolventConfig.padded(grid, 0)
+
+
+def holds_array(obj) -> bool:
+    """Whether obj is an ndarray or a dataclass with one among its fields,
+    at any depth."""
+    if isinstance(obj, np.ndarray):
+        return True
+    return dataclasses.is_dataclass(obj) and any(
+        holds_array(getattr(obj, f.name)) for f in dataclasses.fields(obj))
 
 
 def random_source(grid, where):
@@ -363,10 +374,34 @@ class TestKappa:
         assert a.tau_alpha == 1.0
 
     def test_3d_kappa_is_k_free(self):
-        # |Phi_k| = 1/(4 pi r) in 3D, so kappa does not depend on k, to the bit
+        # |Phi_k| = 1/(4 pi r) in 3D: one estimate per (alpha, config), equal
+        # to the bit to the direct computation at every k
+        rv._k_free_kappa.cache_clear()
         g = Grid(dim=3, half_width=2.0, points_per_axis=10)
-        vals = [rv.estimate_kappa(3.0, cfg_for(g), k).kappa_hat for k in (0.5, 1.0)]
-        assert vals[0] == vals[1]
+        t = tau(3.0, 3)
+        profile = ComplexField(g, g.bracket() ** -3.0 + 0j)
+        configs = (cfg_for(g), rv.ResolventConfig.padded(g, 2))
+        for cfg in configs:
+            for k in (0.5, 1.0, 1.7):
+                est = rv.estimate_kappa(3.0, cfg, k)
+                pushed = rv.apply_resolvent(profile, cfg, k, kind="magnitude")
+                assert est.kappa_hat == weighted_norm(pushed, t).value
+                assert est.truncation_tail_bound == rv._exterior_tail_bound(
+                    3.0, k, 3, g.half_width, cfg.eval_grid.half_width)
+                assert (est.alpha, est.tau_alpha, est.grid) == (3.0, t, g)
+        info = rv._k_free_kappa.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
+        # the cached entries hold no array, so the memory cap's count of
+        # cached arrays is unchanged
+        for cfg in configs:
+            est = rv.estimate_kappa(3.0, cfg, 2.0)
+            assert est is rv.estimate_kappa(3.0, cfg, 0.5)
+            assert not holds_array(est)
+        # in 2D |Phi_k| = |H_0(k r)|/4, and kappa, depends on k
+        g2 = Grid(dim=2, half_width=2.0, points_per_axis=10)
+        a, b = (rv.estimate_kappa(3.0, cfg_for(g2), k) for k in (0.5, 1.0))
+        assert a.kappa_hat != b.kappa_hat
+        assert rv._k_free_kappa.cache_info().currsize == 2
 
     def test_refinement_stability(self):
         vals = []
@@ -384,9 +419,7 @@ class TestKappa:
         est = rv.estimate_kappa(alpha, cfg, k)
         rng = np.random.default_rng(8)
         br = g.bracket()
-        from helmscat.fields import tau as tau_fn
-
-        t = tau_fn(alpha, 3)
+        t = tau(alpha, 3)
         for _ in range(5):
             mag = rng.uniform(0.0, 1.0, g.shape)
             phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, g.shape))

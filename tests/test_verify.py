@@ -14,7 +14,7 @@ from helmscat.fields import (
 )
 from helmscat.resolvent import ResolventConfig
 from helmscat.solver import SolverConfig, picard_solve
-from helmscat.specfun import bessel_y
+from helmscat.specfun import bessel_y, j_zeros
 from helmscat.verify import (
     defocusing_inequalities,
     energy_identity,
@@ -113,18 +113,25 @@ class TestRadialTransform:
         profiles = {"kernel": kernel_profile(dim, 1.3),
                     "decay": lambda s: s ** (-(dim - 1) / 2.0),
                     "linear": lambda s: s}
-        freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / upper,
-                                [2.0, 0.0, 0.5]))
-        got = radial_transform(profiles[profile], dim, upper, freqs)
-        want = radial_transform_panels(profiles[profile], dim, upper, freqs)
-        np.testing.assert_array_equal(got, want)
+        wide = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / upper,
+                               [2.0, 0.0, 0.5]))
+        # J_nu(s xi) has no zero in (0, upper) for any of these: every
+        # frequency gets the two panels [0, eps] and [eps, upper] alone
+        low = np.concatenate(([0.0], np.geomspace(0.01, 2.0, 40) / upper))
+        assert j_zeros((dim - 2) / 2.0, 1).zeros[0] / low.max() > upper
+        for freqs in (wide, low):
+            got = radial_transform(profiles[profile], dim, upper, freqs)
+            want = radial_transform_panels(profiles[profile], dim, upper, freqs)
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_fourier_positivity_matches_panel_oracle(self, dim):
-        res = fourier_positivity(dim, 0.8)
-        want = radial_transform_panels(kernel_profile(dim, 0.8), dim,
-                                       res.delta, res.freqs)
-        np.testing.assert_array_equal(res.values, want)
+        for k, delta in ((0.5, None), (0.8, None), (1.7, None), (0.8, 2.3)):
+            res = fourier_positivity(dim, k, delta=delta)
+            assert delta is None or res.delta == delta
+            want = radial_transform_panels(kernel_profile(dim, k), dim,
+                                           res.delta, res.freqs)
+            np.testing.assert_array_equal(res.values, want)
 
     @pytest.mark.parametrize("n_freqs", [1, 7, 180])
     def test_one_bessel_call_and_zero_table_per_transform(self, monkeypatch,
