@@ -26,11 +26,14 @@ the other actions reject it and record ``"seed": null``.  ``_ACTIONS`` and
 Exit codes: 0 success, 2 config error, 3 solver failed to converge or a
 branch stopped short of lambda_max, 4 verification margin breach (for
 ``solve``, a failed bound check of a certified affine solve), 1 unexpected
-error.  A thread count that is not an integer >= 1 is a config error.  The
-manifest's status names the outcome; exit 3 is "divergence" when the solver
-diverged (for ``continue``, a blow-up) and "incomplete" when it did not: a
-solve that ran out of iterations, or a branch that ended on its step floor
-or its solve budget.
+error.  Config errors include a thread count that is not an integer >= 1
+and a non-finite number (``NaN``, ``Infinity``, ``-Infinity`` or an
+overflowing literal).  An output directory that cannot be made exits 2
+with the reason on stderr and no manifest.  The manifest's status names
+the outcome; exit 3 is "divergence" when the solver diverged (for
+``continue``, a blow-up) and "incomplete" when it did not: a solve that ran
+out of iterations, or a branch that ended on its step floor or its solve
+budget.
 """
 
 from __future__ import annotations
@@ -128,7 +131,6 @@ CONFIG_SCHEMA = {
                         "coefficient": _COEFFICIENT,
                         "a": _COEFFICIENT,
                         "b": _COEFFICIENT,
-                        "tags": {"type": "array", "items": {"type": "string"}},
                     },
                     "required": ["kind"],
                     "additionalProperties": False,
@@ -155,7 +157,6 @@ CONFIG_SCHEMA = {
                 "tol": {"type": "number", "exclusiveMinimum": 0},
                 "damping": {"type": "number", "exclusiveMinimum": 0,
                             "maximum": 1},
-                "adapt_damping": {"type": "boolean"},
                 "divergence_cap": {"type": "number", "exclusiveMinimum": 0},
                 "certify": {"type": "boolean"},
             },
@@ -200,7 +201,6 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "field": {"type": "string"},
-                "k": {"type": "number", "exclusiveMinimum": 0},
                 "times": {"type": "array", "items": {"type": "number"},
                           "minItems": 1},
             },
@@ -285,10 +285,20 @@ def _sha256(path: str) -> str:
 
 # -- config -> problem objects ------------------------------------------------
 
+def _finite_number(text: str) -> float:
+    """A JSON number or constant as a float; a non-finite one is a config
+    error."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config holds a non-finite number: {text}")
+    return x
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
@@ -320,7 +330,6 @@ def _build_coefficient(grid: Grid, spec: dict) -> ComplexField:
 def _build_nonlinearity(grid: Grid, alpha: float, spec: dict | None) -> NonlinearitySpec:
     spec = spec or {"kind": "zero"}
     kind = spec["kind"]
-    tags = tuple(spec.get("tags", ()))
     if kind == "zero":
         # inert power law so continuation stays available
         return NonlinearitySpec.power(ComplexField.zeros(grid), p=3.0,
@@ -329,13 +338,12 @@ def _build_nonlinearity(grid: Grid, alpha: float, spec: dict | None) -> Nonlinea
         if "p" not in spec or "coefficient" not in spec:
             raise ConfigError("power nonlinearity needs 'p' and 'coefficient'")
         Q = _build_coefficient(grid, spec["coefficient"])
-        return NonlinearitySpec.power(Q, p=float(spec["p"]), alpha=alpha,
-                                      tags=tags)
+        return NonlinearitySpec.power(Q, p=float(spec["p"]), alpha=alpha)
     if "a" not in spec or "b" not in spec:
         raise ConfigError("affine nonlinearity needs 'a' and 'b'")
     return NonlinearitySpec.affine(_build_coefficient(grid, spec["a"]),
                                    _build_coefficient(grid, spec["b"]),
-                                   alpha=alpha, tags=tags)
+                                   alpha=alpha)
 
 
 def _build_incident(grid: Grid, k: float, spec: dict | None) -> ComplexField:
@@ -589,19 +597,18 @@ def _run_constants(cfg: dict | None, args, out: str):
     return "ok", ["constants_zN.json"], {}
 
 
-def reconstruct_time_field(field_path: str, times, out_dir: str,
-                           k: float | None = None) -> list[str]:
-    """Time frames of the standing solution: psi(t, x) = e^{-ikt} u(x),
-    written as one mid-plane CSV slice per time (exact phase factor, no
-    interpolation in t)."""
-    fld, k_stored = load_field(field_path)
-    k_eff = float(k) if k is not None else k_stored
-    if k_eff <= 0.0:
-        raise ValueError("field file carries no wavenumber; pass k explicitly")
+def reconstruct_time_field(field_path: str, times, out_dir: str) -> list[str]:
+    """Time frames of the standing solution: psi(t, x) = e^{-ikt} u(x), k
+    the wavenumber the field file records, written as one mid-plane CSV
+    slice per time (exact phase factor, no interpolation in t).  A file that
+    records no k (k = 0; the CLI never writes one) is rejected."""
+    fld, k = load_field(field_path)
+    if k <= 0.0:
+        raise ValueError("field file carries no wavenumber")
     names = []
     for i, t in enumerate(times):
         # reduce the phase so whole periods reproduce the t = 0 frame exactly
-        theta = math.fmod(k_eff * float(t), 2.0 * math.pi)
+        theta = math.fmod(k * float(t), 2.0 * math.pi)
         psi = fld * complex(np.exp(-1j * theta))
         name = f"frame_{i:04d}.csv"
         _atomic_write(os.path.join(out_dir, name),
@@ -615,8 +622,7 @@ def _run_animate(cfg: dict, args, out: str):
         raise ConfigError("config needs an 'animate' block")
     ac = cfg["animate"]
     try:
-        names = reconstruct_time_field(ac["field"], ac["times"], out,
-                                       k=ac.get("k"))
+        names = reconstruct_time_field(ac["field"], ac["times"], out)
     except (OSError, ValueError) as e:
         raise ConfigError(str(e)) from e
     _write_json(os.path.join(out, "frames.json"), {
@@ -688,7 +694,13 @@ def _resolve_threads(args) -> int | None:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    out = _resolve_out(args)
+    try:
+        out = _resolve_out(args)
+    except OSError as e:
+        # no directory, so no manifest: the reason goes to stderr alone
+        print(f"helmscat {args.action}: cannot use output directory: {e}",
+              file=sys.stderr)
+        return _EXIT_CODES["config_error"]
     t0 = time.perf_counter()
 
     cfg = threads = None

@@ -16,6 +16,7 @@ with real coefficient Q and 2 < p (< 2 dim/(dim-2) in dimension 3, the
 critical exponent).  The affine kind is f(x, u) = a(x) u + b(x).  Both
 vanish off the index box of their coefficients' support, which a
 NonlinearitySpec records once; the formula is evaluated on that box only.
+A field file records its grid and the wavenumber of its problem.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "DEFAULT_MAX_POINTS",
     "Grid",
     "ComplexField",
-    "WeightedNormResult",
     "BoundCheck",
     "IncidentWave",
     "NonlinearitySpec",
@@ -47,7 +47,6 @@ __all__ = [
     "box_slices",
     "support_diameter",
     "critical_exponent",
-    "check_defocusing_coefficient",
     "make_incident",
     "apply_nonlinearity",
     "estimate_lipschitz",
@@ -154,13 +153,6 @@ class ComplexField:
 
 
 @dataclass(frozen=True)
-class WeightedNormResult:
-    alpha: float
-    value: float
-    argmax_point: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class BoundCheck:
     """Outcome of one named inequality: satisfied iff margin >= 0."""
 
@@ -172,16 +164,11 @@ class BoundCheck:
     context: dict = field(default_factory=dict)
 
 
-def weighted_norm(w: ComplexField, alpha: float) -> WeightedNormResult:
-    """sup over the grid of <x>^alpha |w(x)|, with the attaining point."""
+def weighted_norm(w: ComplexField, alpha: float) -> float:
+    """sup over the grid of <x>^alpha |w(x)|."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and >= 0")
-    weighted = w.grid.bracket() ** alpha * np.abs(w.values)
-    flat = int(np.argmax(weighted))
-    idx = np.unravel_index(flat, w.grid.shape)
-    ax = w.grid.axis()
-    point = tuple(float(ax[i]) for i in idx)
-    return WeightedNormResult(alpha=alpha, value=float(weighted.flat[flat]), argmax_point=point)
+    return float(np.max(w.grid.bracket() ** alpha * np.abs(w.values)))
 
 
 def tau(alpha: float, dim: int) -> float:
@@ -377,8 +364,7 @@ def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
 @dataclass(frozen=True)
 class NonlinearitySpec:
     """Pointwise nonlinearity f(x, u) with decay rate alpha for the
-    coefficient.  regime_tags is metadata ('f1', 'f2', 'defocusing');
-    'defocusing' is validated: real Q <= 0 vanishing on the boundary layer.
+    coefficient.
 
     box, recorded once, is the index box of the coefficients' support: the
     support_box of Q, or of supp a U supp b; None when they vanish.  f(x, u)
@@ -391,7 +377,6 @@ class NonlinearitySpec:
     p: float | None = None
     a: ComplexField | None = None
     b: ComplexField | None = None
-    regime_tags: frozenset = frozenset()
     box: tuple[tuple[int, int], ...] | None = field(init=False, repr=False,
                                                     compare=False)
 
@@ -405,7 +390,7 @@ class NonlinearitySpec:
         object.__setattr__(self, "box", support_box(support))
 
     @classmethod
-    def power(cls, Q: ComplexField, p: float, alpha: float, tags=()) -> "NonlinearitySpec":
+    def power(cls, Q: ComplexField, p: float, alpha: float) -> "NonlinearitySpec":
         if not np.all(Q.values.imag == 0.0):
             raise ValueError("power coefficient Q must be real-valued")
         if p <= 2.0:
@@ -414,19 +399,15 @@ class NonlinearitySpec:
         if dim >= 3 and p >= critical_exponent(dim):
             raise ValueError(f"power p must stay below 2*dim/(dim-2) = "
                              f"{critical_exponent(dim)}, got {p}")
-        spec = cls(kind="power", alpha=_check_alpha(alpha, dim), grid=Q.grid, Q=Q,
-                   p=float(p), regime_tags=frozenset(tags))
-        _validate_tags(spec)
-        return spec
+        return cls(kind="power", alpha=_check_alpha(alpha, dim), grid=Q.grid, Q=Q,
+                   p=float(p))
 
     @classmethod
-    def affine(cls, a: ComplexField, b: ComplexField, alpha: float, tags=()) -> "NonlinearitySpec":
+    def affine(cls, a: ComplexField, b: ComplexField, alpha: float) -> "NonlinearitySpec":
         if a.grid != b.grid:
             raise ValueError("affine coefficients live on different grids")
-        spec = cls(kind="affine", alpha=_check_alpha(alpha, a.grid.dim), grid=a.grid,
-                   a=a, b=b, regime_tags=frozenset(tags))
-        _validate_tags(spec)
-        return spec
+        return cls(kind="affine", alpha=_check_alpha(alpha, a.grid.dim), grid=a.grid,
+                   a=a, b=b)
 
     def on_box(self, u: np.ndarray) -> np.ndarray:
         """f(x, u) on the cells of box, for the values u of an iterate there
@@ -478,36 +459,11 @@ def critical_exponent(dim: int) -> float:
     return 2.0 * dim / (dim - 2.0)
 
 
-def check_defocusing_coefficient(Q: ComplexField):
-    """Raise ValueError unless Q is admissible for the defocusing regime:
-    real, Q <= 0, and zero on the boundary layer of its grid (compact
-    support inside the box)."""
-    if np.any(Q.values.imag != 0.0) or np.any(Q.values.real > 0.0):
-        raise ValueError("defocusing requires a real, nonpositive coefficient "
-                         "(Q <= 0 everywhere)")
-    edge = np.ones(Q.grid.shape, dtype=bool)
-    edge[(slice(1, -1),) * Q.grid.dim] = False
-    if np.any(Q.values.real[edge] != 0.0):
-        raise ValueError("defocusing requires Q to vanish on the boundary layer "
-                         "(compact support inside the box)")
-
-
 def _check_alpha(alpha: float, dim: int) -> float:
     lo = 0.5 * (dim + 1)
     if not (math.isfinite(alpha) and alpha > lo):
         raise ValueError(f"alpha must exceed (dim+1)/2 = {lo}, got {alpha}")
     return float(alpha)
-
-
-def _validate_tags(spec: NonlinearitySpec):
-    known = {"f1", "f2", "defocusing"}
-    unknown = set(spec.regime_tags) - known
-    if unknown:
-        raise ValueError(f"unknown regime tags {sorted(unknown)}")
-    if "defocusing" in spec.regime_tags:
-        if spec.kind != "power":
-            raise ValueError("defocusing tag applies to the power kind")
-        check_defocusing_coefficient(spec.Q)
 
 
 def apply_nonlinearity(f: NonlinearitySpec, u: ComplexField) -> ComplexField:
@@ -582,8 +538,8 @@ def estimate_lipschitz(f: NonlinearitySpec, cap: float, seed: int = 0) -> float:
         raise ValueError("cap must be > 0")
     rng = np.random.default_rng(seed)
     if f.kind == "affine":
-        return weighted_norm(f.a, f.alpha).value
-    coef = weighted_norm(f.Q, f.alpha).value
+        return weighted_norm(f.a, f.alpha)
+    coef = weighted_norm(f.Q, f.alpha)
     return coef * _power_quotient_sup(f.p, cap, rng)
 
 
@@ -619,9 +575,10 @@ _FIELD_MAGIC = b"CFLD"
 _HEADER = struct.Struct("<4sB3xiidd")  # magic, version, dim, M, L, k
 
 
-def save_field(path, fld: ComplexField, k: float = 0.0):
+def save_field(path, fld: ComplexField, k: float):
     """Binary field file: 32-byte header {dim, M, L, k} then row-major
-    interleaved re/im little-endian float64."""
+    interleaved re/im little-endian float64; k is the wavenumber of the
+    problem the field solves."""
     g = fld.grid
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_FIELD_MAGIC, 1, g.dim, g.points_per_axis,

@@ -404,10 +404,10 @@ def _kappa(alpha: float, cfg: ResolventConfig, k: float | None) -> KappaEstimate
     profile = ComplexField(cfg.source_grid,
                            cfg.source_grid.bracket() ** (-alpha) + 0j)
     pushed = apply_resolvent(profile, cfg, k, kind="magnitude")
-    wn = weighted_norm(pushed, t)
     tail = _exterior_tail_bound(alpha, k, dim, cfg.source_grid.half_width,
                                 cfg.eval_grid.half_width)
-    return KappaEstimate(alpha=float(alpha), tau_alpha=t, kappa_hat=wn.value,
+    return KappaEstimate(alpha=float(alpha), tau_alpha=t,
+                         kappa_hat=weighted_norm(pushed, t),
                          grid=cfg.source_grid, truncation_tail_bound=tail)
 
 

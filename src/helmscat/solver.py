@@ -5,13 +5,14 @@
 with contraction certificates and the linear a priori sup bound.
 
 The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
-started at phi (or a caller-supplied warm start).  When an update increases
-the residual the damping theta is halved, down to min(1/16, damping).  A sup
-norm beyond the divergence cap stops the run with partial data, and so does
-an iterate whose map leaves float64, in the loop or in the final residual:
-an overflow or invalid operation, or a non-finite value the FFT produces
-without a floating-point flag.  Both end with status "diverged", the last
-finite iterate returned and no final residual.
+started at phi (or a caller-supplied warm start).  The damping always
+adapts: when an update increases the residual, theta is halved, down to
+min(1/16, damping).  A sup norm beyond the divergence cap stops the run
+with partial data, and so does an iterate whose map leaves float64, in the
+loop or in the final residual: an overflow or invalid operation, or a
+non-finite value the FFT produces without a floating-point flag.  Both end
+with status "diverged", the last finite iterate returned and no final
+residual.
 
 f(x, u) vanishes off the index box of the coefficients' support for every
 u, so the map is bound once per solve to that box: the eval-grid slice
@@ -95,7 +96,6 @@ class SolverConfig:
     max_iters: int = 200
     tol: float = 1e-10
     damping: float = 1.0
-    adapt_damping: bool = True
     divergence_cap: float = 1e6
 
     def __post_init__(self):
@@ -176,7 +176,7 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
             break
         cand = (1.0 - theta) * u.values + theta * mapped
         res = float(np.max(np.abs(cand - u.values)))
-        while cfg.adapt_damping and res > prev_res and theta > _DAMPING_FLOOR:
+        while res > prev_res and theta > _DAMPING_FLOOR:
             theta = max(0.5 * theta, _DAMPING_FLOOR)
             cand = (1.0 - theta) * u.values + theta * mapped
             res = float(np.max(np.abs(cand - u.values)))
@@ -253,8 +253,8 @@ def linear_bound_check(f: NonlinearitySpec, phi: ComplexField, u: ComplexField,
         raise ValueError("linear bound applies to the affine kind")
     if kappa.alpha != f.alpha:
         raise ValueError("kappa estimate was taken at a different alpha")
-    qn = weighted_norm(f.a, f.alpha).value
-    bn = weighted_norm(f.b, f.alpha).value
+    qn = weighted_norm(f.a, f.alpha)
+    bn = weighted_norm(f.b, f.alpha)
     small = kappa.kappa_hat * qn
     if small >= 1.0:
         raise ValueError(f"kappa_hat * ||a||_alpha = {small:.3f} >= 1; bound void")

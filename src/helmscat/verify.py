@@ -51,7 +51,10 @@ satisfies the chained integral bounds
 
 q = 2 dim/(dim+2) the dual critical exponent, Omega = {Q != 0}.  All
 integrals are cell sums on the coefficient grid, and every check reports a
-signed margin, never a boolean alone.
+signed margin, never a boolean alone.  The chain is checked together with
+its hypotheses: a coefficient that is not real, nonpositive and zero on the
+boundary layer of its grid is rejected, and the support diameter is
+checked against z/k as a fifth bound.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from scipy.special import gamma as gamma_fn
 from .fields import (
     BoundCheck,
     ComplexField,
-    check_defocusing_coefficient,
     critical_exponent,
     gl_panels,
     restrict_field,
@@ -292,13 +294,26 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
 
 # -- defocusing integral chain ------------------------------------------------
 
-def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
-                            p: float, k: float | None = None,
-                            tolerance: float = 1e-10) -> tuple[BoundCheck, ...]:
-    """Chained integral bounds for a converged defocusing solve.
+def check_defocusing_coefficient(Q: ComplexField):
+    """Raise ValueError unless Q is admissible for the defocusing regime:
+    real, Q <= 0, and zero on the boundary layer of its grid (compact
+    support inside the box)."""
+    if np.any(Q.values.imag != 0.0) or np.any(Q.values.real > 0.0):
+        raise ValueError("defocusing requires a real, nonpositive coefficient "
+                         "(Q <= 0 everywhere)")
+    edge = np.ones(Q.grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * Q.grid.dim] = False
+    if np.any(Q.values.real[edge] != 0.0):
+        raise ValueError("defocusing requires Q to vanish on the boundary layer "
+                         "(compact support inside the box)")
 
-    Passing k adds the support-diameter admissibility check against the
-    truncation threshold, which is what makes the chain valid.
+
+def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
+                            p: float, k: float,
+                            tolerance: float = 1e-10) -> tuple[BoundCheck, ...]:
+    """Chained integral bounds for a converged defocusing solve at
+    wavenumber k, and the support-diameter admissibility check against the
+    truncation threshold z/k, which is what makes the chain valid.
     """
     dim = Q.grid.dim
     if dim < 3:
@@ -331,18 +346,14 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
         return BoundCheck(name=name, lhs=lhs, rhs=rhs, margin=margin,
                           satisfied=bool(margin >= -tolerance), context=ctx)
 
-    checks = [
+    return (
         check("defocusing_first_bound", int_p, phisup * int_pm1),
         check("weighted_mass_p_minus_1", int_pm1, phisup ** (p - 1.0) * int_q,
               extra={"loose_rhs": omega * normq * phisup ** (p - 1.0)}),
         check("weighted_mass_p", int_p, phisup ** p * int_q),
         check("source_dual_norm", dual_norm, cap_d,
               extra={"dual_exponent": qdual, "support_measure": omega}),
-    ]
-    if k is not None:
-        diam = support_diameter(Q)
-        checks.append(check("support_diameter", diam,
-                            truncation_threshold(dim) / k,
-                            extra={"k": k}))
-    return tuple(checks)
+        check("support_diameter", support_diameter(Q),
+              truncation_threshold(dim) / k, extra={"k": k}),
+    )
 

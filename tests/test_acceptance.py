@@ -262,7 +262,7 @@ def test_11_linear_bound(report):
     f = NonlinearitySpec.affine(a, b, alpha=3.0)
     phi = _plane(g, k)
     kappa = estimate_kappa(3.0, rcfg, k)
-    smallness = kappa.kappa_hat * weighted_norm(a, 3.0).value
+    smallness = kappa.kappa_hat * weighted_norm(a, 3.0)
     u, rep = picard_solve(f, phi, k, SolverConfig(tol=1e-12), rcfg)
     check = linear_bound_check(f, phi, u, kappa)
     ok = (smallness <= 0.5 and rep.converged and check.margin >= 0.0)

@@ -9,7 +9,15 @@ import pytest
 
 from helmscat import cli, solver
 from helmscat.cli import _parser, main, reconstruct_time_field
-from helmscat.fields import BoundCheck, Grid, IncidentWave, load_field, make_incident
+from helmscat.fields import (
+    BoundCheck,
+    ComplexField,
+    Grid,
+    IncidentWave,
+    load_field,
+    make_incident,
+    save_field,
+)
 
 
 def base_config(**problem_overrides):
@@ -174,8 +182,7 @@ class TestSolve:
                                           "cutoff": 0.8}},
             incident={"type": "plane", "direction": [1, 0, 0],
                       "amplitude": 3.0})
-        cfg["solver"] = {"adapt_damping": False, "divergence_cap": 1e4,
-                        "max_iters": 100}
+        cfg["solver"] = {"divergence_cap": 1e4, "max_iters": 100}
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert main([*action, "--config", cp, "--out", str(out)]) == 3
@@ -287,6 +294,46 @@ class TestConfigErrors:
         assert main(["solve", "--config", cp,
                      "--out", str(tmp_path / "run")]) == 2
 
+    @pytest.mark.parametrize("action,mangle", [
+        (["solve"], lambda c: c["problem"]["nonlinearity"].update(
+            tags=["defocusing"])),
+        (["solve"], lambda c: c["solver"].update(adapt_damping=False)),
+        (["animate"], lambda c: c.update(
+            animate={"field": "field.cfld", "times": [0.0], "k": 1.0})),
+    ], ids=["nonlinearity.tags", "solver.adapt_damping", "animate.k"])
+    def test_removed_keys_are_schema_violations(self, tmp_path, action, mangle):
+        cfg = base_config()
+        mangle(cfg)
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main([*action, "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert "schema violation" in man["error"]
+        assert os.listdir(out) == ["manifest.json"]
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+    @pytest.mark.parametrize("action,block,key", [
+        (["solve"], "solver", "tol"),
+        (["continue"], "continuation", "lambda_max"),
+    ], ids=["solver.tol", "continuation.lambda_max"])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, action, block,
+                                                 key, constant):
+        # Python's json module reads NaN and the infinities, and an
+        # overflowing literal as an infinity; jsonschema's exclusiveMinimum
+        # lets NaN through
+        cfg = base_config()
+        cfg["continuation"] = {"lambda_max": 1.0}
+        cfg[block][key] = "PLACEHOLDER"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"PLACEHOLDER"', constant))
+        out = tmp_path / "run"
+        assert main([*action, "--config", str(path), "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert man["error"] == f"config holds a non-finite number: {constant}"
+        assert os.listdir(out) == ["manifest.json"]
+
 
 class TestContinue:
     def test_branch_artifacts(self, tmp_path):
@@ -362,7 +409,7 @@ class TestContinue:
                 "kind": "power", "p": 4.0,
                 "coefficient": {"type": "radial_bump", "amplitude": 80.0,
                                 "width": 4.0, "cutoff": 0.8}})
-            cfg["solver"] = {"adapt_damping": False, "divergence_cap": 1e4}
+            cfg["solver"] = {"divergence_cap": 1e4}
         cfg["continuation"] = {"lambda_max": 3.0, "floor_factor": 0.01}
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
@@ -566,6 +613,21 @@ class TestAnimate:
         assert main(["animate", "--config", cp,
                      "--out", str(tmp_path / "run")]) == 2
 
+    def test_field_without_wavenumber_is_config_error(self, tmp_path):
+        # the CLI always records its problem's k; a file written elsewhere
+        # with k = 0 gives no time dependence to animate
+        nok = tmp_path / "nok.cfld"
+        save_field(nok, ComplexField.zeros(Grid(dim=3, half_width=2.0,
+                                                points_per_axis=10)), k=0.0)
+        acfg = {"animate": {"field": str(nok), "times": [0.0]}}
+        cp = write_config(tmp_path, acfg, "anim.json")
+        out = tmp_path / "run"
+        assert main(["animate", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert man["error"] == "field file carries no wavenumber"
+        assert os.listdir(out) == ["manifest.json"]
+
 
 class TestEnvOverrides:
     def test_out_dir_from_env(self, tmp_path, monkeypatch, capsys):
@@ -575,6 +637,22 @@ class TestEnvOverrides:
         capsys.readouterr()
         assert (target / "constants_zN.json").exists()
         assert (target / "manifest.json").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "env"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, monkeypatch, capsys, via):
+        # no directory, so no manifest: the reason goes to stderr
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file")
+        argv = ["solve", "--config", write_config(tmp_path, base_config())]
+        if via == "flag":
+            argv += ["--out", str(taken)]
+        else:
+            monkeypatch.setenv("HELMSCAT_OUT", str(taken))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("helmscat solve: cannot use output directory: ")
+        assert str(taken) in err
+        assert taken.read_text() == "a regular file"
 
     @pytest.mark.parametrize("flag,env,code", [
         ([], "abc", 2), (["--threads", "-5"], None, 2), (["--threads", "0"], None, 2),

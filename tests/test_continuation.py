@@ -69,7 +69,7 @@ class TestBranch:
     def test_defocusing_branch_reaches_target(self):
         rcfg = small_rcfg()
         f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.8), p=3.0,
-                                   alpha=ALPHA, tags=("defocusing",))
+                                   alpha=ALPHA)
         phi = plane_phi(rcfg.eval_grid)
         seen = []
         branch = continue_branch(f, phi, K_REF, lambda_max=1.5,

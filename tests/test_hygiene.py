@@ -2,10 +2,12 @@
 module or re-exported through its __all__, every private module-level
 name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, a CLI run imports none of the
-scipy subpackages it has no use for, and README's command list names
-exactly the CLI's actions and verify modes."""
+scipy subpackages it has no use for, README's command list names exactly
+the CLI's actions and verify modes, and every solver and continuation key
+of the config schema is read."""
 
 import ast
+import dataclasses
 import json
 import os
 import pathlib
@@ -16,6 +18,8 @@ import pytest
 
 import helmscat
 from helmscat import cli
+from helmscat.continuation import StepConfig
+from helmscat.solver import SolverConfig
 
 SOURCES = sorted(pathlib.Path(helmscat.__file__).parent.glob("*.py"))
 
@@ -230,3 +234,17 @@ def readme_commands() -> tuple[set[str], set[str]]:
 
 def test_readme_lists_every_action_and_verify_mode():
     assert readme_commands() == (set(cli._ACTIONS), set(cli._VERIFY_MODES))
+
+
+def test_solver_and_continuation_keys_match_their_configs():
+    # a key in the schema without a field has no reader, and a field without
+    # a key cannot be set; certify is read by solve alone and lambda_max is
+    # passed to continue_branch on its own
+    def keys(block):
+        return set(cli.CONFIG_SCHEMA["properties"][block]["properties"])
+
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)}
+
+    assert keys("solver") == fields(SolverConfig) | {"certify"}
+    assert keys("continuation") == fields(StepConfig) | {"lambda_max"}

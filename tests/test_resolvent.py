@@ -385,7 +385,7 @@ class TestKappa:
             for k in (0.5, 1.0, 1.7):
                 est = rv.estimate_kappa(3.0, cfg, k)
                 pushed = rv.apply_resolvent(profile, cfg, k, kind="magnitude")
-                assert est.kappa_hat == weighted_norm(pushed, t).value
+                assert est.kappa_hat == weighted_norm(pushed, t)
                 assert est.truncation_tail_bound == rv._exterior_tail_bound(
                     3.0, k, 3, g.half_width, cfg.eval_grid.half_width)
                 assert (est.alpha, est.tau_alpha, est.grid) == (3.0, t, g)
@@ -424,11 +424,11 @@ class TestKappa:
             mag = rng.uniform(0.0, 1.0, g.shape)
             phase = np.exp(2j * np.pi * rng.uniform(0.0, 1.0, g.shape))
             w = ComplexField(g, br ** (-alpha) * mag * phase)
-            nrm = weighted_norm(w, alpha).value
+            nrm = weighted_norm(w, alpha)
             assert nrm <= 1.0 + 1e-12
             pushed = rv.apply_resolvent(ComplexField(g, np.abs(w.values) + 0j),
                                         cfg, k, kind="magnitude")
-            assert weighted_norm(pushed, t).value <= est.kappa_hat * (1 + 1e-12)
+            assert weighted_norm(pushed, t) <= est.kappa_hat * (1 + 1e-12)
 
     @pytest.mark.parametrize("k,rho", [(1.0, 0.1), (2.0, 0.05), (1.0, 1.0)])
     def test_2d_ball_mass_against_mpmath(self, k, rho):

@@ -215,7 +215,7 @@ def scattering_setup(points=12, half_width=2.0, amp=-0.8, cutoff=0.45):
     rcfg = ResolventConfig(source_grid=g, eval_grid=g)
     r = g.radius()
     Q = ComplexField(g, (amp * np.exp(-4.0 * r ** 2) * (r <= cutoff)).astype(complex))
-    f = NonlinearitySpec.power(Q, p=3.0, alpha=ALPHA, tags=("defocusing",))
+    f = NonlinearitySpec.power(Q, p=3.0, alpha=ALPHA)
     phi = make_incident(IncidentWave.plane(K_REF, (1.0, 0.0, 0.0)), g)
     return rcfg, Q, f, phi
 
@@ -286,23 +286,21 @@ class TestDefocusing:
             assert c.margin >= -1e-10
         assert checks[0].margin > 0.0
 
-    def test_no_admissibility_check_without_k(self):
-        rcfg, Q, f, phi = scattering_setup()
-        u, _ = picard_solve(f, phi, K_REF, SolverConfig(), rcfg)
-        checks = defocusing_inequalities(u, phi, Q, 3.0)
-        assert [c.name for c in checks] == [
-            "defocusing_first_bound", "weighted_mass_p_minus_1",
-            "weighted_mass_p", "source_dual_norm"]
-
     def test_zero_coefficient_is_tight(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=10)
         phi = make_incident(IncidentWave.plane(K_REF, (1.0, 0.0, 0.0)), g)
-        checks = defocusing_inequalities(phi, phi, ComplexField.zeros(g), 3.0)
-        for c in checks:
+        *chain, diameter = defocusing_inequalities(phi, phi, ComplexField.zeros(g),
+                                                   3.0, k=K_REF)
+        for c in chain:
             assert c.lhs == 0.0
             assert c.rhs == 0.0
             assert c.margin == 0.0
             assert c.satisfied
+        # an empty support has diameter 0, strictly inside z/k
+        assert diameter.name == "support_diameter"
+        assert diameter.lhs == 0.0
+        assert diameter.margin == diameter.rhs == math.pi / 2.0
+        assert diameter.satisfied
 
     def test_sign_and_support_validation(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=10)
@@ -310,20 +308,20 @@ class TestDefocusing:
         r = g.radius()
         pos = ComplexField(g, (0.5 * np.exp(-4.0 * r ** 2) * (r <= 0.5)).astype(complex))
         with pytest.raises(ValueError, match="nonpositive"):
-            defocusing_inequalities(phi, phi, pos, 3.0)
+            defocusing_inequalities(phi, phi, pos, 3.0, k=K_REF)
         cplx = ComplexField(g, (-0.5j * np.exp(-4.0 * r ** 2) * (r <= 0.5)))
         with pytest.raises(ValueError, match="real"):
-            defocusing_inequalities(phi, phi, cplx, 3.0)
+            defocusing_inequalities(phi, phi, cplx, 3.0, k=K_REF)
         full = ComplexField(g, np.full(g.shape, -1.0, dtype=complex))
         with pytest.raises(ValueError, match="boundary"):
-            defocusing_inequalities(phi, phi, full, 3.0)
+            defocusing_inequalities(phi, phi, full, 3.0, k=K_REF)
         ok = ComplexField(g, (-0.5 * np.exp(-4.0 * r ** 2) * (r <= 0.5)).astype(complex))
         with pytest.raises(ValueError, match="p must"):
-            defocusing_inequalities(phi, phi, ok, 8.0)
+            defocusing_inequalities(phi, phi, ok, 8.0, k=K_REF)
 
     def test_dim2_rejected(self):
         g = Grid(dim=2, half_width=2.0, points_per_axis=10)
         zero = ComplexField.zeros(g)
         with pytest.raises(ValueError, match="dim"):
-            defocusing_inequalities(zero, zero, zero, 3.0)
+            defocusing_inequalities(zero, zero, zero, 3.0, k=K_REF)
 
