@@ -24,37 +24,46 @@ The test suite keeps a second singular-cell rule (static-part subtraction)
 in tests/oracles.py to check this one against.
 
 The lattice sum is evaluated by FFT convolution over the source's support
-only.  A source whose nonzero cells fill an index box of width b per axis
-sees the window of m + b - 1 table cells per axis (m eval points per axis)
-that covers every offset from the box to the eval grid; cells outside the
-box add exactly 0 to the sum.  The window's spectrum, zero-padded to the
-circulant size n = next_fast_len(m + b - 1) per axis, is cached per
-(config, k, kernel kind, box), and the m^dim valid part of the circular
-convolution is the result.  A repeated apply transforms one axis at a time,
-in place in one array of the circulant size, and skips the lines that
-carry no data: forward, axis j of the box transforms n^j b^(dim-1-j)
-lines, since the axes after it still hold only the source box; inverse,
-each axis keeps its m valid cells before the next one, so axis j
-transforms m^j n^(dim-1-j) lines.  A whole-box
-transform takes dim n^(dim-1) lines each way; at 3D m = 32, b = 6, n = 40
-that is 9,600 lines of length 40 against 1,876 + 3,904 = 5,780.  The axis
-order and the place of the inverse's 1/size factor (after its first axis)
-are those of fftn and ifftn, so the result is bit-identical to the
-whole-box transform.  The full table is built on a spectrum miss and not
-kept.
+only, onto one of two destinations: the whole eval grid, or the source's
+support box itself.  A source whose nonzero cells fill an index box of
+width b per axis sees, from a destination of width d per axis, the window
+of d + b - 1 table cells per axis that covers every offset between them;
+cells outside the box add exactly 0 to the sum.  The window's spectrum,
+zero-padded to the circulant size n = next_fast_len(d + b - 1) per axis,
+is cached per (config, k, kernel kind, box): a miss builds the kernel table
+once and takes the spectra for both destinations from it (one array when
+the box covers the eval grid, where the two coincide), and the full table
+is not kept.  The d^dim valid part of the circular convolution is the
+result.  At 3D m = 32 with a 6-cell box, the eval grid (d = m) needs
+n = 40 and the box (d = b) n = 11.
 
-This transform is one operator object, BoxResolvent: bound to one box, it
-holds the box's spectrum and slices and maps the source's values on the
-box to the result on the eval grid.  apply_resolvent binds one to the
-support box of each source it is given; the Picard solver binds one per
-solve to the box of the nonlinearity's coefficients, which holds the
-support of f(x, u) for every iterate, so its iterations make no support
-search and no spectrum lookup.  The test suite checks the result against the whole-box transform
-bit for bit and against direct summation over the table to 1e-10 on small
-grids.  In 3D the magnitude kernel is |Phi_k| = 1/(4 pi r) for every k, so
-its table is evaluated without k and one cached spectrum per (config, box)
-serves every k; in 2D |Phi_k| = |H^(1)_0(k r)|/4 depends on k and its
-spectra are keyed by k.
+An apply transforms one axis at a time, in place in one array of the
+circulant size, and skips the lines that carry no data: forward, axis j of
+the box transforms n^j b^(dim-1-j) lines, since the axes after it still
+hold only the source box; inverse, each axis keeps its d valid cells before
+the next one, so axis j transforms d^j n^(dim-1-j) lines.  A whole-box
+transform takes dim n^(dim-1) lines each way; onto the grid at 3D m = 32,
+b = 6, n = 40 that is 9,600 lines of length 40 against 1,876 + 3,904 =
+5,780.  The axis order and the place of the inverse's 1/size factor (after
+its first axis) are those of fftn and ifftn, so the result is bit-identical
+to the whole-box transform.  The same pruned path serves both
+destinations: onto an 11^3 box it takes about as long as one fftn/ifftn
+pair, and onto the grid it is faster.
+
+This transform is one operator object, BoxResolvent: bound to one box and
+one destination, it holds the spectrum and slices and maps the source's
+values on the box to the result on the destination.  apply_resolvent binds
+one onto the eval grid to the support box of each source it is given; the
+Picard solver binds two per solve, onto the box and onto the grid, to the
+box of the nonlinearity's coefficients, which holds the support of f(x, u)
+for every iterate, so its iterations make no support search and no
+spectrum lookup.  The test suite checks the grid destination against the
+whole-box transform bit for bit, the box destination against the grid
+result on the box to 1e-12 relative, and both against direct summation
+over the table to 1e-10 on small grids.  In 3D the magnitude kernel is
+|Phi_k| = 1/(4 pi r) for every k, so its table is evaluated without k and
+one cached spectrum pair per (config, box) serves every k; in 2D
+|Phi_k| = |H^(1)_0(k r)|/4 depends on k and its spectra are keyed by k.
 
 kappa is estimated by pushing the extremal profile <y>^(-alpha) through the
 magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
@@ -101,7 +110,7 @@ __all__ = [
 
 # midpoint subsamples per axis for the cells next to the singularity
 _NEAR_QUADRATURE = 4
-# window spectra kept by the LRU of _window_spectrum
+# pairs of window spectra kept by the LRU of _window_spectra
 _SPECTRA = 4
 # the 2D magnitude ball mass integrates r |H_0(k r)|, which behaves like
 # r log r at 0: panels [rho 2^-(j+1), rho 2^-j] for j < _BALL_PANELS - 1,
@@ -124,10 +133,13 @@ class ResolventConfig:
     def __post_init__(self):
         # raises when grids are incompatible
         _fields._alignment_offset(self.eval_grid, self.source_grid)
-        # the spectrum LRU holds _SPECTRA spectra of at most
-        # next_fast_len(2m - 1) cells per axis
-        n = fft.next_fast_len(2 * self.eval_grid.points_per_axis - 1)
-        if _SPECTRA * n ** self.eval_grid.dim > _fields.DEFAULT_MAX_POINTS * 8:
+        # the spectrum LRU holds _SPECTRA pairs of spectra, one per
+        # destination: onto the eval grid, of at most next_fast_len(2m - 1)
+        # cells per axis for its m points, and onto the source box, of at
+        # most next_fast_len(2s - 1) for the source grid's s points
+        cells = sum(fft.next_fast_len(2 * g.points_per_axis - 1) ** g.dim
+                    for g in (self.eval_grid, self.source_grid))
+        if _SPECTRA * cells > _fields.DEFAULT_MAX_POINTS * 8:
             raise ValueError("cached kernel spectra exceed the memory cap")
 
     @classmethod
@@ -247,67 +259,93 @@ def _kernel_table(cfg: ResolventConfig, k: float | None, kind: str) -> np.ndarra
     return table
 
 
+def _destinations(cfg: ResolventConfig, box) -> dict[str, tuple]:
+    """The eval-grid cells onto which a BoxResolvent of box maps, by
+    destination: the whole eval grid ("grid") or the box itself ("box"),
+    as inclusive eval-grid indices per axis."""
+    g = cfg.eval_grid
+    n = _fields._alignment_offset(g, cfg.source_grid)
+    return {"grid": ((0, g.points_per_axis - 1),) * g.dim,
+            "box": tuple((n + lo, n + hi) for lo, hi in box)}
+
+
 @functools.lru_cache(maxsize=_SPECTRA)
-def _window_spectrum(cfg: ResolventConfig, k: float | None, kind: str,
-                     box: tuple[tuple[int, int], ...]) -> np.ndarray:
-    """Spectrum of the table window seen by a source whose nonzero cells fill
-    box (inclusive source-grid indices per axis), zero-padded to the
-    circulant size next_fast_len(m + b - 1) per axis for box width b.  k is
-    None for the k-free 3D magnitude kernel.  The four most recent spectra
-    are kept."""
+def _window_spectra(cfg: ResolventConfig, k: float | None, kind: str,
+                    box: tuple[tuple[int, int], ...]) -> dict[str, np.ndarray]:
+    """Spectra of the table windows seen by a source whose nonzero cells fill
+    box (inclusive source-grid indices per axis), one per destination of
+    _destinations: a destination of width d per axis sees d + b - 1 table
+    cells per axis for box width b, zero-padded to the circulant size
+    next_fast_len(d + b - 1).  Both come from one table build, and a box
+    whose destinations coincide shares one spectrum.  k is None for the
+    k-free 3D magnitude kernel.  The four most recent pairs are kept."""
     m = cfg.eval_grid.points_per_axis
     n = _fields._alignment_offset(cfg.eval_grid, cfg.source_grid)
-    # eval cells 0..m-1 minus source cells n+lo..n+hi: offsets -(n+hi)..m-1-(n+lo)
-    window = _kernel_table(cfg, k, kind)[
-        tuple(slice(m - 1 - (n + hi), 2 * m - 1 - (n + lo)) for lo, hi in box)]
-    spectrum = fft.fftn(window, [fft.next_fast_len(w) for w in window.shape])
-    spectrum.flags.writeable = False
-    return spectrum
+    table = _kernel_table(cfg, k, kind)
+
+    def spectrum(cells):
+        # destination cells dlo..dhi minus source cells n+lo..n+hi: offsets
+        # dlo-(n+hi)..dhi-(n+lo), at table index offset + m - 1
+        window = table[tuple(slice(m - 1 + dlo - (n + hi), m + dhi - (n + lo))
+                             for (lo, hi), (dlo, dhi) in zip(box, cells))]
+        out = fft.fftn(window, [fft.next_fast_len(w) for w in window.shape])
+        out.flags.writeable = False
+        return out
+
+    dests = _destinations(cfg, box)
+    onto_grid = spectrum(dests["grid"])
+    return {"grid": onto_grid,
+            "box": onto_grid if dests["box"] == dests["grid"] else spectrum(dests["box"])}
 
 
 class BoxResolvent:
-    """The resolvent bound to one source box: R_k (kind "outgoing") or its
-    magnitude kernel (kind "magnitude") for sources on cfg's source grid
-    whose nonzero cells lie in box (inclusive source-grid indices per axis,
-    None for none).  It holds the box's window spectrum, taken once from
-    the _window_spectrum LRU, and the slices of the box: source and
-    in_eval select its cells on the source and the eval grid.  Called with
-    a source's values on the box, it returns the result on the eval grid."""
+    """The resolvent bound to one source box and one destination: R_k (kind
+    "outgoing") or its magnitude kernel (kind "magnitude") for sources on
+    cfg's source grid whose nonzero cells lie in box (inclusive source-grid
+    indices per axis, None for none), onto the whole eval grid (dest
+    "grid") or onto the box's own cells (dest "box").  It holds its window
+    spectrum, taken once from the _window_spectra LRU, and the slices of
+    the box: source and in_eval select its cells on the source and the
+    eval grid.  Called with a source's values on the box, it returns the
+    result on the destination."""
 
     def __init__(self, cfg: ResolventConfig, k: float | None, box,
-                 kind: str = "outgoing"):
+                 kind: str = "outgoing", dest: str = "grid"):
         if kind not in ("outgoing", "magnitude"):
             raise ValueError(f"unknown kernel kind {kind!r}")
+        if dest not in ("grid", "box"):
+            raise ValueError(f"unknown destination {dest!r}")
         g = cfg.eval_grid
         # the 3D magnitude table is the same for every k, which may be None
         k_free = kind == "magnitude" and g.dim == 3
         if not (k is None and k_free
                 or k is not None and math.isfinite(k) and k > 0.0):
             raise ValueError("k must be finite and > 0")
-        m = g.points_per_axis
-        self._shape = g.shape
         self.source = _fields.box_slices(box, g.dim)
         self.in_eval = _fields.box_slices(
             box, g.dim, _fields._alignment_offset(g, cfg.source_grid))
         self._spectrum = None
         if box is None:
+            self._shape = g.shape if dest == "grid" else (0,) * g.dim
             return
         # one spectrum serves every k of the k-free table
-        self._spectrum = _window_spectrum(cfg, None if k_free else float(k),
-                                          kind, box)
+        self._spectrum = _window_spectra(cfg, None if k_free else float(k),
+                                         kind, box)[dest]
         whole = (slice(None),) * g.dim
         self._crop = tuple(slice(0, hi - lo + 1) for lo, hi in box)
         # forward axis j transforms the lines that cross the box on the axes
         # after it
         self._lines = [whole[:ax + 1] + self._crop[ax + 1:] for ax in range(g.dim)]
-        # eval cell i sees source cell lo + j through window index
-        # i + hi - lo - j: inverse axis j keeps the m valid cells from hi - lo
-        self._valid = [whole[:ax] + (slice(hi - lo, hi - lo + m),)
-                       for ax, (lo, hi) in enumerate(box)]
+        # destination cell i sees source cell lo + j through window index
+        # i + hi - lo - j: inverse axis j keeps the destination's d valid
+        # cells from hi - lo
+        self._valid = [whole[:ax] + (slice(hi - lo, hi - lo + dhi - dlo + 1),)
+                       for ax, ((lo, hi), (dlo, dhi))
+                       in enumerate(zip(box, _destinations(cfg, box)[dest]))]
 
     def __call__(self, box_values: np.ndarray) -> np.ndarray:
-        """The result on the eval grid of the source with box_values on the
-        box and 0 elsewhere; a view into the transform's buffer."""
+        """The result on the destination of the source with box_values on
+        the box and 0 elsewhere; a view into the transform's buffer."""
         if self._spectrum is None:
             return np.zeros(self._shape, dtype=complex)
         # the box, zero-padded to the circulant size, is transformed in place
@@ -324,7 +362,7 @@ class BoxResolvent:
             if not np.may_share_memory(out, lines):
                 lines[...] = out
         conv *= self._spectrum
-        # each inverse axis keeps its m valid cells before the next one, and
+        # each inverse axis keeps its valid cells before the next one, and
         # the 1/size factor goes where ifftn applies it, after the first axis
         for ax, index in enumerate(self._valid):
             conv = fft.ifft(conv, axis=ax, norm="forward", overwrite_x=True)

@@ -5,24 +5,44 @@
 with contraction certificates and the linear a priori sup bound.
 
 The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
-started at phi (or a caller-supplied warm start).  The damping always
-adapts: when an update increases the residual, theta is halved, down to
+started at phi (or a caller-supplied warm start u0).  The damping always
+adapts: when an update increases the damped step, theta is halved, down to
 min(1/16, damping).  A sup norm beyond the divergence cap stops the run
 with partial data, and so does an iterate whose map leaves float64, in the
 loop or in the final residual: an overflow or invalid operation, or a
 non-finite value the FFT produces without a floating-point flag.  Both end
-with status "diverged", the last finite iterate returned and no final
-residual.
+with status "diverged", the last finite iterate returned (the start,
+should that iterate leave float64 off the box) and no final residual.
 
 f(x, u) vanishes off the index box of the coefficients' support for every
-u, so the map is bound once per solve to that box: the eval-grid slice
-that reads an iterate there, the BoxResolvent of the box and the values of
-phi.  Each iteration then evaluates f on the box, applies the operator and
-adds phi, all on arrays; the iterates are still checked as fields.  The
-arithmetic per cell and the transforms are those of restricting u,
-applying f on the whole source grid and calling apply_resolvent, so the
-iterates are bit-identical to that route wherever f(., u) fills the box,
-and agree to roundoff where it does not.
+u, so an iterate is fixed by its values v on that box, and the eval grid
+is a read-out.  Each solve binds two BoxResolvents to the box, one onto
+the box and one onto the eval grid.  An iteration evaluates f on the box
+and applies the box-to-box operator, at the circulant size of the box
+(11^3 for the README bump at M = 32, against 40^3 onto the grid).  Beside
+v it carries, on the box, the damped source s <- (1 - theta) s +
+theta f(v) and a scalar c <- (1 - theta) c, so that the eval-grid iterate
+is
+
+    u = c u0 + (1 - c) phi + R_k s,
+
+one apply onto the grid (phi + R_k f(v_prev) for damping 1 without a warm
+start).  theta, the divergence cap and the finiteness check read the box.
+The damped step on the box is never larger than on the grid, so when it
+reaches tol the stop test reads the whole step once on the eval grid,
+
+    max |u_N - u_(N-1)| = max |R_k (s_N - s_(N-1)) + (c_N - c_(N-1)) (u0 - phi)|,
+
+records it in place of the box's step, and stops "converged" when it is at
+most tol; otherwise the iteration goes on.  The run thus stops where the
+whole-grid loop (tests/oracles.py) stops, and a converged solve makes
+three applies onto the grid: this test, the field and the final residual,
+max |R_k N_f(u) + phi - u|.  The field is checked against the cap and for
+finiteness too.  converged still means that the damped step, not the
+undamped residual, is at most tol.  The residual history records the
+damped step on the box, which equals the grid's wherever that step peaks
+on the box; a warm start whose difference from phi fills the grid (a
+continuation's rescaled incident) can peak off it while theta < 1.
 
 The contraction certificate multiplies the kappa estimate by the sampled
 Lipschitz estimate of the nonlinearity on a ball of radius cap; a product
@@ -128,71 +148,102 @@ class SolveReport:
         return out
 
 
-def _bound_map(f: NonlinearitySpec, phi: ComplexField, k: float,
-               rcfg: ResolventConfig):
-    """The fixed-point map u -> R_k[f(., u)] + phi on eval-grid arrays,
-    bound once: f(., u) vanishes off the coefficients' box, so the map
-    reads u on that box, evaluates f there and applies the resolvent bound
-    to the box."""
-    op = BoxResolvent(rcfg, k, f.box)
-    box, phi_values = op.in_eval, phi.values
-    return lambda u: op(f.on_box(u[box])) + phi_values
-
-
-def _image(fixed_point_map, u: np.ndarray) -> np.ndarray | None:
-    """fixed_point_map(u), or None when the map leaves float64: an overflow
-    or invalid operation that numpy flags, or a non-finite value that it
-    does not (the FFT overflows silently)."""
+def _image(fn, *args):
+    """fn(*args), an array or a tuple of arrays, or None when fn leaves
+    float64: an overflow or invalid operation that numpy flags, or a
+    non-finite value that it does not (the FFT overflows silently)."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            out = fixed_point_map(u)
+            out = fn(*args)
     except FloatingPointError:
         return None
-    return out if np.isfinite(out).all() else None
+    arrays = out if isinstance(out, tuple) else (out,)
+    return out if all(np.isfinite(a).all() for a in arrays) else None
 
 
 def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
                  cfg: SolverConfig, rcfg: ResolventConfig,
                  u0: ComplexField | None = None) -> tuple[ComplexField, SolveReport]:
-    """Iterate the damped fixed-point map from phi (or u0)."""
+    """Iterate the damped fixed-point map from phi (or u0) on the
+    coefficients' box, and build the eval-grid iterate where a stop test or
+    the result needs it."""
     if phi.grid != rcfg.eval_grid:
         raise ValueError("incident field must live on the eval grid")
     if f.grid != rcfg.source_grid:
         raise ValueError("nonlinearity coefficients must live on the source grid")
-    u = (u0 if u0 is not None else phi).copy()
-    if u.grid != rcfg.eval_grid:
+    start = (u0 if u0 is not None else phi).copy()
+    if start.grid != rcfg.eval_grid:
         raise ValueError("warm start must live on the eval grid")
-    fixed_point_map = _bound_map(f, phi, k, rcfg)
+    onto_box = BoxResolvent(rcfg, k, f.box, dest="box")
+    onto_grid = BoxResolvent(rcfg, k, f.box)
+    box = onto_grid.in_eval
+    phi_box = phi.values[box]
+    # u0 - phi, the part of the start that the source s does not carry
+    lift = None if u0 is None else start.values - phi.values
 
+    def box_map(v):
+        fv = f.on_box(v)
+        return fv, onto_box(fv) + phi_box
+
+    def on_grid(src, scale):
+        """R src + scale (u0 - phi) on the eval grid."""
+        out = onto_grid(src)
+        return out if lift is None or scale == 0.0 else out + scale * lift
+
+    # the iterate is u = c u0 + (1 - c) phi + R s, with v = u on the box
+    v = start.values[box]
+    s = np.zeros_like(v)
+    c = 1.0
     theta = cfg.damping
     history: list[float] = []
     status = "max_iters"
     prev_res = math.inf
     for _ in range(cfg.max_iters):
-        mapped = _image(fixed_point_map, u.values)
-        if mapped is None:
+        image = _image(box_map, v)
+        if image is None:
             # no field holds the next iterate
             status = "diverged"
             break
-        cand = (1.0 - theta) * u.values + theta * mapped
-        res = float(np.max(np.abs(cand - u.values)))
+        fv, mapped = image
+        cand = (1.0 - theta) * v + theta * mapped
+        res = float(np.max(np.abs(cand - v), initial=0.0))
         while res > prev_res and theta > _DAMPING_FLOOR:
             theta = max(0.5 * theta, _DAMPING_FLOOR)
-            cand = (1.0 - theta) * u.values + theta * mapped
-            res = float(np.max(np.abs(cand - u.values)))
-        u = ComplexField(u.grid, cand)
+            cand = (1.0 - theta) * v + theta * mapped
+            res = float(np.max(np.abs(cand - v), initial=0.0))
+        s_prev, c_prev = s, c
+        s = (1.0 - theta) * s + theta * fv
+        c *= 1.0 - theta
+        v = cand
         history.append(res)
         prev_res = res
-        if u.sup_norm > cfg.divergence_cap:
+        if float(np.max(np.abs(v), initial=0.0)) > cfg.divergence_cap:
             status = "diverged"
             break
         if res <= cfg.tol:
-            status = "converged"
-            break
+            # the step on the box is no larger than on the grid: the stop
+            # test reads the whole step u_N - u_(N-1) on the eval grid
+            step = _image(on_grid, s - s_prev, c - c_prev)
+            if step is None:
+                status = "diverged"
+                break
+            history[-1] = prev_res = float(np.max(np.abs(step)))
+            if prev_res <= cfg.tol:
+                status = "converged"
+                break
 
+    values = _image(lambda: on_grid(s, c) + phi.values)
+    if values is None:
+        # the last iterate leaves float64 off the box
+        status = "diverged"
+        u = start
+    else:
+        u = ComplexField(start.grid, values)
+        if u.sup_norm > cfg.divergence_cap:
+            status = "diverged"
     final_residual = None
     if status != "diverged":
-        mapped = _image(fixed_point_map, u.values)
+        mapped = _image(lambda: onto_grid(f.on_box(u.values[box])) + phi.values)
         if mapped is None:
             status = "diverged"
         else:

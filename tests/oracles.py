@@ -16,8 +16,11 @@ multilinear interpolant and vectorized zero scan replace, so that no solve
 imports scipy.interpolate or scipy.optimize; these agree to roundoff.
 whole_grid_nonlinearity and picard_map are the whole-grid nonlinearity
 and the field-by-field Picard map that the library's evaluation on the
-coefficients' box and the solver's bound map replace; the bound map must
-reproduce picard_map bit for bit wherever f(., u) fills the box.
+coefficients' box replaces; bound_map, the same map bound once to the box,
+must reproduce picard_map bit for bit wherever f(., u) fills the box.
+whole_grid_picard is the Picard loop on the eval grid through bound_map,
+which the solver's iteration on the box replaces; the two agree in status,
+iterations and damping, and in fields to roundoff.
 nonlinearity_derivative (checked against finite differences) and
 verify_brackets (a sign-change check of the library's zero tables) came
 from the library, where no path called them.
@@ -310,6 +313,74 @@ def picard_map(f, phi, k, rcfg, u):
 
     src = restrict_field(u, rcfg.source_grid)
     return apply_resolvent(whole_grid_nonlinearity(f, src), rcfg, k) + phi
+
+
+def bound_map(f, phi, k, rcfg):
+    """The fixed-point map u -> R_k[f(., u)] + phi on eval-grid arrays,
+    bound once: it reads u on the coefficients' box, evaluates f there and
+    applies the resolvent of the box onto the whole eval grid.  It must
+    reproduce picard_map bit for bit wherever f(., u) fills the box."""
+    from helmscat.resolvent import BoxResolvent
+
+    op = BoxResolvent(rcfg, k, f.box)
+    box, phi_values = op.in_eval, phi.values
+    return lambda u: op(f.on_box(u[box])) + phi_values
+
+
+def whole_grid_picard(f, phi, k, cfg, rcfg, u0=None):
+    """The damped Picard loop on the whole eval grid, the route that the
+    solver's iteration on the coefficients' box replaces: each iteration
+    maps the eval-grid iterate through bound_map, halves theta (not below
+    1/16) while the damped step max|u_N - u_(N-1)| grows,
+    stops diverged on a sup norm above the cap or an image that leaves
+    float64, and converged on a damped step <= tol.  Returns the field and
+    (status, iterations, residual_history, final_residual, damping_used)."""
+    from helmscat.fields import ComplexField
+
+    fixed_point_map = bound_map(f, phi, k, rcfg)
+
+    def image(u):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                out = fixed_point_map(u)
+        except FloatingPointError:
+            return None
+        return out if np.isfinite(out).all() else None
+
+    floor = 1.0 / 16.0
+    u = (u0 if u0 is not None else phi).copy()
+    theta = cfg.damping
+    history = []
+    status = "max_iters"
+    prev_res = math.inf
+    for _ in range(cfg.max_iters):
+        mapped = image(u.values)
+        if mapped is None:
+            status = "diverged"
+            break
+        cand = (1.0 - theta) * u.values + theta * mapped
+        res = float(np.max(np.abs(cand - u.values)))
+        while res > prev_res and theta > floor:
+            theta = max(0.5 * theta, floor)
+            cand = (1.0 - theta) * u.values + theta * mapped
+            res = float(np.max(np.abs(cand - u.values)))
+        u = ComplexField(u.grid, cand)
+        history.append(res)
+        prev_res = res
+        if u.sup_norm > cfg.divergence_cap:
+            status = "diverged"
+            break
+        if res <= cfg.tol:
+            status = "converged"
+            break
+    final_residual = None
+    if status != "diverged":
+        mapped = image(u.values)
+        if mapped is None:
+            status = "diverged"
+        else:
+            final_residual = float(np.max(np.abs(mapped - u.values)))
+    return u, (status, len(history), tuple(history), final_residual, theta)
 
 
 def embed_field(fld, outer):

@@ -68,12 +68,25 @@ class TestConfig:
             rv.ResolventConfig(source_grid=src, eval_grid=ev)
 
     def test_memory_cap_counts_cached_spectra(self):
-        # four spectra of next_fast_len(2M - 1)^3 cells against 8 DEFAULT_MAX_POINTS:
-        # 4 * 200^3 fits under 8 * 2^22, 4 * 216^3 does not
-        rv.ResolventConfig.padded(Grid(dim=3, half_width=2.0, points_per_axis=100), 0)
-        big = Grid(dim=3, half_width=2.0, points_per_axis=101)
+        # four pairs of spectra against 8 DEFAULT_MAX_POINTS = 2^25 cells:
+        # onto the eval grid next_fast_len(2m - 1)^3 and onto the source box
+        # next_fast_len(2s - 1)^3, for m eval and s source points per axis.
+        # s = m = 80: 4 (160^3 + 160^3) = 32,768,000 fits; s = m = 81:
+        # 4 (162^3 + 162^3) = 34,012,224 does not, though the grid spectra
+        # alone would fit
+        def padded(s, pad):
+            return rv.ResolventConfig.padded(
+                Grid(dim=3, half_width=2.0, points_per_axis=s), pad)
+
+        padded(80, 0)
         with pytest.raises(ValueError, match="memory cap"):
-            rv.ResolventConfig.padded(big, 0)
+            padded(81, 0)
+        # the box spectra are bounded by the source grid: s = 79, m = 81:
+        # 4 (162^3 + 160^3) = 33,390,112 fits; s = 80, m = 82:
+        # 4 (165^3 + 160^3) = 34,352,500 does not
+        padded(79, 1)
+        with pytest.raises(ValueError, match="memory cap"):
+            padded(80, 1)
 
 
 class TestSingularCell:
@@ -120,7 +133,7 @@ class TestApplyResolvent:
         uf = rv.apply_resolvent(h, cfg, 1.3, kind)
         box = rv._fields.support_box(h.values)
         k_key = None if kind == "magnitude" and dim == 3 else 1.3
-        spectrum = rv._window_spectrum(cfg, k_key, kind, box)
+        spectrum = rv._window_spectra(cfg, k_key, kind, box)["grid"]
         np.testing.assert_array_equal(
             uf.values,
             full_fft_convolve(h.values, spectrum, box, cfg.eval_grid.points_per_axis))
@@ -176,7 +189,7 @@ class TestApplyResolvent:
             return kernel(params, r)
 
         monkeypatch.setattr(rv, "fundamental_solution", counting)
-        rv._window_spectrum.cache_clear()
+        rv._window_spectra.cache_clear()
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)
         cfg = cfg_for(g)
         h = gaussian_source(g, sigma=0.4, cutoff=1.0)
@@ -186,29 +199,29 @@ class TestApplyResolvent:
         second = rv.apply_resolvent(h * 2.0, cfg, 1.1)
         assert calls == []
         np.testing.assert_array_equal(second.values, 2.0 * first.values)
-        info = rv._window_spectrum.cache_info()
+        info = rv._window_spectra.cache_info()
         zero = rv.apply_resolvent(ComplexField.zeros(g), cfg, 2.3)
         assert calls == []
-        assert rv._window_spectrum.cache_info() == info
+        assert rv._window_spectra.cache_info() == info
         assert zero.grid == cfg.eval_grid
         assert np.all(zero.values == 0.0)
 
         # |Phi_k| = 1/(4 pi r) in 3D: magnitude applies at two k share one
         # spectrum and evaluate no point source
-        rv._window_spectrum.cache_clear()
+        rv._window_spectra.cache_clear()
         mag = [rv.apply_resolvent(h, cfg, k, "magnitude") for k in (0.5, 1.0)]
         assert calls == []
-        assert rv._window_spectrum.cache_info().misses == 1
+        assert rv._window_spectra.cache_info().misses == 1
         np.testing.assert_array_equal(mag[0].values, mag[1].values)
         # in 2D |Phi_k| depends on k: two k build two spectra, from two
         # tables of two point-source evaluations each
         g2 = Grid(dim=2, half_width=2.0, points_per_axis=17)
         h2 = gaussian_source(g2, sigma=0.4, cutoff=1.0)
-        rv._window_spectrum.cache_clear()
+        rv._window_spectra.cache_clear()
         for k in (0.5, 1.0):
             rv.apply_resolvent(h2, cfg_for(g2), k, "magnitude")
         assert len(calls) == 4
-        assert rv._window_spectrum.cache_info().misses == 2
+        assert rv._window_spectra.cache_info().misses == 2
 
     @pytest.mark.parametrize("dim,m", [(3, 8), (3, 9), (2, 16), (2, 17)])
     @pytest.mark.parametrize("pad", [0, 2])
@@ -340,23 +353,52 @@ class TestBoxResolvent:
         assert zero.shape == cfg.eval_grid.shape
         assert np.all(zero == 0.0)
 
+    @pytest.mark.parametrize("kind", ["outgoing", "magnitude"])
+    @pytest.mark.parametrize("where", ["full", "face", "corner", "cell"])
+    @pytest.mark.parametrize("pad", [0, 2])
+    @pytest.mark.parametrize("dim,m", [(3, 9), (2, 17)])
+    def test_box_destination_is_the_grid_result_on_the_box(self, dim, m, pad,
+                                                           where, kind):
+        # onto the box: the eval-grid result on the box's cells to 1e-12
+        # relative, and the direct lattice sum there to 1e-10; "face" and
+        # "corner" touch the grid's edge
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
+        h = random_source(g, where)
+        cfg = rv.ResolventConfig.padded(g, pad)
+        box = rv._fields.support_box(h.values)
+        onto_grid = rv.BoxResolvent(cfg, 1.3, box, kind)
+        onto_box = rv.BoxResolvent(cfg, 1.3, box, kind, dest="box")
+        src = h.values[onto_box.source]
+        got = onto_box(src)
+        want = onto_grid(src)[onto_grid.in_eval]
+        assert got.shape == src.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        ud = direct_convolve(embed_field(h, cfg.eval_grid).values,
+                             rv._kernel_table(cfg, 1.3, kind))
+        assert np.max(np.abs(got - ud[onto_box.in_eval])) < 1e-10
+
     def test_empty_box_builds_nothing(self):
         # no box: nothing to read, no spectrum, exact zeros on the eval grid
+        # and an empty result on the box
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)
         cfg = rv.ResolventConfig.padded(g, 1)
-        info = rv._window_spectrum.cache_info()
+        info = rv._window_spectra.cache_info()
         op = rv.BoxResolvent(cfg, 1.0, None)
-        assert rv._window_spectrum.cache_info() == info
+        onto_box = rv.BoxResolvent(cfg, 1.0, None, dest="box")
+        assert rv._window_spectra.cache_info() == info
         src = np.ones(g.shape, dtype=complex)[op.source]
         assert src.size == 0
         out = op(src)
         assert out.shape == cfg.eval_grid.shape and np.all(out == 0.0)
+        assert onto_box(src).shape == src.shape
 
     def test_rejects_bad_kind_and_k(self):
         cfg = cfg_for(Grid(dim=2, half_width=2.0, points_per_axis=9))
         box = ((2, 4), (3, 3))
         with pytest.raises(ValueError, match="kind"):
             rv.BoxResolvent(cfg, 1.0, box, "incoming")
+        with pytest.raises(ValueError, match="destination"):
+            rv.BoxResolvent(cfg, 1.0, box, dest="eval")
         for k in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="k must"):
                 rv.BoxResolvent(cfg, k, box)

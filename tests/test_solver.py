@@ -11,7 +11,7 @@ from helmscat.fields import (
     support_box,
     weighted_norm,
 )
-from helmscat import solver
+from helmscat import resolvent, solver
 from helmscat.resolvent import ResolventConfig, estimate_kappa
 from helmscat.solver import (
     SolverConfig,
@@ -22,11 +22,13 @@ from helmscat.solver import (
 )
 
 from oracles import (
+    bound_map,
     newton_fixed_point,
     picard_map,
     resolvent_matrix,
     solve_affine_dense,
     whole_grid_nonlinearity,
+    whole_grid_picard,
 )
 
 K_REF = 1.0
@@ -290,8 +292,10 @@ def box_coefficients(kind, grid):
 
 
 class TestBoundMap:
-    """The solver's map, bound once to the coefficients' box, against the
-    field-by-field route (restrict, whole-grid f, apply_resolvent, + phi)."""
+    """The whole-grid oracle's map, bound once to the coefficients' box,
+    against the field-by-field route (restrict, whole-grid f,
+    apply_resolvent, + phi); the solver's final residual reads the same
+    map."""
 
     def problem(self, dim, m, kind, pad):
         g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
@@ -311,7 +315,7 @@ class TestBoundMap:
     @pytest.mark.parametrize("dim,m", [(2, 16), (3, 9)])
     def test_equals_field_route_bit_for_bit(self, dim, m, kind, pad):
         rcfg, f, u, phi = self.problem(dim, m, kind, pad)
-        mapped = solver._bound_map(f, phi, K_REF, rcfg)(u.values)
+        mapped = bound_map(f, phi, K_REF, rcfg)(u.values)
         np.testing.assert_array_equal(mapped,
                                       picard_map(f, phi, K_REF, rcfg, u).values)
 
@@ -323,7 +327,7 @@ class TestBoundMap:
         u.values[(1 + f.box[0][0],)] = 0.0
         src = restrict_field(u, rcfg.source_grid)
         assert support_box(whole_grid_nonlinearity(f, src).values) != f.box
-        mapped = solver._bound_map(f, phi, K_REF, rcfg)(u.values)
+        mapped = bound_map(f, phi, K_REF, rcfg)(u.values)
         want = picard_map(f, phi, K_REF, rcfg, u).values
         assert np.max(np.abs(mapped - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -333,10 +337,186 @@ class TestBoundMap:
                                    alpha=ALPHA)
         phi = plane_phi(rcfg.eval_grid)
         u = phi * 2.0
-        mapped = solver._bound_map(f, phi, K_REF, rcfg)(u.values)
+        mapped = bound_map(f, phi, K_REF, rcfg)(u.values)
         np.testing.assert_array_equal(mapped,
                                       picard_map(f, phi, K_REF, rcfg, u).values)
         np.testing.assert_array_equal(mapped, phi.values)
+
+
+def scaled_coefficients(f, factor):
+    """f with its coefficient Q, or a, multiplied by factor."""
+    if f.kind == "power":
+        return NonlinearitySpec.power(f.Q * factor, p=f.p, alpha=f.alpha)
+    return NonlinearitySpec.affine(f.a * factor, f.b, alpha=f.alpha)
+
+
+class TestAgainstWholeGridOracle:
+    """picard_solve, which iterates on the coefficients' box, against the
+    Picard loop on the whole eval grid (tests/oracles.py)."""
+
+    def problem(self, dim, m, pad, kind):
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=m)
+        rcfg = ResolventConfig.padded(g, pad)
+        # "adaptive": a coefficient strong enough that theta halves
+        f = box_coefficients("power" if kind == "adaptive" else kind, g)
+        if kind == "adaptive":
+            f = scaled_coefficients(f, 10.0)
+        direction = (0.6, 0.8) if dim == 2 else (0.6, 0.0, 0.8)
+        phi = make_incident(IncidentWave.plane(K_REF, direction), rcfg.eval_grid)
+        return rcfg, f, phi
+
+    def assert_agree(self, f, phi, cfg, rcfg, u0=None, history_on_box=False):
+        u, rep = picard_solve(f, phi, K_REF, cfg, rcfg, u0)
+        want, (status, iterations, history, final, theta) = whole_grid_picard(
+            f, phi, K_REF, cfg, rcfg, u0)
+        assert (rep.status, rep.iterations, rep.damping_used) == (status, iterations, theta)
+        assert rep.converged == (status == "converged")
+        got = np.array(rep.residual_history)
+        scale = max(history)
+        if history_on_box:
+            # the box's step is a lower bound of the grid's
+            assert np.all(got <= np.array(history) + 1e-12 * scale)
+        else:
+            # relative to the largest step: a step near tol carries the
+            # cancellation of u_N - u_(N-1), about eps sup|u| either way
+            np.testing.assert_allclose(got, history, rtol=1e-12, atol=1e-12 * scale)
+        assert np.max(np.abs(u.values - want.values)) <= 1e-13 * want.sup_norm
+        if final is None:
+            assert rep.final_residual is None
+        else:
+            assert rep.final_residual == pytest.approx(final, abs=1e-13 * want.sup_norm)
+        return rep
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("damping", [1.0, 0.25, 1.0 / 16.0])
+    @pytest.mark.parametrize("kind", ["power", "affine", "adaptive"])
+    @pytest.mark.parametrize("dim,m,pad", [(2, 16, 2), (3, 9, 1)])
+    def test_matches_whole_grid_loop(self, dim, m, pad, kind, damping, warm):
+        rcfg, f, phi = self.problem(dim, m, pad, kind)
+        u0 = None
+        if warm:
+            # the solution of a neighbouring problem with the same incident
+            u0, _ = picard_solve(scaled_coefficients(f, 0.8), phi, K_REF,
+                                 SolverConfig(tol=1e-11), rcfg)
+        cfg = SolverConfig(tol=1e-11, max_iters=400, damping=damping)
+        rep = self.assert_agree(f, phi, cfg, rcfg, u0)
+        assert rep.converged
+        if kind == "adaptive" and damping == 1.0:
+            assert rep.damping_used < 1.0
+
+    @pytest.mark.parametrize("dim,m,pad", [(2, 16, 2), (3, 9, 1)])
+    def test_rescaled_incident_warm_start(self, dim, m, pad):
+        # a continuation's warm start: the solution at 0.8 phi.  u0 - phi
+        # holds 0.2 phi, which fills the grid, so a damped step can peak
+        # off the box; the history reads the box then, and may fall below
+        # the grid's step, while the decisions still agree
+        rcfg, f, phi = self.problem(dim, m, pad, "power")
+        u0, _ = picard_solve(f, phi * 0.8, K_REF, SolverConfig(tol=1e-11), rcfg)
+        cfg = SolverConfig(tol=1e-11, max_iters=400, damping=0.25)
+        rep = self.assert_agree(f, phi, cfg, rcfg, u0, history_on_box=True)
+        assert rep.converged
+
+    @pytest.mark.parametrize("case", ["cap", "overflow"])
+    @pytest.mark.parametrize("dim,m,pad", [(2, 16, 2), (3, 9, 1)])
+    def test_diverging_solve(self, dim, m, pad, case):
+        rcfg, _, phi = self.problem(dim, m, pad, "power")
+        g = rcfg.source_grid
+        if case == "cap":
+            f = NonlinearitySpec.power(radial_bump(g, 80.0), p=4.0, alpha=ALPHA)
+            phi, cfg = phi * 3.0, SolverConfig(divergence_cap=1e4)
+        else:
+            f = NonlinearitySpec.power(radial_bump(g, 50.0, width=1.0), p=5.0,
+                                       alpha=ALPHA)
+            phi, cfg = phi * 10.0, SolverConfig(divergence_cap=1e308)
+        rep = self.assert_agree(f, phi, cfg, rcfg)
+        assert rep.status == "diverged"
+
+
+def readme_problem(m=16, amplitude=1.0):
+    """README's minimal config: 3D, L = 2, k = 1, the bump
+    Q = -0.8 exp(-4 r^2) 1[r <= 0.45] with p = 3, incident along x1."""
+    g = Grid(dim=3, half_width=2.0, points_per_axis=m)
+    rcfg = ResolventConfig.padded(g, 0)
+    f = NonlinearitySpec.power(radial_bump(g, -0.8, width=4.0, cutoff=0.45),
+                               p=3.0, alpha=ALPHA)
+    return rcfg, f, plane_phi(g) * amplitude
+
+
+class TestBoxIteration:
+    def test_converged_solve_makes_three_grid_applies(self, monkeypatch):
+        # one apply onto the box per iteration; onto the eval grid only the
+        # stop test, the field and the final residual
+        calls = {"grid": 0, "box": 0}
+
+        class Counting(resolvent.BoxResolvent):
+            def __init__(self, *args, dest="grid", **kwargs):
+                super().__init__(*args, dest=dest, **kwargs)
+                self.dest = dest
+
+            def __call__(self, values):
+                calls[self.dest] += 1
+                return super().__call__(values)
+
+        monkeypatch.setattr(solver, "BoxResolvent", Counting)
+        rcfg, f, phi = readme_problem()
+        _, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-10), rcfg)
+        assert rep.converged and rep.final_residual <= 1e-10
+        assert calls["grid"] <= 3
+        assert calls["box"] == rep.iterations
+
+    def test_field_that_leaves_float64_off_the_box_diverges(self, monkeypatch):
+        # the box iterates stay finite, but every apply onto the eval grid
+        # overflows: the stop test and the field are not finite, so the run
+        # ends diverged with the start field and no final residual
+        class Overflowing(resolvent.BoxResolvent):
+            def __init__(self, *args, dest="grid", **kwargs):
+                super().__init__(*args, dest=dest, **kwargs)
+                self.dest = dest
+
+            def __call__(self, values):
+                out = super().__call__(values)
+                return out if self.dest == "box" else out + np.inf
+
+        monkeypatch.setattr(solver, "BoxResolvent", Overflowing)
+        rcfg, f, phi = readme_problem(m=12)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-10), rcfg)
+        assert rep.status == "diverged" and not rep.converged
+        assert rep.final_residual is None
+        assert rep.iterations == len(rep.residual_history) >= 1
+        np.testing.assert_array_equal(u.values, phi.values)
+
+    def test_cold_solve_builds_one_table(self, monkeypatch):
+        # the spectrum miss of the solve's box yields the spectra onto the
+        # grid and onto the box from one kernel table
+        builds = []
+        table = resolvent._kernel_table
+        monkeypatch.setattr(resolvent, "_kernel_table",
+                            lambda *args: builds.append(args) or table(*args))
+        resolvent._window_spectra.cache_clear()
+        rcfg, f, phi = readme_problem(m=12)
+        _, rep = picard_solve(f, phi, K_REF, SolverConfig(), rcfg)
+        assert rep.converged
+        assert len(builds) == 1
+        info = resolvent._window_spectra.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("damping,amplitude,tol", [
+        (1.0 / 16.0, 3.0, 1e-8), (0.25, 3.0, 1e-8), (1.0, 3.0, 1e-8),
+        (1.0, 1.0, 1e-10), (0.25, 1.0, 1e-10)])
+    def test_converged_means_a_grid_step_within_tol(self, damping, amplitude, tol):
+        # the last damped step, u_N - u_(N-1) on the whole eval grid, is at
+        # most tol; u_(N-1) is the same solve stopped one iteration early.
+        # converged still reads the damped step, not the undamped residual
+        rcfg, f, phi = readme_problem(amplitude=amplitude)
+        cfg = SolverConfig(tol=tol, damping=damping, max_iters=400)
+        u, rep = picard_solve(f, phi, K_REF, cfg, rcfg)
+        assert rep.converged and rep.iterations >= 2
+        prev, _ = picard_solve(f, phi, K_REF,
+                               SolverConfig(tol=tol, damping=damping,
+                                            max_iters=rep.iterations - 1), rcfg)
+        step = float(np.max(np.abs(u.values - prev.values)))
+        assert step <= tol
+        assert rep.residual_history[-1] == pytest.approx(step, rel=1e-6)
 
 
 class TestContractionRatios:
