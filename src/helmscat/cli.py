@@ -66,7 +66,6 @@ from .fields import (
     make_incident,
     save_field,
     sphere_quadrature,
-    write_slice_csv,
 )
 from .resolvent import (
     ResolventConfig,
@@ -350,7 +349,7 @@ def _build_incident(grid: Grid, k: float, spec: dict | None) -> ComplexField:
     spec = spec or {"type": "plane"}
     if spec["type"] == "zero":
         return ComplexField.zeros(grid)
-    direction = spec.get("direction") or [1.0] + [0.0] * (grid.dim - 1)
+    direction = spec.get("direction", [1.0] + [0.0] * (grid.dim - 1))
     phi = make_incident(IncidentWave.plane(k, direction), grid)
     return phi * float(spec.get("amplitude", 1.0))
 
@@ -437,11 +436,10 @@ def _run_continue(cfg: dict, args, out: str):
                                  prob.rcfg, stepcfg=stepcfg)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    rows = [(p.lam, p.sup_norm, p.residual, p.status, p.iterations, p.step)
+    rows = [(p.lam, p.sup_norm, p.residual, p.iterations, p.step)
             for p in branch.points]
     _write_csv(os.path.join(out, "branch.csv"),
-               ("lambda", "sup_norm", "residual", "status", "iterations", "step"),
-               rows)
+               ("lambda", "sup_norm", "residual", "iterations", "step"), rows)
     summary = {
         "lambda_max": branch.lambda_max,
         "terminated_reason": branch.terminated_reason,
@@ -454,16 +452,14 @@ def _run_continue(cfg: dict, args, out: str):
             summary["blowup"] = dataclasses.asdict(blowup_probe(branch))
         except ValueError as e:
             summary["blowup"] = {"detected": False, "message": str(e)}
-    files = ["branch.csv", "branch_summary.json"]
-    if branch.final_field is not None:
-        _write_field(os.path.join(out, "final_field.cfld"), branch.final_field,
-                     prob.k)
-        summary["final_field_file"] = "final_field.cfld"
-        files.append("final_field.cfld")
+    _write_field(os.path.join(out, "final_field.cfld"), branch.final_field,
+                 prob.k)
+    summary["final_field_file"] = "final_field.cfld"
     _write_json(os.path.join(out, "branch_summary.json"), summary)
     status = ("ok" if branch.terminated_reason == "reached_lambda_max"
               else _short_of_goal(branch.terminated_reason == "blow_up"))
-    return status, files, {"solver_tol": scfg.tol}
+    return (status, ["branch.csv", "branch_summary.json", "final_field.cfld"],
+            {"solver_tol": scfg.tol})
 
 
 def _run_kappa(cfg: dict, args, out: str):
@@ -586,10 +582,11 @@ def _run_verify(cfg: dict, args, out: str):
 
 
 def _run_constants(cfg: dict | None, args, out: str):
-    if args.dim < 3:
-        raise ConfigError("threshold constants are defined for dim >= 3")
-    payload = {"dim": args.dim, "nu": (args.dim - 2) / 2.0,
-               "z": truncation_threshold(args.dim)}
+    try:
+        z = truncation_threshold(args.dim)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+    payload = {"dim": args.dim, "nu": (args.dim - 2) / 2.0, "z": z}
     # full precision here: the value is a mathematical constant, not a report
     text = json.dumps(payload, sort_keys=True)
     print(text)
@@ -599,20 +596,26 @@ def _run_constants(cfg: dict | None, args, out: str):
 
 def reconstruct_time_field(field_path: str, times, out_dir: str) -> list[str]:
     """Time frames of the standing solution: psi(t, x) = e^{-ikt} u(x), k
-    the wavenumber the field file records, written as one mid-plane CSV
-    slice per time (exact phase factor, no interpolation in t).  A file that
-    records no k (k = 0; the CLI never writes one) is rejected."""
+    the wavenumber the field file records, written as one CSV slice per time
+    (exact phase factor, no interpolation in t): coordinates, re, im, abs on
+    the mid-plane normal to the last axis in 3D, on the whole field in 2D.
+    A file that records no k (k = 0; the CLI never writes one) is
+    rejected."""
     fld, k = load_field(field_path)
     if k <= 0.0:
         raise ValueError("field file carries no wavenumber")
+    g = fld.grid
+    ax = g.axis()
     names = []
     for i, t in enumerate(times):
         # reduce the phase so whole periods reproduce the t = 0 frame exactly
         theta = math.fmod(k * float(t), 2.0 * math.pi)
-        psi = fld * complex(np.exp(-1j * theta))
+        psi = (fld * complex(np.exp(-1j * theta))).values
+        plane = psi if g.dim == 2 else psi[:, :, g.points_per_axis // 2]
         name = f"frame_{i:04d}.csv"
-        _atomic_write(os.path.join(out_dir, name),
-                      lambda tmp, psi=psi: write_slice_csv(tmp, psi))
+        _write_csv(os.path.join(out_dir, name), ("x1", "x2", "re", "im", "abs"),
+                   [(float(ax[a]), float(ax[b]), z.real, z.imag, abs(z))
+                    for (a, b), z in np.ndenumerate(plane)])
         names.append(name)
     return names
 

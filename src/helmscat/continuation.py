@@ -75,7 +75,6 @@ class BranchPoint:
     lam: float
     sup_norm: float
     residual: float
-    status: str = "converged"
     iterations: int = 0
     step: float = 0.0
 
@@ -85,7 +84,7 @@ class Branch:
     points: tuple[BranchPoint, ...]
     lambda_max: float
     terminated_reason: str
-    final_field: ComplexField | None = None
+    final_field: ComplexField
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ A field file records its grid and the wavenumber of its problem.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import struct
@@ -53,7 +52,6 @@ __all__ = [
     "restrict_field",
     "save_field",
     "load_field",
-    "write_slice_csv",
 ]
 
 DEFAULT_MAX_POINTS = 1 << 22
@@ -173,52 +171,15 @@ def weighted_norm(w: ComplexField, alpha: float) -> float:
 
 def tau(alpha: float, dim: int) -> float:
     """Decay exponent delivered by the resolvent for sources decaying at
-    rate alpha; requires alpha > (dim+1)/2."""
+    rate alpha; requires a finite alpha > (dim+1)/2."""
+    alpha = _check_alpha(alpha, dim)
     lo = 0.5 * (dim + 1)
-    if alpha <= lo:
-        raise ValueError(f"alpha must exceed (dim+1)/2 = {lo}, got {alpha}")
     if alpha < dim:
         return alpha - lo
     return 0.5 * (dim - 1)
 
 
 # -- sphere quadrature --------------------------------------------------------
-
-# 26-point octahedral rule on S^2, exact through degree 7.  Weights are
-# fractions of the full measure 4 pi.
-_LEB26_GROUPS = (
-    (1.0 / 21.0, "axes"),
-    (4.0 / 105.0, "edges"),
-    (27.0 / 840.0, "corners"),
-)
-
-
-def _octahedral_points(group: str) -> np.ndarray:
-    if group == "axes":
-        pts = []
-        for ax in range(3):
-            for s in (+1.0, -1.0):
-                v = [0.0, 0.0, 0.0]
-                v[ax] = s
-                pts.append(v)
-        return np.array(pts)
-    if group == "edges":
-        r = 1.0 / math.sqrt(2.0)
-        pts = []
-        for a in range(3):
-            for b in range(a + 1, 3):
-                for sa in (+1.0, -1.0):
-                    for sb in (+1.0, -1.0):
-                        v = [0.0, 0.0, 0.0]
-                        v[a], v[b] = sa * r, sb * r
-                        pts.append(v)
-        return np.array(pts)
-    r = 1.0 / math.sqrt(3.0)
-    return np.array([[sx * r, sy * r, sz * r]
-                     for sx in (+1.0, -1.0)
-                     for sy in (+1.0, -1.0)
-                     for sz in (+1.0, -1.0)])
-
 
 def product_gauss_sphere(n_polar: int, n_az: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre in cos(theta) crossed with uniform azimuth on S^2.
@@ -250,13 +211,19 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     if dim != 3:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if points == 26:
-        dirs = []
-        wts = []
-        for frac, group in _LEB26_GROUPS:
-            pts = _octahedral_points(group)
-            dirs.append(pts)
-            wts.append(np.full(len(pts), frac * 4.0 * np.pi))
-        return np.concatenate(dirs), np.concatenate(wts)
+        # octahedral rule, exact through degree 7: the unit vectors with n =
+        # 1, 2 or 3 nonzero components, each +-1/sqrt(n), weighted by a
+        # fraction of the full measure 4 pi per n
+        dirs, wts = [], []
+        for n, frac in ((1, 1.0 / 21.0), (2, 4.0 / 105.0), (3, 27.0 / 840.0)):
+            r = 1.0 / math.sqrt(n)
+            for axes in itertools.combinations(range(3), n):
+                for signs in itertools.product((r, -r), repeat=n):
+                    v = np.zeros(3)
+                    v[list(axes)] = signs
+                    dirs.append(v)
+                    wts.append(frac * 4.0 * np.pi)
+        return np.array(dirs), np.array(wts)
     # fall back to a product rule of comparable size
     n_polar = max(2, int(round(math.sqrt(points / 2.0))))
     return product_gauss_sphere(n_polar, 2 * n_polar)
@@ -603,18 +570,3 @@ def load_field(path) -> tuple[ComplexField, float]:
         vals = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(grid.shape)
     return ComplexField(grid, vals), float(k)
 
-
-def write_slice_csv(path, fld: ComplexField):
-    """CSV of an axis-aligned slice: coordinates, re, im, abs.  dim 3 writes
-    the mid-plane normal to the last axis; dim 2 writes the whole field."""
-    g = fld.grid
-    ax = g.axis()
-    plane = fld.values if g.dim == 2 else fld.values[:, :, g.points_per_axis // 2]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x1", "x2", "re", "im", "abs"])
-        for i in range(plane.shape[0]):
-            for j in range(plane.shape[1]):
-                z = complex(plane[i, j])
-                wr.writerow([repr(float(ax[i])), repr(float(ax[j])),
-                             repr(z.real), repr(z.imag), repr(abs(z))])

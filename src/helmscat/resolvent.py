@@ -70,10 +70,10 @@ magnitude kernel |Phi_k| and taking the tau(alpha)-weighted sup.  Because the
 magnitude kernel is nonnegative, the profile majorizes every unit-norm
 source, so the estimate is exact for the truncated discrete operator; an
 analytic bound on the discarded exterior integral is reported alongside.
-In 3D neither reads k (the kernel is 1/(4 pi r) and the tail bound's
-constants are k-free), so kappa is computed once per (alpha, config) and
-kept in a small LRU of estimates keyed by those two alone; an estimate
-holds no array.  In 2D kappa depends on k and is computed on every call.
+Estimates are kept in one small LRU keyed by (alpha, config, k); an
+estimate holds no array.  In 3D neither reads k (the kernel is
+1/(4 pi r) and the tail bound's constants are k-free), so the key's k is
+None and one estimate per (alpha, config) serves every k.
 
 The radiation residuals read u and its gradient through fields.sphere_trace;
 far_field interpolates u alone, through one fields.grid_interpolant.  The
@@ -85,7 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
@@ -118,21 +118,25 @@ _SPECTRA = 4
 _BALL_PANELS = 21
 # uniform panels for the smooth annulus integral of the kappa tail bound
 _ANNULUS_PANELS = 4
-# 3D kappa estimates kept by the LRU of _k_free_kappa; each holds no array
+# kappa estimates kept by the LRU of _kappa; each holds no array
 _KAPPAS = 8
 
 
 @dataclass(frozen=True)
 class ResolventConfig:
     """Discretization of the resolvent.  Source and eval grids share spacing
-    and node alignment; the eval grid contains the source grid."""
+    and node alignment; the eval grid contains the source grid.  pad_cells,
+    derived, is the index of the source grid's first node on the eval
+    grid."""
 
     source_grid: Grid
     eval_grid: Grid
+    pad_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # raises when grids are incompatible
-        _fields._alignment_offset(self.eval_grid, self.source_grid)
+        object.__setattr__(self, "pad_cells", _fields._alignment_offset(
+            self.eval_grid, self.source_grid))
         # the spectrum LRU holds _SPECTRA pairs of spectra, one per
         # destination: onto the eval grid, of at most next_fast_len(2m - 1)
         # cells per axis for its m points, and onto the source box, of at
@@ -182,8 +186,6 @@ class RadiationReport:
 class FarField:
     directions: np.ndarray
     amplitude: np.ndarray
-    extraction_radius: float
-    convergence_indicator: np.ndarray
 
 
 def _equal_volume_radius(dim: int, h: float) -> float:
@@ -259,43 +261,37 @@ def _kernel_table(cfg: ResolventConfig, k: float | None, kind: str) -> np.ndarra
     return table
 
 
-def _destinations(cfg: ResolventConfig, box) -> dict[str, tuple]:
-    """The eval-grid cells onto which a BoxResolvent of box maps, by
-    destination: the whole eval grid ("grid") or the box itself ("box"),
-    as inclusive eval-grid indices per axis."""
-    g = cfg.eval_grid
-    n = _fields._alignment_offset(g, cfg.source_grid)
-    return {"grid": ((0, g.points_per_axis - 1),) * g.dim,
-            "box": tuple((n + lo, n + hi) for lo, hi in box)}
-
-
 @functools.lru_cache(maxsize=_SPECTRA)
 def _window_spectra(cfg: ResolventConfig, k: float | None, kind: str,
                     box: tuple[tuple[int, int], ...]) -> dict[str, np.ndarray]:
     """Spectra of the table windows seen by a source whose nonzero cells fill
-    box (inclusive source-grid indices per axis), one per destination of
-    _destinations: a destination of width d per axis sees d + b - 1 table
-    cells per axis for box width b, zero-padded to the circulant size
-    next_fast_len(d + b - 1).  Both come from one table build, and a box
-    whose destinations coincide shares one spectrum.  k is None for the
-    k-free 3D magnitude kernel.  The four most recent pairs are kept."""
+    box (inclusive source-grid indices per axis), one per destination: a
+    destination of width d per axis (m onto the eval grid, b onto the box)
+    sees d + b - 1 table cells per axis for box width b, zero-padded to the
+    circulant size next_fast_len(d + b - 1).  Both come from one table
+    build, and a box whose destinations coincide shares one spectrum.  k is
+    None for the k-free 3D magnitude kernel.  The four most recent pairs are
+    kept."""
     m = cfg.eval_grid.points_per_axis
-    n = _fields._alignment_offset(cfg.eval_grid, cfg.source_grid)
+    n = cfg.pad_cells
     table = _kernel_table(cfg, k, kind)
+    # destination cells dlo..dhi minus source cells n+lo..n+hi: offsets
+    # dlo-(n+hi)..dhi-(n+lo), at table index offset + m - 1; onto the grid
+    # dlo..dhi is 0..m-1, onto the box n+lo..n+hi
+    windows = {"grid": tuple(slice(m - 1 - n - hi, 2 * m - 1 - n - lo)
+                             for lo, hi in box),
+               "box": tuple(slice(m - 1 - (hi - lo), m + hi - lo)
+                            for lo, hi in box)}
 
-    def spectrum(cells):
-        # destination cells dlo..dhi minus source cells n+lo..n+hi: offsets
-        # dlo-(n+hi)..dhi-(n+lo), at table index offset + m - 1
-        window = table[tuple(slice(m - 1 + dlo - (n + hi), m + dhi - (n + lo))
-                             for (lo, hi), (dlo, dhi) in zip(box, cells))]
+    def spectrum(dest):
+        window = table[windows[dest]]
         out = fft.fftn(window, [fft.next_fast_len(w) for w in window.shape])
         out.flags.writeable = False
         return out
 
-    dests = _destinations(cfg, box)
-    onto_grid = spectrum(dests["grid"])
+    onto_grid = spectrum("grid")
     return {"grid": onto_grid,
-            "box": onto_grid if dests["box"] == dests["grid"] else spectrum(dests["box"])}
+            "box": onto_grid if windows["box"] == windows["grid"] else spectrum("box")}
 
 
 class BoxResolvent:
@@ -322,8 +318,7 @@ class BoxResolvent:
                 or k is not None and math.isfinite(k) and k > 0.0):
             raise ValueError("k must be finite and > 0")
         self.source = _fields.box_slices(box, g.dim)
-        self.in_eval = _fields.box_slices(
-            box, g.dim, _fields._alignment_offset(g, cfg.source_grid))
+        self.in_eval = _fields.box_slices(box, g.dim, cfg.pad_cells)
         self._spectrum = None
         if box is None:
             self._shape = g.shape if dest == "grid" else (0,) * g.dim
@@ -338,10 +333,12 @@ class BoxResolvent:
         self._lines = [whole[:ax + 1] + self._crop[ax + 1:] for ax in range(g.dim)]
         # destination cell i sees source cell lo + j through window index
         # i + hi - lo - j: inverse axis j keeps the destination's d valid
-        # cells from hi - lo
-        self._valid = [whole[:ax] + (slice(hi - lo, hi - lo + dhi - dlo + 1),)
-                       for ax, ((lo, hi), (dlo, dhi))
-                       in enumerate(zip(box, _destinations(cfg, box)[dest]))]
+        # cells from hi - lo, d = m onto the grid and the box's width onto
+        # the box
+        widths = [g.points_per_axis if dest == "grid" else hi - lo + 1
+                  for lo, hi in box]
+        self._valid = [whole[:ax] + (slice(hi - lo, hi - lo + d),)
+                       for ax, ((lo, hi), d) in enumerate(zip(box, widths))]
 
     def __call__(self, box_values: np.ndarray) -> np.ndarray:
         """The result on the destination of the source with box_values on
@@ -421,22 +418,16 @@ def _exterior_tail_bound(alpha: float, k: float | None, dim: int,
 
 def estimate_kappa(alpha: float, cfg: ResolventConfig, k: float) -> KappaEstimate:
     """kappa for the truncated discrete operator, via the extremal profile
-    <y>^(-alpha), plus an analytic bound for the discarded exterior.  In 3D
-    neither depends on k: the estimate is computed once per (alpha, cfg)."""
-    if cfg.source_grid.dim == 3:
-        return _k_free_kappa(float(alpha), cfg)
-    return _kappa(alpha, cfg, k)
+    <y>^(-alpha), plus an analytic bound for the discarded exterior, cached
+    per (alpha, cfg, k).  In 3D neither depends on k: the estimate is
+    computed once per (alpha, cfg)."""
+    return _kappa(float(alpha), cfg, None if cfg.source_grid.dim == 3 else k)
 
 
 @functools.lru_cache(maxsize=_KAPPAS)
-def _k_free_kappa(alpha: float, cfg: ResolventConfig) -> KappaEstimate:
-    """The 3D kappa, which reads no k: |Phi_k| = 1/(4 pi r) and the tail
-    bound's constants are k-free."""
-    return _kappa(alpha, cfg, None)
-
-
 def _kappa(alpha: float, cfg: ResolventConfig, k: float | None) -> KappaEstimate:
-    """kappa at k; k is None for the k-free 3D kernel."""
+    """kappa at k; k is None in 3D, where |Phi_k| = 1/(4 pi r) and the tail
+    bound's constants are k-free."""
     dim = cfg.source_grid.dim
     t = tau(alpha, dim)
     profile = ComplexField(cfg.source_grid,
@@ -511,7 +502,7 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
 
 def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarField:
     """Far-field amplitude g(theta) = R^((dim-1)/2) exp(-i k R) u_sc(R theta)
-    read off at |x| = R, with |g_R - g_{1.1 R}| as a convergence indicator."""
+    read off at |x| = R, which must not exceed the grid half-width."""
     g = u_sc.grid
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != g.dim:
@@ -519,14 +510,9 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
     norms = np.linalg.norm(dirs, axis=1)
     if np.any(np.abs(norms - 1.0) > 1e-8):
         raise ValueError("directions must be unit length")
-    if radius <= 0 or 1.1 * radius > g.half_width:
-        raise ValueError("need 1.1 * radius inside the grid")
+    if not 0 < radius <= g.half_width:
+        raise ValueError(f"radius {radius} must lie in (0, {g.half_width}], "
+                         f"the grid half-width")
     at = _fields.grid_interpolant(g, u_sc.values)
-
-    def amp(R):
-        return R ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * R) * at(R * dirs)
-
-    a0 = amp(radius)
-    a1 = amp(1.1 * radius)
-    return FarField(directions=dirs, amplitude=a0, extraction_radius=float(radius),
-                    convergence_indicator=np.abs(a0 - a1))
+    amp = radius ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * radius) * at(radius * dirs)
+    return FarField(directions=dirs, amplitude=amp)

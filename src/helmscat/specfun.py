@@ -212,15 +212,16 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
         raise ValueError(f"{count} zeros out of reach: zero {count} lies "
                          f"beyond t = {end:.6g}, where the scan ends")
     # The lattice t_j = j pi/8, 1 <= j < _MAX_SCAN_STEPS, is evaluated from
-    # its start, doubled until it holds count zeros: a lattice node where fn
-    # vanishes (other than the last) or a sign change between two nonzero
-    # neighbours.  Zeros are spaced by about pi = 8 steps.
+    # its start, doubled until it holds count zeros: a lattice node past nu
+    # where fn vanishes (other than the last) or a sign change between two
+    # nonzero neighbours.  J_nu and Y_nu have no zero in (0, nu], where J_nu
+    # underflows to 0 for large nu.  Zeros are spaced by about pi = 8 steps.
     n = min(_MAX_SCAN_STEPS - 1, 8 * count + 16 + int(nu / _SCAN_STEP))
     while True:
         t = np.arange(1, n + 1) * _SCAN_STEP
         f = fn(nu, t)
         sign = np.sign(f)
-        exact = sign[:-1] == 0.0
+        exact = (sign[:-1] == 0.0) & (t[:-1] > nu)
         change = sign[:-1] * sign[1:] < 0.0
         found = np.flatnonzero(exact | change)
         if found.size >= count or n == _MAX_SCAN_STEPS - 1:

@@ -142,21 +142,6 @@ def discrete_laplacian(values: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def trapezoid_sphere(fn, n_polar: int = 64, n_az: int = 128) -> float:
-    """Surface integral over the unit 2-sphere by Gauss-Legendre in cos(theta)
-    crossed with a trapezoid in azimuth."""
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_az, endpoint=False)
-    total = 0.0
-    for m, w in zip(mu, wmu):
-        s = np.sqrt(1.0 - m * m)
-        x = s * np.cos(phi)
-        y = s * np.sin(phi)
-        z = np.full_like(phi, m)
-        total += w * np.mean(fn(x, y, z)) * 2.0 * np.pi
-    return total
-
-
 def subtraction_cell_weight(dim: int, k: float, h: float) -> complex:
     """Singular-cell weight by static-part subtraction: the exact integral of
     the static singular part of Phi_k over the ball of volume h^dim, plus the

@@ -18,6 +18,7 @@ from helmscat.fields import (
     make_incident,
     save_field,
 )
+from helmscat.resolvent import ResolventConfig, apply_resolvent
 
 
 def base_config(**problem_overrides):
@@ -141,6 +142,32 @@ class TestSolve:
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and runs[0][1]
 
+    def test_source_term_without_incident_solves_to_its_resolvent(self, tmp_path):
+        # f(x, u) = 0 u + b with b the default constant ball (radius L/2) and
+        # no incident wave: the solution is R_k b
+        cfg = base_config(nonlinearity={
+            "kind": "affine", "a": {"type": "zero"},
+            "b": {"type": "constant_ball", "amplitude": 0.5}},
+            incident={"type": "zero"})
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
+        fld, _ = load_field(out / "field.cfld")
+        g = Grid(dim=3, half_width=2.0, points_per_axis=10)
+        b = ComplexField(g, 0.5 * (g.radius() <= 1.0) + 0j)
+        want = apply_resolvent(b, ResolventConfig(g, g), 1.0)
+        assert np.max(np.abs(fld.values - want.values)) <= 1e-13 * want.sup_norm
+
+    def test_unexpected_error_exits_1(self, tmp_path, monkeypatch):
+        def broken(cfg, args, out):
+            raise RuntimeError("runner broke")
+        monkeypatch.setitem(cli._ACTIONS, "kappa", (broken, {}))
+        cp = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        assert main(["kappa", "--config", cp, "--out", str(out)]) == 1
+        man = json.loads((out / "manifest.json").read_text())
+        assert (man["status"], man["error"]) == ("error", "RuntimeError: runner broke")
+
     def test_certified_affine_solve_reports_bound(self, tmp_path, diagnostics):
         cp = write_config(tmp_path, affine_config())
         out = tmp_path / "run"
@@ -262,6 +289,7 @@ class TestConfigErrors:
         lambda c: c.update(verify={"freq_count": 7}),
         lambda c: c.update(continuation={"lambda_max": 1.0, "store_at": [1.0]}),
         lambda c: c["problem"]["incident"].update(direction=[0.6, 0.8]),
+        lambda c: c["problem"]["incident"].update(direction=[]),
         lambda c: c["solver"].update(compute_radiation=False),
         lambda c: c.update(continuation={"lambda_max": 1.0, "growth": 2.0}),
         lambda c: c.update(continuation={"lambda_max": 1.0, "grow_after": 2}),
@@ -343,11 +371,9 @@ class TestContinue:
         out = tmp_path / "run"
         assert main(["continue", "--config", cp, "--out", str(out)]) == 0
         header, rows = read_csv(out / "branch.csv")
-        assert header == ["lambda", "sup_norm", "residual", "status",
-                          "iterations", "step"]
+        assert header == ["lambda", "sup_norm", "residual", "iterations", "step"]
         assert float(rows[0][0]) == 0.0 and float(rows[0][1]) == 0.0
         assert float(rows[-1][0]) == pytest.approx(1.0, abs=1e-12)
-        assert all(r[3] == "converged" for r in rows)
         summ = json.loads((out / "branch_summary.json").read_text())
         assert summ["terminated_reason"] == "reached_lambda_max"
         assert summ["n_points"] == len(rows)
@@ -558,6 +584,22 @@ class TestVerifyModes:
         failing = [c["name"] for c in res["checks"] if not c["satisfied"]]
         assert failing == ["support_diameter"]
 
+    def test_defocusing_on_padded_grid_reads_the_coefficient_grid(self, tmp_path):
+        # a padded solve is restricted to the coefficient's grid, where it
+        # agrees with the unpadded solve
+        checks = []
+        for pad in (0, 2):
+            cp = write_config(tmp_path, base_config(pad_cells=pad), f"p{pad}.json")
+            out = tmp_path / f"p{pad}"
+            assert main(["verify", "defocusing", "--config", cp,
+                         "--out", str(out)]) == 0
+            checks.append(json.loads(
+                (out / "verify_defocusing.json").read_text())["checks"])
+        for plain, padded in zip(*checks):
+            assert padded["name"] == plain["name"]
+            assert padded["lhs"] == pytest.approx(plain["lhs"], rel=1e-9)
+            assert padded["rhs"] == pytest.approx(plain["rhs"], rel=1e-9)
+
 
 class TestConstants:
     def test_dim3_value(self, tmp_path, capsys):
@@ -572,6 +614,15 @@ class TestConstants:
     def test_low_dim_rejected(self, tmp_path):
         assert main(["constants", "zN", "--dim", "2",
                      "--out", str(tmp_path / "run")]) == 2
+
+    def test_out_of_reach_dim_is_config_error(self, tmp_path):
+        # the zero of Y_(dim-2)/2 lies past the zero scan's end
+        out = tmp_path / "run"
+        assert main(["constants", "zN", "--dim", "16000", "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert "out of reach" in man["error"]
+        assert os.listdir(out) == ["manifest.json"]
 
 
 class TestAnimate:
@@ -604,6 +655,27 @@ class TestAnimate:
         im0 = np.array([float(r[3]) for r in rows0])
         re1 = np.array([float(r[2]) for r in rows1])
         np.testing.assert_allclose(re1, im0, atol=1e-12 * max(1.0, np.max(np.abs(re0))))
+
+    @pytest.mark.parametrize("dim,m", [(3, 5), (2, 6)])
+    def test_frame_layout(self, tmp_path, dim, m):
+        # 3D frames hold the mid-plane normal to the last axis, 2D frames the
+        # whole field, one row per node with coordinates, re, im and abs
+        g = Grid(dim=dim, half_width=1.0, points_per_axis=m)
+        path = tmp_path / "const.cfld"
+        save_field(path, ComplexField(g, np.full(g.shape, 1 + 2j)), k=1.0)
+        acfg = {"animate": {"field": str(path), "times": [0.0]}}
+        cp = write_config(tmp_path, acfg, "anim.json")
+        out = tmp_path / "anim"
+        assert main(["animate", "--config", cp, "--out", str(out)]) == 0
+        header, rows = read_csv(out / "frame_0000.csv")
+        assert header == ["x1", "x2", "re", "im", "abs"]
+        assert len(rows) == m * m
+        ax = [float(f"{x:.12g}") for x in g.axis()]
+        assert [(float(r[0]), float(r[1])) for r in rows] == [
+            (x1, x2) for x1 in ax for x2 in ax]
+        for r in rows:
+            assert (float(r[2]), float(r[3])) == (1.0, 2.0)
+            assert float(r[4]) == pytest.approx(math.sqrt(5.0), rel=1e-12)
 
     def test_bad_field_file(self, tmp_path):
         junk = tmp_path / "junk.cfld"

@@ -183,8 +183,12 @@ class TestBranch:
 
 
 class TestBlowupProbe:
-    @staticmethod
-    def synthetic_branch(lambda_star=1.3, gamma=1.5, amplitude=2.0):
+    # the probe reads the branch points alone; a synthetic branch still
+    # carries a final field
+    FIELD = ComplexField.zeros(Grid(dim=3, half_width=1.0, points_per_axis=4))
+
+    @classmethod
+    def synthetic_branch(cls, lambda_star=1.3, gamma=1.5, amplitude=2.0):
         lams = (lambda_star / 1.3) * np.array(
             [0.6, 0.8, 0.95, 1.05, 1.12, 1.18, 1.22, 1.25])
         pts = [BranchPoint(lam=0.0, sup_norm=0.0, residual=0.0)]
@@ -193,7 +197,7 @@ class TestBlowupProbe:
                                    sup_norm=amplitude * (lambda_star - lam) ** (-gamma),
                                    residual=1e-12, iterations=10, step=0.05))
         return Branch(points=tuple(pts), lambda_max=2.0,
-                      terminated_reason="blow_up")
+                      terminated_reason="blow_up", final_field=cls.FIELD)
 
     def test_recovers_synthetic_power_law(self):
         est = blowup_probe(self.synthetic_branch())
@@ -215,9 +219,22 @@ class TestBlowupProbe:
         assert est.lambda_star == pytest.approx(1.4, abs=1e-4)
         assert est.gamma == pytest.approx(0.5, abs=1e-3)
 
+    def test_falling_branch_fits_a_negative_exponent(self):
+        # sup|u| = 2 - lam falls as lam grows: every candidate lambda* fits
+        # gamma <= 0 and pays the same penalty, so the best fit, lambda* = 2
+        # with gamma = -1, is still the one found
+        lams = [0.6, 0.8, 0.95, 1.05, 1.12, 1.18, 1.22, 1.25]
+        pts = [BranchPoint(0.0, 0.0, 0.0)] + [
+            BranchPoint(lam, 2.0 - lam, 1e-12) for lam in lams]
+        est = blowup_probe(Branch(points=tuple(pts), lambda_max=2.0,
+                                  terminated_reason="blow_up",
+                                  final_field=self.FIELD))
+        assert est.gamma == pytest.approx(-1.0, abs=1e-3)
+        assert est.lambda_star == pytest.approx(2.0, abs=1e-3)
+
     def test_completed_branch_reports_no_blowup(self):
-        b = Branch(points=(BranchPoint(0.0, 0.0, 0.0),),
-                   lambda_max=1.0, terminated_reason="reached_lambda_max")
+        b = Branch(points=(BranchPoint(0.0, 0.0, 0.0),), lambda_max=1.0,
+                   terminated_reason="reached_lambda_max", final_field=self.FIELD)
         est = blowup_probe(b)
         assert not est.detected
         assert est.lambda_star is None
@@ -226,7 +243,8 @@ class TestBlowupProbe:
     def test_too_few_points_rejected(self):
         pts = tuple(BranchPoint(lam, lam, 1e-12)
                     for lam in (0.0, 0.3, 0.5))
-        b = Branch(points=pts, lambda_max=1.0, terminated_reason="step_floor")
+        b = Branch(points=pts, lambda_max=1.0, terminated_reason="step_floor",
+                   final_field=self.FIELD)
         with pytest.raises(ValueError, match="trailing converged"):
             blowup_probe(b)
 

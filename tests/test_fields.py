@@ -120,8 +120,10 @@ class TestTau:
         assert at == pytest.approx(0.5 * (dim - 1), abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            fields.tau(2.0, 3)  # (dim+1)/2 = 2 not allowed
+        # (dim+1)/2 = 2 is not allowed, nor is a non-finite alpha
+        for alpha in (2.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="alpha must exceed"):
+                fields.tau(alpha, 3)
 
 
 class TestSphereQuadrature:
@@ -235,8 +237,6 @@ class TestSphereTrace:
         assert_matches_oracle(flux.quad_tol, ref_flux.quad_tol, dim)
         scale = np.max(np.abs(ref_ff.amplitude))
         assert_matches_oracle(ff.amplitude, ref_ff.amplitude, dim, scale=scale)
-        assert_matches_oracle(ff.convergence_indicator, ref_ff.convergence_indicator,
-                              dim, scale=scale)
 
     def test_one_interpolant_per_diagnostic(self, monkeypatch):
         built, calls = [], []
@@ -257,9 +257,9 @@ class TestSphereTrace:
         resolvent.radiation_report(u, self.K, self.RADII)
         assert (len(built), len(calls)) == (1, len(self.RADII))
         resolvent.far_field(u, self.K, dirs, self.RADII[-1])
-        assert (len(built), len(calls)) == (2, len(self.RADII) + 2)
+        assert (len(built), len(calls)) == (2, len(self.RADII) + 1)
         verify.energy_identity(u, self.K, radii=self.RADII)
-        assert (len(built), len(calls)) == (3, 2 * len(self.RADII) + 2)
+        assert (len(built), len(calls)) == (3, 2 * len(self.RADII) + 1)
 
 
 class TestGridInterpolant:
@@ -597,17 +597,3 @@ class TestSerialization:
         path.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(ValueError, match="not a field file"):
             fields.load_field(path)
-
-    def test_slice_csv(self, tmp_path):
-        import csv as _csv
-
-        g = Grid(dim=3, half_width=1.0, points_per_axis=5)
-        f = ComplexField(g, np.ones(g.shape, dtype=complex) * (1 + 2j))
-        path = tmp_path / "slice.csv"
-        fields.write_slice_csv(path, f)
-        with open(path) as fh:
-            rows = list(_csv.reader(fh))
-        assert rows[0] == ["x1", "x2", "re", "im", "abs"]
-        assert len(rows) == 1 + 25
-        assert float(rows[1][2]) == 1.0
-        assert float(rows[1][3]) == 2.0

@@ -1,10 +1,11 @@
 """Source hygiene: every name a package module imports is used in that
 module or re-exported through its __all__, every private module-level
 name it defines is read somewhere in it, every public function or method
-has a reader somewhere in the package, a CLI run imports none of the
-scipy subpackages it has no use for, README's command list names exactly
-the CLI's actions and verify modes, and every solver and continuation key
-of the config schema is read."""
+has a reader somewhere in the package, every public function of
+tests/oracles.py has a reader somewhere in the tests, a CLI run imports
+none of the scipy subpackages it has no use for, README's command list
+names exactly the CLI's actions and verify modes, and every solver and
+continuation key of the config schema is read."""
 
 import ast
 import dataclasses
@@ -22,6 +23,7 @@ from helmscat.continuation import StepConfig
 from helmscat.solver import SolverConfig
 
 SOURCES = sorted(pathlib.Path(helmscat.__file__).parent.glob("*.py"))
+TESTS = sorted(pathlib.Path(__file__).parent.glob("*.py"))
 
 
 def imported_names(tree) -> dict[str, int]:
@@ -171,6 +173,34 @@ def test_uncalled_public_name_is_reported():
             "z = K.make\n")
     assert uncalled_public_names([lib, user], exempt={"exported"}) == [
         "K.conj", "K.meth", "K.named", "used"]
+
+
+def unread_oracles(oracles: str, tests) -> list[str]:
+    """The public module-level functions of the oracle module that neither
+    the test sources nor another oracle read."""
+    defined = {node.name for node in ast.parse(oracles).body
+               if isinstance(node, ast.FunctionDef)}
+    return [name for name in uncalled_public_names([oracles, *tests])
+            if name in defined]
+
+
+def test_every_oracle_has_a_caller():
+    oracles = next(p for p in TESTS if p.name == "oracles.py")
+    tests = [p.read_text() for p in TESTS if p != oracles]
+    assert unread_oracles(oracles.read_text(), tests) == []
+
+
+def test_uncalled_oracle_is_reported():
+    # helper is read by another oracle, used and chained by the tests;
+    # test_x and the test class's method are not oracles
+    oracles = ("def used():\n    pass\ndef helper():\n    pass\n"
+               "def chained():\n    return helper()\n"
+               "def unread():\n    return unread()\ndef _private():\n    pass\n")
+    tests = ("from oracles import used\nimport oracles\nused()\n"
+             "oracles.chained()\n",
+             "def test_x():\n    pass\nclass TestK:\n    def test_m(self):\n"
+             "        pass\n")
+    assert unread_oracles(oracles, tests) == ["unread"]
 
 
 # scipy subpackages that together cost a fresh process most of a second to

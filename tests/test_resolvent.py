@@ -418,7 +418,7 @@ class TestKappa:
     def test_3d_kappa_is_k_free(self):
         # |Phi_k| = 1/(4 pi r) in 3D: one estimate per (alpha, config), equal
         # to the bit to the direct computation at every k
-        rv._k_free_kappa.cache_clear()
+        rv._kappa.cache_clear()
         g = Grid(dim=3, half_width=2.0, points_per_axis=10)
         t = tau(3.0, 3)
         profile = ComplexField(g, g.bracket() ** -3.0 + 0j)
@@ -431,7 +431,7 @@ class TestKappa:
                 assert est.truncation_tail_bound == rv._exterior_tail_bound(
                     3.0, k, 3, g.half_width, cfg.eval_grid.half_width)
                 assert (est.alpha, est.tau_alpha, est.grid) == (3.0, t, g)
-        info = rv._k_free_kappa.cache_info()
+        info = rv._kappa.cache_info()
         assert (info.misses, info.hits, info.currsize) == (2, 4, 2)
         # the cached entries hold no array, so the memory cap's count of
         # cached arrays is unchanged
@@ -439,11 +439,13 @@ class TestKappa:
             est = rv.estimate_kappa(3.0, cfg, 2.0)
             assert est is rv.estimate_kappa(3.0, cfg, 0.5)
             assert not holds_array(est)
-        # in 2D |Phi_k| = |H_0(k r)|/4, and kappa, depends on k
+        # in 2D |Phi_k| = |H_0(k r)|/4, and kappa, depends on k: the same
+        # LRU keeps one estimate per k
         g2 = Grid(dim=2, half_width=2.0, points_per_axis=10)
         a, b = (rv.estimate_kappa(3.0, cfg_for(g2), k) for k in (0.5, 1.0))
         assert a.kappa_hat != b.kappa_hat
-        assert rv._k_free_kappa.cache_info().currsize == 2
+        assert rv.estimate_kappa(3.0, cfg_for(g2), 0.5) is a
+        assert rv._kappa.cache_info().currsize == 4
 
     def test_refinement_stability(self):
         vals = []
@@ -554,8 +556,10 @@ class TestFarField:
         ff = rv.far_field(ComplexField.zeros(g), 1.0, np.eye(3), radius=2.0)
         assert np.max(np.abs(ff.amplitude)) == 0.0
 
-    def test_indicator_decreases_with_radius(self):
-        # field with a genuine 1/r correction: amplitude converges like 1/R
+    def test_amplitude_approaches_the_limit_with_radius(self):
+        # field with a genuine 1/r correction: the amplitude read at R is
+        # (1 + 1/R)/(4 pi), which tends to the far field 1/(4 pi) like 1/R;
+        # the axis points at R = 3 and 6 are grid nodes
         k = 1.0
         g = Grid(dim=3, half_width=8.0, points_per_axis=81)
         r = np.maximum(g.radius(), 1e-9)
@@ -563,14 +567,19 @@ class TestFarField:
         vals[g.radius() == 0.0] = 0.0
         u = ComplexField(g, vals)
         dirs = np.eye(3)
-        f1 = rv.far_field(u, k, dirs, radius=3.0)
-        f2 = rv.far_field(u, k, dirs, radius=6.0)
-        assert np.all(f2.convergence_indicator < f1.convergence_indicator)
+        errs = [np.abs(rv.far_field(u, k, dirs, radius=R).amplitude
+                       - 1.0 / (4.0 * np.pi)) for R in (3.0, 6.0)]
+        assert np.all(errs[1] < errs[0])
+        for R, err in zip((3.0, 6.0), errs):
+            np.testing.assert_allclose(err, 1.0 / (4.0 * np.pi * R), rtol=1e-9)
 
     def test_validation(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)
         u = ComplexField.zeros(g)
-        with pytest.raises(ValueError, match="1.1"):
-            rv.far_field(u, 1.0, np.eye(3), radius=1.9)
+        # the sphere of radius R lies in the grid for every R <= L
+        assert not np.any(rv.far_field(u, 1.0, np.eye(3), radius=2.0).amplitude)
+        for radius in (2.0 * (1.0 + 1e-12), 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="half-width"):
+                rv.far_field(u, 1.0, np.eye(3), radius=radius)
         with pytest.raises(ValueError, match="unit"):
             rv.far_field(u, 1.0, 2.0 * np.eye(3), radius=1.0)

@@ -191,6 +191,15 @@ class TestZeros:
             got = specfun.j_zeros(float(n), 10).zeros
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
+    def test_high_order_zero_doubles_the_scan(self):
+        # the first zero of J_200, near 211, lies past the scan's first
+        # lattice of 8 + 16 + 509 steps (t < 210), which doubles; J_200
+        # underflows to 0 on the lattice's first nodes, which are no zeros
+        from scipy import special
+
+        got = specfun.j_zeros(200.0, 1).zeros
+        np.testing.assert_allclose(got, special.jn_zeros(200, 1), rtol=1e-12)
+
     @pytest.mark.parametrize("kind", ["J", "Y"])
     @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
     def test_vectorized_scan_matches_brentq_oracle(self, kind, nu):
