@@ -191,7 +191,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "radii": {"type": "array",
                           "items": {"type": "number", "exclusiveMinimum": 0}},
-                "extraction_radius": {"type": "number", "exclusiveMinimum": 0},
                 "directions": {"type": "integer", "minimum": 6},
             },
             "additionalProperties": False,
@@ -260,7 +259,8 @@ def _write_text(path: str, text: str):
 
 
 def _write_json(path: str, obj):
-    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -485,13 +485,12 @@ def _run_farfield(cfg: dict, args, out: str):
     u_sc = u - prob.phi
     default = default_radii(g.half_width)
     radii = tuple(ff_cfg.get("radii", default))
-    extraction = float(ff_cfg.get("extraction_radius", default[-1]))
     dirs, _ = sphere_quadrature(g.dim, ff_cfg.get("directions", 26))
     try:
         rad = radiation_report(u_sc, prob.k, radii)
-        ff = far_field(u_sc, prob.k, dirs, extraction)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    amplitude = far_field(u_sc, prob.k, dirs, default[-1]).amplitude
     _write_csv(os.path.join(out, "radiation.csv"),
                ("radius", "averaged_residual", "pointwise_residual"),
                list(zip(rad.radii, rad.averaged_residual,
@@ -499,7 +498,7 @@ def _run_farfield(cfg: dict, args, out: str):
     header = tuple(f"d{i + 1}" for i in range(g.dim)) + ("re", "im", "abs")
     rows = [tuple(float(c) for c in d) + (float(a.real), float(a.imag),
                                           float(abs(a)))
-            for d, a in zip(ff.directions, ff.amplitude)]
+            for d, a in zip(dirs, amplitude)]
     _write_csv(os.path.join(out, "farfield.csv"), header, rows)
     _write_field(os.path.join(out, "field.cfld"), u, prob.k)
     return "ok", ["field.cfld", "radiation.csv", "farfield.csv"], tolerances

@@ -2,9 +2,10 @@
 
 The family of problems is u = R_k N_f(u) + lam * phi for lam in [0, lambda_max].
 The branch starts at the exact solution (0, 0) whenever f(., 0) = 0 and marches
-with an adaptive step: warm start u_prev + (dlam) phi, step doubled after two
-consecutive easy solves (fewer than max_iters // 4 iterations; capped),
-halved on failure, floor at 1e-4 * lambda_max.  Termination reasons:
+with an adaptive step: warm start u_prev + (dlam) phi, first step and every
+later one capped at max_step, step doubled after two consecutive easy solves
+(fewer than max_iters // 4 iterations), halved on failure, floor at
+1e-4 * lambda_max.  Termination reasons:
 
     reached_lambda_max  the target amplitude was reached,
     blow_up             the step floor was hit and the last failure diverged,
@@ -23,7 +24,8 @@ blowup_probe fits the trailing branch points to the blow-up model
 by minimizing, over candidate lambda*, the residual of the linear regression
 of log sup|u| on log(lambda* - lambda) over the last 8 branch points (at
 least 4 are needed).  The probe reports the located lambda*, the exponent
-gamma, and the fit residual; a branch that reached lambda_max reports no
+gamma, and the fit residual; it detects a blow-up only for gamma > 0, where
+sup|u| grows toward lambda*.  A branch that reached lambda_max reports no
 blow-up instead.
 """
 
@@ -116,8 +118,9 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
         raise ValueError("continuation requires the power kind, where f(., 0) = 0")
 
     zero = ComplexField.zeros(rcfg.eval_grid)
-    step = stepcfg.initial_step if stepcfg.initial_step is not None else lambda_max / 16.0
     max_step = stepcfg.max_step if stepcfg.max_step is not None else lambda_max / 4.0
+    step = min(stepcfg.initial_step if stepcfg.initial_step is not None
+               else lambda_max / 16.0, max_step)
     floor = stepcfg.floor_factor * lambda_max
     easy_iters = max(1, scfg.max_iters // 4)
 
@@ -210,7 +213,10 @@ def blowup_probe(branch: Branch) -> BlowupEstimate:
     star = float(res.x)
     ssr, gamma, logc = _fit_at(star, lams, sups)
     rms = math.sqrt(ssr / len(tail))
-    return BlowupEstimate(detected=True, lambda_star=star, gamma=float(gamma),
+    detected = bool(gamma > 0.0)
+    fit = f"lambda* = {star:.6g}, gamma = {gamma:.3g}"
+    message = (f"blow-up fit at {fit}" if detected else
+               f"no blow-up detected: sup|u| does not grow (best fit {fit})")
+    return BlowupEstimate(detected=detected, lambda_star=star, gamma=float(gamma),
                           amplitude=float(np.exp(logc)), fit_rms=rms,
-                          points_used=len(tail),
-                          message=f"blow-up fit at lambda* = {star:.6g}, gamma = {gamma:.3g}")
+                          points_used=len(tail), message=message)

@@ -38,7 +38,6 @@ __all__ = [
     "weighted_norm",
     "tau",
     "sphere_quadrature",
-    "product_gauss_sphere",
     "grid_interpolant",
     "sphere_trace",
     "gl_panels",
@@ -166,7 +165,9 @@ def weighted_norm(w: ComplexField, alpha: float) -> float:
     """sup over the grid of <x>^alpha |w(x)|."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and >= 0")
-    return float(np.max(w.grid.bracket() ** alpha * np.abs(w.values)))
+    # nonzero cells only: <x>^alpha may overflow where w = 0, and inf * 0 is NaN
+    nz = w.values != 0
+    return float(np.max(w.grid.bracket()[nz] ** alpha * np.abs(w.values[nz]), initial=0.0))
 
 
 def tau(alpha: float, dim: int) -> float:
@@ -181,27 +182,11 @@ def tau(alpha: float, dim: int) -> float:
 
 # -- sphere quadrature --------------------------------------------------------
 
-def product_gauss_sphere(n_polar: int, n_az: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre in cos(theta) crossed with uniform azimuth on S^2.
-    Returns (directions, weights); weights sum to 4 pi."""
-    mu, wmu = np.polynomial.legendre.leggauss(n_polar)
-    phi = np.arange(n_az) * 2.0 * np.pi / n_az
-    st = np.sqrt(1.0 - mu**2)
-    dirs = np.empty((n_polar * n_az, 3))
-    wts = np.empty(n_polar * n_az)
-    i = 0
-    for m, s, w in zip(mu, st, wmu):
-        dirs[i:i + n_az, 0] = s * np.cos(phi)
-        dirs[i:i + n_az, 1] = s * np.sin(phi)
-        dirs[i:i + n_az, 2] = m
-        wts[i:i + n_az] = w * 2.0 * np.pi / n_az
-        i += n_az
-    return dirs, wts
-
-
 def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarray]:
     """Directions and positive weights on the unit sphere S^(dim-1); weights
-    sum to the sphere measure (2 pi for dim 2, 4 pi for dim 3)."""
+    sum to the sphere measure (2 pi for dim 2, 4 pi for dim 3).  In 3D, 26
+    points give the octahedral rule; any other count n gives n directions on
+    the golden spiral, weighted 4 pi / n, which only the far field samples."""
     if dim == 2:
         if points < 4:
             raise ValueError("need at least 4 points on the circle")
@@ -224,9 +209,12 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
                     dirs.append(v)
                     wts.append(frac * 4.0 * np.pi)
         return np.array(dirs), np.array(wts)
-    # fall back to a product rule of comparable size
-    n_polar = max(2, int(round(math.sqrt(points / 2.0))))
-    return product_gauss_sphere(n_polar, 2 * n_polar)
+    i = np.arange(points)
+    z = 1.0 - (2.0 * i + 1.0) / points
+    az = i * np.pi * (3.0 - math.sqrt(5.0))
+    s = np.sqrt(1.0 - z * z)
+    dirs = np.stack([s * np.cos(az), s * np.sin(az), z], axis=1)
+    return dirs, np.full(points, 4.0 * np.pi / points)
 
 
 def grid_interpolant(grid: Grid, values: np.ndarray):

@@ -1,6 +1,6 @@
 """Convolution with the outgoing Helmholtz kernel on truncated grids, the
-operator-norm surrogate kappa, radiation-condition diagnostics and far-field
-extraction.
+operator-norm surrogate kappa, radiation-condition diagnostics and the far
+field.
 
 The resolvent applied to a source h supported in the source box is
 
@@ -76,7 +76,8 @@ estimate holds no array.  In 3D neither reads k (the kernel is
 None and one estimate per (alpha, config) serves every k.
 
 The radiation residuals read u and its gradient through fields.sphere_trace;
-far_field interpolates u alone, through one fields.grid_interpolant.  The
+far_field interpolates u alone, through one fields.grid_interpolant, on the
+sphere of its one radius, and returns only the amplitudes.  The
 two radial integrals, the 2D magnitude ball mass and the annulus term of
 the kappa tail bound, are Gauss-Legendre panel sums (fields.gl_panels).
 """
@@ -184,7 +185,6 @@ class RadiationReport:
 
 @dataclass(frozen=True)
 class FarField:
-    directions: np.ndarray
     amplitude: np.ndarray
 
 
@@ -443,8 +443,9 @@ def _kappa(alpha: float, cfg: ResolventConfig, k: float | None) -> KappaEstimate
 # -- radiation diagnostics ----------------------------------------------------
 
 def default_radii(half_width: float) -> tuple[float, float, float]:
-    """Radii at which solves report radiation, far-field and flux
-    diagnostics unless a config names others: L/4, L/2 and 3L/4."""
+    """Radii at which solves report radiation and flux diagnostics unless
+    a config names others: L/4, L/2 and 3L/4.  The CLI reads the far field
+    at the last of them."""
     L = half_width
     return (L / 4, L / 2, 3 * L / 4)
 
@@ -515,4 +516,4 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
                          f"the grid half-width")
     at = _fields.grid_interpolant(g, u_sc.values)
     amp = radius ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * radius) * at(radius * dirs)
-    return FarField(directions=dirs, amplitude=amp)
+    return FarField(amplitude=amp)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -18,7 +19,7 @@ from helmscat.fields import (
     make_incident,
     save_field,
 )
-from helmscat.resolvent import ResolventConfig, apply_resolvent
+from helmscat.resolvent import ResolventConfig, apply_resolvent, estimate_kappa
 
 
 def base_config(**problem_overrides):
@@ -77,6 +78,10 @@ def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def reject_constant(name):
+    raise ValueError(f"report holds {name}")
 
 
 def read_csv(path):
@@ -141,6 +146,11 @@ class TestSolve:
             runs.append((code, files))
         assert runs[0] == runs[1]
         assert runs[0][0] == 0 and runs[0][1]
+        # every report, the manifest too, is strict JSON: no NaN or Infinity
+        for name in os.listdir(tmp_path / "a"):
+            if name.endswith(".json"):
+                json.loads((tmp_path / "a" / name).read_text(),
+                           parse_constant=reject_constant)
 
     def test_source_term_without_incident_solves_to_its_resolvent(self, tmp_path):
         # f(x, u) = 0 u + b with b the default constant ball (radius L/2) and
@@ -180,6 +190,35 @@ class TestSolve:
         assert check["name"] == "linear_sup_bound"
         assert check["satisfied"] and check["margin"] >= 0.0
         assert check["lhs"] == pytest.approx(rep["sup_norm"], rel=1e-11)
+
+    def test_large_alpha_affine_bound_holds(self, tmp_path):
+        # <x>^1000 overflows at the grid corners, where a and b vanish; the
+        # weighted norms stay finite and the bound holds as at alpha 400
+        cfg = base_config(M=12, alpha=1000.0, nonlinearity={
+            "kind": "affine",
+            "a": {"type": "constant_ball", "amplitude": 0.1, "radius": 0.5},
+            "b": {"type": "constant_ball", "amplitude": 0.1, "radius": 0.5}})
+        cfg["solver"]["certify"] = True
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
+        rep = json.loads((out / "solve_report.json").read_text(),
+                         parse_constant=reject_constant)
+        [check] = rep["bound_checks"]
+        assert check["satisfied"]
+        assert check["margin"] == pytest.approx(1.46e-3, rel=1e-2)
+
+    def test_large_alpha_power_certificate_is_finite(self, tmp_path):
+        cfg = base_config(M=12, alpha=1000.0)
+        cfg["solver"]["certify"] = True
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
+        rep = json.loads((out / "solve_report.json").read_text(),
+                         parse_constant=reject_constant)
+        cert = rep["contraction_certificate"]
+        assert cert["certified"]
+        assert cert["product"] == pytest.approx(0.1016, rel=1e-3)
 
     def test_failed_bound_check_exit_code(self, tmp_path, monkeypatch):
         breach = BoundCheck(name="linear_sup_bound", lhs=2.0, rhs=1.0,
@@ -302,7 +341,6 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "run")]) == 2
 
     @pytest.mark.parametrize("action,block", [
-        (["farfield"], {"farfield": {"extraction_radius": 5.0}}),
         (["farfield"], {"farfield": {"radii": [0.5, 9.0]}}),
         (["verify", "energy"], {"verify": {"radii": [3.0]}}),
     ])
@@ -328,7 +366,10 @@ class TestConfigErrors:
         (["solve"], lambda c: c["solver"].update(adapt_damping=False)),
         (["animate"], lambda c: c.update(
             animate={"field": "field.cfld", "times": [0.0], "k": 1.0})),
-    ], ids=["nonlinearity.tags", "solver.adapt_damping", "animate.k"])
+        (["farfield"], lambda c: c.update(
+            farfield={"extraction_radius": 5.0})),
+    ], ids=["nonlinearity.tags", "solver.adapt_damping", "animate.k",
+            "farfield.extraction_radius"])
     def test_removed_keys_are_schema_violations(self, tmp_path, action, mangle):
         cfg = base_config()
         mangle(cfg)
@@ -457,6 +498,18 @@ class TestKappaFarfield:
         assert est["tau_alpha"] > 0.0
         assert est["grid"] == {"dim": 3, "L": 2.0, "M": 10}
 
+    def test_non_finite_report_value_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "estimate_kappa",
+                            lambda *a: dataclasses.replace(
+                                estimate_kappa(*a), kappa_hat=float("nan")))
+        cp = write_config(tmp_path, base_config())
+        out = tmp_path / "run"
+        assert main(["kappa", "--config", cp, "--out", str(out)]) == 1
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "error"
+        assert "not JSON compliant" in man["error"]
+        assert os.listdir(out) == ["manifest.json"]
+
     def test_farfield_tables(self, tmp_path, diagnostics):
         # the solve behind farfield is not diagnosed, even when certify is
         # set; farfield makes its own report at its own radii
@@ -477,18 +530,19 @@ class TestKappaFarfield:
             assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
 
 
-    def test_farfield_product_rule_directions(self, tmp_path):
-        # any count but 26 takes sphere_quadrature's product rule: 5 polar
-        # by 10 azimuthal nodes here
+    @pytest.mark.parametrize("count", [6, 30, 50])
+    def test_farfield_writes_the_directions_asked_for(self, tmp_path, count):
+        # any count but 26 takes that many golden-spiral directions, one row
+        # each
         cfg = base_config()
-        cfg["farfield"] = {"directions": 50}
+        cfg["farfield"] = {"directions": count}
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert main(["farfield", "--config", cp, "--out", str(out)]) == 0
         header, rows = read_csv(out / "farfield.csv")
         assert header == ["d1", "d2", "d3", "re", "im", "abs"]
         values = np.array([[float(v) for v in row] for row in rows])
-        assert values.shape == (50, 6)
+        assert values.shape == (count, 6)
         np.testing.assert_allclose(np.linalg.norm(values[:, :3], axis=1), 1.0,
                                    atol=1e-12)
         assert np.all(np.isfinite(values[:, 3:]))

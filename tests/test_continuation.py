@@ -66,6 +66,20 @@ class TestBranch:
         assert max(steps) > 0.125
         assert max(steps) <= 0.5  # capped at lambda_max / 4
 
+    def test_max_step_caps_the_first_step(self):
+        rcfg = small_rcfg()
+        f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, 0.0), p=3.0,
+                                   alpha=ALPHA)
+        phi = plane_phi(rcfg.eval_grid)
+        branch = continue_branch(f, phi, K_REF, lambda_max=1.0,
+                                 scfg=SolverConfig(), rcfg=rcfg,
+                                 stepcfg=StepConfig(initial_step=0.5,
+                                                    max_step=0.1))
+        steps = [p.step for p in branch.points[1:]]
+        assert steps[0] == 0.1
+        assert max(steps) <= 0.1
+        assert branch.points[-1].lam == pytest.approx(1.0, rel=1e-12)
+
     def test_defocusing_branch_reaches_target(self):
         rcfg = small_rcfg()
         f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.8), p=3.0,
@@ -222,7 +236,7 @@ class TestBlowupProbe:
     def test_falling_branch_fits_a_negative_exponent(self):
         # sup|u| = 2 - lam falls as lam grows: every candidate lambda* fits
         # gamma <= 0 and pays the same penalty, so the best fit, lambda* = 2
-        # with gamma = -1, is still the one found
+        # with gamma = -1, is still the one found, and it is no blow-up
         lams = [0.6, 0.8, 0.95, 1.05, 1.12, 1.18, 1.22, 1.25]
         pts = [BranchPoint(0.0, 0.0, 0.0)] + [
             BranchPoint(lam, 2.0 - lam, 1e-12) for lam in lams]
@@ -231,6 +245,8 @@ class TestBlowupProbe:
                                   final_field=self.FIELD))
         assert est.gamma == pytest.approx(-1.0, abs=1e-3)
         assert est.lambda_star == pytest.approx(2.0, abs=1e-3)
+        assert not est.detected
+        assert est.message.startswith("no blow-up detected: sup|u| does not grow")
 
     def test_completed_branch_reports_no_blowup(self):
         b = Branch(points=(BranchPoint(0.0, 0.0, 0.0),), lambda_max=1.0,

@@ -98,6 +98,16 @@ class TestWeightedNorm:
         lo, hi = sorted((a1, a2))
         assert fields.weighted_norm(w, lo) <= fields.weighted_norm(w, hi) * (1 + 1e-13)
 
+    def test_overflowing_weight_off_the_support_is_not_nan(self):
+        # <x>^1000 overflows to inf at the corners of this grid; the field
+        # is zero there, so the norm is the point mass's value, not NaN
+        g = small_grid(m=5)
+        vals = np.zeros(g.shape, dtype=complex)
+        vals[2, 2, 3] = 2.0  # at x = (0, 0, 1), where <x> = sqrt(2)
+        assert fields.weighted_norm(ComplexField(g, vals), 1000.0) == pytest.approx(
+            2.0 * 2.0 ** 500, rel=1e-12)
+        assert fields.weighted_norm(ComplexField.zeros(g), 1000.0) == 0.0
+
     def test_point_mass_value(self):
         g = small_grid(m=5)
         vals = np.zeros(g.shape, dtype=complex)
@@ -146,11 +156,21 @@ class TestSphereQuadrature:
         assert np.sum(wts * x**6) == pytest.approx(4 * np.pi / 7, rel=1e-12)
         assert np.sum(wts * x**3 * y**2) == pytest.approx(0.0, abs=1e-13)
 
-    def test_product_rule(self):
-        dirs, wts = fields.product_gauss_sphere(8, 16)
-        x = dirs[:, 0]
-        assert wts.sum() == pytest.approx(4 * np.pi, rel=1e-12)
-        assert np.sum(wts * x**2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
+    @pytest.mark.parametrize("n", [6, 7, 30, 50, 200])
+    def test_golden_spiral_gives_the_count_asked_for(self, n):
+        # any count but 26 in 3D: n distinct unit directions on the golden
+        # spiral, equal weights summing to 4 pi
+        dirs, wts = fields.sphere_quadrature(3, n)
+        assert dirs.shape == (n, 3) and wts.shape == (n,)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+        assert np.all(wts == wts[0])
+        assert wts.sum() == pytest.approx(4 * np.pi, rel=1e-13)
+        gaps = np.linalg.norm(dirs[:, None] - dirs[None], axis=2)
+        assert np.min(gaps[~np.eye(n, dtype=bool)]) > 1e-3
+        i = 3
+        assert dirs[i, 2] == pytest.approx(1 - (2 * i + 1) / n, abs=1e-15)
+        assert math.atan2(dirs[i, 1], dirs[i, 0]) % (2 * np.pi) == pytest.approx(
+            (i * np.pi * (3 - math.sqrt(5))) % (2 * np.pi), abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_trace_of_linear_field_is_exact(self, dim):
