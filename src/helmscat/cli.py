@@ -180,7 +180,8 @@ CONFIG_SCHEMA = {
                 "pairs": {"type": "integer", "minimum": 1},
                 "delta": {"type": "number", "exclusiveMinimum": 0},
                 "radii": {"type": "array",
-                          "items": {"type": "number", "exclusiveMinimum": 0}},
+                          "items": {"type": "number", "exclusiveMinimum": 0},
+                          "minItems": 1},
                 "factor": {"type": "number", "exclusiveMinimum": 0},
                 "tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
@@ -190,7 +191,8 @@ CONFIG_SCHEMA = {
             "type": "object",
             "properties": {
                 "radii": {"type": "array",
-                          "items": {"type": "number", "exclusiveMinimum": 0}},
+                          "items": {"type": "number", "exclusiveMinimum": 0},
+                          "minItems": 1},
                 "directions": {"type": "integer", "minimum": 6},
             },
             "additionalProperties": False,
@@ -219,21 +221,24 @@ class ConfigError(Exception):
 # -- serialization helpers ----------------------------------------------------
 
 def _round_sig(x: float, digits: int = 12) -> float:
-    if x == 0.0 or not math.isfinite(x):
-        return float(x)
     return float(f"{x:.{digits}g}")
 
 
-def _jsonable(obj):
+def _jsonable(obj, name: str, path=()):
+    """obj with numpy scalars as Python ones and floats rounded; a non-finite
+    float raises ValueError naming the file and the key path to it."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return {str(k): _jsonable(v, name, path + (k,)) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, name, path + (i,)) for i, v in enumerate(obj)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"{name}: {'.'.join(map(str, path))} is {float(obj)}, "
+                             "not JSON compliant")
         return _round_sig(float(obj))
     return obj
 
@@ -259,8 +264,8 @@ def _write_text(path: str, text: str):
 
 
 def _write_json(path: str, obj):
-    _write_text(path, json.dumps(_jsonable(obj), indent=2, sort_keys=True,
-                                 allow_nan=False) + "\n")
+    _write_text(path, json.dumps(_jsonable(obj, os.path.basename(path)),
+                                 indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(path: str, header, rows):
@@ -485,7 +490,10 @@ def _run_farfield(cfg: dict, args, out: str):
     u_sc = u - prob.phi
     default = default_radii(g.half_width)
     radii = tuple(ff_cfg.get("radii", default))
-    dirs, _ = sphere_quadrature(g.dim, ff_cfg.get("directions", 26))
+    n, nodes = ff_cfg.get("directions", 26), g.points_per_axis ** g.dim
+    if n > nodes:  # the far field is interpolated from the eval grid's nodes
+        raise ConfigError(f"farfield.directions {n} exceeds the eval grid's {nodes} points")
+    dirs, _ = sphere_quadrature(g.dim, n)
     try:
         rad = radiation_report(u_sc, prob.k, radii)
     except ValueError as e:

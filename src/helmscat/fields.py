@@ -75,6 +75,12 @@ class Grid:
             raise ValueError(
                 f"grid of {self.points_per_axis}^{self.dim} points exceeds "
                 f"the memory cap of {DEFAULT_MAX_POINTS} points")
+        try:
+            volume = self.cell_volume
+        except OverflowError:  # float ** raises where * gives inf
+            volume = math.inf
+        if not 0.0 < volume < math.inf:
+            raise ValueError(f"cell volume h^{self.dim} = {volume} must be finite and > 0")
 
     @property
     def spacing(self) -> float:

@@ -15,10 +15,9 @@ offsets (m^dim points for m eval points per axis) and mirrored to the
   * regular cells: Phi at the cell center times the cell volume,
   * the 3^dim - 1 cells adjacent to the singularity: cell averages of Phi by
     midpoint subsampling (4 points per axis),
-  * the singular cell itself: the exact integral of Phi over the ball of
-    equal volume (radius rho),
-        dim 3:  exp(ik rho)(rho/(ik) + 1/k^2) - 1/k^2
-        dim 2:  (i pi rho / 2k) H^(1)_1(k rho) - 1/k^2.
+  * the singular cell itself: the integral of Phi over the ball of equal
+    volume (radius rho), a radial Gauss-Legendre sum on panels graded
+    toward r = 0 that stays accurate as k rho -> 0.
 
 The test suite keeps a second singular-cell rule (static-part subtraction)
 in tests/oracles.py to check this one against.
@@ -77,9 +76,10 @@ None and one estimate per (alpha, config) serves every k.
 
 The radiation residuals read u and its gradient through fields.sphere_trace;
 far_field interpolates u alone, through one fields.grid_interpolant, on the
-sphere of its one radius, and returns only the amplitudes.  The
-two radial integrals, the 2D magnitude ball mass and the annulus term of
-the kappa tail bound, are Gauss-Legendre panel sums (fields.gl_panels).
+sphere of its one radius, and returns only the amplitudes.  The radial
+integrals, the ball integral of the kernel (singular cell and the kappa
+tail bound's near mass) and the tail bound's annulus term, are
+Gauss-Legendre panel sums (fields.gl_panels).
 """
 
 from __future__ import annotations
@@ -105,16 +105,18 @@ __all__ = [
     "estimate_kappa",
     "radiation_report",
     "far_field",
-    "singular_cell_weight",
     "default_radii",
+    # no function here calls hankel1, but the benchmark's tracer
+    # (perfbench/tracing.py) wraps it where this module binds it
+    "hankel1",
 ]
 
 # midpoint subsamples per axis for the cells next to the singularity
 _NEAR_QUADRATURE = 4
 # pairs of window spectra kept by the LRU of _window_spectra
 _SPECTRA = 4
-# the 2D magnitude ball mass integrates r |H_0(k r)|, which behaves like
-# r log r at 0: panels [rho 2^-(j+1), rho 2^-j] for j < _BALL_PANELS - 1,
+# the ball integrals of the kernel: in 2D r H_0(k r) behaves like r log r
+# at 0, so the panels are [rho 2^-(j+1), rho 2^-j] for j < _BALL_PANELS - 1,
 # then [0, rho 2^-(_BALL_PANELS - 1)]
 _BALL_PANELS = 21
 # uniform panels for the smooth annulus integral of the kappa tail bound
@@ -194,28 +196,14 @@ def _equal_volume_radius(dim: int, h: float) -> float:
     return h / math.sqrt(np.pi)
 
 
-def singular_cell_weight(dim: int, k: float, h: float) -> complex:
-    """Quadrature weight of the singular cell: the exact integral of Phi_k
-    over the ball of volume h^dim."""
-    rho = _equal_volume_radius(dim, h)
-    if dim == 3:
-        return complex(np.exp(1j * k * rho) * (rho / (1j * k) + 1.0 / k**2)
-                       - 1.0 / k**2)
-    return complex(1j * np.pi * rho / (2.0 * k) * hankel1(1.0, k * rho)
-                   - 1.0 / k**2)
-
-
-def _abs_ball_mass(dim: int, k: float | None, rho: float) -> float:
-    """Integral of |Phi_k| over the ball of radius rho."""
-    if dim == 3:
-        # |Phi| = 1/(4 pi r) exactly
-        return 0.5 * rho**2
-    # Gauss-Legendre on panels graded geometrically toward the r log r end
+def _ball_integral(dim: int, k: float | None, rho: float, kind: str) -> complex | float:
+    """Integral of Phi_k (kind "outgoing") or |Phi_k| (kind "magnitude")
+    over the ball of radius rho: omega_dim r^(dim-1) times the kernel on
+    [0, rho], by Gauss-Legendre on the _BALL_PANELS graded panels."""
     edges = rho * 2.0 ** -np.arange(_BALL_PANELS, dtype=float)
-    lo = np.append(edges[1:], 0.0)
-    panels = gl_panels(lambda r: 0.5 * np.pi * r * np.abs(hankel1(0.0, k * r)),
-                       lo, edges)
-    return float(np.sum(panels))
+    omega = 4.0 * np.pi if dim == 3 else 2.0 * np.pi
+    return np.sum(gl_panels(lambda r: omega * r ** (dim - 1) * _kernel_values(dim, k, r, kind),
+                            np.append(edges[1:], 0.0), edges))
 
 
 def _kernel_values(dim: int, k: float | None, r: np.ndarray, kind: str) -> np.ndarray:
@@ -253,11 +241,8 @@ def _kernel_table(cfg: ResolventConfig, k: float | None, kind: str) -> np.ndarra
     avg = np.mean(_kernel_values(g.dim, k, rr, kind), axis=1)
     table[tuple((m - 1 + near).T)] = avg * g.cell_volume
 
-    center = (m - 1,) * g.dim
-    if kind == "magnitude":
-        table[center] = _abs_ball_mass(g.dim, k, _equal_volume_radius(g.dim, h))
-    else:
-        table[center] = singular_cell_weight(g.dim, k, h)
+    table[(m - 1,) * g.dim] = _ball_integral(
+        g.dim, k, _equal_volume_radius(g.dim, h), kind)
     return table
 
 
@@ -399,7 +384,7 @@ def _exterior_tail_bound(alpha: float, k: float | None, dim: int,
     else:
         ck = 0.25 * math.sqrt(2.0 / (np.pi * k))
         omega = 2.0 * np.pi
-    near_mass = _abs_ball_mass(dim, k, 1.0)
+    near_mass = float(_ball_integral(dim, k, 1.0, "magnitude"))
     br0 = math.sqrt(1.0 + r0 * r0)
     # y within distance 1 of some eval point: |y| still exceeds the source box
     near = near_mass * br0 ** (-alpha)
@@ -464,8 +449,8 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     """
     g = u.grid
     radii = tuple(float(R) for R in radii)
-    if any(R <= 0 for R in radii) or sorted(radii) != list(radii):
-        raise ValueError("radii must be positive and increasing")
+    if not radii or any(R <= 0 for R in radii) or sorted(radii) != list(radii):
+        raise ValueError("radii must be nonempty, positive and increasing")
     if radii[-1] > g.half_width:
         raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {g.half_width}")
     r_in = 0.5 * radii[0]
@@ -475,19 +460,15 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     r = g.radius()
     interior = np.zeros(g.shape, dtype=bool)
     interior[(slice(1, -1),) * g.dim] = True
-
-    # x/|x| one component at a time, each coordinate broadcast along its axis
-    safe_r = np.where(r > 0, r, 1.0)
-    sq = np.zeros(g.shape)
+    # the summed cells, off the boundary layer with r_in < |x| <= max(radii),
+    # in the grid's order; |x| > r_in > 0 on each, so x/|x| needs no guard
+    cells = np.nonzero(interior & (r > r_in) & (r <= radii[-1]))
+    rc = r[cells]
+    iku = 1j * k * u.values[cells]
+    sq = np.zeros(rc.shape)
     for a, gc in enumerate(grads):
-        x = g.axis().reshape((-1,) + (1,) * (g.dim - 1 - a))
-        un = np.where(r > 0, x / safe_r, 0.0)
-        sq += np.abs(gc - 1j * k * u.values * un) ** 2
-
-    averaged = []
-    for R in radii:
-        mask = interior & (r > r_in) & (r <= R)
-        averaged.append(float(np.sum(sq[mask]) * g.cell_volume / R))
+        sq += np.abs(gc[cells] - iku * (g.axis()[cells[a]] / rc)) ** 2
+    averaged = [float(np.sum(sq[rc <= R]) * g.cell_volume / R) for R in radii]
 
     pointwise = []
     for R in radii:

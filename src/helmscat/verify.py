@@ -258,8 +258,8 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
     """
     g = u.grid
     radii = tuple(float(r) for r in np.atleast_1d(radii))
-    if any(r <= 0.0 or r > g.half_width for r in radii):
-        raise ValueError("radii must lie in (0, half_width]")
+    if not radii or any(r <= 0.0 or r > g.half_width for r in radii):
+        raise ValueError("radii must be nonempty and lie in (0, half_width]")
     h = g.spacing
     dirs, wts = sphere_quadrature(g.dim)
     _, trace = sphere_trace(g, u.values, dirs)

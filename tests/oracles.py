@@ -21,6 +21,9 @@ must reproduce picard_map bit for bit wherever f(., u) fills the box.
 whole_grid_picard is the Picard loop on the eval grid through bound_map,
 which the solver's iteration on the box replaces; the two agree in status,
 iterations and damping, and in fields to roundoff.
+whole_grid_radiation_averages is the ball-averaged radiation residual on
+whole-grid arrays, one mask per radius, that radiation_report's gathered
+cells replace; the two agree bit for bit.
 nonlinearity_derivative (checked against finite differences) and
 verify_brackets (a sign-change check of the library's zero tables) came
 from the library, where no path called them.
@@ -183,11 +186,8 @@ def full_kernel_table(cfg, k: float, kind: str) -> np.ndarray:
         rr = np.sqrt(sum(x * x for x in pt))
         avg = np.mean(rv._kernel_values(g.dim, k, rr, kind))
         table[tuple(m - 1 + di for di in d)] = avg * g.cell_volume
-    if kind == "magnitude":
-        table[center] = rv._abs_ball_mass(g.dim, k,
-                                          rv._equal_volume_radius(g.dim, h))
-    else:
-        table[center] = rv.singular_cell_weight(g.dim, k, h)
+    table[center] = rv._ball_integral(g.dim, k, rv._equal_volume_radius(g.dim, h),
+                                      kind)
     return table
 
 
@@ -407,6 +407,27 @@ def split_sphere_trace(grid, values, dirs):
         return u_at(pts), sum(d * g_at(pts) for d, g_at in zip(dirs.T, grad_at))
 
     return grads, trace
+
+
+def whole_grid_radiation_averages(u, k: float, radii) -> list[float]:
+    """resolvent.radiation_report's averaged residuals from whole-grid
+    arrays: the guarded x/|x|, |grad u - i k u x/|x||^2 on every cell and
+    one interior mask per radius."""
+    from helmscat.fields import sphere_quadrature, sphere_trace
+
+    g = u.grid
+    grads, _ = sphere_trace(g, u.values, sphere_quadrature(g.dim)[0])
+    r = g.radius()
+    interior = np.zeros(g.shape, dtype=bool)
+    interior[(slice(1, -1),) * g.dim] = True
+    safe_r = np.where(r > 0, r, 1.0)
+    sq = np.zeros(g.shape)
+    for a, gc in enumerate(grads):
+        x = g.axis().reshape((-1,) + (1,) * (g.dim - 1 - a))
+        un = np.where(r > 0, x / safe_r, 0.0)
+        sq += np.abs(gc - 1j * k * u.values * un) ** 2
+    mask = interior & (r > 0.5 * radii[0])
+    return [float(np.sum(sq[mask & (r <= R)]) * g.cell_volume / R) for R in radii]
 
 
 def full_fft_convolve(src: np.ndarray, spectrum: np.ndarray, box, m: int) -> np.ndarray:

@@ -343,6 +343,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("action,block", [
         (["farfield"], {"farfield": {"radii": [0.5, 9.0]}}),
         (["verify", "energy"], {"verify": {"radii": [3.0]}}),
+        # an empty list has no radius to read the far field at and checks
+        # no flux
+        (["farfield"], {"farfield": {"radii": []}}),
+        (["verify", "energy"], {"verify": {"radii": []}}),
     ])
     def test_radii_outside_grid_are_config_errors(self, tmp_path, action, block):
         cfg = base_config()
@@ -352,6 +356,27 @@ class TestConfigErrors:
         assert main([*action, "--config", cp, "--out", str(out)]) == 2
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "config_error"
+
+    def test_farfield_directions_beyond_the_grid_are_config_errors(self, tmp_path):
+        # the far field is interpolated from the 10^3 eval-grid nodes
+        cfg = base_config()
+        cfg["farfield"] = {"directions": 10 ** 3 + 1}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["farfield", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["error"] == ("farfield.directions 1001 exceeds the eval "
+                                "grid's 1000 points")
+        assert os.listdir(out) == ["manifest.json"]
+
+    @pytest.mark.parametrize("half_width", [1e110, 1e-300])
+    def test_cell_volume_outside_float64_is_config_error(self, tmp_path, half_width):
+        # h^3 overflows float64 or underflows to 0
+        cp = write_config(tmp_path, base_config(L=half_width))
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["error"].startswith("cell volume h^3 = ")
 
     def test_out_of_range_power_is_config_error(self, tmp_path):
         cfg = base_config()
@@ -508,7 +533,20 @@ class TestKappaFarfield:
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "error"
         assert "not JSON compliant" in man["error"]
+        assert man["error"].startswith("ValueError: kappa.json: kappa_hat is nan")
         assert os.listdir(out) == ["manifest.json"]
+
+    def test_non_finite_nested_value_names_its_key_path(self, tmp_path):
+        # at alpha = 1e5 the certificate's weighted norms overflow to inf
+        cfg = certified_config()
+        cfg["problem"]["alpha"] = 1e5
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 1
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["error"] == ("ValueError: solve_report.json: contraction_certificate."
+                                "ell_estimate is inf, not JSON compliant")
+        assert "solve_report.json" not in os.listdir(out)
 
     def test_farfield_tables(self, tmp_path, diagnostics):
         # the solve behind farfield is not diagnosed, even when certify is

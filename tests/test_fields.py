@@ -49,6 +49,11 @@ class TestGrid:
         dict(dim=4, half_width=1.0, points_per_axis=5),
         dict(dim=3, half_width=0.0, points_per_axis=5),
         dict(dim=3, half_width=1.0, points_per_axis=1),
+        # h^dim overflows float64 (Python's float ** raises OverflowError)
+        # or underflows to 0
+        dict(dim=3, half_width=1e110, points_per_axis=10),
+        dict(dim=3, half_width=1e-300, points_per_axis=10),
+        dict(dim=2, half_width=1e-300, points_per_axis=10),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

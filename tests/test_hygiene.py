@@ -4,11 +4,13 @@ name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, a CLI run imports
 none of the scipy subpackages it has no use for, README's command list
-names exactly the CLI's actions and verify modes, and every solver and
-continuation key of the config schema is read."""
+names exactly the CLI's actions and verify modes, every solver and
+continuation key of the config schema is read, and every name the
+benchmark's tracer wraps exists where it wraps it."""
 
 import ast
 import dataclasses
+import importlib
 import json
 import os
 import pathlib
@@ -278,3 +280,22 @@ def test_solver_and_continuation_keys_match_their_configs():
 
     assert keys("solver") == fields(SolverConfig) | {"certify"}
     assert keys("continuation") == fields(StepConfig) | {"lambda_max"}
+
+
+def tracer_targets(source: str) -> list[tuple[str, str]]:
+    """(module, attribute) of each entry of the tracer's TARGETS tuple, read
+    from its source without importing it."""
+    node = next(n for n in ast.parse(source).body if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in n.targets))
+    return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+
+
+def test_every_tracer_target_resolves():
+    # perfbench/tracing.py wraps each function where a module binds it; a
+    # binding that a refactor drops fails only the benchmark run otherwise
+    tracing = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    targets = tracer_targets(tracing.read_text())
+    assert targets
+    assert [f"{module}.{name}" for module, name in targets
+            if not hasattr(importlib.import_module(module), name)] == []

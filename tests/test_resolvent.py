@@ -14,6 +14,7 @@ from oracles import (
     full_fft_convolve,
     full_kernel_table,
     subtraction_cell_weight,
+    whole_grid_radiation_averages,
 )
 
 
@@ -26,6 +27,13 @@ def gaussian_source(grid, sigma=0.5, cutoff=2.0):
 
 def cfg_for(grid):
     return rv.ResolventConfig.padded(grid, 0)
+
+
+def cell_weight(dim, k, h):
+    """The library's singular-cell weight: Phi_k over the ball of volume
+    h^dim."""
+    return complex(rv._ball_integral(dim, k, rv._equal_volume_radius(dim, h),
+                                     "outgoing"))
 
 
 def holds_array(obj) -> bool:
@@ -105,14 +113,40 @@ class TestSingularCell:
 
         want = (integrate.quad(f, 0, rho, args=("re",), limit=200)[0]
                 + 1j * integrate.quad(f, 0, rho, args=("im",), limit=200)[0])
-        got = rv.singular_cell_weight(dim, k, h)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert cell_weight(dim, k, h) == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("h", [0.02, 0.13, 0.36, 1.0])
+    @pytest.mark.parametrize("k", [1e-8, 1e-6, 1e-4, 1e-2, 0.5, 1.0, 3.0, 10.0, 30.0])
+    @pytest.mark.parametrize("kind", ["outgoing", "magnitude"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ball_integral_against_mpmath(self, dim, kind, k, h):
+        # the closed forms of the outgoing integral subtract two terms of
+        # size 1/k^2, so they are evaluated with 60 digits, which leaves
+        # more than 35 at k = 1e-8; |Phi_k| is 1/(4 pi r) in 3D, and in 2D
+        # tanh-sinh quadrature with 20 digits resolves its log singularity
+        mp = pytest.importorskip("mpmath")
+        rho = rv._equal_volume_radius(dim, h)
+        with mp.workdps(60):
+            k_, rho_ = mp.mpf(k), mp.mpf(rho)
+            if kind == "magnitude" and dim == 3:
+                want = rho_**2 / 2
+            elif kind == "magnitude":
+                with mp.workdps(20):
+                    want = mp.quad(
+                        lambda r: mp.pi / 2 * r * abs(mp.hankel1(0, k_ * r)), [0, rho_])
+            elif dim == 3:
+                want = mp.expj(k_ * rho_) * (rho_ / (1j * k_) + 1 / k_**2) - 1 / k_**2
+            else:
+                want = 1j * mp.pi * rho_ / (2 * k_) * mp.hankel1(1, k_ * rho_) - 1 / k_**2
+            want = complex(want)
+        got = complex(rv._ball_integral(dim, k, rho, kind))
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_subtraction_close_to_cell_average(self, dim):
         # the two rules agree to the smooth remainder's variation over the cell
         k, h = 1.0, 0.1
-        a = rv.singular_cell_weight(dim, k, h)
+        a = cell_weight(dim, k, h)
         b = subtraction_cell_weight(dim, k, h)
         assert abs(a - b) < 1e-3 * abs(a)
         assert a != b
@@ -214,13 +248,13 @@ class TestApplyResolvent:
         assert rv._window_spectra.cache_info().misses == 1
         np.testing.assert_array_equal(mag[0].values, mag[1].values)
         # in 2D |Phi_k| depends on k: two k build two spectra, from two
-        # tables of two point-source evaluations each
+        # tables of three point-source evaluations each
         g2 = Grid(dim=2, half_width=2.0, points_per_axis=17)
         h2 = gaussian_source(g2, sigma=0.4, cutoff=1.0)
         rv._window_spectra.cache_clear()
         for k in (0.5, 1.0):
             rv.apply_resolvent(h2, cfg_for(g2), k, "magnitude")
-        assert len(calls) == 4
+        assert len(calls) == 6
         assert rv._window_spectra.cache_info().misses == 2
 
     @pytest.mark.parametrize("dim,m", [(3, 8), (3, 9), (2, 16), (2, 17)])
@@ -236,7 +270,8 @@ class TestApplyResolvent:
     @pytest.mark.parametrize("dim,m", [(3, 32), (2, 33)])
     def test_table_evaluates_one_orthant(self, monkeypatch, dim, m):
         # one call on the m^dim orthant points, one on 4^dim subsamples in
-        # each of the 3^dim - 1 near-singular cells: 34,432 at 3D m = 32
+        # each of the 3^dim - 1 near-singular cells (34,432 at 3D m = 32)
+        # and one on the 21 x 32 panel nodes of the singular cell's ball
         points = []
         kernel = rv.fundamental_solution
 
@@ -247,7 +282,8 @@ class TestApplyResolvent:
         monkeypatch.setattr(rv, "fundamental_solution", counting)
         cfg = cfg_for(Grid(dim=dim, half_width=2.0, points_per_axis=m))
         rv._kernel_table(cfg, 1.1, "outgoing")
-        assert points == [m ** dim, (3 ** dim - 1) * 4 ** dim]
+        assert points == [m ** dim, (3 ** dim - 1) * 4 ** dim,
+                          rv._BALL_PANELS * 32]
 
     def test_linearity(self):
         g = Grid(dim=3, half_width=2.0, points_per_axis=9)
@@ -325,7 +361,7 @@ class TestApplyResolvent:
                 # eval grid = source grid: only the singular-cell weight
                 # differs, and it multiplies the source at the same node
                 dw = (subtraction_cell_weight(3, k, g.spacing)
-                      - rv.singular_cell_weight(3, k, g.spacing))
+                      - cell_weight(3, k, g.spacing))
                 u = u + dw * src
             lap = discrete_laplacian(u.values, g.spacing)
             core = (slice(2, -2),) * 3
@@ -482,7 +518,8 @@ class TestKappa:
         with mp.workdps(30):
             want = mp.quad(lambda r: mp.pi / 2 * r * abs(mp.hankel1(0, k * r)),
                            [0, rho * mp.mpf(2) ** -20, rho / 4, rho])
-        assert rv._abs_ball_mass(2, k, rho) == pytest.approx(float(want), rel=1e-13)
+        assert rv._ball_integral(2, k, rho, "magnitude") == pytest.approx(
+            float(want), rel=1e-13)
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("alpha", [2.5, 3.0, 4.0])
@@ -539,6 +576,22 @@ class TestRadiation:
             rv.radiation_report(u, 1.0, (1.0, 3.0))
         with pytest.raises(ValueError, match="increasing"):
             rv.radiation_report(u, 1.0, (2.0, 1.0))
+        with pytest.raises(ValueError, match="nonempty"):
+            rv.radiation_report(u, 1.0, ())
+
+    @pytest.mark.parametrize("dim,m", [(3, 32), (3, 33), (3, 48), (2, 32), (2, 33)])
+    def test_averages_match_whole_grid_oracle(self, dim, m):
+        # the gathered cells sum, bit for bit, what one whole-grid mask per
+        # radius sums; odd m puts a node at the origin, and the last radius
+        # is the half-width itself
+        L, k = 2.0, 1.3
+        g = Grid(dim=dim, half_width=L, points_per_axis=m)
+        rng = np.random.default_rng(3)
+        u = ComplexField(g, rng.standard_normal(g.shape)
+                         + 1j * rng.standard_normal(g.shape))
+        for radii in ((L / 4, L / 2, 3 * L / 4), (0.3, 1.1, L)):
+            got = rv.radiation_report(u, k, radii).averaged_residual
+            assert list(got) == whole_grid_radiation_averages(u, k, radii)
 
 
 class TestFarField:

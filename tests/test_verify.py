@@ -269,6 +269,8 @@ class TestEnergyIdentity:
             energy_identity(ComplexField.zeros(g), K_REF, radii=(2.5,))
         with pytest.raises(ValueError):
             energy_identity(ComplexField.zeros(g), K_REF, radii=(0.0,))
+        with pytest.raises(ValueError, match="nonempty"):
+            energy_identity(ComplexField.zeros(g), K_REF, radii=())
 
 
 class TestDefocusing:
