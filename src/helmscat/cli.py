@@ -69,6 +69,7 @@ from .fields import (
 )
 from .resolvent import (
     ResolventConfig,
+    checked_radii,
     default_radii,
     estimate_kappa,
     far_field,
@@ -263,9 +264,13 @@ def _write_text(path: str, text: str):
     _atomic_write(path, writer)
 
 
+def _json_text(name: str, obj) -> str:
+    """The text of JSON file `name` holding obj."""
+    return json.dumps(_jsonable(obj, name), indent=2, sort_keys=True) + "\n"
+
+
 def _write_json(path: str, obj):
-    _write_text(path, json.dumps(_jsonable(obj, os.path.basename(path)),
-                                 indent=2, sort_keys=True) + "\n")
+    _write_text(path, _json_text(os.path.basename(path), obj))
 
 
 def _write_csv(path: str, header, rows):
@@ -394,13 +399,11 @@ def _solver_config(cfg: dict) -> SolverConfig:
         raise ConfigError(str(e)) from e
 
 
-def _solve(cfg: dict):
-    """Build the config's problem and solve it: (problem, field, report,
-    manifest tolerances)."""
-    prob = _build_problem(cfg)
+def _solve(cfg: dict, prob: _Problem):
+    """Solve the config's problem: (field, report, manifest tolerances)."""
     scfg = _solver_config(cfg)
     u, rep = picard_solve(prob.f, prob.phi, prob.k, scfg, prob.rcfg)
-    return prob, u, rep, {"solver_tol": scfg.tol}
+    return u, rep, {"solver_tol": scfg.tol}
 
 
 def _write_field(path: str, fld: ComplexField, k: float):
@@ -412,15 +415,18 @@ def _write_field(path: str, fld: ComplexField, k: float):
 # written, manifest tolerances).
 
 def _run_solve(cfg: dict, args, out: str):
-    prob, u, rep, tolerances = _solve(cfg)
+    prob = _build_problem(cfg)
+    u, rep, tolerances = _solve(cfg, prob)
     rep = diagnose(prob.f, prob.phi, prob.k, prob.rcfg, u, rep,
                    certify=cfg.get("solver", {}).get("certify", False),
                    seed=args.seed)
-    _write_field(os.path.join(out, "field.cfld"), u, prob.k)
     report = rep.as_dict()
     report["sup_norm"] = u.sup_norm
     report["field_file"] = "field.cfld"
-    _write_json(os.path.join(out, "solve_report.json"), report)
+    # built before any write, so a report that fails leaves no field file
+    text = _json_text("solve_report.json", report)
+    _write_field(os.path.join(out, "field.cfld"), u, prob.k)
+    _write_text(os.path.join(out, "solve_report.json"), text)
     status = "ok" if rep.converged else _short_of_goal(rep.status == "diverged")
     # bound checks come with converged solves only
     if not all(c.satisfied for c in rep.bound_checks):
@@ -482,22 +488,23 @@ def _run_kappa(cfg: dict, args, out: str):
 
 
 def _run_farfield(cfg: dict, args, out: str):
-    prob, u, rep, tolerances = _solve(cfg)
-    if not rep.converged:
-        return _short_of_goal(rep.status == "diverged"), [], tolerances
+    prob = _build_problem(cfg)
     ff_cfg = cfg.get("farfield", {})
     g = prob.rcfg.eval_grid
-    u_sc = u - prob.phi
     default = default_radii(g.half_width)
-    radii = tuple(ff_cfg.get("radii", default))
     n, nodes = ff_cfg.get("directions", 26), g.points_per_axis ** g.dim
     if n > nodes:  # the far field is interpolated from the eval grid's nodes
         raise ConfigError(f"farfield.directions {n} exceeds the eval grid's {nodes} points")
-    dirs, _ = sphere_quadrature(g.dim, n)
     try:
-        rad = radiation_report(u_sc, prob.k, radii)
+        radii = checked_radii(ff_cfg.get("radii", default), g.half_width)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    dirs, _ = sphere_quadrature(g.dim, n)
+    u, rep, tolerances = _solve(cfg, prob)
+    if not rep.converged:
+        return _short_of_goal(rep.status == "diverged"), [], tolerances
+    u_sc = u - prob.phi
+    rad = radiation_report(u_sc, prob.k, radii)
     amplitude = far_field(u_sc, prob.k, dirs, default[-1]).amplitude
     _write_csv(os.path.join(out, "radiation.csv"),
                ("radius", "averaged_residual", "pointwise_residual"),
@@ -575,7 +582,8 @@ def _run_verify(cfg: dict, args, out: str):
     check, solves = _VERIFY_MODES[args.mode]
     prob = u = None
     if solves:
-        prob, u, rep, tolerances = _solve(cfg)
+        prob = _build_problem(cfg)
+        u, rep, tolerances = _solve(cfg, prob)
         if not rep.converged:
             return _short_of_goal(rep.status == "diverged"), [], tolerances
     try:

@@ -171,9 +171,12 @@ def weighted_norm(w: ComplexField, alpha: float) -> float:
     """sup over the grid of <x>^alpha |w(x)|."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and >= 0")
-    # nonzero cells only: <x>^alpha may overflow where w = 0, and inf * 0 is NaN
+    # nonzero cells only: <x>^alpha may overflow where w = 0, and inf * 0 is NaN;
+    # where w != 0 an overflow is the true value, inf, and is returned as such
     nz = w.values != 0
-    return float(np.max(w.grid.bracket()[nz] ** alpha * np.abs(w.values[nz]), initial=0.0))
+    with np.errstate(over="ignore"):
+        weighted = w.grid.bracket()[nz] ** alpha * np.abs(w.values[nz])
+    return float(np.max(weighted, initial=0.0))
 
 
 def tau(alpha: float, dim: int) -> float:

@@ -106,6 +106,7 @@ __all__ = [
     "radiation_report",
     "far_field",
     "default_radii",
+    "checked_radii",
     # no function here calls hankel1, but the benchmark's tracer
     # (perfbench/tracing.py) wraps it where this module binds it
     "hankel1",
@@ -435,6 +436,17 @@ def default_radii(half_width: float) -> tuple[float, float, float]:
     return (L / 4, L / 2, 3 * L / 4)
 
 
+def checked_radii(radii, half_width: float) -> tuple[float, ...]:
+    """radii as floats; ValueError unless they are nonempty, positive,
+    increasing and at most the grid half-width, as radiation_report needs."""
+    radii = tuple(float(R) for R in radii)
+    if not radii or any(R <= 0 for R in radii) or sorted(radii) != list(radii):
+        raise ValueError("radii must be nonempty, positive and increasing")
+    if radii[-1] > half_width:
+        raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {half_width}")
+    return radii
+
+
 def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     """Ball-averaged and sphere-sup residuals of the outgoing radiation
     condition.
@@ -448,11 +460,7 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     test fields integrable.  Radii must stay inside the grid.
     """
     g = u.grid
-    radii = tuple(float(R) for R in radii)
-    if not radii or any(R <= 0 for R in radii) or sorted(radii) != list(radii):
-        raise ValueError("radii must be nonempty, positive and increasing")
-    if radii[-1] > g.half_width:
-        raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {g.half_width}")
+    radii = checked_radii(radii, g.half_width)
     r_in = 0.5 * radii[0]
 
     dirs, _ = _fields.sphere_quadrature(g.dim)

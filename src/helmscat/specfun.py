@@ -60,6 +60,8 @@ __all__ = [
 _SCAN_STEP = math.pi / 8.0
 _MIN_ZERO_GAP = 2.9
 _MAX_SCAN_STEPS = 20000
+# zero tables kept by the LRU of _zero_table, keyed by (kind, order, count)
+_ZERO_TABLES = 32
 # J_2 is summed from its power series below this argument; the terms kept
 # leave a relative remainder below 1e-17 there
 _J2_SERIES_CUT = 1.0
@@ -251,7 +253,7 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
     return zeros.tolist()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_ZERO_TABLES)
 def _zero_table(kind: str, nu: float, count: int) -> ZeroTable:
     nu = _check_order(nu)
     if count < 1:

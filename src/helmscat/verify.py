@@ -22,7 +22,17 @@ radial mass (equivalently (2 pi)^(-dim/2) times the plain volume integral).
 Applied to the real part of the outgoing fundamental solution truncated to
 the ball of radius delta, the transform stays nonnegative whenever
 k delta <= z, z the first positive zero of Y_nu; truncation_threshold
-returns that z.  Panels are split at a tiny inner radius and at the zeros
+returns that z.  Substituting t = k s shows the check depends on k delta
+alone: the transform F_{k,delta} at k satisfies
+
+    F_{k,delta}(xi) = k^(-2) F_{1,k delta}(xi / k),
+
+and the check samples xi = g / delta for fixed g, so its values at k are
+k^(-2) times those of the k = 1 check on the ball of radius k delta, at
+g / (k delta).  fourier_positivity therefore transforms once per
+(dim, k delta), in a small LRU cache, and divides by k^2; at the default
+delta = z/k the key is z itself, so a wavenumber sweep transforms once per
+dimension.  Panels are split at a tiny inner radius and at the zeros
 of s -> J_nu(s |xi|) so each Gauss-Legendre panel sees a single arch; one
 zero table, sized for the largest frequency, serves the whole transform.
 There is no loop over frequencies: every frequency's panel edges come from
@@ -59,6 +69,7 @@ checked against z/k as a fifth bound.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -91,6 +102,9 @@ __all__ = [
 
 # radial panels split at this fraction of the upper limit
 _INNER_SPLIT = 1e-4
+# k = 1 positivity checks kept by the LRU of _unit_check, one per
+# (dim, k delta); each holds 181 floats
+_UNIT_CHECKS = 16
 
 
 # -- arch inequality ----------------------------------------------------------
@@ -203,33 +217,57 @@ class FourierPositivityResult:
         return self.min_value >= -self.tolerance
 
 
+def _check_freqs(delta: float) -> np.ndarray:
+    """The positivity check's frequencies: 0 and 180 points geometrically
+    spaced over [0.1, 60] / delta."""
+    return np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / delta))
+
+
+@functools.lru_cache(maxsize=_UNIT_CHECKS)
+def _unit_check(dim: int, radius: float) -> np.ndarray:
+    """The k = 1 check on the ball of the given radius, at the frequencies
+    _check_freqs(radius); read-only, as every caller shares the array."""
+    nu = (dim - 2) / 2.0
+    # the kernel's -(1/4) (k / (2 pi))^nu at k = 1; (2 pi)^(-nu) differs
+    # from it in the last bit at nu = 2
+    const = -0.25 * (1.0 / (2.0 * math.pi)) ** nu
+
+    def profile(s):
+        return const * s ** (-nu) * bessel_y(nu, s)
+
+    vals = radial_transform(profile, dim, radius, _check_freqs(radius))
+    vals.flags.writeable = False
+    return vals
+
+
 def fourier_positivity(dim: int, k: float, delta: float | None = None,
                        tolerance: float = 1e-8) -> FourierPositivityResult:
     """Transform of the ball-truncated real-part kernel, sampled at 0 and at
     180 frequencies geometrically spaced over [0.1, 60] / delta.
 
     delta defaults to the threshold radius z/k; below it the sampled
-    transform is expected nonnegative up to quadrature error.
+    transform is expected nonnegative up to quadrature error.  The values
+    are those of the k = 1 check on the ball of radius k delta, divided by
+    k^2 (module docstring).
     """
     if dim < 3:
         raise ValueError("positivity check defined for dim >= 3")
-    if k <= 0.0:
-        raise ValueError("k must be > 0")
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError("k must be finite and > 0")
     if delta is None:
-        delta = truncation_threshold(dim) / k
-    if delta <= 0.0:
-        raise ValueError("delta must be > 0")
-    freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / delta))
-    nu = (dim - 2) / 2.0
-    const = -0.25 * (k / (2.0 * math.pi)) ** nu
-
-    def profile(s):
-        return const * s ** (-nu) * bessel_y(nu, k * s)
-
-    vals = radial_transform(profile, dim, delta, freqs)
+        # the key is z itself: k * (z / k) may differ from z in the last bit
+        radius = truncation_threshold(dim)
+        delta = radius / k
+    else:
+        radius = k * delta
+    if not (0.0 < delta < math.inf and 0.0 < radius < math.inf):
+        raise ValueError("delta and k delta must be finite and > 0")
+    # k * k, not k ** 2: a float power raises OverflowError where the
+    # product is inf and the values underflow to 0
+    vals = _unit_check(dim, float(radius)) / (k * k)
     return FourierPositivityResult(
         dim=dim, k=k, delta=float(delta),
-        freqs=tuple(float(x) for x in freqs),
+        freqs=tuple(float(x) for x in _check_freqs(delta)),
         values=tuple(float(v) for v in vals),
         min_value=float(np.min(vals)), tolerance=tolerance)
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,10 @@ def write_config(tmp_path, cfg, name="cfg.json"):
 
 def reject_constant(name):
     raise ValueError(f"report holds {name}")
+
+
+def refuse_solve(*args, **kwargs):
+    raise AssertionError("picard_solve called")
 
 
 def read_csv(path):
@@ -348,7 +353,10 @@ class TestConfigErrors:
         (["farfield"], {"farfield": {"radii": []}}),
         (["verify", "energy"], {"verify": {"radii": []}}),
     ])
-    def test_radii_outside_grid_are_config_errors(self, tmp_path, action, block):
+    def test_radii_outside_grid_are_config_errors(self, tmp_path, monkeypatch,
+                                                  action, block):
+        if action == ["farfield"]:  # checked before the solve
+            monkeypatch.setattr(cli, "picard_solve", refuse_solve)
         cfg = base_config()
         cfg.update(block)
         cp = write_config(tmp_path, cfg)
@@ -357,8 +365,11 @@ class TestConfigErrors:
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "config_error"
 
-    def test_farfield_directions_beyond_the_grid_are_config_errors(self, tmp_path):
-        # the far field is interpolated from the 10^3 eval-grid nodes
+    def test_farfield_directions_beyond_the_grid_are_config_errors(
+            self, tmp_path, monkeypatch):
+        # the far field is interpolated from the 10^3 eval-grid nodes; the
+        # count is checked before the solve
+        monkeypatch.setattr(cli, "picard_solve", refuse_solve)
         cfg = base_config()
         cfg["farfield"] = {"directions": 10 ** 3 + 1}
         cp = write_config(tmp_path, cfg)
@@ -537,16 +548,23 @@ class TestKappaFarfield:
         assert os.listdir(out) == ["manifest.json"]
 
     def test_non_finite_nested_value_names_its_key_path(self, tmp_path):
-        # at alpha = 1e5 the certificate's weighted norms overflow to inf
+        # at alpha = 1e5 the certificate's weighted norms overflow to inf,
+        # silently: the report's own error is the one message
         cfg = certified_config()
         cfg["problem"]["alpha"] = 1e5
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
-        assert main(["solve", "--config", cp, "--out", str(out)]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", cp, "--out", str(out)]) == 1
+        assert [str(w.message) for w in caught
+                if issubclass(w.category, RuntimeWarning)] == []
         man = json.loads((out / "manifest.json").read_text())
         assert man["error"] == ("ValueError: solve_report.json: contraction_certificate."
                                 "ell_estimate is inf, not JSON compliant")
-        assert "solve_report.json" not in os.listdir(out)
+        # the report fails before any file is written
+        assert man["outputs"] == {}
+        assert os.listdir(out) == ["manifest.json"]
 
     def test_farfield_tables(self, tmp_path, diagnostics):
         # the solve behind farfield is not diagnosed, even when certify is

@@ -5,8 +5,9 @@ has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, a CLI run imports
 none of the scipy subpackages it has no use for, README's command list
 names exactly the CLI's actions and verify modes, every solver and
-continuation key of the config schema is read, and every name the
-benchmark's tracer wraps exists where it wraps it."""
+continuation key of the config schema is read, every name the
+benchmark's tracer wraps exists where it wraps it, and every cache has a
+finite size."""
 
 import ast
 import dataclasses
@@ -299,3 +300,56 @@ def test_every_tracer_target_resolves():
     assert targets
     assert [f"{module}.{name}" for module, name in targets
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """'name (line N)' for each function cached by functools.cache, or by an
+    lru_cache whose maxsize is not a positive integer literal or a
+    module-level name bound to one."""
+    tree = ast.parse(source)
+    sizes = {t.id: n.value.value for n in tree.body
+             if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
+             for t in n.targets if isinstance(t, ast.Name)}
+    found = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in fn.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            name = getattr(target, "attr", getattr(target, "id", None))
+            if name not in ("cache", "lru_cache"):
+                continue
+            size = None
+            if call is not None and name == "lru_cache":
+                size = (call.args[0] if call.args else
+                        next((kw.value for kw in call.keywords
+                              if kw.arg == "maxsize"), None))
+            if isinstance(size, ast.Name):
+                size = sizes.get(size.id)
+            elif isinstance(size, ast.Constant):
+                size = size.value
+            if not (type(size) is int and size > 0):
+                found.append(f"{fn.name} (line {fn.lineno})")
+    return sorted(found)
+
+
+def test_every_cache_is_bounded():
+    # memory caps count every cached array, which a cache of unbounded size
+    # defeats
+    assert [f"{path.name}: {entry}" for path in SOURCES
+            for entry in unbounded_caches(path.read_text())] == []
+
+
+def test_unbounded_cache_is_reported():
+    src = ("import functools\nfrom functools import cache, lru_cache\n_N = 4\n"
+           "_NONE = None\n"
+           "@functools.lru_cache(maxsize=None)\ndef a(x):\n    return x\n"
+           "@lru_cache(None)\ndef b(x):\n    return x\n"
+           "@cache\ndef c(x):\n    return x\n"
+           "@functools.lru_cache\ndef d(x):\n    return x\n"
+           "@functools.lru_cache(maxsize=_NONE)\ndef e(x):\n    return x\n"
+           "@functools.lru_cache(maxsize=_N)\ndef f(x):\n    return x\n"
+           "@lru_cache(8)\ndef g(x):\n    return x\n")
+    assert unbounded_caches(src) == ["a (line 6)", "b (line 9)", "c (line 12)",
+                                     "d (line 15)", "e (line 18)"]

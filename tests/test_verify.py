@@ -126,12 +126,15 @@ class TestRadialTransform:
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_fourier_positivity_matches_panel_oracle(self, dim):
+        # the k = 1 check on the ball of radius k delta, to the bit, divided
+        # by k^2; the direct evaluation at k is test_dilation_matches_direct_oracle
         for k, delta in ((0.5, None), (0.8, None), (1.7, None), (0.8, 2.3)):
             res = fourier_positivity(dim, k, delta=delta)
             assert delta is None or res.delta == delta
-            want = radial_transform_panels(kernel_profile(dim, k), dim,
-                                           res.delta, res.freqs)
-            np.testing.assert_array_equal(res.values, want)
+            radius = truncation_threshold(dim) if delta is None else k * delta
+            unit = radial_transform_panels(kernel_profile(dim, 1.0), dim, radius,
+                                           check_freqs(radius))
+            np.testing.assert_array_equal(res.values, unit / (k * k))
 
     @pytest.mark.parametrize("n_freqs", [1, 7, 180])
     def test_one_bessel_call_and_zero_table_per_transform(self, monkeypatch,
@@ -166,6 +169,11 @@ class TestRadialTransform:
             radial_transform(lambda s: s, 3, 1.0, [-1.0])
 
 
+def check_freqs(delta):
+    """fourier_positivity's frequencies for the ball of radius delta."""
+    return np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / delta))
+
+
 class TestFourierPositivity:
     def test_threshold_values(self):
         assert truncation_threshold(3) == pytest.approx(math.pi / 2.0, abs=1e-12)
@@ -197,6 +205,42 @@ class TestFourierPositivity:
         res = fourier_positivity(3, k=2.0)
         assert res.delta == pytest.approx(truncation_threshold(3) / 2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_dilation_matches_direct_oracle(self, dim):
+        # the k = 1 check at k delta, divided by k^2, against the transform
+        # of the kernel at k itself, value by value
+        for k, delta in ((0.1, None), (0.5, None), (1.7, None), (17.0, None),
+                         (0.5, 2.3), (0.8, 2.3), (1.7, 2.3)):
+            res = fourier_positivity(dim, k, delta=delta)
+            want = radial_transform_panels(kernel_profile(dim, k), dim,
+                                           res.delta, res.freqs)
+            np.testing.assert_allclose(res.values, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    def test_unit_wavenumber_is_the_direct_evaluation(self, dim):
+        res = fourier_positivity(dim, 1.0)
+        want = radial_transform_panels(kernel_profile(dim, 1.0), dim,
+                                       res.delta, res.freqs)
+        np.testing.assert_array_equal(res.values, want)
+
+    def test_sweep_transforms_once_per_dimension(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return radial_transform(*args)
+        monkeypatch.setattr(verify, "radial_transform", counted)
+        verify._unit_check.cache_clear()
+        for k in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+            for dim in (3, 4, 5, 6):
+                fourier_positivity(dim, k)
+        assert sorted(calls) == [3, 4, 5, 6]
+
+    def test_values_below_float_range_are_zero(self):
+        # the transform scales as k^(-2), about 1e-400 here
+        res = fourier_positivity(3, k=1e200)
+        assert res.min_value == 0.0 and max(res.values) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fourier_positivity(2, k=1.0)
@@ -204,6 +248,10 @@ class TestFourierPositivity:
             fourier_positivity(3, k=-1.0)
         with pytest.raises(ValueError):
             fourier_positivity(3, k=1.0, delta=0.0)
+        for k in (math.nan, math.inf):
+            for delta in (None, 1.0):
+                with pytest.raises(ValueError):
+                    fourier_positivity(3, k=k, delta=delta)
 
 
 K_REF = 1.0
