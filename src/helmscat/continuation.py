@@ -62,9 +62,9 @@ class StepConfig:
     max_solves: int = 1000
 
     def __post_init__(self):
-        if self.initial_step is not None and self.initial_step <= 0.0:
+        if self.initial_step is not None and not self.initial_step > 0.0:
             raise ValueError("initial_step must be > 0")
-        if self.max_step is not None and self.max_step <= 0.0:
+        if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be > 0")
         if self.max_solves < 1:
             raise ValueError("max_solves must be >= 1")
@@ -110,8 +110,8 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
     (and first at lam = 0 with the zero field and no report); it is how a
     caller keeps the fields along the branch.
     """
-    if lambda_max <= 0.0:
-        raise ValueError("lambda_max must be > 0")
+    if not 0.0 < lambda_max < math.inf:
+        raise ValueError("lambda_max must be finite and > 0")
     if phi.grid != rcfg.eval_grid:
         raise ValueError("incident field must live on the eval grid")
     if f.kind != "power":

@@ -330,9 +330,10 @@ class NonlinearitySpec:
     """Pointwise nonlinearity f(x, u) with decay rate alpha for the
     coefficient.
 
-    box, recorded once, is the index box of the coefficients' support: the
-    support_box of Q, or of supp a U supp b; None when they vanish.  f(x, u)
-    is 0 off the box for every u, and on_box evaluates it on the box."""
+    box, recorded once with its slices, is the index box of the
+    coefficients' support: the support_box of Q, or of supp a U supp b; None
+    when they vanish.  f(x, u) is 0 off the box for every u, and on_box
+    evaluates it on the box."""
 
     kind: str
     alpha: float
@@ -343,6 +344,8 @@ class NonlinearitySpec:
     b: ComplexField | None = None
     box: tuple[tuple[int, int], ...] | None = field(init=False, repr=False,
                                                     compare=False)
+    slices: tuple[slice, ...] = field(init=False, repr=False, compare=False)
+    _q: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind == "power":
@@ -351,7 +354,12 @@ class NonlinearitySpec:
             support = (self.a.values != 0) | (self.b.values != 0)
         else:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
-        object.__setattr__(self, "box", support_box(support))
+        box = support_box(support)
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "slices", box_slices(box, self.grid.dim))
+        if self.kind == "power":
+            # the real coefficient Q on the box, contiguous, which on_box reads
+            object.__setattr__(self, "_q", self.Q.values.real[self.slices].copy())
 
     @classmethod
     def power(cls, Q: ComplexField, p: float, alpha: float) -> "NonlinearitySpec":
@@ -377,10 +385,9 @@ class NonlinearitySpec:
         """f(x, u) on the cells of box, for the values u of an iterate there
         (an array of the box's shape): the one place the pointwise formula
         is written."""
-        sl = box_slices(self.box, self.grid.dim)
         if self.kind == "power":
-            return self.Q.values.real[sl] * np.abs(u) ** (self.p - 2.0) * u
-        return self.a.values[sl] * u + self.b.values[sl]
+            return self._q * np.abs(u) ** (self.p - 2.0) * u
+        return self.a.values[self.slices] * u + self.b.values[self.slices]
 
 
 def support_box(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
@@ -435,8 +442,7 @@ def apply_nonlinearity(f: NonlinearitySpec, u: ComplexField) -> ComplexField:
     if u.grid != f.grid:
         raise ValueError("field grid does not match nonlinearity grid")
     out = np.zeros(u.grid.shape, dtype=complex)
-    sl = box_slices(f.box, u.grid.dim)
-    out[sl] = f.on_box(u.values[sl])
+    out[f.slices] = f.on_box(u.values[f.slices])
     return ComplexField(u.grid, out)
 
 

@@ -8,11 +8,14 @@ The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
 started at phi (or a caller-supplied warm start u0).  The damping always
 adapts: when an update increases the damped step, theta is halved, down to
 min(1/16, damping).  A sup norm beyond the divergence cap stops the run
-with partial data, and so does an iterate whose map leaves float64, in the
-loop or in the final residual: an overflow or invalid operation, or a
-non-finite value the FFT produces without a floating-point flag.  Both end
-with status "diverged", the last finite iterate returned (the start,
-should that iterate leave float64 off the box) and no final residual.
+with partial data, and so does a value that leaves float64.  The solve
+runs in one errstate scope in which an overflow or invalid operation gives
+inf or NaN unflagged, as the FFT does anyway, and the maxima the solve
+takes read them: the damped step on the box (a non-finite step ends the
+run before the iterate changes), the stop test's step on the grid, the
+field's sup norm and the final residual.  Each ends with status
+"diverged", the last finite iterate returned (the start, should that
+iterate leave float64 off the box) and no final residual.
 
 f(x, u) vanishes off the index box of the coefficients' support for every
 u, so an iterate is fixed by its values v on that box, and the eval grid
@@ -70,6 +73,7 @@ not iterates.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -119,12 +123,12 @@ class SolverConfig:
     divergence_cap: float = 1e6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+            raise ValueError("max_iters must be an integer >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if self.tol <= 0.0 or self.divergence_cap <= 0.0:
-            raise ValueError("tol and divergence_cap must be > 0")
+        if not (0.0 < self.tol < math.inf and self.divergence_cap > 0.0):
+            raise ValueError("tol must be finite and > 0, and divergence_cap > 0")
 
 
 @dataclass(frozen=True)
@@ -148,19 +152,6 @@ class SolveReport:
         return out
 
 
-def _image(fn, *args):
-    """fn(*args), an array or a tuple of arrays, or None when fn leaves
-    float64: an overflow or invalid operation that numpy flags, or a
-    non-finite value that it does not (the FFT overflows silently)."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            out = fn(*args)
-    except FloatingPointError:
-        return None
-    arrays = out if isinstance(out, tuple) else (out,)
-    return out if all(np.isfinite(a).all() for a in arrays) else None
-
-
 def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
                  cfg: SolverConfig, rcfg: ResolventConfig,
                  u0: ComplexField | None = None) -> tuple[ComplexField, SolveReport]:
@@ -181,10 +172,6 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
     # u0 - phi, the part of the start that the source s does not carry
     lift = None if u0 is None else start.values - phi.values
 
-    def box_map(v):
-        fv = f.on_box(v)
-        return fv, onto_box(fv) + phi_box
-
     def on_grid(src, scale):
         """R src + scale (u0 - phi) on the eval grid."""
         out = onto_grid(src)
@@ -198,56 +185,60 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
     history: list[float] = []
     status = "max_iters"
     prev_res = math.inf
-    for _ in range(cfg.max_iters):
-        image = _image(box_map, v)
-        if image is None:
-            # no field holds the next iterate
-            status = "diverged"
-            break
-        fv, mapped = image
-        cand = (1.0 - theta) * v + theta * mapped
-        res = float(np.max(np.abs(cand - v), initial=0.0))
-        while res > prev_res and theta > _DAMPING_FLOOR:
-            theta = max(0.5 * theta, _DAMPING_FLOOR)
-            cand = (1.0 - theta) * v + theta * mapped
-            res = float(np.max(np.abs(cand - v), initial=0.0))
-        s_prev, c_prev = s, c
-        s = (1.0 - theta) * s + theta * fv
-        c *= 1.0 - theta
-        v = cand
-        history.append(res)
-        prev_res = res
-        if float(np.max(np.abs(v), initial=0.0)) > cfg.divergence_cap:
-            status = "diverged"
-            break
-        if res <= cfg.tol:
-            # the step on the box is no larger than on the grid: the stop
-            # test reads the whole step u_N - u_(N-1) on the eval grid
-            step = _image(on_grid, s - s_prev, c - c_prev)
-            if step is None:
+    # a value that leaves float64 is caught by the maximum that reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.max_iters):
+            fv = f.on_box(v)
+            mapped = onto_box(fv)
+            mapped += phi_box
+            cand = (1.0 - theta) * v
+            cand += theta * mapped
+            res = float(np.abs(cand - v).max(initial=0.0))
+            if not math.isfinite(res):
+                # no field holds the next iterate
                 status = "diverged"
                 break
-            history[-1] = prev_res = float(np.max(np.abs(step)))
-            if prev_res <= cfg.tol:
-                status = "converged"
+            while res > prev_res and theta > _DAMPING_FLOOR:
+                theta = max(0.5 * theta, _DAMPING_FLOOR)
+                cand = (1.0 - theta) * v
+                cand += theta * mapped
+                res = float(np.abs(cand - v).max(initial=0.0))
+            # the stop test below, and only it, reads s_N - s_(N-1)
+            s_prev, c_prev = (s.copy() if res <= cfg.tol else None), c
+            s *= 1.0 - theta
+            fv *= theta
+            s += fv
+            c *= 1.0 - theta
+            v = cand
+            history.append(res)
+            prev_res = res
+            if not float(np.abs(v).max(initial=0.0)) <= cfg.divergence_cap:
+                status = "diverged"
                 break
+            if res <= cfg.tol:
+                # the step on the box is no larger than on the grid: the stop
+                # test reads the whole step u_N - u_(N-1) on the eval grid
+                step = float(np.max(np.abs(on_grid(s - s_prev, c - c_prev))))
+                if not math.isfinite(step):
+                    status = "diverged"
+                    break
+                history[-1] = prev_res = step
+                if step <= cfg.tol:
+                    status = "converged"
+                    break
 
-    values = _image(lambda: on_grid(s, c) + phi.values)
-    if values is None:
-        # the last iterate leaves float64 off the box
-        status = "diverged"
-        u = start
-    else:
-        u = ComplexField(start.grid, values)
-        if u.sup_norm > cfg.divergence_cap:
+        values = on_grid(s, c) + phi.values
+        sup = float(np.max(np.abs(values)))
+        # the start stands in for a last iterate that leaves float64 off the box
+        u = ComplexField(start.grid, values) if math.isfinite(sup) else start
+        if not (math.isfinite(sup) and sup <= cfg.divergence_cap):
             status = "diverged"
-    final_residual = None
-    if status != "diverged":
-        mapped = _image(lambda: onto_grid(f.on_box(u.values[box])) + phi.values)
-        if mapped is None:
-            status = "diverged"
-        else:
+        final_residual = None
+        if status != "diverged":
+            mapped = onto_grid(f.on_box(u.values[box])) + phi.values
             final_residual = float(np.max(np.abs(mapped - u.values)))
+            if not math.isfinite(final_residual):
+                status, final_residual = "diverged", None
     report = SolveReport(
         converged=(status == "converged"),
         status=status,

@@ -396,6 +396,16 @@ class TestConfigErrors:
         assert main(["solve", "--config", cp,
                      "--out", str(tmp_path / "run")]) == 2
 
+    def test_float_max_iters_is_config_error(self, tmp_path):
+        # 200.0 passes the schema's "integer" but is no iteration count
+        cfg = base_config()
+        cfg["solver"]["max_iters"] = 200.0
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["error"] == "max_iters must be an integer >= 1"
+
     @pytest.mark.parametrize("action,mangle", [
         (["solve"], lambda c: c["problem"]["nonlinearity"].update(
             tags=["defocusing"])),

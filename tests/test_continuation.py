@@ -184,14 +184,17 @@ class TestBranch:
         rcfg = small_rcfg()
         f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.5), p=3.0,
                                    alpha=ALPHA)
-        with pytest.raises(ValueError):
-            continue_branch(f, plane_phi(rcfg.eval_grid), K_REF, lambda_max=0.0,
-                            scfg=SolverConfig(), rcfg=rcfg)
+        for lam in (0.0, np.nan, np.inf):
+            # a NaN lambda_max used to end at once "reached_lambda_max"
+            with pytest.raises(ValueError, match="lambda_max"):
+                continue_branch(f, plane_phi(rcfg.eval_grid), K_REF, lambda_max=lam,
+                                scfg=SolverConfig(), rcfg=rcfg)
         with pytest.raises(ValueError):
             StepConfig(initial_step=-0.1)
         with pytest.raises(ValueError):
             StepConfig(floor_factor=2.0)
-        for bad in ({"max_step": -1.0}, {"max_step": 0.0}, {"max_solves": 0}):
+        for bad in ({"max_step": -1.0}, {"max_step": 0.0}, {"max_solves": 0},
+                    {"initial_step": np.nan}, {"max_step": np.nan}):
             with pytest.raises(ValueError):
                 StepConfig(**bad)
 

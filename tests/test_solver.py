@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,7 @@ class TestPicard:
         assert rep.converged
         assert rep.iterations <= 2
 
+    @pytest.mark.filterwarnings("error")
     def test_divergence_detected(self):
         rcfg = small_rcfg()
         Q = radial_bump(rcfg.source_grid, 80.0)
@@ -141,6 +144,7 @@ class TestPicard:
         # a diverged report comes back as it is
         assert diagnose(f, phi, K_REF, rcfg, u, rep, certify=True) is rep
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_iterate_diverges(self):
         # a cap no finite field exceeds: f(u) overflows float64 first, which
         # ends the run as diverged with the last finite iterate
@@ -156,6 +160,7 @@ class TestPicard:
         assert rep.iterations == len(rep.residual_history) >= 1
         assert np.isfinite(u.sup_norm)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_final_residual_diverges(self):
         # the last iterate is finite but its image is not: the final
         # residual follows the loop's rule and ends the run as diverged
@@ -169,15 +174,6 @@ class TestPicard:
         assert rep.final_residual is None
         assert rep.iterations == len(rep.residual_history) == 1
         assert np.isfinite(u.sup_norm) and u.sup_norm > 1e150
-
-    def test_map_that_leaves_float64_has_no_image(self):
-        # an overflow numpy flags and a non-finite value it does not flag
-        # both leave float64
-        u = np.ones(3, dtype=complex)
-        np.testing.assert_array_equal(solver._image(lambda v: 2.0 * v, u), 2.0 * u)
-        assert solver._image(lambda v: v * 1e308 * 10.0, u) is None
-        assert solver._image(lambda v: np.full(3, complex(np.inf, 0.0)), u) is None
-        assert solver._image(lambda v: np.full(3, complex(np.nan, 0.0)), u) is None
 
     def test_adaptive_damping_reaches_floor_or_converges(self):
         rcfg = small_rcfg()
@@ -275,6 +271,12 @@ class TestPicard:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(tol=-1.0)
+        # a NaN cap would read as divergence, and 2.5 iterations failed in range()
+        for bad in ({"tol": np.nan}, {"tol": np.inf}, {"divergence_cap": np.nan},
+                    {"max_iters": 2.5}, {"max_iters": 200.0}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
+        assert SolverConfig(max_iters=np.int64(3), divergence_cap=np.inf).max_iters == 3
 
 
 def box_coefficients(kind, grid):
@@ -418,6 +420,7 @@ class TestAgainstWholeGridOracle:
 
     @pytest.mark.parametrize("case", ["cap", "overflow"])
     @pytest.mark.parametrize("dim,m,pad", [(2, 16, 2), (3, 9, 1)])
+    @pytest.mark.filterwarnings("error")
     def test_diverging_solve(self, dim, m, pad, case):
         rcfg, _, phi = self.problem(dim, m, pad, "power")
         g = rcfg.source_grid
@@ -464,6 +467,7 @@ class TestBoxIteration:
         assert calls["grid"] <= 3
         assert calls["box"] == rep.iterations
 
+    @pytest.mark.filterwarnings("error")
     def test_field_that_leaves_float64_off_the_box_diverges(self, monkeypatch):
         # the box iterates stay finite, but every apply onto the eval grid
         # overflows: the stop test and the field are not finite, so the run
@@ -484,6 +488,38 @@ class TestBoxIteration:
         assert rep.final_residual is None
         assert rep.iterations == len(rep.residual_history) >= 1
         np.testing.assert_array_equal(u.values, phi.values)
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_box_apply_diverges_before_the_iterate_moves(self, monkeypatch):
+        # from its third call on, the apply onto the box returns NaN, which
+        # raises no floating-point flag: the run ends diverged with the two
+        # finite iterations, and the field is the one after them
+        calls = []
+
+        class NaNFromThird(resolvent.BoxResolvent):
+            def __init__(self, *args, dest="grid", **kwargs):
+                super().__init__(*args, dest=dest, **kwargs)
+                self.dest = dest
+
+            def __call__(self, values):
+                out = super().__call__(values)
+                if self.dest == "grid":
+                    return out
+                calls.append(None)
+                return out if len(calls) < 3 else np.full_like(out, np.nan)
+
+        rcfg, f, phi = readme_problem(m=12)
+        cfg = SolverConfig(tol=1e-10)
+        want, two = picard_solve(f, phi, K_REF, replace(cfg, max_iters=2), rcfg)
+        monkeypatch.setattr(solver, "BoxResolvent", NaNFromThird)
+        u, rep = picard_solve(f, phi, K_REF, cfg, rcfg)
+        assert rep.status == "diverged" and not rep.converged
+        assert rep.iterations == len(rep.residual_history) == 2 == len(calls) - 1
+        assert np.all(np.isfinite(rep.residual_history))
+        assert rep.residual_history == two.residual_history
+        assert rep.final_residual is None
+        assert np.isfinite(u.sup_norm)
+        np.testing.assert_array_equal(u.values, want.values)
 
     def test_cold_solve_builds_one_table(self, monkeypatch):
         # the spectrum miss of the solve's box yields the spectra onto the
