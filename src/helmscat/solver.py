@@ -73,7 +73,6 @@ not iterates.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -123,7 +122,7 @@ class SolverConfig:
     divergence_cap: float = 1e6
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, numbers.Integral) and self.max_iters >= 1):
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValueError("max_iters must be an integer >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
