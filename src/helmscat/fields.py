@@ -285,12 +285,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 def gl_panels(fn, a, b) -> np.ndarray:
     """32-point Gauss-Legendre integrals of fn over the panels [a_i, b_i]; fn
-    is called once, on the (P, 32) array of every panel's nodes."""
+    is called once, on the (P, 32) array of every panel's nodes, and may
+    return leading axes ahead of those two (one integrand per entry), which
+    the result keeps: shape (..., P)."""
     a = np.asarray(a, dtype=float)[:, np.newaxis]
     b = np.asarray(b, dtype=float)[:, np.newaxis]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half[:, 0] * np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES), axis=1)
+    return half[:, 0] * np.sum(_GL_WEIGHTS * fn(mid + half * _GL_NODES), axis=-1)
 
 
 # -- incident waves -----------------------------------------------------------
@@ -308,8 +310,8 @@ class IncidentWave:
         norm = float(np.linalg.norm(d))
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-8:
             raise ValueError(f"direction must be unit length, |d| = {norm}")
-        if k <= 0:
-            raise ValueError("k must be > 0")
+        if not (0.0 < k < math.inf):
+            raise ValueError(f"k must be finite and > 0, got {k}")
         return cls(k=float(k), direction=d / norm)
 
 
@@ -365,8 +367,8 @@ class NonlinearitySpec:
     def power(cls, Q: ComplexField, p: float, alpha: float) -> "NonlinearitySpec":
         if not np.all(Q.values.imag == 0.0):
             raise ValueError("power coefficient Q must be real-valued")
-        if p <= 2.0:
-            raise ValueError(f"power p must exceed 2, got {p}")
+        if not (2.0 < p < math.inf):
+            raise ValueError(f"power p must be finite and exceed 2, got {p}")
         dim = Q.grid.dim
         if dim >= 3 and p >= critical_exponent(dim):
             raise ValueError(f"power p must stay below 2*dim/(dim-2) = "

@@ -32,18 +32,12 @@ k^(-2) times those of the k = 1 check on the ball of radius k delta, at
 g / (k delta).  fourier_positivity therefore transforms once per
 (dim, k delta), in a small LRU cache, and divides by k^2; at the default
 delta = z/k the key is z itself, so a wavenumber sweep transforms once per
-dimension.  Panels are split at a tiny inner radius and at the zeros
-of s -> J_nu(s |xi|) so each Gauss-Legendre panel sees a single arch; one
-zero table, sized for the largest frequency, serves the whole transform.
-There is no loop over frequencies: every frequency's panel edges come from
-one (frequency x zero) table of zeros / xi and a mask, every panel is
-integrated in one Gauss-Legendre evaluation, and the panel integrals,
-zero-padded to a (frequency x panel) table, are summed by accumulating its
-columns, so each frequency still sums its panels left to right from +0.0.
-Only the final xi^(-nu) is taken one scalar at a time, because the
-vectorized power may differ from the scalar one in the last bit.  Every
-value equals the one-frequency-at-a-time evaluation in tests/oracles.py to
-the bit.
+dimension.  Every frequency shares one set of 32-point Gauss-Legendre
+panels: equal ones no wider than pi / max(xi_max, 1), half a period of
+J_nu(s xi) at the largest frequency and at most half a period of the
+unit-wavenumber kernel, graded geometrically toward s = 0.  One Bessel
+evaluation on the (frequency x node) table and one panel sum serve the
+whole transform.
 
 Flux identity.  Pairing the equation with the conjugate solution over a
 ball shows Im over the boundary sphere of conj(u) d_r u vanishes for any
@@ -77,6 +71,7 @@ import numpy as np
 from scipy.special import gamma as gamma_fn
 
 from .fields import (
+    DEFAULT_MAX_POINTS,
     BoundCheck,
     ComplexField,
     critical_exponent,
@@ -100,8 +95,10 @@ __all__ = [
     "defocusing_inequalities",
 ]
 
-# radial panels split at this fraction of the upper limit
-_INNER_SPLIT = 1e-4
+# the radial transform's equal panels start at this fraction of the upper
+# limit, and its first panel at this smaller one
+_EQUAL_FROM = 1e-4
+_FIRST_EDGE = 1e-6
 # k = 1 positivity checks kept by the LRU of _unit_check, one per
 # (dim, k delta); each holds 181 floats
 _UNIT_CHECKS = 16
@@ -149,57 +146,46 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     """F(xi) = |xi|^(-nu) int_0^upper J_nu(s xi) profile(s) s^(dim/2) ds.
 
     profile must be vectorized over s > 0 and integrable against s^(dim-1);
-    panels split at 1e-4 * upper and at the zeros of the Bessel factor.
+    every frequency shares one set of panels (module docstring).
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if upper <= 0.0:
-        raise ValueError("upper must be > 0")
+    if not (0.0 < upper < math.inf):
+        raise ValueError("upper must be finite and > 0")
     nu = (dim - 2) / 2.0
     xs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
         raise ValueError("frequencies must be finite and >= 0")
-    out = np.empty_like(xs)
-    eps = _INNER_SPLIT * upper
-    nonzero = np.flatnonzero(xs)
-    if nonzero.size < xs.size:
-        mass = gl_panels(lambda s: profile(s) * s ** (dim - 1),
-                         [0.0, eps], [eps, upper])
-        out[xs == 0.0] = 2.0 ** (-nu) / gamma_fn(nu + 1.0) * (mass[0] + mass[1])
-    if nonzero.size == 0:
-        return out
-    # the scan is sequential, so the largest table's first n zeros are the
-    # n-zero table of every smaller frequency
-    xi = xs[nonzero]
-    zeros = np.asarray(j_zeros(nu, int(xi.max() * upper / math.pi) + 2).zeros)
-    n_zeros = (xi * upper / math.pi).astype(int) + 2
-    # every frequency's cuts, one row each: the zeros of J_nu(s xi) strictly
-    # inside (eps, upper), in increasing order
-    cuts = zeros / xi[:, np.newaxis]
-    inside = ((np.arange(zeros.size) < n_zeros[:, np.newaxis])
-              & (cuts > eps) & (cuts < upper))
-    # row i's panels run 0 | eps | its cuts | upper; masking the left and the
-    # right edge tables alike lists every row's panels in order, row by row
-    one = np.ones((xi.size, 1))
-    lo = np.hstack([0.0 * one, eps * one, cuts])
-    hi = np.hstack([eps * one, cuts, upper * one])
-    every = one.astype(bool)
-    counts = np.count_nonzero(inside, axis=1) + 2
-    xi_col = np.repeat(xi, counts)[:, np.newaxis]
-    panels = gl_panels(
-        lambda s: bessel_j(nu, s * xi_col) * profile(s) * s ** (dim / 2.0),
-        lo[np.hstack([every, every, inside])], hi[np.hstack([every, inside, every])])
-    # each row's panels summed left to right from +0.0, as sum() does: the
-    # sum is never -0.0, so the +0.0 pads after a row's last panel leave it
-    # unchanged
-    width = counts.max()
-    table = np.zeros((xi.size, 1 + width))
-    table[:, 1:][np.arange(width) < counts[:, np.newaxis]] = panels
-    sums = np.add.accumulate(table, axis=1)[:, -1]
-    # the scalar power, element by element: the vectorized one may differ
-    # from it in the last bit
-    out[nonzero] = sums * np.array([x ** -nu for x in xi])
-    return out
+    # equal panels over [1e-4 upper, upper], each half a period of J_nu(s xi)
+    # at the largest frequency and at most half a period of the
+    # unit-wavenumber kernel; 32 nodes on each of count + 3 panels
+    width = math.pi / max(np.max(xs, initial=0.0), 1.0)
+    count = math.ceil(min((1.0 - _EQUAL_FROM) * upper / width, DEFAULT_MAX_POINTS))
+    if xs.size * (count + 3) * 32 > DEFAULT_MAX_POINTS:
+        raise ValueError(f"{xs.size} frequencies on {count + 3} panels exceed "
+                         f"the memory cap of {DEFAULT_MAX_POINTS} nodes")
+    # [0, 1e-6 upper], then three panels growing geometrically to the end of
+    # the first equal panel, so that a profile singular at s = 0 (s log s or
+    # s^(1/2) in 2D) keeps full accuracy
+    edges = np.linspace(_EQUAL_FROM * upper, upper, count + 1)
+    edges = np.concatenate(([0.0], np.geomspace(_FIRST_EDGE * upper, edges[1], 4)[:-1],
+                            edges[1:]))
+    nonzero = xs > 0.0
+    xi = xs[nonzero, np.newaxis, np.newaxis]
+
+    def integrand(s):
+        # one row per frequency; at xi = 0 the row is the limit of
+        # xi^(-nu) J_nu(s xi) s^(dim/2), 2^(-nu) / Gamma(nu + 1) s^(dim-1)
+        rows = np.empty((xs.size,) + s.shape)
+        rows[nonzero] = bessel_j(nu, s * xi) * s ** (dim / 2.0)
+        rows[~nonzero] = s ** (dim - 1.0)
+        rows *= profile(s)
+        return rows
+
+    sums = np.sum(gl_panels(integrand, edges[:-1], edges[1:]), axis=1)
+    sums[nonzero] *= xs[nonzero] ** -nu
+    sums[~nonzero] *= 2.0 ** (-nu) / gamma_fn(nu + 1.0)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -248,7 +234,7 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
     delta defaults to the threshold radius z/k; below it the sampled
     transform is expected nonnegative up to quadrature error.  The values
     are those of the k = 1 check on the ball of radius k delta, divided by
-    k^2 (module docstring).
+    k^2 (module docstring); a value outside the float range is a ValueError.
     """
     if dim < 3:
         raise ValueError("positivity check defined for dim >= 3")
@@ -262,9 +248,16 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
         radius = k * delta
     if not (0.0 < delta < math.inf and 0.0 < radius < math.inf):
         raise ValueError("delta and k delta must be finite and > 0")
+    if not tolerance >= 0.0:
+        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     # k * k, not k ** 2: a float power raises OverflowError where the
-    # product is inf and the values underflow to 0
-    vals = _unit_check(dim, float(radius)) / (k * k)
+    # product is inf and the values underflow to 0; a value that leaves the
+    # float range is rejected below, so the scope keeps numpy quiet
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = _unit_check(dim, float(radius)) / (k * k)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"transform values at k = {k}, delta = {delta} are "
+                         f"not finite")
     return FourierPositivityResult(
         dim=dim, k=k, delta=float(delta),
         freqs=tuple(float(x) for x in _check_freqs(delta)),

