@@ -1,6 +1,7 @@
 """Uniform grids, complex fields, weighted sup norms, sphere quadrature and
-sphere traces, the one multilinear grid interpolant, the one Gauss-Legendre
-panel rule, plane incident waves and pointwise nonlinearities.
+sphere traces, the one multilinear grid interpolant, the one grid gradient,
+the one Gauss-Legendre panel rule, plane incident waves and pointwise
+nonlinearities.
 
 Weighted norms use the bracket weight <x> = sqrt(1 + |x|^2) and
 ||w||_alpha = sup <x>^alpha |w(x)|.  The decay exponent the resolvent
@@ -39,6 +40,7 @@ __all__ = [
     "tau",
     "sphere_quadrature",
     "grid_interpolant",
+    "gradient_at",
     "sphere_trace",
     "gl_panels",
     "support_box",
@@ -101,9 +103,18 @@ class Grid:
         ax = self.axis()
         return tuple(np.meshgrid(*([ax] * self.dim), indexing="ij"))
 
-    def radius(self) -> np.ndarray:
-        xs = self.meshgrid()
-        return np.sqrt(sum(x * x for x in xs))
+    def radius(self, box: tuple[tuple[int, int], ...] | None = None) -> np.ndarray:
+        """|x| on the grid's nodes, or on the cells of box (inclusive index
+        bounds per axis, as support_box gives them): the squared axis
+        coordinates broadcast and summed axis by axis, so every cell gets
+        the value the whole grid gives it."""
+        ax = self.axis()
+        r = 0
+        for a in range(self.dim):
+            x = ax if box is None else ax[box[a][0]:box[a][1] + 1]
+            x = x.reshape((-1,) + (1,) * (self.dim - 1 - a))
+            r = r + x * x
+        return np.sqrt(r, out=r)
 
     def bracket(self) -> np.ndarray:
         """<x> = sqrt(1 + |x|^2) on the grid."""
@@ -226,56 +237,109 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     return dirs, np.full(points, 4.0 * np.pi / points)
 
 
+def _cell_corners(grid: Grid, points) -> tuple[np.ndarray, np.ndarray]:
+    """The multilinear rule at points of shape (..., dim): the flat node
+    indices of the 2^dim corners of each point's cell and their weights,
+    two arrays of shape (2^dim,) + points.shape[:-1], corners in
+    itertools.product order.  As scipy's RegularGridInterpolator, which the
+    test suite checks the interpolant against, it raises ValueError for a
+    point outside the grid."""
+    m = grid.points_per_axis
+    pts = np.asarray(points, dtype=float)
+    if not np.all(np.abs(pts) <= grid.half_width):
+        raise ValueError(f"interpolation point outside the grid "
+                         f"[-{grid.half_width}, {grid.half_width}]^{grid.dim}")
+    # fractional node index per axis; a point on the last node sits at the
+    # far face of the last cell
+    s = (pts + grid.half_width) / grid.spacing
+    lo = np.minimum(s.astype(int), m - 2)
+    frac = s - lo
+    # corner c of a cell is its node lo + c; on axis a it weighs frac[a]
+    # where c[a] = 1 and 1 - frac[a] where c[a] = 0, and its weight is the
+    # product of those factors, taken in axis order
+    corners = np.array(list(itertools.product((0, 1), repeat=grid.dim)))
+    at_corner = (len(corners),) + (1,) * (pts.ndim - 1)
+    factors = np.where(corners.reshape(at_corner + (grid.dim,)) == 1, frac, 1.0 - frac)
+    weights = factors[..., 0]
+    for a in range(1, grid.dim):
+        weights = weights * factors[..., a]
+    strides = m ** np.arange(grid.dim - 1, -1, -1)
+    nodes = lo @ strides + (corners @ strides).reshape(at_corner)
+    return nodes, weights
+
+
 def grid_interpolant(grid: Grid, values: np.ndarray):
     """Multilinear interpolant of values given on the grid's nodes.  values
     has shape grid.shape + trailing, so one interpolant samples a stack of
     fields.  Returns at(points) for points of shape (..., dim), with values
-    of shape points.shape[:-1] + trailing.  As scipy's
-    RegularGridInterpolator, which the test suite checks it against, it
-    raises ValueError for a point outside the grid."""
-    m = grid.points_per_axis
+    of shape points.shape[:-1] + trailing; a point outside the grid is a
+    ValueError."""
+    flat = values.reshape((-1,) + values.shape[grid.dim:])
     trailing = (np.newaxis,) * (values.ndim - grid.dim)
 
     def at(points):
-        pts = np.asarray(points, dtype=float)
-        if not np.all(np.abs(pts) <= grid.half_width):
-            raise ValueError(f"interpolation point outside the grid "
-                             f"[-{grid.half_width}, {grid.half_width}]^{grid.dim}")
-        # fractional node index per axis; a point on the last node sits at
-        # the far face of the last cell
-        s = (pts + grid.half_width) / grid.spacing
-        lo = np.minimum(s.astype(int), m - 2)
-        frac = s - lo
+        nodes, weights = _cell_corners(grid, points)
         out = 0.0
-        for corner in itertools.product((0, 1), repeat=grid.dim):
-            weight = 1.0
-            for a, c in enumerate(corner):
-                weight = weight * (frac[..., a] if c else 1.0 - frac[..., a])
-            node = tuple(lo[..., a] + c for a, c in enumerate(corner))
-            out = out + values[node] * weight[(Ellipsis,) + trailing]
+        for node, weight in zip(nodes, weights):
+            out = out + flat[node] * weight[(Ellipsis,) + trailing]
         return out
 
     return at
 
 
-def sphere_trace(grid: Grid, values: np.ndarray, dirs: np.ndarray):
-    """Centered-difference gradient of the grid values u, and the trace
-    R -> (u, d_r u) at the points R * dirs.  u and the gradient components
-    are written into one complex array, stacked along a last axis, which one
-    grid_interpolant samples; the radiation and flux diagnostics read u
-    through here.  Returns (gradient components, trace), the components as
-    views into that array."""
-    stack = np.empty(grid.shape + (grid.dim + 1,), dtype=complex)
-    stack[..., 0] = values
+def gradient_at(grid: Grid, values: np.ndarray, nodes) -> np.ndarray:
+    """np.gradient(values, grid.spacing, axis=a, edge_order=2) for every
+    axis a, at the flat node indices nodes, bit for bit, with shape
+    (dim,) + nodes.shape: the centred difference at the nodes inside the
+    grid along a, numpy's second-order one-sided formulas at its first and
+    last node, each value gathered at a stride of m^(dim-1-a) from the
+    node and each formula written with numpy's operations in numpy's
+    order.  The one gradient of the sphere diagnostics."""
+    m = grid.points_per_axis
+    if m < 3:
+        raise ValueError("a second-order gradient needs at least 3 points per axis")
+    h = grid.spacing
+    f = values.reshape(-1)
+    nodes = np.asarray(nodes)
+    out = np.empty((grid.dim,) + nodes.shape, dtype=np.result_type(f, float))
     for a in range(grid.dim):
-        stack[..., a + 1] = np.gradient(values, grid.spacing, axis=a, edge_order=2)
-    at = grid_interpolant(grid, stack)
+        s = m ** (grid.dim - 1 - a)
+        pos = nodes // s % m
+        # no node on a face normal to axis a (the ball average's cells): no masks
+        if pos.min(initial=1) > 0 and pos.max(initial=0) < m - 1:
+            out[a] = (f[nodes + s] - f[nodes - s]) / (2.0 * h)
+            continue
+        first, last = pos == 0, pos == m - 1
+        inner = ~(first | last)
+        n = nodes[inner]
+        out[a][inner] = (f[n + s] - f[n - s]) / (2.0 * h)
+        n = nodes[first]
+        out[a][first] = (-1.5 / h) * f[n] + (2.0 / h) * f[n + s] + (-0.5 / h) * f[n + 2 * s]
+        n = nodes[last]
+        out[a][last] = (0.5 / h) * f[n - 2 * s] + (-2.0 / h) * f[n - s] + (1.5 / h) * f[n]
+    return out
+
+
+def sphere_trace(grid: Grid, values: np.ndarray, dirs: np.ndarray):
+    """The trace R -> (u, d_r u) of the grid values u at the points
+    R * dirs: each call takes the corner nodes and weights of the points'
+    cells from the interpolant's rule, gathers u and its gradient_at there,
+    and sums the corners in the interpolant's order, so u and each gradient
+    component are what grid_interpolant gives on whole-grid arrays.  The
+    radiation and flux diagnostics read u through here."""
+    flat = values.reshape(-1)
 
     def trace(R: float):
-        vals = at(R * dirs)
-        return vals[:, 0], sum(d * vals[:, a + 1] for a, d in enumerate(dirs.T))
+        nodes, weights = _cell_corners(grid, R * dirs)
+        # u and its gradient components at the corners, one row each
+        rows = np.concatenate([flat[nodes][np.newaxis],
+                               gradient_at(grid, values, nodes)])
+        out = 0.0
+        for c, weight in enumerate(weights):
+            out = out + rows[:, c] * weight
+        return out[0], sum(d * gc for d, gc in zip(dirs.T, out[1:]))
 
-    return [stack[..., a + 1] for a in range(grid.dim)], trace
+    return trace
 
 
 # -- Gauss-Legendre panels ----------------------------------------------------

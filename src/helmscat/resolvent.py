@@ -74,9 +74,12 @@ estimate holds no array.  In 3D neither reads k (the kernel is
 1/(4 pi r) and the tail bound's constants are k-free), so the key's k is
 None and one estimate per (alpha, config) serves every k.
 
-The radiation residuals read u and its gradient through fields.sphere_trace;
-far_field interpolates u alone, through one fields.grid_interpolant, on the
-sphere of its one radius, and returns only the amplitudes.  The radial
+The radiation residuals take the gradient of u only where they read it,
+through fields.gradient_at: the ball average at the cells it sums, the
+sphere residual at the cell corners of its points, through
+fields.sphere_trace; far_field interpolates u alone, through one
+fields.grid_interpolant, on the sphere of its one radius, and returns only
+the amplitudes.  The radial
 integrals, the ball integral of the kernel (singular cell and the kappa
 tail bound's near mass) and the tail bound's annulus term, are
 Gauss-Legendre panel sums (fields.gl_panels).
@@ -463,21 +466,28 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     radii = checked_radii(radii, g.half_width)
     r_in = 0.5 * radii[0]
 
-    dirs, _ = _fields.sphere_quadrature(g.dim)
-    grads, trace = _fields.sphere_trace(g, u.values, dirs)
-    r = g.radius()
-    interior = np.zeros(g.shape, dtype=bool)
-    interior[(slice(1, -1),) * g.dim] = True
     # the summed cells, off the boundary layer with r_in < |x| <= max(radii),
-    # in the grid's order; |x| > r_in > 0 on each, so x/|x| needs no guard
-    cells = np.nonzero(interior & (r > r_in) & (r <= radii[-1]))
-    rc = r[cells]
-    iku = 1j * k * u.values[cells]
+    # in the grid's order; |x| > r_in > 0 on each, so x/|x| needs no guard.
+    # They lie in the box of the interior nodes with sqrt(x_a^2) <= max(radii)
+    # on every axis, as the rounded |x| is at least that.
+    ax = g.axis()
+    near = 1 + np.flatnonzero(np.sqrt(ax[1:-1] * ax[1:-1]) <= radii[-1])
+    box = ((near[0], near[-1]) if near.size else (1, 0),) * g.dim
+    r = g.radius(box)
+    inside = np.nonzero((r > r_in) & (r <= radii[-1]))
+    rc = r[inside]
+    index = tuple(i + lo for i, (lo, _) in zip(inside, box))
+    cells = np.ravel_multi_index(index, g.shape)
+    # grad u at the cells: centred differences, every cell being interior
+    grads = _fields.gradient_at(g, u.values, cells)
+    iku = 1j * k * u.values.reshape(-1)[cells]
     sq = np.zeros(rc.shape)
     for a, gc in enumerate(grads):
-        sq += np.abs(gc[cells] - iku * (g.axis()[cells[a]] / rc)) ** 2
+        sq += np.abs(gc - iku * (ax[index[a]] / rc)) ** 2
     averaged = [float(np.sum(sq[rc <= R]) * g.cell_volume / R) for R in radii]
 
+    dirs, _ = _fields.sphere_quadrature(g.dim)
+    trace = _fields.sphere_trace(g, u.values, dirs)
     pointwise = []
     for R in radii:
         uv, du_dr = trace(R)

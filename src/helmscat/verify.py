@@ -74,11 +74,13 @@ from .fields import (
     DEFAULT_MAX_POINTS,
     BoundCheck,
     ComplexField,
+    box_slices,
     critical_exponent,
     gl_panels,
     restrict_field,
     sphere_quadrature,
     sphere_trace,
+    support_box,
     support_diameter,
 )
 from .specfun import bessel_j, bessel_y, first_y_zero, j_zeros
@@ -99,6 +101,11 @@ __all__ = [
 # limit, and its first panel at this smaller one
 _EQUAL_FROM = 1e-4
 _FIRST_EDGE = 1e-6
+# a frequency with xi upper below this takes the xi = 0 row of the radial
+# transform: J_nu(t) t^(-nu) differs from its t = 0 limit by at most
+# t^2 / (4 (nu + 1)) < 2.5e-17 of it there, under half an ulp, while
+# J_nu(s xi) and xi^(-nu), formed apart, under- and overflow as xi -> 0
+_LIMIT_ARGUMENT = 1e-8
 # k = 1 positivity checks kept by the LRU of _unit_check, one per
 # (dim, k delta); each holds 181 floats
 _UNIT_CHECKS = 16
@@ -146,7 +153,9 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     """F(xi) = |xi|^(-nu) int_0^upper J_nu(s xi) profile(s) s^(dim/2) ds.
 
     profile must be vectorized over s > 0 and integrable against s^(dim-1);
-    every frequency shares one set of panels (module docstring).
+    every frequency shares one set of panels (module docstring).  A
+    frequency with xi upper < 1e-8 gets the xi = 0 value, which F(xi)
+    equals there to roundoff.
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
@@ -170,21 +179,22 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     edges = np.linspace(_EQUAL_FROM * upper, upper, count + 1)
     edges = np.concatenate(([0.0], np.geomspace(_FIRST_EDGE * upper, edges[1], 4)[:-1],
                             edges[1:]))
-    nonzero = xs > 0.0
-    xi = xs[nonzero, np.newaxis, np.newaxis]
+    bessel = xs * upper >= _LIMIT_ARGUMENT
+    xi = xs[bessel, np.newaxis, np.newaxis]
 
     def integrand(s):
-        # one row per frequency; at xi = 0 the row is the limit of
-        # xi^(-nu) J_nu(s xi) s^(dim/2), 2^(-nu) / Gamma(nu + 1) s^(dim-1)
+        # one row per frequency; at xi = 0, and for xi upper below
+        # _LIMIT_ARGUMENT, the row is the limit of xi^(-nu) J_nu(s xi)
+        # s^(dim/2), 2^(-nu) / Gamma(nu + 1) s^(dim-1)
         rows = np.empty((xs.size,) + s.shape)
-        rows[nonzero] = bessel_j(nu, s * xi) * s ** (dim / 2.0)
-        rows[~nonzero] = s ** (dim - 1.0)
+        rows[bessel] = bessel_j(nu, s * xi) * s ** (dim / 2.0)
+        rows[~bessel] = s ** (dim - 1.0)
         rows *= profile(s)
         return rows
 
     sums = np.sum(gl_panels(integrand, edges[:-1], edges[1:]), axis=1)
-    sums[nonzero] *= xs[nonzero] ** -nu
-    sums[~nonzero] *= 2.0 ** (-nu) / gamma_fn(nu + 1.0)
+    sums[bessel] *= xs[bessel] ** -nu
+    sums[~bessel] *= 2.0 ** (-nu) / gamma_fn(nu + 1.0)
     return sums
 
 
@@ -293,13 +303,14 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
         raise ValueError("radii must be nonempty and lie in (0, half_width]")
     h = g.spacing
     dirs, wts = sphere_quadrature(g.dim)
-    _, trace = sphere_trace(g, u.values, dirs)
+    trace = sphere_trace(g, u.values, dirs)
 
+    # the largest |x| over Q's nonzero cells, read on their support box
     support_radius = 0.0
-    if Q is not None:
-        mask = np.abs(Q.values) > 0.0
-        if mask.any():
-            support_radius = float(np.max(Q.grid.radius()[mask]))
+    box = None if Q is None else support_box(Q.values)
+    if box is not None:
+        inside = Q.values[box_slices(box, Q.grid.dim)] != 0
+        support_radius = float(np.max(Q.grid.radius(box)[inside]))
 
     flux = []
     tols = []

@@ -11,8 +11,9 @@ adaptive quad, one frequency at a time, and real_kernel the transformed
 kernel by scipy's yv; the library's fixed-panel rule agrees with them to
 1e-12 of the largest value.  split_interpolant and
 split_sphere_trace are the real/imaginary split, one interpolant per part
-and per component, that the library's single complex interpolant over u
-and its gradient replaces; sphere diagnostics must reproduce them.
+and per component of u and its whole-grid np.gradient, that the library's
+gradient at the cell corners it reads replaces; sphere diagnostics must
+reproduce them.
 rgi_interpolant (scipy's RegularGridInterpolator) and brentq_zeros (a
 scalar scan with Brent's method) are the routes that the library's own
 multilinear interpolant and vectorized zero scan replace, so that no solve
@@ -25,8 +26,9 @@ whole_grid_picard is the Picard loop on the eval grid through bound_map,
 which the solver's iteration on the box replaces; the two agree in status,
 iterations and damping, and in fields to roundoff.
 whole_grid_radiation_averages is the ball-averaged radiation residual on
-whole-grid arrays, one mask per radius, that radiation_report's gathered
-cells replace; the two agree bit for bit.
+whole-grid arrays (np.gradient, the meshgrid radius, one mask per radius)
+that radiation_report's gradient and radius on the gathered cells replace;
+the two agree bit for bit.
 nonlinearity_derivative (checked against finite differences) and
 verify_brackets (a sign-change check of the library's zero tables) came
 from the library, where no path called them.
@@ -406,9 +408,9 @@ def split_interpolant(grid, values):
 
 
 def split_sphere_trace(grid, values, dirs):
-    """fields.sphere_trace with the gradient of every axis in one np.gradient
-    call and a split interpolant per component: 2 (dim + 1) real
-    interpolants, each called once per radius."""
+    """fields.sphere_trace from whole-grid arrays: the gradient of every
+    axis in one np.gradient call and a split interpolant per component,
+    2 (dim + 1) real interpolants, each called once per radius."""
     grads = np.gradient(values, grid.spacing, edge_order=2)
     u_at = split_interpolant(grid, values)
     grad_at = [split_interpolant(grid, gc) for gc in grads]
@@ -417,18 +419,16 @@ def split_sphere_trace(grid, values, dirs):
         pts = R * dirs
         return u_at(pts), sum(d * g_at(pts) for d, g_at in zip(dirs.T, grad_at))
 
-    return grads, trace
+    return trace
 
 
 def whole_grid_radiation_averages(u, k: float, radii) -> list[float]:
     """resolvent.radiation_report's averaged residuals from whole-grid
-    arrays: the guarded x/|x|, |grad u - i k u x/|x||^2 on every cell and
-    one interior mask per radius."""
-    from helmscat.fields import sphere_quadrature, sphere_trace
-
+    arrays: np.gradient, the guarded x/|x|, |grad u - i k u x/|x||^2 on
+    every cell and one interior mask per radius."""
     g = u.grid
-    grads, _ = sphere_trace(g, u.values, sphere_quadrature(g.dim)[0])
-    r = g.radius()
+    grads = np.gradient(u.values, g.spacing, edge_order=2)
+    r = np.sqrt(sum(x * x for x in g.meshgrid()))
     interior = np.zeros(g.shape, dtype=bool)
     interior[(slice(1, -1),) * g.dim] = True
     safe_r = np.where(r > 0, r, 1.0)

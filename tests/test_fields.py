@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +45,17 @@ class TestGrid:
         Grid(dim=3, half_width=1.0, points_per_axis=161)
         with pytest.raises(ValueError, match="memory cap"):
             Grid(dim=3, half_width=1.0, points_per_axis=162)
+
+    @pytest.mark.parametrize("dim,m", [(2, 2), (2, 17), (2, 64), (3, 3), (3, 32), (3, 33)])
+    def test_radius_is_the_meshgrid_radius_bit_for_bit(self, dim, m):
+        # the broadcast axis gives every cell the meshgrid sum, the same
+        # additions in the same order, on the whole grid and on a box
+        g = Grid(dim=dim, half_width=1.7, points_per_axis=m)
+        want = np.sqrt(sum(x * x for x in g.meshgrid()))
+        assert np.array_equal(g.radius(), want)
+        assert np.array_equal(g.bracket(), np.sqrt(1.0 + want * want))
+        box = ((0, m - 1), (m // 3, m // 2)) + ((1, m - 2),) * (dim - 2)
+        assert np.array_equal(g.radius(box), want[fields.box_slices(box, dim)])
 
     @pytest.mark.parametrize("kw", [
         dict(dim=4, half_width=1.0, points_per_axis=5),
@@ -185,11 +197,14 @@ class TestSphereQuadrature:
         a = np.array([0.7 - 0.2j, -1.1 + 0.5j, 0.3j][:dim])
         u = sum(ai * x for ai, x in zip(a, g.meshgrid())) + (0.4 - 0.9j)
         dirs, _ = fields.sphere_quadrature(dim)
-        grads, trace = fields.sphere_trace(g, u, dirs)
-        uv, du_dr = trace(1.3)
-        np.testing.assert_allclose(uv, 1.3 * dirs @ a + (0.4 - 0.9j), atol=1e-13)
-        np.testing.assert_allclose(du_dr, dirs @ a, atol=1e-13)
-        for gc, ai in zip(grads, a):
+        trace = fields.sphere_trace(g, u, dirs)
+        # R = half_width reads the one-sided formulas, exact on u too
+        for R in (1.3, g.half_width):
+            uv, du_dr = trace(R)
+            np.testing.assert_allclose(uv, R * dirs @ a + (0.4 - 0.9j), atol=1e-13)
+            np.testing.assert_allclose(du_dr, dirs @ a, atol=1e-13)
+        grads = fields.gradient_at(g, u, np.arange(u.size).reshape(g.shape))
+        for gc, ai in zip(grads, a, strict=True):
             np.testing.assert_allclose(gc, ai, atol=1e-13)
 
 
@@ -226,65 +241,103 @@ class TestSphereTrace:
         u = self.field(dim)
         g = u.grid
         dirs, _ = fields.sphere_quadrature(dim)
-        grads, trace = fields.sphere_trace(g, u.values, dirs)
-        ref_grads, ref_trace = split_sphere_trace(g, u.values, dirs)
-        for gc, rc in zip(grads, ref_grads, strict=True):
-            assert np.array_equal(gc, rc)
+        trace = fields.sphere_trace(g, u.values, dirs)
+        ref_trace = split_sphere_trace(g, u.values, dirs)
         for R in self.RADII:
-            for got, ref in zip(trace(R), ref_trace(R)):
+            for got, ref in zip(trace(R), ref_trace(R), strict=True):
                 assert_matches_oracle(got, ref, dim)
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_diagnostics_match_split_oracle(self, dim, monkeypatch):
+    def assert_diagnostics_match_split_oracle(self, dim, radii, monkeypatch):
         u = self.field(dim)
         dirs, _ = fields.sphere_quadrature(dim)
 
         def diagnostics():
-            return (resolvent.radiation_report(u, self.K, self.RADII),
-                    verify.energy_identity(u, self.K, radii=self.RADII),
-                    resolvent.far_field(u, self.K, dirs, self.RADII[-1]))
+            return (resolvent.radiation_report(u, self.K, radii),
+                    verify.energy_identity(u, self.K, radii=radii),
+                    resolvent.far_field(u, self.K, dirs, radii[-1]))
 
         rad, flux, ff = diagnostics()
-        monkeypatch.setattr(fields, "sphere_trace", split_sphere_trace)
-        monkeypatch.setattr(verify, "sphere_trace", split_sphere_trace)
-        monkeypatch.setattr(fields, "grid_interpolant", split_interpolant)
-        ref_rad, ref_flux, ref_ff = diagnostics()
+        with monkeypatch.context() as patch:
+            patch.setattr(fields, "sphere_trace", split_sphere_trace)
+            patch.setattr(verify, "sphere_trace", split_sphere_trace)
+            patch.setattr(fields, "grid_interpolant", split_interpolant)
+            ref_rad, ref_flux, ref_ff = diagnostics()
 
-        # the ball average reads the gradient only, which is the same array
+        # the ball average does not read the trace; its oracle is
+        # whole_grid_radiation_averages (tests/test_resolvent.py)
         assert rad.averaged_residual == ref_rad.averaged_residual
         assert_matches_oracle(rad.pointwise_residual, ref_rad.pointwise_residual, dim)
         # the flux is a cancelling sum: compare it on the scale of its terms,
         # area * max|u| * max|d_r u| per shell
         _, wts = fields.sphere_quadrature(dim)
         terms = [R ** (dim - 1) * np.sum(wts) * s["shell_max"] * s["shell_grad_max"]
-                 for R, s in zip(self.RADII, ref_flux.context["shells"])]
+                 for R, s in zip(radii, ref_flux.context["shells"])]
         assert_matches_oracle(flux.flux_imag, ref_flux.flux_imag, dim, scale=max(terms))
         assert_matches_oracle(flux.quad_tol, ref_flux.quad_tol, dim)
         scale = np.max(np.abs(ref_ff.amplitude))
         assert_matches_oracle(ff.amplitude, ref_ff.amplitude, dim, scale=scale)
 
-    def test_one_interpolant_per_diagnostic(self, monkeypatch):
-        built, calls = [], []
-        build = fields.grid_interpolant
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diagnostics_match_split_oracle(self, dim, monkeypatch):
+        self.assert_diagnostics_match_split_oracle(dim, self.RADII, monkeypatch)
 
-        def counting_build(*args, **kwargs):
-            built.append(1)
-            at = build(*args, **kwargs)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diagnostics_match_split_oracle_at_the_half_width(self, dim, monkeypatch):
+        # the sphere of radius L meets the grid's faces, where the gradient
+        # at the cell corners takes numpy's one-sided formulas
+        radii = self.RADII[:2] + (2.0,)
+        assert radii[-1] == self.field(dim).grid.half_width
+        self.assert_diagnostics_match_split_oracle(dim, radii, monkeypatch)
 
-            def counting_call(*args, **kwargs):
-                calls.append(1)
-                return at(*args, **kwargs)
-            return counting_call
-
-        monkeypatch.setattr(fields, "grid_interpolant", counting_build)
-        u = self.field(3)
+    def test_diagnostics_allocate_no_whole_grid_array(self):
+        # a 41^3 grid read on small spheres: a whole-grid stack of u and its
+        # three gradient components would take 4 arrays of this size, and
+        # one np.gradient component 1; the gathers stay a small fraction
+        g = Grid(dim=3, half_width=4.0, points_per_axis=41)
+        u = ComplexField(g, wave_field(g, self.K))
+        Q = ComplexField(g, -0.3 * (g.radius() < 0.5) + 0j)
         dirs, _ = fields.sphere_quadrature(3)
-        resolvent.radiation_report(u, self.K, self.RADII)
-        assert (len(built), len(calls)) == (1, len(self.RADII))
-        resolvent.far_field(u, self.K, dirs, self.RADII[-1])
-        assert (len(built), len(calls)) == (2, len(self.RADII) + 1)
-        verify.energy_identity(u, self.K, radii=self.RADII)
-        assert (len(built), len(calls)) == (3, 2 * len(self.RADII) + 1)
+        radii = (0.25, 0.5, 1.0)
+        for run in (lambda: resolvent.radiation_report(u, self.K, radii),
+                    lambda: verify.energy_identity(u, self.K, Q=Q, radii=radii),
+                    lambda: resolvent.far_field(u, self.K, dirs, radii[-1])):
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < u.values.nbytes
+
+
+class TestGradientAt:
+    """fields.gradient_at against np.gradient(edge_order=2) on the whole
+    grid, bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("m", [3, 4, 17])
+    def test_matches_np_gradient_at_every_node(self, dim, m):
+        # boundary nodes (numpy's one-sided formulas) included, the nodes
+        # in any order, in any shape, or only inside the grid
+        g = Grid(dim=dim, half_width=1.3, points_per_axis=m)
+        rng = np.random.default_rng(m)
+        u = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        want = np.stack(np.gradient(u, g.spacing, edge_order=2))
+        every = np.arange(u.size).reshape(g.shape)
+        inside = every[(slice(1, -1),) * dim]
+        for nodes in (every, rng.permutation(u.size), inside):
+            got = fields.gradient_at(g, u, nodes)
+            ref = want.reshape(dim, -1)[:, nodes]
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    def test_needs_three_points_per_axis_like_np_gradient(self):
+        g = Grid(dim=2, half_width=1.0, points_per_axis=2)
+        u = np.ones(g.shape, dtype=complex)
+        with pytest.raises(ValueError):
+            np.gradient(u, g.spacing, edge_order=2)
+        with pytest.raises(ValueError, match="3 points"):
+            fields.gradient_at(g, u, np.arange(u.size))
 
 
 class TestGridInterpolant:

@@ -2,7 +2,8 @@
 module or re-exported through its __all__, every private module-level
 name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, every public function of
-tests/oracles.py has a reader somewhere in the tests, a CLI run imports
+tests/oracles.py has a reader somewhere in the tests, no module reads
+numpy's gradient (fields.gradient_at is its one home), a CLI run imports
 none of the scipy subpackages it has no use for, README's command list
 names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config schema is read, every name the
@@ -147,6 +148,35 @@ def test_unused_private_name_is_reported():
     src = ("_A = 1\n_B, c = 2, 3\n__all__ = []\ndef _f():\n    return _A\n"
            "class _K:\n    pass\n_f()\n_D: int = 4\n")
     assert unused_private_names(src) == ["_B (line 2)", "_D (line 9)", "_K (line 6)"]
+
+
+def numpy_gradient_reads(source: str) -> list[str]:
+    """'line N' for each read of numpy's gradient in a module: np.gradient
+    on any name numpy is imported as, or gradient imported from numpy."""
+    tree = ast.parse(source)
+    numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   for alias in node.names if alias.name == "numpy"}
+    lines = [n.lineno for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "gradient"
+             and isinstance(n.value, ast.Name) and n.value.id in numpy_names]
+    lines += [n.lineno for n in ast.walk(tree)
+              if isinstance(n, ast.ImportFrom) and n.module == "numpy"
+              and any(alias.name == "gradient" for alias in n.names)]
+    return [f"line {n}" for n in sorted(lines)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_gradient_has_one_home(path):
+    # the sphere diagnostics take the gradient through fields.gradient_at,
+    # at the nodes they read; the test suite's oracles call np.gradient
+    assert numpy_gradient_reads(path.read_text()) == []
+
+
+def test_numpy_gradient_read_is_reported():
+    src = ("import numpy as np\nimport numpy\nfrom numpy import gradient as g\n"
+           "a = np.gradient(x)\nb = numpy.gradient\nc = self.gradient(x)\n")
+    assert numpy_gradient_reads(src) == ["line 3", "line 4", "line 5"]
 
 
 def test_every_public_function_has_a_caller():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,23 @@ class TestRadialTransform:
         plain = (math.cos(k * d) - 1.0 + k * d * math.sin(k * d)) / k ** 2
         assert vals[0] == pytest.approx((2.0 * math.pi) ** -1.5 * plain,
                                         rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_tiny_frequency_takes_the_zero_frequency_value(self, dim):
+        # below xi upper = 1e-8 the transform is its xi = 0 value to
+        # roundoff; J_nu(s xi) and xi^(-nu), formed apart, used to overflow
+        upper = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zero = radial_transform(lambda s: s, dim, upper, [0.0])[0]
+            tiny = radial_transform(lambda s: s, dim, upper,
+                                    [1e-300, 5e-324, 0.99e-8])
+            near = radial_transform(lambda s: s, dim, upper, [1e-8, 1e-7])
+        assert math.isfinite(zero) and zero > 0.0
+        assert list(tiny) == [zero] * 3
+        # just past the cutoff the Bessel row gives the same value to
+        # roundoff: F(xi) - F(0) is below 1e-14 / (4 (nu + 1)) of F(0) there
+        assert np.all(np.abs(near - zero) <= 1e-14 * zero)
 
     @pytest.mark.parametrize("dim", [3, 5])
     def test_synthetic_nonincreasing_profile(self, dim):
