@@ -13,10 +13,12 @@ Every invocation executes one action and writes its artifacts plus a
 
 Configs are JSON with a ``problem`` block {dim, k, L, M, alpha, nonlinearity,
 incident} and optional per-action blocks (``solver``, ``continuation``,
-``verify``, ``farfield``, ``animate``).  The schema below rejects malformed
-input before any numerics run.  Floats in JSON and CSV reports are rounded to
-12 significant digits so identical config + seed reproduces byte-identical
-reports; field binaries and the manifest (which records wall time) are exempt.
+``verify``, ``farfield``, ``animate``).  The table ``_CONFIG`` below admits
+exactly the keys that each block and each variant of a tagged block reads;
+it rejects any other config before any numerics run.  Floats in JSON and CSV
+reports are rounded to 12 significant digits so identical config + seed
+reproduces byte-identical reports; field binaries and the manifest (which
+records wall time) are exempt.
 
 Every action takes ``--config``, ``--out`` and ``--threads``; ``--seed`` is a
 ``solve`` flag, the seed of the certificate's randomized Lipschitz search, and
@@ -39,6 +41,7 @@ budget.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import csv
 import dataclasses
@@ -53,7 +56,6 @@ import time
 
 import numpy as np
 import scipy.fft
-from jsonschema import Draft202012Validator
 
 from . import __version__
 from .continuation import StepConfig, blowup_probe, continue_branch
@@ -98,125 +100,122 @@ def _short_of_goal(diverged: bool) -> str:
     return "divergence" if diverged else "incomplete"
 
 
-_COEFFICIENT = {
-    "type": "object",
-    "properties": {
-        "type": {"enum": ["zero", "radial_bump", "constant_ball"]},
-        "amplitude": {"type": "number"},
-        "width": {"type": "number", "exclusiveMinimum": 0},
-        "cutoff": {"type": "number", "exclusiveMinimum": 0},
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-    },
-    "required": ["type"],
-    "additionalProperties": False,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "problem": {
-            "type": "object",
-            "properties": {
-                "dim": {"type": "integer", "minimum": 2, "maximum": 6},
-                "k": {"type": "number", "exclusiveMinimum": 0},
-                "L": {"type": "number", "exclusiveMinimum": 0},
-                "M": {"type": "integer", "minimum": 4},
-                "alpha": {"type": "number"},
-                "pad_cells": {"type": "integer", "minimum": 0},
-                "nonlinearity": {
-                    "type": "object",
-                    "properties": {
-                        "kind": {"enum": ["zero", "power", "affine"]},
-                        "p": {"type": "number"},
-                        "coefficient": _COEFFICIENT,
-                        "a": _COEFFICIENT,
-                        "b": _COEFFICIENT,
-                    },
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
-                "incident": {
-                    "type": "object",
-                    "properties": {
-                        "type": {"enum": ["zero", "plane"]},
-                        "direction": {"type": "array",
-                                      "items": {"type": "number"}},
-                        "amplitude": {"type": "number"},
-                    },
-                    "required": ["type"],
-                    "additionalProperties": False,
-                },
-            },
-            "required": ["dim", "k", "L", "M"],
-            "additionalProperties": False,
-        },
-        "solver": {
-            "type": "object",
-            "properties": {
-                "max_iters": {"type": "integer", "minimum": 1},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
-                "damping": {"type": "number", "exclusiveMinimum": 0,
-                            "maximum": 1},
-                "divergence_cap": {"type": "number", "exclusiveMinimum": 0},
-                "certify": {"type": "boolean"},
-            },
-            "additionalProperties": False,
-        },
-        "continuation": {
-            "type": "object",
-            "properties": {
-                "lambda_max": {"type": "number", "exclusiveMinimum": 0},
-                "initial_step": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
-                "floor_factor": {"type": "number", "exclusiveMinimum": 0},
-                "max_solves": {"type": "integer", "minimum": 1},
-            },
-            "required": ["lambda_max"],
-            "additionalProperties": False,
-        },
-        "verify": {
-            "type": "object",
-            "properties": {
-                "nu": {"type": "number"},
-                "pairs": {"type": "integer", "minimum": 1},
-                "delta": {"type": "number", "exclusiveMinimum": 0},
-                "radii": {"type": "array",
-                          "items": {"type": "number", "exclusiveMinimum": 0},
-                          "minItems": 1},
-                "factor": {"type": "number", "exclusiveMinimum": 0},
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "farfield": {
-            "type": "object",
-            "properties": {
-                "radii": {"type": "array",
-                          "items": {"type": "number", "exclusiveMinimum": 0},
-                          "minItems": 1},
-                "directions": {"type": "integer", "minimum": 6},
-            },
-            "additionalProperties": False,
-        },
-        "animate": {
-            "type": "object",
-            "properties": {
-                "field": {"type": "string"},
-                "times": {"type": "array", "items": {"type": "number"},
-                          "minItems": 1},
-            },
-            "required": ["field", "times"],
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
-
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
-
-
 class ConfigError(Exception):
     pass
+
+
+# -- config table -------------------------------------------------------------
+# A _Leaf is a value's type and range, as a test and as the text of its
+# error's "must be ..."; a _Block holds the keys an object admits and those it
+# requires; a _Tagged object has one _Block per value of its tag key.
+_Leaf = collections.namedtuple("_Leaf", "what admits")
+_Block = collections.namedtuple("_Block", "keys required", defaults=((),))
+_Tagged = collections.namedtuple("_Tagged", "tag variants")
+
+
+def _number(above: float = -math.inf, at_most: float = math.inf) -> _Leaf:
+    """A JSON number in (above, at_most] that a float holds; bool, an int
+    subclass, is none."""
+    what = ("a number" if above == -math.inf else f"a number > {above:g}"
+            if at_most == math.inf else f"a number in ({above:g}, {at_most:g}]")
+    return _Leaf(what, lambda v: isinstance(v, (int, float)) and not isinstance(
+        v, bool) and above < v <= at_most and abs(v) <= sys.float_info.max)
+
+
+def _integer(least: int, most: float = math.inf) -> _Leaf:
+    """A JSON integer in [least, most]: not 12.0, and not a bool."""
+    what = (f"an integer >= {least}" if most == math.inf
+            else f"an integer in [{least}, {most}]")
+    return _Leaf(what, lambda v: isinstance(v, int) and not isinstance(v, bool)
+                 and least <= v <= most)
+
+
+def _list_of(item: _Leaf) -> _Leaf:
+    """A non-empty JSON array of item's values."""
+    return _Leaf(f"a non-empty list, each {item.what}", lambda v: isinstance(
+        v, list) and v != [] and all(map(item.admits, v)))
+
+
+_COEFFICIENT = _Tagged("type", {
+    "zero": _Block({}),
+    "radial_bump": _Block({"amplitude": _number(), "width": _number(0),
+                           "cutoff": _number(0)}),
+    "constant_ball": _Block({"amplitude": _number(), "radius": _number(0)}),
+})
+
+_CONFIG = _Block({
+    "problem": _Block({
+        "dim": _integer(2, 6), "k": _number(0), "L": _number(0),
+        "M": _integer(4), "alpha": _number(), "pad_cells": _integer(0),
+        "nonlinearity": _Tagged("kind", {
+            "zero": _Block({}),
+            "power": _Block({"p": _number(), "coefficient": _COEFFICIENT},
+                            required=("p", "coefficient")),
+            "affine": _Block({"a": _COEFFICIENT, "b": _COEFFICIENT},
+                             required=("a", "b")),
+        }),
+        "incident": _Tagged("type", {
+            "zero": _Block({}),
+            "plane": _Block({"direction": _list_of(_number()),
+                             "amplitude": _number()}),
+        }),
+    }, required=("dim", "k", "L", "M")),
+    "solver": _Block({
+        "max_iters": _integer(1), "tol": _number(0), "damping": _number(0, 1),
+        "divergence_cap": _number(0),
+        "certify": _Leaf("a boolean", lambda v: isinstance(v, bool)),
+    }),
+    "continuation": _Block({
+        "lambda_max": _number(0), "initial_step": _number(0),
+        "max_step": _number(0), "floor_factor": _number(0),
+        "max_solves": _integer(1),
+    }, required=("lambda_max",)),
+    "verify": _Block({
+        "nu": _number(), "pairs": _integer(1), "delta": _number(0),
+        "radii": _list_of(_number(0)), "factor": _number(0),
+        "tolerance": _number(0),
+    }),
+    "farfield": _Block({"radii": _list_of(_number(0)),
+                        "directions": _integer(6)}),
+    "animate": _Block({
+        "field": _Leaf("a string", lambda v: isinstance(v, str)),
+        "times": _list_of(_number()),
+    }, required=("field", "times")),
+})
+
+
+def _violation(path: tuple, message: str):
+    raise ConfigError(f"config schema violation at {'/'.join(path) or '<root>'}: "
+                      f"{message}")
+
+
+def _check(value, spec, path: tuple = ()) -> None:
+    """Raise ConfigError at the first place where the parsed JSON value
+    breaks spec, an entry of the config table."""
+    if isinstance(spec, _Leaf):
+        if not spec.admits(value):
+            _violation(path, f"must be {spec.what}, got {json.dumps(value)}")
+        return
+    if not isinstance(value, dict):
+        _violation(path, f"must be an object, got {json.dumps(value)}")
+    tag = owner = None
+    if isinstance(spec, _Tagged):
+        tag, variant = spec.tag, value.get(spec.tag)
+        if not (isinstance(variant, str) and variant in spec.variants):
+            _violation(path + (tag,), f"must be one of {', '.join(spec.variants)}"
+                                      f", got {json.dumps(variant)}")
+        spec, owner = spec.variants[variant], f"{tag} {variant}"
+    for key, item in value.items():
+        if key == tag:
+            continue
+        if key not in spec.keys:
+            _violation(path + (key,), "unexpected key; "
+                       f"{owner or '/'.join(path) or 'the config'} takes "
+                       f"{', '.join(spec.keys) or 'no other key'}")
+        _check(item, spec.keys[key], path + (key,))
+    for key in spec.required:
+        if key not in value:
+            _violation(path + (key,), "is required")
 
 
 # -- serialization helpers ----------------------------------------------------
@@ -312,11 +311,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    errors = sorted(_VALIDATOR.iter_errors(cfg), key=lambda e: list(e.path))
-    if errors:
-        where = "/".join(str(p) for p in errors[0].path) or "<root>"
-        raise ConfigError(f"config schema violation at {where}: "
-                          f"{errors[0].message}")
+    _check(cfg, _CONFIG)
     return cfg
 
 
@@ -344,12 +339,8 @@ def _build_nonlinearity(grid: Grid, alpha: float, spec: dict | None) -> Nonlinea
         return NonlinearitySpec.power(ComplexField.zeros(grid), p=3.0,
                                       alpha=alpha)
     if kind == "power":
-        if "p" not in spec or "coefficient" not in spec:
-            raise ConfigError("power nonlinearity needs 'p' and 'coefficient'")
         Q = _build_coefficient(grid, spec["coefficient"])
         return NonlinearitySpec.power(Q, p=float(spec["p"]), alpha=alpha)
-    if "a" not in spec or "b" not in spec:
-        raise ConfigError("affine nonlinearity needs 'a' and 'b'")
     return NonlinearitySpec.affine(_build_coefficient(grid, spec["a"]),
                                    _build_coefficient(grid, spec["b"]),
                                    alpha=alpha)
@@ -395,7 +386,7 @@ def _solver_config(cfg: dict) -> SolverConfig:
     block = {k: v for k, v in cfg.get("solver", {}).items() if k != "certify"}
     try:
         return SolverConfig(**block)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
@@ -527,7 +518,7 @@ def _run_farfield(cfg: dict, args, out: str):
 def _verify_sturm(cfg: dict, vc: dict, prob, u):
     tol = float(vc.get("tolerance", 1e-9))
     margins = [r.margin for r in sturm_check(float(vc.get("nu", 0.5)),
-                                             int(vc.get("pairs", 5)))]
+                                             vc.get("pairs", 5))]
     return ({"nu": vc.get("nu", 0.5), "tolerance": tol, "margins": margins,
              "min_margin": min(margins)},
             any(m < -tol for m in margins), {"margin_tol": tol})

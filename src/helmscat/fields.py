@@ -22,6 +22,7 @@ A field file records its grid and the wavenumber of its problem.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import struct
@@ -202,6 +203,25 @@ def tau(alpha: float, dim: int) -> float:
 
 # -- sphere quadrature --------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
+def _octahedral_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 26-point rule on S^2, exact through degree 7, built once, its
+    arrays read-only: the unit vectors with n = 1, 2 or 3 nonzero components,
+    each +-1/sqrt(n), weighted by a fraction of the full measure 4 pi per n."""
+    dirs, wts = [], []
+    for n, frac in ((1, 1.0 / 21.0), (2, 4.0 / 105.0), (3, 27.0 / 840.0)):
+        r = 1.0 / math.sqrt(n)
+        for axes in itertools.combinations(range(3), n):
+            for signs in itertools.product((r, -r), repeat=n):
+                v = np.zeros(3)
+                v[list(axes)] = signs
+                dirs.append(v)
+                wts.append(frac * 4.0 * np.pi)
+    dirs, wts = np.array(dirs), np.array(wts)
+    dirs.flags.writeable = wts.flags.writeable = False
+    return dirs, wts
+
+
 def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarray]:
     """Directions and positive weights on the unit sphere S^(dim-1); weights
     sum to the sphere measure (2 pi for dim 2, 4 pi for dim 3).  In 3D, 26
@@ -216,19 +236,7 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     if dim != 3:
         raise ValueError(f"dim must be 2 or 3, got {dim}")
     if points == 26:
-        # octahedral rule, exact through degree 7: the unit vectors with n =
-        # 1, 2 or 3 nonzero components, each +-1/sqrt(n), weighted by a
-        # fraction of the full measure 4 pi per n
-        dirs, wts = [], []
-        for n, frac in ((1, 1.0 / 21.0), (2, 4.0 / 105.0), (3, 27.0 / 840.0)):
-            r = 1.0 / math.sqrt(n)
-            for axes in itertools.combinations(range(3), n):
-                for signs in itertools.product((r, -r), repeat=n):
-                    v = np.zeros(3)
-                    v[list(axes)] = signs
-                    dirs.append(v)
-                    wts.append(frac * 4.0 * np.pi)
-        return np.array(dirs), np.array(wts)
+        return _octahedral_rule()
     i = np.arange(points)
     z = 1.0 - (2.0 * i + 1.0) / points
     az = i * np.pi * (3.0 - math.sqrt(5.0))

@@ -397,14 +397,15 @@ class TestConfigErrors:
                      "--out", str(tmp_path / "run")]) == 2
 
     def test_float_max_iters_is_config_error(self, tmp_path):
-        # 200.0 passes the schema's "integer" but is no iteration count
+        # 200.0 is a JSON number but no JSON integer, so no iteration count
         cfg = base_config()
         cfg["solver"]["max_iters"] = 200.0
         cp = write_config(tmp_path, cfg)
         out = tmp_path / "run"
         assert main(["solve", "--config", cp, "--out", str(out)]) == 2
         man = json.loads((out / "manifest.json").read_text())
-        assert man["error"] == "max_iters must be an integer >= 1"
+        assert man["error"] == ("config schema violation at solver/max_iters: "
+                                "must be an integer >= 1, got 200.0")
 
     @pytest.mark.parametrize("action,mangle", [
         (["solve"], lambda c: c["problem"]["nonlinearity"].update(
@@ -435,8 +436,7 @@ class TestConfigErrors:
     def test_non_finite_numbers_are_config_errors(self, tmp_path, action, block,
                                                  key, constant):
         # Python's json module reads NaN and the infinities, and an
-        # overflowing literal as an infinity; jsonschema's exclusiveMinimum
-        # lets NaN through
+        # overflowing literal as an infinity
         cfg = base_config()
         cfg["continuation"] = {"lambda_max": 1.0}
         cfg[block][key] = "PLACEHOLDER"
@@ -448,6 +448,131 @@ class TestConfigErrors:
         assert man["status"] == "config_error"
         assert man["error"] == f"config holds a non-finite number: {constant}"
         assert os.listdir(out) == ["manifest.json"]
+
+
+def assert_rejected_at(tmp_path, action, cfg, path):
+    """The run exits 2 before writing anything but its manifest, whose
+    config_error names path."""
+    cp = write_config(tmp_path, cfg)
+    out = tmp_path / "run"
+    assert main([*action, "--config", cp, "--out", str(out)]) == 2
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["status"] == "config_error"
+    assert man["error"].startswith(f"config schema violation at {path}: ")
+    assert os.listdir(out) == ["manifest.json"]
+
+
+BUMP = {"type": "radial_bump", "amplitude": -0.8, "width": 4.0, "cutoff": 0.45}
+
+
+class TestConfigTable:
+    @pytest.mark.parametrize("block,spec,key", [
+        ("coefficient", {"type": "zero", "amplitude": -0.8}, "amplitude"),
+        ("coefficient", {"type": "radial_bump", "radius": 0.45}, "radius"),
+        ("coefficient", {"type": "constant_ball", "cutoff": 0.3}, "cutoff"),
+        ("coefficient", {"type": "constant_ball", "width": 4.0}, "width"),
+        ("nonlinearity", {"kind": "zero", "p": 3.0}, "p"),
+        ("nonlinearity", {"kind": "power", "p": 3.0, "coefficient": BUMP,
+                          "a": BUMP}, "a"),
+        ("nonlinearity", {"kind": "affine", "a": BUMP, "b": BUMP, "p": 3.0}, "p"),
+        ("incident", {"type": "zero", "direction": [1, 0, 0]}, "direction"),
+    ], ids=lambda v: v if isinstance(v, str) else next(iter(v.values())))
+    def test_unread_keys_are_config_errors(self, tmp_path, block, spec, key):
+        # a key that the variant's builder does not read would be ignored,
+        # and the run would solve another problem than the config names
+        cfg = base_config()
+        if block == "coefficient":
+            cfg["problem"]["nonlinearity"]["coefficient"] = spec
+            block = "nonlinearity/coefficient"
+        else:
+            cfg["problem"][block] = spec
+        assert_rejected_at(tmp_path, ["solve"], cfg, f"problem/{block}/{key}")
+
+    @pytest.mark.parametrize("action,block,key,value", [
+        (["solve"], "problem", "M", 12.0),
+        (["solve"], "problem", "dim", 3.0),
+        (["solve"], "problem", "pad_cells", 1.0),
+        (["verify", "sturm"], "verify", "pairs", 5.0),
+        (["farfield"], "farfield", "directions", 26.0),
+        (["solve"], "solver", "max_iters", True),
+        (["solve"], "problem", "k", True),
+    ], ids=["problem.M", "problem.dim", "problem.pad_cells", "verify.pairs",
+            "farfield.directions", "solver.max_iters", "problem.k"])
+    def test_integer_keys_take_json_integers(self, tmp_path, action, block,
+                                             key, value):
+        # an integer key takes a JSON integer only, and bool is no number
+        cfg = base_config()
+        cfg.setdefault(block, {})[key] = value
+        assert_rejected_at(tmp_path, action, cfg, f"{block}/{key}")
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path):
+        # float(10**400) raises OverflowError, which would exit 1
+        cfg = base_config(k=10 ** 400)
+        assert_rejected_at(tmp_path, ["solve"], cfg, "problem/k")
+
+    @pytest.mark.parametrize("action,mangle,path", [
+        (["solve"], lambda c: c["problem"]["nonlinearity"].pop("p"),
+         "problem/nonlinearity/p"),
+        (["solve"], lambda c: c["problem"].update(nonlinearity={
+            "kind": "affine", "a": BUMP}), "problem/nonlinearity/b"),
+        (["continue"], lambda c: c.update(continuation={"max_step": 0.5}),
+         "continuation/lambda_max"),
+        (["animate"], lambda c: c.update(animate={"field": "field.cfld"}),
+         "animate/times"),
+    ], ids=["power.p", "affine.b", "continuation.lambda_max", "animate.times"])
+    def test_required_keys(self, tmp_path, action, mangle, path):
+        cfg = base_config()
+        mangle(cfg)
+        assert_rejected_at(tmp_path, action, cfg, path)
+
+
+# two values of each key that a variant of a tagged block admits
+KEY_VALUES = {
+    "amplitude": (-0.8, -0.5),
+    "width": (4.0, 1.0),
+    "cutoff": (0.45, 0.9),
+    "radius": (0.45, 0.9),
+    "p": (3.0, 2.5),
+    "coefficient": (BUMP, {"type": "constant_ball", "radius": 0.9}),
+    "a": (BUMP, {"type": "constant_ball", "radius": 0.9}),
+    "b": ({"type": "constant_ball", "amplitude": 0.3}, BUMP),
+    "direction": ([1, 0, 0], [0, 1, 0]),
+}
+PROBLEM = cli._CONFIG.keys["problem"].keys
+TAGGED = {
+    "coefficient": PROBLEM["nonlinearity"].variants["power"].keys["coefficient"],
+    "nonlinearity": PROBLEM["nonlinearity"],
+    "incident": PROBLEM["incident"],
+}
+
+
+def built(block, spec):
+    """What the builder of block makes of spec, as a list of values and
+    arrays, on a 10^3 grid of half-width 2."""
+    grid = Grid(dim=3, half_width=2.0, points_per_axis=10)
+    if block == "coefficient":
+        return [cli._build_coefficient(grid, spec).values]
+    if block == "incident":
+        return [cli._build_incident(grid, 1.0, spec).values]
+    f = cli._build_nonlinearity(grid, 3.0, spec)
+    return [f.kind, f.p] + [c.values for c in (f.Q, f.a, f.b) if c is not None]
+
+
+@pytest.mark.parametrize("block,variant,key", [
+    (block, variant, key) for block, tagged in TAGGED.items()
+    for variant, spec in tagged.variants.items() for key in spec.keys])
+def test_every_admitted_key_has_a_reader(block, variant, key):
+    # the config table and the builders must not drift apart: each key the
+    # table admits for a variant changes what that variant's builder makes
+    tagged = TAGGED[block]
+    keys = tagged.variants[variant].keys
+    spec = {tagged.tag: variant, **{k: KEY_VALUES[k][0] for k in keys}}
+    cli._check(spec, tagged)
+    changed = {**spec, key: KEY_VALUES[key][1]}
+    cli._check(changed, tagged)
+    before, after = built(block, spec), built(block, changed)
+    assert len(before) == len(after)
+    assert not all(np.array_equal(x, y) for x, y in zip(before, after))
 
 
 class TestContinue:

@@ -6,7 +6,8 @@ tests/oracles.py has a reader somewhere in the tests, no module reads
 numpy's gradient (fields.gradient_at is its one home), a CLI run imports
 none of the scipy subpackages it has no use for, README's command list
 names exactly the CLI's actions and verify modes, every solver and
-continuation key of the config schema is read, every name the
+continuation key of the config table is read, the third-party modules the
+package imports are exactly its declared dependencies, every name the
 benchmark's tracer wraps exists where it wraps it, and every cache has a
 finite size."""
 
@@ -16,6 +17,7 @@ import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -281,6 +283,38 @@ def test_cli_runs_import_no_heavy_scipy():
     assert len(report) == 9
 
 
+def third_party_imports(sources) -> set[str]:
+    """The top-level modules that the given module sources import, absolute
+    imports only, standard library excepted."""
+    found = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - sys.stdlib_module_names
+
+
+def test_declared_dependencies_are_the_imported_ones():
+    # a declared dependency that no module imports is installed for nothing,
+    # and an undeclared import fails on a clean install
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+             for d in declared}
+    assert third_party_imports(path.read_text() for path in SOURCES) == names
+    assert names == {"numpy", "scipy"}
+
+
+def test_third_party_import_is_reported():
+    src = ("from __future__ import annotations\nimport os.path\n"
+           "import numpy as np\nfrom scipy.fft import fftn\nfrom . import fields\n"
+           "def f():\n    import jsonschema.validators\n")
+    assert third_party_imports([src]) == {"numpy", "scipy", "jsonschema"}
+
+
 def readme_commands() -> tuple[set[str], set[str]]:
     """The actions and the verify modes of README's indented
     ``helmscat <action>`` command lines."""
@@ -300,11 +334,11 @@ def test_readme_lists_every_action_and_verify_mode():
 
 
 def test_solver_and_continuation_keys_match_their_configs():
-    # a key in the schema without a field has no reader, and a field without
-    # a key cannot be set; certify is read by solve alone and lambda_max is
-    # passed to continue_branch on its own
+    # a key in the config table without a field has no reader, and a field
+    # without a key cannot be set; certify is read by solve alone and
+    # lambda_max is passed to continue_branch on its own
     def keys(block):
-        return set(cli.CONFIG_SCHEMA["properties"][block]["properties"])
+        return set(cli._CONFIG.keys[block].keys)
 
     def fields(cls):
         return {f.name for f in dataclasses.fields(cls)}
