@@ -11,7 +11,9 @@ from .fields import (
     apply_nonlinearity,
     load_field,
     make_incident,
+    restrict_field,
     save_field,
+    support_diameter,
     weighted_norm,
 )
 from .resolvent import ResolventConfig, apply_resolvent, estimate_kappa
@@ -50,8 +52,10 @@ __all__ = [
     "load_field",
     "make_incident",
     "picard_solve",
+    "restrict_field",
     "save_field",
     "sturm_check",
+    "support_diameter",
     "truncation_threshold",
     "weighted_norm",
 ]

@@ -47,6 +47,7 @@ __all__ = [
     "support_box",
     "box_slices",
     "support_diameter",
+    "box_diameter",
     "critical_exponent",
     "make_incident",
     "apply_nonlinearity",
@@ -100,10 +101,6 @@ class Grid:
     def axis(self) -> np.ndarray:
         return np.linspace(-self.half_width, self.half_width, self.points_per_axis)
 
-    def meshgrid(self) -> tuple[np.ndarray, ...]:
-        ax = self.axis()
-        return tuple(np.meshgrid(*([ax] * self.dim), indexing="ij"))
-
     def radius(self, box: tuple[tuple[int, int], ...] | None = None) -> np.ndarray:
         """|x| on the grid's nodes, or on the cells of box (inclusive index
         bounds per axis, as support_box gives them): the squared axis
@@ -117,9 +114,10 @@ class Grid:
             r = r + x * x
         return np.sqrt(r, out=r)
 
-    def bracket(self) -> np.ndarray:
-        """<x> = sqrt(1 + |x|^2) on the grid."""
-        r = self.radius()
+    def bracket(self, box: tuple[tuple[int, int], ...] | None = None) -> np.ndarray:
+        """<x> = sqrt(1 + |x|^2) on the grid, or on the cells of box, from
+        radius."""
+        r = self.radius(box)
         return np.sqrt(1.0 + r * r)
 
 
@@ -180,15 +178,22 @@ class BoundCheck:
 
 
 def weighted_norm(w: ComplexField, alpha: float) -> float:
-    """sup over the grid of <x>^alpha |w(x)|."""
+    """sup over the grid of <x>^alpha |w(x)|, read on the support box of w:
+    <x> is Grid.bracket on the box, which gives each cell the whole grid's
+    value, and the sup is over the box's nonzero cells; 0 for a zero
+    field."""
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValueError("alpha must be finite and >= 0")
+    box = support_box(w.values)
+    if box is None:
+        return 0.0
+    vals = w.values[box_slices(box, w.grid.dim)]
     # nonzero cells only: <x>^alpha may overflow where w = 0, and inf * 0 is NaN;
     # where w != 0 an overflow is the true value, inf, and is returned as such
-    nz = w.values != 0
+    nz = vals != 0
     with np.errstate(over="ignore"):
-        weighted = w.grid.bracket()[nz] ** alpha * np.abs(w.values[nz])
-    return float(np.max(weighted, initial=0.0))
+        weighted = w.grid.bracket(box)[nz] ** alpha * np.abs(vals[nz])
+    return float(np.max(weighted))
 
 
 def tau(alpha: float, dim: int) -> float:
@@ -392,9 +397,13 @@ def make_incident(spec: IncidentWave, grid: Grid) -> ComplexField:
     if np.shape(spec.direction) != (grid.dim,):
         raise ValueError(f"direction of shape {np.shape(spec.direction)} on a "
                          f"grid of dim {grid.dim}")
-    xs = grid.meshgrid()
-    phase = sum(x * d for x, d in zip(xs, spec.direction))
-    return ComplexField(grid, np.exp(1j * spec.k * phase))
+    # exp(i k d.x) is the product over the axes of exp(i k d_a x_a): dim * M
+    # exponentials, broadcast into the grid's C order
+    ax = grid.axis()
+    wave = 1.0
+    for a, d in enumerate(spec.direction):
+        wave = wave * np.exp(1j * (spec.k * d) * ax).reshape((-1,) + (1,) * (grid.dim - 1 - a))
+    return ComplexField(grid, wave)
 
 
 # -- nonlinearities -----------------------------------------------------------
@@ -468,12 +477,15 @@ def support_box(values: np.ndarray) -> tuple[tuple[int, int], ...] | None:
     """Index bounding box of the nonzero cells of values: (first, last) per
     axis, both inclusive; None when every cell is zero."""
     mask = values != 0
-    if not mask.any():
+    # the first axis from one pass over the mask; the others from its slab
+    # of nonzero first indices, folded onto the remaining axes once
+    first = np.flatnonzero(mask.reshape(mask.shape[0], -1).any(axis=1))
+    if first.size == 0:
         return None
-    box = []
-    for axis_idx in range(mask.ndim):
-        proj = mask.any(axis=tuple(i for i in range(mask.ndim) if i != axis_idx))
-        idx = np.flatnonzero(proj)
+    slab = mask[first[0]:first[-1] + 1].any(axis=0)
+    box = [(int(first[0]), int(first[-1]))]
+    for a in range(slab.ndim):
+        idx = np.flatnonzero(slab.any(axis=tuple(i for i in range(slab.ndim) if i != a)))
         box.append((int(idx[0]), int(idx[-1])))
     return tuple(box)
 
@@ -491,12 +503,16 @@ def box_slices(box: tuple[tuple[int, int], ...] | None, dim: int,
 def support_diameter(coef: ComplexField) -> float:
     """Diagonal of the bounding box of the nonzero cells of coef (an upper
     bound for the diameter of its support); 0 for a zero field."""
-    box = support_box(coef.values)
+    return box_diameter(coef.grid, support_box(coef.values))
+
+
+def box_diameter(grid: Grid, box: tuple[tuple[int, int], ...] | None) -> float:
+    """Diagonal of the cells of box on grid, one spacing added per axis: the
+    support diameter of a field whose support_box is box; 0 for None."""
     if box is None:
         return 0.0
-    g = coef.grid
-    ax = g.axis()
-    return math.sqrt(sum((ax[hi] - ax[lo] + g.spacing) ** 2 for lo, hi in box))
+    ax = grid.axis()
+    return math.sqrt(sum((ax[hi] - ax[lo] + grid.spacing) ** 2 for lo, hi in box))
 
 
 def critical_exponent(dim: int) -> float:
@@ -627,7 +643,7 @@ def save_field(path, fld: ComplexField, k: float):
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_FIELD_MAGIC, 1, g.dim, g.points_per_axis,
                               g.half_width, float(k)))
-        fh.write(np.ascontiguousarray(fld.values).astype("<c16").tobytes())
+        fh.write(memoryview(np.ascontiguousarray(fld.values, dtype="<c16")))
 
 
 def load_field(path) -> tuple[ComplexField, float]:

@@ -54,8 +54,9 @@ satisfies the chained integral bounds
     || Q |u|^(p-1) ||_q <= |Omega|^(1/q) ||Q||_inf ||phi||_inf^(p-1),
 
 q = 2 dim/(dim+2) the dual critical exponent, Omega = {Q != 0}.  All
-integrals are cell sums on the coefficient grid, and every check reports a
-signed margin, never a boolean alone.  The chain is checked together with
+integrals are cell sums on the coefficient grid, taken over the support box
+of Q, off which every term is an exact zero; every check reports a signed
+margin, never a boolean alone.  The chain is checked together with
 its hypotheses: a coefficient that is not real, nonpositive and zero on the
 boundary layer of its grid is rejected, and the support diameter is
 checked against z/k as a fifth bound.
@@ -74,14 +75,14 @@ from .fields import (
     DEFAULT_MAX_POINTS,
     BoundCheck,
     ComplexField,
+    _alignment_offset,
+    box_diameter,
     box_slices,
     critical_exponent,
     gl_panels,
-    restrict_field,
     sphere_quadrature,
     sphere_trace,
     support_box,
-    support_diameter,
 )
 from .specfun import bessel_j, bessel_y, first_y_zero, j_zeros
 
@@ -339,15 +340,21 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
 def check_defocusing_coefficient(Q: ComplexField):
     """Raise ValueError unless Q is admissible for the defocusing regime:
     real, Q <= 0, and zero on the boundary layer of its grid (compact
-    support inside the box)."""
-    if np.any(Q.values.imag != 0.0) or np.any(Q.values.real > 0.0):
+    support inside the box).  Returns Q's support_box, None for Q = 0;
+    every nonzero cell lies in it, so each condition is read there, the
+    last as the box lying inside indices 1..m-2."""
+    box = support_box(Q.values)
+    if box is None:
+        return None
+    q = Q.values[box_slices(box, Q.grid.dim)]
+    if np.any(q.imag != 0.0) or np.any(q.real > 0.0):
         raise ValueError("defocusing requires a real, nonpositive coefficient "
                          "(Q <= 0 everywhere)")
-    edge = np.ones(Q.grid.shape, dtype=bool)
-    edge[(slice(1, -1),) * Q.grid.dim] = False
-    if np.any(Q.values.real[edge] != 0.0):
+    m = Q.grid.points_per_axis
+    if any(lo < 1 or hi > m - 2 for lo, hi in box):
         raise ValueError("defocusing requires Q to vanish on the boundary layer "
                          "(compact support inside the box)")
+    return box
 
 
 def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
@@ -356,6 +363,10 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
     """Chained integral bounds for a converged defocusing solve at
     wavenumber k, and the support-diameter admissibility check against the
     truncation threshold z/k, which is what makes the chain valid.
+
+    Q is scanned once for its support box; the checks, the integrals and
+    the diameter are read on that box, and u (on Q's grid or an aligned
+    larger one) only on its cells.
     """
     dim = Q.grid.dim
     if dim < 3:
@@ -363,21 +374,23 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
     crit = critical_exponent(dim)
     if not 2.0 < p < crit:
         raise ValueError(f"p must lie in (2, {crit:.4g})")
-    check_defocusing_coefficient(Q)
-    if u.grid != Q.grid:
-        u = restrict_field(u, Q.grid)
+    box = check_defocusing_coefficient(Q)
+    offset = _alignment_offset(u.grid, Q.grid)
 
     vol = Q.grid.cell_volume
-    absq = np.abs(Q.values.real)
-    au = np.abs(u.values)
+    absq = np.abs(Q.values.real[box_slices(box, dim)])
+    # |u| off supp Q is never read: Q = 0 there, and a large finite |u|
+    # would give 0 * inf
+    au = np.where(absq != 0.0, np.abs(u.values[box_slices(box, dim, offset)]), 0.0)
     phisup = phi.sup_norm
+    weighted = absq * au ** (p - 1.0)
     int_p = float(np.sum(absq * au ** p) * vol)
-    int_pm1 = float(np.sum(absq * au ** (p - 1.0)) * vol)
+    int_pm1 = float(np.sum(weighted) * vol)
     int_q = float(np.sum(absq) * vol)
     omega = float(np.count_nonzero(absq) * vol)
-    normq = float(np.max(absq))
+    normq = float(np.max(absq, initial=0.0))
     qdual = 2.0 * dim / (dim + 2.0)
-    dual_norm = float(np.sum((absq * au ** (p - 1.0)) ** qdual * vol) ** (1.0 / qdual))
+    dual_norm = float(np.sum(weighted ** qdual * vol) ** (1.0 / qdual))
     cap_d = omega ** (1.0 / qdual) * normq * phisup ** (p - 1.0)
 
     def check(name, lhs, rhs, extra=None):
@@ -395,7 +408,6 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
         check("weighted_mass_p", int_p, phisup ** p * int_q),
         check("source_dual_norm", dual_norm, cap_d,
               extra={"dual_exponent": qdual, "support_measure": omega}),
-        check("support_diameter", support_diameter(Q),
+        check("support_diameter", box_diameter(Q.grid, box),
               truncation_threshold(dim) / k, extra={"k": k}),
     )
-

@@ -29,6 +29,14 @@ whole_grid_radiation_averages is the ball-averaged radiation residual on
 whole-grid arrays (np.gradient, the meshgrid radius, one mask per radius)
 that radiation_report's gradient and radius on the gathered cells replace;
 the two agree bit for bit.
+whole_grid_defocusing (with whole_grid_defocusing_check and
+whole_grid_support_diameter) and whole_grid_weighted_norm are the defocusing
+chain and the weighted sup norm on every cell of the grid, which the
+library's reading of the coefficient's support box replaces; the norm and
+the decisions agree bit for bit, the integrals to roundoff.  plane_wave is
+exp(i k d.x) from the summed meshgrid phase, which make_incident's per-axis
+factors replace, and field_file_bytes the field file written through two
+whole-field copies; the bytes agree exactly.
 nonlinearity_derivative (checked against finite differences) and
 verify_brackets (a sign-change check of the library's zero tables) came
 from the library, where no path called them.
@@ -391,6 +399,103 @@ def embed_field(fld, outer):
     return ComplexField(outer, out)
 
 
+def whole_grid_defocusing(u, phi, Q, p: float, k: float, tolerance: float = 1e-10):
+    """The defocusing chain with every check, integral and the diameter
+    taken over the whole coefficient grid, and u restricted to it first:
+    the route that verify.defocusing_inequalities, which reads Q's support
+    box, replaces.  Returns (name, lhs, rhs, margin, satisfied) per check."""
+    from helmscat.fields import critical_exponent, restrict_field
+    from helmscat.verify import truncation_threshold
+
+    dim = Q.grid.dim
+    if dim < 3:
+        raise ValueError("defocusing chain requires dim >= 3")
+    crit = critical_exponent(dim)
+    if not 2.0 < p < crit:
+        raise ValueError(f"p must lie in (2, {crit:.4g})")
+    whole_grid_defocusing_check(Q)
+    if u.grid != Q.grid:
+        u = restrict_field(u, Q.grid)
+    vol = Q.grid.cell_volume
+    absq = np.abs(Q.values.real)
+    au = np.abs(u.values)
+    phisup = phi.sup_norm
+    int_p = float(np.sum(absq * au ** p) * vol)
+    int_pm1 = float(np.sum(absq * au ** (p - 1.0)) * vol)
+    int_q = float(np.sum(absq) * vol)
+    omega = float(np.count_nonzero(absq) * vol)
+    normq = float(np.max(absq))
+    qdual = 2.0 * dim / (dim + 2.0)
+    dual_norm = float(np.sum((absq * au ** (p - 1.0)) ** qdual * vol) ** (1.0 / qdual))
+    cap_d = omega ** (1.0 / qdual) * normq * phisup ** (p - 1.0)
+    pairs = [
+        ("defocusing_first_bound", int_p, phisup * int_pm1),
+        ("weighted_mass_p_minus_1", int_pm1, phisup ** (p - 1.0) * int_q),
+        ("weighted_mass_p", int_p, phisup ** p * int_q),
+        ("source_dual_norm", dual_norm, cap_d),
+        ("support_diameter", whole_grid_support_diameter(Q),
+         truncation_threshold(dim) / k),
+    ]
+    return [(name, lhs, rhs, rhs - lhs, bool(rhs - lhs >= -tolerance))
+            for name, lhs, rhs in pairs]
+
+
+def whole_grid_defocusing_check(Q):
+    """Defocusing admissibility read on every cell: real, Q <= 0, and zero
+    on the boundary layer of the grid."""
+    if np.any(Q.values.imag != 0.0) or np.any(Q.values.real > 0.0):
+        raise ValueError("defocusing requires a real, nonpositive coefficient "
+                         "(Q <= 0 everywhere)")
+    edge = np.ones(Q.grid.shape, dtype=bool)
+    edge[(slice(1, -1),) * Q.grid.dim] = False
+    if np.any(Q.values.real[edge] != 0.0):
+        raise ValueError("defocusing requires Q to vanish on the boundary layer "
+                         "(compact support inside the box)")
+
+
+def whole_grid_support_diameter(coef) -> float:
+    """Diagonal of the nonzero cells' bounding box plus one spacing per
+    axis, the box found from np.nonzero over the whole grid."""
+    idx = np.nonzero(coef.values)
+    if idx[0].size == 0:
+        return 0.0
+    g = coef.grid
+    ax = g.axis()
+    return math.sqrt(sum((ax[i.max()] - ax[i.min()] + g.spacing) ** 2 for i in idx))
+
+
+def whole_grid_weighted_norm(w, alpha: float) -> float:
+    """sup of <x>^alpha |w(x)| with the bracket on every cell of the grid,
+    the route that fields.weighted_norm, on the support box of w, replaces."""
+    nz = w.values != 0
+    with np.errstate(over="ignore"):
+        weighted = w.grid.bracket()[nz] ** alpha * np.abs(w.values[nz])
+    return float(np.max(weighted, initial=0.0))
+
+
+def meshgrid(grid) -> tuple[np.ndarray, ...]:
+    """The grid's node coordinates, one whole-grid array per axis."""
+    return tuple(np.meshgrid(*([grid.axis()] * grid.dim), indexing="ij"))
+
+
+def plane_wave(k: float, direction, grid) -> np.ndarray:
+    """exp(i k d.x) with the phase d.x summed on the meshgrid at every node,
+    the route that fields.make_incident's per-axis factors replace."""
+    phase = sum(x * d for x, d in zip(meshgrid(grid), direction))
+    return np.exp(1j * k * phase)
+
+
+def field_file_bytes(fld, k: float) -> bytes:
+    """A field file's bytes as written through a contiguous copy and a
+    complex128 copy of the values, the writer fields.save_field replaces."""
+    from helmscat.fields import _FIELD_MAGIC, _HEADER
+
+    g = fld.grid
+    return (_HEADER.pack(_FIELD_MAGIC, 1, g.dim, g.points_per_axis, g.half_width,
+                         float(k))
+            + np.ascontiguousarray(fld.values).astype("<c16").tobytes())
+
+
 def rgi_interpolant(grid, values):
     """scipy's RegularGridInterpolator (linear, out-of-bounds points raise
     ValueError) over the grid's axes, called like fields.grid_interpolant."""
@@ -428,7 +533,7 @@ def whole_grid_radiation_averages(u, k: float, radii) -> list[float]:
     every cell and one interior mask per radius."""
     g = u.grid
     grads = np.gradient(u.values, g.spacing, edge_order=2)
-    r = np.sqrt(sum(x * x for x in g.meshgrid()))
+    r = np.sqrt(sum(x * x for x in meshgrid(g)))
     interior = np.zeros(g.shape, dtype=bool)
     interior[(slice(1, -1),) * g.dim] = True
     safe_r = np.where(r > 0, r, 1.0)

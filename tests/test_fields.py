@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -11,11 +12,16 @@ from helmscat.fields import ComplexField, Grid, IncidentWave, NonlinearitySpec
 from oracles import (
     discrete_laplacian,
     embed_field,
+    field_file_bytes,
+    meshgrid,
     nonlinearity_derivative,
+    plane_wave,
     rgi_interpolant,
     split_interpolant,
     split_sphere_trace,
     whole_grid_nonlinearity,
+    whole_grid_support_diameter,
+    whole_grid_weighted_norm,
 )
 
 
@@ -51,11 +57,12 @@ class TestGrid:
         # the broadcast axis gives every cell the meshgrid sum, the same
         # additions in the same order, on the whole grid and on a box
         g = Grid(dim=dim, half_width=1.7, points_per_axis=m)
-        want = np.sqrt(sum(x * x for x in g.meshgrid()))
+        want = np.sqrt(sum(x * x for x in meshgrid(g)))
         assert np.array_equal(g.radius(), want)
         assert np.array_equal(g.bracket(), np.sqrt(1.0 + want * want))
         box = ((0, m - 1), (m // 3, m // 2)) + ((1, m - 2),) * (dim - 2)
         assert np.array_equal(g.radius(box), want[fields.box_slices(box, dim)])
+        assert np.array_equal(g.bracket(box), g.bracket()[fields.box_slices(box, dim)])
 
     @pytest.mark.parametrize("kw", [
         dict(dim=4, half_width=1.0, points_per_axis=5),
@@ -132,6 +139,22 @@ class TestWeightedNorm:
         assert fields.weighted_norm(ComplexField(g, vals), 1.0) == pytest.approx(
             3.0 * math.sqrt(5.0))
 
+    @pytest.mark.parametrize("dim,m", [(2, 33), (3, 16)])
+    def test_matches_whole_grid_bracket_bit_for_bit(self, dim, m):
+        # the bracket on the support box gives every cell the whole grid's
+        # value, and a max does not depend on order: equal to the last bit
+        # on kappa's profile <x>^-alpha, whose box is the grid, on a bump
+        # well inside it and on a zero field
+        g = Grid(dim=dim, half_width=3.0, points_per_axis=m)
+        profile = ComplexField(g, g.bracket() ** -2.5 + 0j)
+        bump = bump_field(g, amp=-0.7, radius=1.2)
+        assert fields.support_box(profile.values) == ((0, m - 1),) * dim
+        for w in (profile, bump, ComplexField.zeros(g)):
+            for alpha in (0.0, 1.0, 2.5, 3.7):
+                assert (fields.weighted_norm(w, alpha)
+                        == whole_grid_weighted_norm(w, alpha))
+        assert fields.weighted_norm(ComplexField.zeros(g), 3.0) == 0.0
+
 
 class TestTau:
     @pytest.mark.parametrize("dim", [2, 3])
@@ -195,7 +218,7 @@ class TestSphereQuadrature:
         # u = a.x + b, so the trace gives u and d_r u = a.dir to roundoff
         g = small_grid(dim=dim)
         a = np.array([0.7 - 0.2j, -1.1 + 0.5j, 0.3j][:dim])
-        u = sum(ai * x for ai, x in zip(a, g.meshgrid())) + (0.4 - 0.9j)
+        u = sum(ai * x for ai, x in zip(a, meshgrid(g))) + (0.4 - 0.9j)
         dirs, _ = fields.sphere_quadrature(dim)
         trace = fields.sphere_trace(g, u, dirs)
         # R = half_width reads the one-sided formulas, exact on u too
@@ -213,7 +236,7 @@ def wave_field(grid, k=1.3):
     wave along the first axis."""
     r = grid.radius()
     return (np.exp(1j * k * r) / np.sqrt(1.0 + r * r)
-            + 0.3 * np.exp(1j * k * grid.meshgrid()[0]))
+            + 0.3 * np.exp(1j * k * meshgrid(grid)[0]))
 
 
 def assert_matches_oracle(got, ref, dim, scale=None):
@@ -410,6 +433,20 @@ class TestIncidentWaves:
         # centered-difference truncation is O(h^2 k^4)
         assert resid.max() < 0.5 * k**4 * g.spacing**2
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("k", [0.5, 5.0, 50.0])
+    def test_axis_factors_match_the_summed_phase(self, dim, k):
+        # exp(i k d.x) against the product of exp(i k d_a x_a) over the
+        # axes, L = 2, so k L up to 100; each side carries a phase roundoff
+        # of about eps k |x|, within 4 eps (1 + k L sqrt(dim)) of each other
+        g = Grid(dim=dim, half_width=2.0, points_per_axis=33)
+        d = np.array((0.6, -0.8) if dim == 2 else (0.48, -0.6, 0.64))
+        phi = fields.make_incident(IncidentWave.plane(k, d), g)
+        want = plane_wave(k, d / np.linalg.norm(d), g)
+        assert phi.values.shape == g.shape and phi.values.flags.c_contiguous
+        bound = 4.0 * np.finfo(float).eps * (1.0 + k * g.half_width * math.sqrt(dim))
+        assert np.max(np.abs(phi.values - want)) <= bound
+
     def test_plane_wave_direction_validation(self):
         with pytest.raises(ValueError, match="unit"):
             IncidentWave.plane(1.0, [0, 0, 2])
@@ -565,6 +602,24 @@ class TestNonlinearity:
         np.testing.assert_array_equal(fields.apply_nonlinearity(spec, u).values,
                                       whole_grid_nonlinearity(spec, u).values)
 
+    @pytest.mark.parametrize("shape", [(9,), (12, 12), (9, 9, 9), (1, 6, 6)])
+    def test_support_box_is_the_nonzero_cells_bounding_box(self, shape):
+        # against the min and max of np.nonzero per axis, on sparse random
+        # patterns, single cells at the corners and an empty array
+        rng = np.random.default_rng(len(shape))
+        cases = [rng.standard_normal(shape) * (rng.uniform(size=shape) < q)
+                 for q in (0.002, 0.02, 0.3, 1.0)]
+        for corner in itertools.product(*((0, n - 1) for n in shape)):
+            one = np.zeros(shape, dtype=complex)
+            one[corner] = 1j
+            cases.append(one)
+        for vals in cases:
+            idx = np.nonzero(vals)
+            want = (tuple((int(i.min()), int(i.max())) for i in idx)
+                    if idx[0].size else None)
+            assert fields.support_box(vals) == want
+        assert fields.support_box(np.zeros(shape)) is None
+
     def test_support_diameter_is_bounding_box_diagonal(self):
         g = small_grid()
         vals = np.zeros(g.shape, dtype=complex)
@@ -574,6 +629,8 @@ class TestNonlinearity:
         Q = ComplexField(g, vals)
         assert fields.support_diameter(Q) == pytest.approx(want, rel=1e-14)
         assert fields.support_diameter(ComplexField.zeros(g)) == 0.0
+        assert fields.support_diameter(Q) == whole_grid_support_diameter(Q)
+        assert fields.box_diameter(g, None) == 0.0
 
 
 class TestLipschitzEstimate:
@@ -677,6 +734,22 @@ class TestSerialization:
         fields.save_field(p1, f, k=1.0)
         fields.save_field(p2, f, k=1.0)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("dim,m", [(2, 6), (3, 7)])
+    def test_bytes_match_the_copying_writer(self, dim, m, tmp_path):
+        # the values written straight from a complex128 buffer give the
+        # bytes of the writer that copied them twice, and read back exactly;
+        # a non-contiguous view is written in C order all the same
+        g = Grid(dim=dim, half_width=1.5, points_per_axis=m)
+        rng = np.random.default_rng(dim)
+        vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        for fld in (ComplexField(g, vals), ComplexField(g, vals.T)):
+            path = tmp_path / "field.bin"
+            fields.save_field(path, fld, k=0.75)
+            assert path.read_bytes() == field_file_bytes(fld, 0.75)
+            back, k = fields.load_field(path)
+            assert k == 0.75 and back.grid == g
+            np.testing.assert_array_equal(back.values, fld.values)
 
     def test_truncated_rejected(self, tmp_path):
         g = Grid(dim=2, half_width=1.0, points_per_axis=6)

@@ -13,6 +13,7 @@ from oracles import (
     exterior_tail_bound_quad,
     full_fft_convolve,
     full_kernel_table,
+    meshgrid,
     subtraction_cell_weight,
     whole_grid_radiation_averages,
 )
@@ -307,7 +308,7 @@ class TestApplyResolvent:
         vals[c, c, c] = 1.0 / g.cell_volume
         u = rv.apply_resolvent(ComplexField(g, vals), cfg, k)
         ax = g.axis()
-        X, Y, Z = g.meshgrid()
+        X, Y, Z = meshgrid(g)
         r = g.radius()
         mask = r > 2.1 * g.spacing
         want = np.exp(1j * k * r[mask]) / (4.0 * np.pi * r[mask])

@@ -25,6 +25,7 @@ from helmscat.solver import (
 
 from oracles import (
     bound_map,
+    meshgrid,
     newton_fixed_point,
     picard_map,
     resolvent_matrix,
@@ -283,8 +284,8 @@ def box_coefficients(kind, grid):
     if kind == "power":
         return NonlinearitySpec.power(radial_bump(grid, -0.6, cutoff=1.2),
                                       p=3.0, alpha=ALPHA)
-    shifted = np.sqrt((grid.meshgrid()[0] - 0.9) ** 2
-                      + sum(x * x for x in grid.meshgrid()[1:]))
+    shifted = np.sqrt((meshgrid(grid)[0] - 0.9) ** 2
+                      + sum(x * x for x in meshgrid(grid)[1:]))
     b = ComplexField(grid, (0.3 + 0.2j) * (shifted <= 0.8))
     return NonlinearitySpec.affine(radial_bump(grid, -0.4, cutoff=0.7), b,
                                    alpha=ALPHA)

@@ -24,7 +24,12 @@ from helmscat.verify import (
     sturm_check,
     truncation_threshold,
 )
-from oracles import radial_transform_quad, real_kernel
+from oracles import (
+    radial_transform_quad,
+    real_kernel,
+    whole_grid_defocusing,
+    whole_grid_defocusing_check,
+)
 
 EQUAL_ARCH = 2.0 * math.sqrt(2.0 / math.pi)  # every arch at order 1/2
 
@@ -426,4 +431,101 @@ class TestDefocusing:
         zero = ComplexField.zeros(g)
         with pytest.raises(ValueError, match="dim"):
             defocusing_inequalities(zero, zero, zero, 3.0, k=K_REF)
+
+
+def readme_bump(g):
+    """README's coefficient -0.8 exp(-4 r^2) 1[r <= 0.45]."""
+    r = g.radius()
+    return ComplexField(g, (-0.8 * np.exp(-4.0 * r ** 2) * (r <= 0.45)).astype(complex))
+
+
+def assert_matches_oracle(checks, want):
+    # the box sums hold the whole grid's nonzero terms, grouped differently
+    # by pairwise summation: lhs and rhs within 1e-14 relative (bit-identical
+    # in most cases, one or two ulp off in the rest), each margin within
+    # 1e-14 of its larger side; names, decisions and the diameter exactly
+    assert [c.name for c in checks] == [w[0] for w in want]
+    for c, (_, lhs, rhs, margin, satisfied) in zip(checks, want):
+        assert c.lhs == pytest.approx(lhs, rel=1e-14, abs=0.0)
+        assert c.rhs == pytest.approx(rhs, rel=1e-14, abs=0.0)
+        assert abs(c.margin - margin) <= 1e-14 * max(abs(lhs), abs(rhs))
+        assert c.satisfied == satisfied
+    assert checks[-1].lhs == want[-1][1]
+
+
+class TestDefocusingOnTheBox:
+    @pytest.mark.parametrize("m", [10, 16, 32])
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_matches_whole_grid_oracle(self, m, pad):
+        # README's bump and a converged solve, u on the source grid and on
+        # an eval grid padded by 2 cells, read through the grids' offset
+        g = Grid(dim=3, half_width=2.0, points_per_axis=m)
+        rcfg = ResolventConfig.padded(g, pad)
+        Q = readme_bump(g)
+        f = NonlinearitySpec.power(Q, p=3.0, alpha=ALPHA)
+        phi = make_incident(IncidentWave.plane(K_REF, (1.0, 0.0, 0.0)), rcfg.eval_grid)
+        u, rep = picard_solve(f, phi, K_REF, SolverConfig(tol=1e-10), rcfg)
+        assert rep.converged and u.grid == rcfg.eval_grid
+        assert_matches_oracle(defocusing_inequalities(u, phi, Q, 3.0, k=K_REF),
+                              whole_grid_defocusing(u, phi, Q, 3.0, k=K_REF))
+
+    def test_zero_coefficient_matches_oracle(self):
+        # no support box: every integral 0, the diameter 0
+        g = Grid(dim=3, half_width=2.0, points_per_axis=10)
+        rcfg = ResolventConfig.padded(g, 2)
+        phi = make_incident(IncidentWave.plane(K_REF, (0.0, 0.6, 0.8)), rcfg.eval_grid)
+        zero = ComplexField.zeros(g)
+        checks = defocusing_inequalities(phi, phi, zero, 3.0, k=K_REF)
+        want = whole_grid_defocusing(phi, phi, zero, 3.0, k=K_REF)
+        assert [(c.name, c.lhs, c.rhs, c.margin, c.satisfied) for c in checks] == want
+        assert all(c.lhs == 0.0 for c in checks)
+
+    def test_same_errors_as_whole_grid_checks(self):
+        g = Grid(dim=3, half_width=2.0, points_per_axis=10)
+        phi = make_incident(IncidentWave.plane(K_REF, (1.0, 0.0, 0.0)), g)
+        r = g.radius()
+        bump = np.exp(-4.0 * r ** 2) * (r <= 0.5)
+        edge = np.zeros(g.shape, dtype=complex)
+        edge[1:-1, 1:-1, 1:-1] = -1.0
+        edge[4, 4, 0] = -0.5
+        g2 = Grid(dim=2, half_width=2.0, points_per_axis=10)
+        cases = [(ComplexField(g, 0.5 * bump + 0j), 3.0, phi),
+                 (ComplexField(g, -0.5j * bump), 3.0, phi),
+                 (ComplexField(g, edge), 3.0, phi),
+                 (ComplexField(g, np.full(g.shape, -1.0 + 0j)), 3.0, phi),
+                 (ComplexField(g, -0.5 * bump + 0j), 8.0, phi),
+                 (ComplexField(g, -0.5 * bump + 0j), 2.0, phi),
+                 (ComplexField.zeros(g2), 3.0, ComplexField.zeros(g2))]
+        for Q, p, u in cases:
+            with pytest.raises(ValueError) as want:
+                whole_grid_defocusing(u, u, Q, p, k=K_REF)
+            with pytest.raises(ValueError) as got:
+                defocusing_inequalities(u, u, Q, p, k=K_REF)
+            assert str(got.value) == str(want.value)
+        for Q, _, _ in cases[:4]:
+            with pytest.raises(ValueError) as want:
+                whole_grid_defocusing_check(Q)
+            with pytest.raises(ValueError) as got:
+                verify.check_defocusing_coefficient(Q)
+            assert str(got.value) == str(want.value)
+        verify.check_defocusing_coefficient(ComplexField(g, edge * (r < 1.5)))
+
+    def test_u_off_the_box_is_never_read(self):
+        # u = 1e120 off supp Q gives the margins of u zeroed there; the
+        # whole-grid oracle's 0 * inf makes them NaN, which would report a
+        # finite iterate as a breach
+        g = Grid(dim=3, half_width=2.0, points_per_axis=16)
+        rcfg = ResolventConfig.padded(g, 2)
+        Q = readme_bump(g)
+        phi = make_incident(IncidentWave.plane(K_REF, (1.0, 0.0, 0.0)), rcfg.eval_grid)
+        inside = np.zeros(rcfg.eval_grid.shape, dtype=bool)
+        inside[(slice(2, -2),) * 3] = Q.values != 0
+        tame = ComplexField(rcfg.eval_grid, np.where(inside, phi.values, 0.0))
+        wild = ComplexField(rcfg.eval_grid, np.where(inside, phi.values, 1e120))
+        checks = defocusing_inequalities(wild, phi, Q, 3.0, k=K_REF)
+        assert checks == defocusing_inequalities(tame, phi, Q, 3.0, k=K_REF)
+        assert all(c.satisfied for c in checks[:4])
+        with np.errstate(over="ignore", invalid="ignore"):
+            blind = whole_grid_defocusing(wild, phi, Q, 3.0, k=K_REF)
+        assert any(math.isnan(margin) for _, _, _, margin, _ in blind)
 
