@@ -20,22 +20,21 @@ reports are rounded to 12 significant digits so identical config + seed
 reproduces byte-identical reports; field binaries and the manifest (which
 records wall time) are exempt.
 
-Every action takes ``--config``, ``--out`` and ``--threads``; ``--seed`` is a
-``solve`` flag, the seed of the certificate's randomized Lipschitz search, and
-the other actions reject it and record ``"seed": null``.  ``_ACTIONS`` and
+Every action takes ``--config`` and ``--out``; ``--seed`` is a ``solve``
+flag, the seed of the certificate's randomized Lipschitz search, and the
+other actions reject it and record ``"seed": null``.  ``_ACTIONS`` and
 ``_VERIFY_MODES`` below are the one list of actions and of verify modes.
 
 Exit codes: 0 success, 2 config error, 3 solver failed to converge or a
 branch stopped short of lambda_max, 4 verification margin breach (for
 ``solve``, a failed bound check of a certified affine solve), 1 unexpected
-error.  Config errors include a thread count that is not an integer >= 1
-and a non-finite number (``NaN``, ``Infinity``, ``-Infinity`` or an
-overflowing literal).  An output directory that cannot be made exits 2
-with the reason on stderr and no manifest.  The manifest's status names
-the outcome; exit 3 is "divergence" when the solver diverged (for
-``continue``, a blow-up) and "incomplete" when it did not: a solve that ran
-out of iterations, or a branch that ended on its step floor or its solve
-budget.
+error.  Config errors include a non-finite number (``NaN``, ``Infinity``,
+``-Infinity`` or an overflowing literal).  An output directory that cannot
+be made exits 2 with the reason on stderr and no manifest.  The manifest's
+status names the outcome; exit 3 is "divergence" when the solver diverged
+(for ``continue``, a blow-up) and "incomplete" when it did not: a solve
+that ran out of iterations, or a branch that ended on its step floor or its
+solve budget.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ import tempfile
 import time
 
 import numpy as np
-import scipy.fft
 
 from . import __version__
 from .continuation import StepConfig, blowup_probe, continue_branch
@@ -644,7 +642,7 @@ def _run_animate(cfg: dict, args, out: str):
 # -- entry point --------------------------------------------------------------
 
 # action -> (runner, its own arguments); every action also takes --config
-# (optional for constants only), --out and --threads
+# (optional for constants only) and --out
 _ACTIONS = {
     "solve": (_run_solve, {"--seed": {
         "type": int, "default": 0,
@@ -674,8 +672,6 @@ def _parser() -> argparse.ArgumentParser:
                         help="JSON config file")
         sp.add_argument("--out", default=None,
                         help="output directory (default $HELMSCAT_OUT or .)")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="FFT worker count (default $HELMSCAT_THREADS)")
     return p
 
 
@@ -683,22 +679,6 @@ def _resolve_out(args) -> str:
     out = args.out or os.environ.get("HELMSCAT_OUT") or "."
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _resolve_threads(args) -> int | None:
-    """FFT worker count from --threads, else $HELMSCAT_THREADS, else None."""
-    raw = (os.environ.get("HELMSCAT_THREADS", "") if args.threads is None
-           else args.threads)
-    if raw == "":
-        return None
-    try:
-        threads = int(raw)
-        if threads < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(
-            f"thread count must be an integer >= 1, got {raw!r}") from None
-    return threads
 
 
 def main(argv=None) -> int:
@@ -712,19 +692,15 @@ def main(argv=None) -> int:
         return _EXIT_CODES["config_error"]
     t0 = time.perf_counter()
 
-    cfg = threads = None
+    cfg = None
     inputs = {}
     status, error = "ok", None
     files, tolerances = [], {}
     try:
-        threads = _resolve_threads(args)
         if args.config is not None:
             cfg = load_config(args.config)
             inputs[os.path.basename(args.config)] = _sha256(args.config)
-        workers = (scipy.fft.set_workers(threads) if threads
-                   else contextlib.nullcontext())
-        with workers:
-            status, files, tolerances = _ACTIONS[args.action][0](cfg, args, out)
+        status, files, tolerances = _ACTIONS[args.action][0](cfg, args, out)
     except ConfigError as e:
         status, error = "config_error", str(e)
     except Exception as e:  # noqa: BLE001 - everything lands in the manifest
@@ -735,7 +711,6 @@ def main(argv=None) -> int:
                                          getattr(args, "mode", None)))),
         "version": __version__,
         "seed": getattr(args, "seed", None),
-        "threads": threads,
         "status": status,
         "error": error,
         "wall_time_s": round(time.perf_counter() - t0, 6),

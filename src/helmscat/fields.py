@@ -657,9 +657,9 @@ def load_field(path) -> tuple[ComplexField, float]:
         if version != 1:
             raise ValueError(f"unsupported field file version {version}")
         grid = Grid(dim=dim, half_width=half_width, points_per_axis=m)
-        raw = fh.read(16 * m ** dim)
-        if len(raw) != 16 * m ** dim:
+        # the payload is read once, straight into the field's array
+        vals = np.empty(grid.shape, dtype="<c16")
+        if fh.readinto(vals) != vals.nbytes:
             raise ValueError("truncated field file payload")
-        vals = np.frombuffer(raw, dtype="<c16").astype(complex).reshape(grid.shape)
     return ComplexField(grid, vals), float(k)
 

@@ -44,10 +44,20 @@ the next one, so axis j transforms d^j n^(dim-1-j) lines.  A whole-box
 transform takes dim n^(dim-1) lines each way; onto the grid at 3D m = 32,
 b = 6, n = 40 that is 9,600 lines of length 40 against 1,876 + 3,904 =
 5,780.  The axis order and the place of the inverse's 1/size factor (after
-its first axis) are those of fftn and ifftn, so the result is bit-identical
-to the whole-box transform.  The same pruned path serves both
-destinations: onto an 11^3 box it is about 8% slower than an fftn/ifftn
-pair (2 shared vCPUs), and onto the grid it is faster.
+its first axis) are those of scipy.fft's fftn and ifftn, so the result is
+bit-identical to the whole-box transform.  The same pruned path serves
+both destinations: onto an 11^3 box it was about 8% slower than an
+fftn/ifftn pair (scipy.fft, 2 shared vCPUs), and onto the grid faster.
+
+The transforms are numpy.fft's, which wraps the pocketfft code that
+scipy.fft does and gives the same bits line for line, so a run that only
+solves in 3D imports no scipy.  Each axis is transformed in place, the
+array passed as its own out=.  numpy.fft.fftn transforms the last axis it
+is given first, so the window spectra pass it the axes reversed, and a
+real (magnitude) window takes scipy's real-input route, _fftn: every
+spectrum is scipy.fft.fftn's bit for bit.  next_fast_len is scipy's
+complex one; numpy.fft has no worker count, so every transform runs on
+one thread.
 
 This transform is one operator object, BoxResolvent: bound to one box and
 one destination, it holds the spectrum and slices and maps the source's
@@ -92,7 +102,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft
+from numpy import fft
 
 from . import fields as _fields
 from .fields import ComplexField, Grid, gl_panels, tau, weighted_norm
@@ -129,6 +139,53 @@ _ANNULUS_PANELS = 4
 _KAPPAS = 8
 
 
+def next_fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c 7^d 11^e >= n, the sizes pocketfft
+    transforms fastest; scipy.fft.next_fast_len(n, real=False)."""
+    if n < 1:
+        raise ValueError(f"transform length must be >= 1, got {n}")
+    while True:
+        rest = n
+        for p in (2, 3, 5, 7, 11):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def _fftn(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """scipy.fft.fftn(x, shape) bit for bit, by numpy.fft: x zero-padded to
+    shape and transformed along every axis.  scipy transforms a complex x
+    axis by axis from the first, where numpy.fft.fftn starts from the last
+    axis it is given, so the axes are given reversed.  A real x scipy
+    transforms real-to-complex along the last axis, keeping its n//2 + 1
+    leading cells, then along the other axes from the first; it fills each
+    cell left with the conjugate of the kept cell at the mirror index,
+    -i mod size on every axis.  The kept planes that are their own mirror
+    (last index 0, and n/2 for even n) it fills in place in C order, so of
+    each mirror pair there the earlier keeps its value and the later takes
+    the conjugate of it; a cell that is its own mirror is conjugated."""
+    if np.iscomplexobj(x):
+        return fft.fftn(x, shape[::-1], axes=tuple(range(x.ndim))[::-1])
+    n = shape[-1]
+    kept = n // 2 + 1
+    half = np.zeros(shape[:-1] + (kept,), dtype=complex)
+    half[tuple(slice(0, w) for w in x.shape[:-1])] = fft.rfft(x, n)
+    for ax in range(x.ndim - 1):
+        fft.fft(half, axis=ax, out=half)
+    mirror = [-np.arange(w) % w for w in shape[:-1]]
+    out = np.empty(shape, dtype=complex)
+    out[..., :kept] = half
+    out[..., kept:] = np.conj(half[np.ix_(*mirror, n - np.arange(kept, n))])
+    order = np.arange(math.prod(shape[:-1])).reshape(shape[:-1])
+    later = order[np.ix_(*mirror)] <= order
+    for j in {0, n // 2} if n % 2 == 0 else {0}:
+        plane = out[..., j]
+        plane[later] = np.conj(plane[np.ix_(*mirror)][later])
+    return out
+
+
 @dataclass(frozen=True)
 class ResolventConfig:
     """Discretization of the resolvent.  Source and eval grids share spacing
@@ -148,7 +205,7 @@ class ResolventConfig:
         # destination: onto the eval grid, of at most next_fast_len(2m - 1)
         # cells per axis for its m points, and onto the source box, of at
         # most next_fast_len(2s - 1) for the source grid's s points
-        cells = sum(fft.next_fast_len(2 * g.points_per_axis - 1) ** g.dim
+        cells = sum(next_fast_len(2 * g.points_per_axis - 1) ** g.dim
                     for g in (self.eval_grid, self.source_grid))
         if _SPECTRA * cells > _fields.DEFAULT_MAX_POINTS * 8:
             raise ValueError("cached kernel spectra exceed the memory cap")
@@ -274,7 +331,7 @@ def _window_spectra(cfg: ResolventConfig, k: float | None, kind: str,
 
     def spectrum(dest):
         window = table[windows[dest]]
-        out = fft.fftn(window, [fft.next_fast_len(w) for w in window.shape])
+        out = _fftn(window, tuple(next_fast_len(w) for w in window.shape))
         out.flags.writeable = False
         return out
 
@@ -335,23 +392,19 @@ class BoxResolvent:
         if self._spectrum is None:
             return np.zeros(self._shape, dtype=complex)
         # the box, zero-padded to the circulant size, is transformed in place
-        # axis by axis in fftn's order; the axes not yet transformed still
-        # hold only the box, so the all-zero lines outside it are skipped
+        # axis by axis from the first, as scipy's fftn; the axes not yet
+        # transformed still hold only the box, so the all-zero lines outside
+        # it are skipped
         conv = np.zeros(self._spectrum.shape, dtype=complex)
         conv[self._crop] = box_values
         for ax, index in enumerate(self._lines):
             lines = conv[index]
-            out = fft.fft(lines, axis=ax, overwrite_x=True)
-            # scipy transforms a complex input it may overwrite in place;
-            # should it return a new array instead, the lines are copied
-            # back from it
-            if not np.may_share_memory(out, lines):
-                lines[...] = out
+            fft.fft(lines, axis=ax, out=lines)
         conv *= self._spectrum
         # each inverse axis keeps its valid cells before the next one, and
         # the 1/size factor goes where ifftn applies it, after the first axis
         for ax, index in enumerate(self._valid):
-            conv = fft.ifft(conv, axis=ax, norm="forward", overwrite_x=True)
+            fft.ifft(conv, axis=ax, norm="forward", out=conv)
             if ax == 0:
                 conv *= 1.0 / self._spectrum.size
             conv = conv[index]

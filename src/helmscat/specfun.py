@@ -15,6 +15,9 @@ orders the kernels of dimensions 2 to 6 use:
 Every other order goes through scipy's generic jv and yv.  H^(1)_nu has
 closed forms at 1/2 and 3/2 only and goes through scipy's hankel1 otherwise.
 The test suite checks each closed form against the generic route.
+scipy.special is imported where a routine first calls it: it costs a fresh
+process about 0.3 s, and the closed forms need none of it, so the 3D point
+source (order 1/2) loads no scipy.
 
 Zeros are never read from a table.  A sign-change scan on the lattice of
 pi/8 steps brackets each zero (consecutive positive zeros of a cylinder
@@ -41,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 __all__ = [
     "FundamentalSolutionParams",
@@ -87,6 +89,8 @@ def _ret(arr: np.ndarray, scalar: bool):
 
 
 def _bessel_j2(t: np.ndarray) -> np.ndarray:
+    from scipy import special
+
     out = np.asarray(2.0 * special.j1(t) / t - special.j0(t))
     small = t < _J2_SERIES_CUT
     if np.any(small):
@@ -103,18 +107,21 @@ def bessel_j(nu: float, t):
     """J_nu(t) for real nu >= 0, t > 0.  Scalar or array t."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
-    if nu == 0.0:
-        out = special.j0(arr)
-    elif nu == 1.0:
-        out = special.j1(arr)
-    elif nu == 2.0:
-        out = _bessel_j2(arr)
-    elif nu == 0.5:
+    if nu == 0.5:
         out = np.sqrt(2.0 / (np.pi * arr)) * np.sin(arr)
     elif nu == 1.5:
         out = np.sqrt(2.0 / (np.pi * arr)) * (np.sin(arr) / arr - np.cos(arr))
+    elif nu == 2.0:
+        out = _bessel_j2(arr)
     else:
-        out = special.jv(nu, arr)
+        from scipy import special
+
+        if nu == 0.0:
+            out = special.j0(arr)
+        elif nu == 1.0:
+            out = special.j1(arr)
+        else:
+            out = special.jv(nu, arr)
     return _ret(out, scalar)
 
 
@@ -122,18 +129,21 @@ def bessel_y(nu: float, t):
     """Y_nu(t) for real nu >= 0, t > 0.  Scalar or array t."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
-    if nu == 0.0:
-        out = special.y0(arr)
-    elif nu == 1.0:
-        out = special.y1(arr)
-    elif nu == 2.0:
-        out = 2.0 * special.y1(arr) / arr - special.y0(arr)
-    elif nu == 0.5:
+    if nu == 0.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * np.cos(arr)
     elif nu == 1.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * (np.cos(arr) / arr + np.sin(arr))
     else:
-        out = special.yv(nu, arr)
+        from scipy import special
+
+        if nu == 0.0:
+            out = special.y0(arr)
+        elif nu == 1.0:
+            out = special.y1(arr)
+        elif nu == 2.0:
+            out = 2.0 * special.y1(arr) / arr - special.y0(arr)
+        else:
+            out = special.yv(nu, arr)
     return _ret(out, scalar)
 
 
@@ -146,6 +156,8 @@ def hankel1(nu: float, t):
     elif nu == 1.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * np.exp(1j * arr) * (1.0 + 1j / arr)
     else:
+        from scipy import special
+
         out = special.hankel1(nu, arr)
     return _ret(out, scalar)
 

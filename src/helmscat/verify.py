@@ -69,7 +69,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .fields import (
     DEFAULT_MAX_POINTS,
@@ -195,7 +194,10 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
 
     sums = np.sum(gl_panels(integrand, edges[:-1], edges[1:]), axis=1)
     sums[bessel] *= xs[bessel] ** -nu
-    sums[~bessel] *= 2.0 ** (-nu) / gamma_fn(nu + 1.0)
+    # imported here: scipy.special costs a fresh process about 0.3 s
+    from scipy.special import gamma
+
+    sums[~bessel] *= 2.0 ** (-nu) / gamma(nu + 1.0)
     return sums
 
 

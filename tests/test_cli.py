@@ -987,23 +987,19 @@ class TestEnvOverrides:
         assert str(taken) in err
         assert taken.read_text() == "a regular file"
 
-    @pytest.mark.parametrize("flag,env,code", [
-        ([], "abc", 2), (["--threads", "-5"], None, 2), (["--threads", "0"], None, 2),
-        (["--threads", "1"], None, 0)])
-    def test_thread_count(self, tmp_path, monkeypatch, flag, env, code):
-        # a count that is not an integer >= 1 is a config error, from the
-        # flag or the environment
-        if env is not None:
-            monkeypatch.setenv("HELMSCAT_THREADS", env)
+    def test_thread_settings_are_gone(self, tmp_path, monkeypatch, capsys):
+        # numpy.fft takes no worker count: --threads is an unknown flag, the
+        # environment variable is not read and the manifest has no threads
+        monkeypatch.setenv("HELMSCAT_THREADS", "abc")
         cp = write_config(tmp_path, base_config())
         out = tmp_path / "run"
-        assert main(["solve", "--config", cp, "--out", str(out), *flag]) == code
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", cp, "--out", str(out), "--threads", "1"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        if code == 0:
-            assert man["status"] == "ok" and man["threads"] == 1
-        else:
-            assert man["status"] == "config_error"
-            assert "thread count" in man["error"]
+        assert man["status"] == "ok" and "threads" not in man
 
     def test_parser_is_built_once(self, tmp_path):
         # one process, two actions on the one cached parser: each manifest

@@ -738,18 +738,33 @@ class TestSerialization:
     @pytest.mark.parametrize("dim,m", [(2, 6), (3, 7)])
     def test_bytes_match_the_copying_writer(self, dim, m, tmp_path):
         # the values written straight from a complex128 buffer give the
-        # bytes of the writer that copied them twice, and read back exactly;
-        # a non-contiguous view is written in C order all the same
+        # bytes of the writer that copied them twice, and read back bit for
+        # bit (signed zeros, subnormals and the largest floats included)
+        # into a writable array; a non-contiguous view is written in C order
+        # all the same
         g = Grid(dim=dim, half_width=1.5, points_per_axis=m)
         rng = np.random.default_rng(dim)
         vals = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        vals.reshape(-1)[:3] = [complex(-0.0, 0.0), complex(5e-324, -0.0),
+                                -2.2e-308 + 1.7e308j]
         for fld in (ComplexField(g, vals), ComplexField(g, vals.T)):
             path = tmp_path / "field.bin"
             fields.save_field(path, fld, k=0.75)
             assert path.read_bytes() == field_file_bytes(fld, 0.75)
             back, k = fields.load_field(path)
             assert k == 0.75 and back.grid == g
-            np.testing.assert_array_equal(back.values, fld.values)
+            assert back.values.dtype == np.complex128 and back.values.flags.writeable
+            assert back.values.tobytes() == np.ascontiguousarray(fld.values).tobytes()
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        g = Grid(dim=2, half_width=1.0, points_per_axis=6)
+        path = tmp_path / "field.bin"
+        fields.save_field(path, ComplexField.zeros(g), k=1.0)
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = np.array([np.inf], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="non-finite"):
+            fields.load_field(path)
 
     def test_truncated_rejected(self, tmp_path):
         g = Grid(dim=2, half_width=1.0, points_per_axis=6)
@@ -757,9 +772,11 @@ class TestSerialization:
         path = tmp_path / "field.bin"
         fields.save_field(path, f, k=1.0)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            fields.load_field(path)
+        # one byte, half a value, a value or the whole payload short
+        for cut in (1, 8, 16, 16 * 36):
+            path.write_bytes(raw[:-cut])
+            with pytest.raises(ValueError, match="truncated field file payload"):
+                fields.load_field(path)
         path.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(ValueError, match="not a field file"):
             fields.load_field(path)

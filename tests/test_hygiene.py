@@ -4,7 +4,8 @@ name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, no module reads
 numpy's gradient (fields.gradient_at is its one home), a CLI run imports
-none of the scipy subpackages it has no use for, README's command list
+none of the scipy subpackages it has no use for and a 3D run that solves
+imports no scipy at all, README's command list
 names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is read, the third-party modules the
 package imports are exactly its declared dependencies, every name the
@@ -239,35 +240,43 @@ def test_uncalled_oracle_is_reported():
 
 
 # scipy subpackages that together cost a fresh process most of a second to
-# import; the package uses only scipy.fft and scipy.special on these paths
+# import; no CLI action below loads any of them.  The 3D actions that solve
+# (solve with its certificate, kappa, farfield, continue) load no scipy at
+# all: their transforms are numpy.fft's and the 3D point source is closed
+# form.  scipy.special is imported where a Bessel function without a closed
+# form or a gamma function is first needed (here verify fourier's gamma)
 HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
                "scipy.linalg", "scipy.sparse")
+SCIPY_FREE = ("import helmscat.cli", "solve", "kappa", "farfield", "continue")
 
-# run in a fresh interpreter: which heavy modules each step has loaded, and
-# the exit code of each CLI action
+# run in a fresh interpreter: which heavy modules each step has loaded,
+# whether any scipy module is loaded, and the exit code of each CLI action
 CLI_RUNS = """
 import json, os, sys, tempfile
 heavy = json.loads(sys.argv[1])
 loaded = lambda: sorted(m for m in heavy if m in sys.modules)
+scipy_loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
 from helmscat import cli
-report = {"import helmscat.cli": [0, loaded()]}
+report = {"import helmscat.cli": [0, loaded(), scipy_loaded()]}
 cfg = {
     "problem": {"dim": 3, "k": 1.0, "L": 2.0, "M": 10,
                 "nonlinearity": {"kind": "power", "p": 3.0, "coefficient": {
                     "type": "radial_bump", "amplitude": -0.8, "width": 4.0,
                     "cutoff": 0.45}}},
     "solver": {"tol": 1e-10, "certify": True},
+    "continuation": {"lambda_max": 1.0},
     "verify": {"nu": 1.5, "pairs": 3},
 }
 with tempfile.TemporaryDirectory() as d:
     path = os.path.join(d, "cfg.json")
     with open(path, "w") as fh:
         json.dump(cfg, fh)
-    for action in (["solve"], ["kappa"], ["farfield"], ["verify", "fourier"],
-                   ["verify", "sturm"], ["verify", "energy"],
-                   ["verify", "defocusing"], ["constants", "zN"]):
+    for action in (["solve"], ["kappa"], ["farfield"], ["continue"],
+                   ["verify", "fourier"], ["verify", "sturm"],
+                   ["verify", "energy"], ["verify", "defocusing"],
+                   ["constants", "zN"]):
         code = cli.main(action + ["--config", path, "--out", d])
-        report[" ".join(action)] = [code, loaded()]
+        report[" ".join(action)] = [code, loaded(), scipy_loaded()]
 print(json.dumps(report))
 """
 
@@ -279,8 +288,10 @@ def test_cli_runs_import_no_heavy_scipy():
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {step: [0, []] for step in report}
-    assert len(report) == 9
+    assert {step: r[:2] for step, r in report.items()} == {
+        step: [0, []] for step in report}
+    assert len(report) == 10
+    assert [step for step, r in report.items() if not r[2]] == list(SCIPY_FREE)
 
 
 def third_party_imports(sources) -> set[str]:
