@@ -987,17 +987,27 @@ class TestEnvOverrides:
         assert str(taken) in err
         assert taken.read_text() == "a regular file"
 
-    def test_thread_settings_are_gone(self, tmp_path, monkeypatch, capsys):
-        # numpy.fft takes no worker count: --threads is an unknown flag, the
-        # environment variable is not read and the manifest has no threads
-        monkeypatch.setenv("HELMSCAT_THREADS", "abc")
+    @pytest.mark.parametrize("flag,env", [
+        ([], "abc"), (["--threads", "-5"], None), (["--threads", "0"], None),
+        (["--threads", "1"], None)],
+        ids=["env_abc", "flag_minus5", "flag_0", "flag_1"])
+    def test_thread_settings_are_gone(self, tmp_path, monkeypatch, capsys,
+                                      flag, env):
+        # numpy.fft takes no worker count: any --threads is an unknown flag,
+        # the environment variable is not read and the manifest has no threads
+        if env is not None:
+            monkeypatch.setenv("HELMSCAT_THREADS", env)
         cp = write_config(tmp_path, base_config())
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--config", cp, "--out", str(out), "--threads", "1"])
-        assert exc.value.code == 2
-        assert "--threads" in capsys.readouterr().err
-        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
+        argv = ["solve", "--config", cp, "--out", str(out), *flag]
+        if flag:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "--threads" in capsys.readouterr().err
+            assert not (out / "manifest.json").exists()
+            return
+        assert main(argv) == 0
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "ok" and "threads" not in man
 
