@@ -1,5 +1,6 @@
 """Uniform grids, complex fields, weighted sup norms, sphere quadrature and
-sphere traces, the one multilinear grid interpolant, the one grid gradient,
+sphere traces, the one multilinear grid interpolant, the one grid gradient
+(a node rule built once, then a gather per field),
 the one Gauss-Legendre panel rule, plane incident waves and pointwise
 nonlinearities.
 
@@ -41,6 +42,7 @@ __all__ = [
     "tau",
     "sphere_quadrature",
     "grid_interpolant",
+    "gradient_rule",
     "gradient_at",
     "sphere_trace",
     "gl_panels",
@@ -58,6 +60,10 @@ __all__ = [
 ]
 
 DEFAULT_MAX_POINTS = 1 << 22
+# sphere plans kept by the LRU of _sphere_plan, one per (grid, radius,
+# directions); each holds 16 2^dim bytes per direction, up to about
+# 50 2^dim where the sphere meets the grid's faces (10 KB for the 3D rule)
+_SPHERE_PLANS = 16
 
 
 @dataclass(frozen=True)
@@ -300,53 +306,90 @@ def grid_interpolant(grid: Grid, values: np.ndarray):
     return at
 
 
-def gradient_at(grid: Grid, values: np.ndarray, nodes) -> np.ndarray:
-    """np.gradient(values, grid.spacing, axis=a, edge_order=2) for every
-    axis a, at the flat node indices nodes, bit for bit, with shape
-    (dim,) + nodes.shape: the centred difference at the nodes inside the
-    grid along a, numpy's second-order one-sided formulas at its first and
-    last node, each value gathered at a stride of m^(dim-1-a) from the
-    node and each formula written with numpy's operations in numpy's
-    order.  The one gradient of the sphere diagnostics."""
+def _read_only(plan):
+    """plan, a nest of tuples holding arrays, with every array marked
+    read-only: a cached plan hands the same arrays to every caller."""
+    if isinstance(plan, np.ndarray):
+        plan.flags.writeable = False
+    elif isinstance(plan, tuple):
+        for part in plan:
+            _read_only(part)
+    return plan
+
+
+def gradient_rule(grid: Grid, nodes) -> tuple:
+    """gradient_at's rule at the flat node indices nodes, which reads no
+    values: nodes.shape and, per axis a, the stride s = m^(dim-1-a) and one
+    (where, nodes there) pair per numpy formula the nodes take along a: the
+    centred difference and, unless no node lies on a face normal to a (as
+    none of the ball average's cells does), the one-sided formulas at the
+    first and at the last node."""
     m = grid.points_per_axis
     if m < 3:
         raise ValueError("a second-order gradient needs at least 3 points per axis")
-    h = grid.spacing
-    f = values.reshape(-1)
     nodes = np.asarray(nodes)
-    out = np.empty((grid.dim,) + nodes.shape, dtype=np.result_type(f, float))
+    axes = []
     for a in range(grid.dim):
         s = m ** (grid.dim - 1 - a)
         pos = nodes // s % m
-        # no node on a face normal to axis a (the ball average's cells): no masks
         if pos.min(initial=1) > 0 and pos.max(initial=0) < m - 1:
-            out[a] = (f[nodes + s] - f[nodes - s]) / (2.0 * h)
+            axes.append((s, ((Ellipsis, nodes),)))
             continue
         first, last = pos == 0, pos == m - 1
-        inner = ~(first | last)
-        n = nodes[inner]
-        out[a][inner] = (f[n + s] - f[n - s]) / (2.0 * h)
-        n = nodes[first]
-        out[a][first] = (-1.5 / h) * f[n] + (2.0 / h) * f[n + s] + (-0.5 / h) * f[n + 2 * s]
-        n = nodes[last]
-        out[a][last] = (0.5 / h) * f[n - 2 * s] + (-2.0 / h) * f[n - s] + (1.5 / h) * f[n]
+        axes.append((s, tuple((where, nodes[where])
+                              for where in (~(first | last), first, last))))
+    return nodes.shape, tuple(axes)
+
+
+def gradient_at(grid: Grid, values: np.ndarray, rule: tuple) -> np.ndarray:
+    """np.gradient(values, grid.spacing, axis=a, edge_order=2) for every
+    axis a, at the nodes of rule (gradient_rule), bit for bit, with shape
+    (dim,) + nodes.shape: each value gathered from the node at its stride
+    and each formula written with numpy's operations in numpy's order.  The
+    one gradient of the sphere diagnostics."""
+    h = grid.spacing
+    flat = values.reshape(-1)
+    shape, axes = rule
+    out = np.empty((grid.dim,) + shape, dtype=np.result_type(flat, float))
+    for row, (s, formulas) in zip(out, axes):
+        (where, n), *faces = formulas
+        row[where] = (flat[n + s] - flat[n - s]) / (2.0 * h)
+        if faces:
+            (first, nf), (last, nl) = faces
+            row[first] = ((-1.5 / h) * flat[nf] + (2.0 / h) * flat[nf + s]
+                          + (-0.5 / h) * flat[nf + 2 * s])
+            row[last] = ((0.5 / h) * flat[nl - 2 * s] + (-2.0 / h) * flat[nl - s]
+                         + (1.5 / h) * flat[nl])
     return out
+
+
+@functools.lru_cache(maxsize=_SPHERE_PLANS)
+def _sphere_plan(grid: Grid, R: float, dirs: bytes) -> tuple:
+    """sphere_trace's rule at the points R * dirs (dirs the float64 bytes
+    of the (n, dim) directions), which reads no values: the corner nodes
+    and weights of the points' cells (_cell_corners) and the gradient rule
+    at those corners, read-only."""
+    points = R * np.frombuffer(dirs).reshape(-1, grid.dim)
+    nodes, weights = _cell_corners(grid, points)
+    return _read_only((nodes, weights, gradient_rule(grid, nodes)))
 
 
 def sphere_trace(grid: Grid, values: np.ndarray, dirs: np.ndarray):
     """The trace R -> (u, d_r u) of the grid values u at the points
     R * dirs: each call takes the corner nodes and weights of the points'
-    cells from the interpolant's rule, gathers u and its gradient_at there,
-    and sums the corners in the interpolant's order, so u and each gradient
-    component are what grid_interpolant gives on whole-grid arrays.  The
-    radiation and flux diagnostics read u through here."""
+    cells and the gradient rule there from the plan cached per (grid, R,
+    dirs), gathers u and its gradient_at the corners, and sums the corners
+    in the interpolant's order, so u and each gradient component are what
+    grid_interpolant gives on whole-grid arrays.  The radiation and flux
+    diagnostics read u through here."""
     flat = values.reshape(-1)
+    key = np.ascontiguousarray(dirs, dtype=float).tobytes()
 
     def trace(R: float):
-        nodes, weights = _cell_corners(grid, R * dirs)
+        nodes, weights, rule = _sphere_plan(grid, float(R), key)
         # u and its gradient components at the corners, one row each
         rows = np.concatenate([flat[nodes][np.newaxis],
-                               gradient_at(grid, values, nodes)])
+                               gradient_at(grid, values, rule)])
         out = 0.0
         for c, weight in enumerate(weights):
             out = out + rows[:, c] * weight

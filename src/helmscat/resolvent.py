@@ -87,9 +87,12 @@ None and one estimate per (alpha, config) serves every k.
 The radiation residuals take the gradient of u only where they read it,
 through fields.gradient_at: the ball average at the cells it sums, the
 sphere residual at the cell corners of its points, through
-fields.sphere_trace; far_field interpolates u alone, through one
-fields.grid_interpolant, on the sphere of its one radius, and returns only
-the amplitudes.  The radial
+fields.sphere_trace.  All they read but u depends on the grid and the
+radii alone, so it is built once per (grid, radii) and kept read-only in
+small LRUs, the ball in _radiation_ball and each sphere in
+fields._sphere_plan; a call only gathers u and combines the values.
+far_field interpolates u alone, through one fields.grid_interpolant, on
+the sphere of its one radius, and returns only the amplitudes.  The radial
 integrals, the ball integral of the kernel (singular cell and the kappa
 tail bound's near mass) and the tail bound's annulus term, are
 Gauss-Legendre panel sums (fields.gl_panels).
@@ -137,6 +140,10 @@ _BALL_PANELS = 21
 _ANNULUS_PANELS = 4
 # kappa estimates kept by the LRU of _kappa; each holds no array
 _KAPPAS = 8
+# radiation balls kept by the LRU of _radiation_ball, one per (grid,
+# radii); each holds 8 (dim + 1) bytes plus one per radius for each summed
+# cell, at most about 86 MB on a grid at the point cap
+_BALL_PLANS = 2
 
 
 def next_fast_len(n: int) -> int:
@@ -493,14 +500,46 @@ def default_radii(half_width: float) -> tuple[float, float, float]:
 
 
 def checked_radii(radii, half_width: float) -> tuple[float, ...]:
-    """radii as floats; ValueError unless they are nonempty, positive,
-    increasing and at most the grid half-width, as radiation_report needs."""
+    """radii as floats; ValueError unless they are nonempty, finite,
+    positive, increasing and at most the grid half-width, as
+    radiation_report needs."""
     radii = tuple(float(R) for R in radii)
+    for R in radii:
+        if not math.isfinite(R):
+            raise ValueError(f"radius {R} is not finite")
     if not radii or any(R <= 0 for R in radii) or sorted(radii) != list(radii):
         raise ValueError("radii must be nonempty, positive and increasing")
     if radii[-1] > half_width:
         raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {half_width}")
     return radii
+
+
+def _check_k(k: float):
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError("k must be finite and > 0")
+
+
+@functools.lru_cache(maxsize=_BALL_PLANS)
+def _radiation_ball(grid: Grid, radii: tuple[float, ...]) -> tuple:
+    """radiation_report's ball, read-only: the flat indices of the cells
+    off the boundary layer with radii[0]/2 < |x| <= max(radii), in the
+    grid's order, x/|x| there (one row per axis; |x| > 0 on each, so no
+    guard), one mask per radius of the cells with |x| <= R, and the
+    gradient rule at the cells.  The cells lie in the box of the interior
+    nodes with sqrt(x_a^2) <= max(radii) on every axis, as the rounded |x|
+    is at least that."""
+    ax = grid.axis()
+    near = 1 + np.flatnonzero(np.sqrt(ax[1:-1] * ax[1:-1]) <= radii[-1])
+    box = ((near[0], near[-1]) if near.size else (1, 0),) * grid.dim
+    r = grid.radius(box)
+    inside = np.nonzero((r > 0.5 * radii[0]) & (r <= radii[-1]))
+    rc = r[inside]
+    index = tuple(i + lo for i, (lo, _) in zip(inside, box))
+    cells = np.ravel_multi_index(index, grid.shape)
+    unit = np.array([ax[i] / rc for i in index])
+    masks = np.array([rc <= R for R in radii])
+    return _fields._read_only((cells, unit, masks,
+                               _fields.gradient_rule(grid, cells)))
 
 
 def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
@@ -513,31 +552,23 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
                   R^((dim-1)/2) |du/dr - i k u| at |x| = R.
 
     The inner exclusion radius, half the smallest radius, keeps point-source
-    test fields integrable.  Radii must stay inside the grid.
+    test fields integrable.  Radii must stay inside the grid, and k must be
+    finite and positive.
     """
+    _check_k(k)
     g = u.grid
     radii = checked_radii(radii, g.half_width)
-    r_in = 0.5 * radii[0]
+    flat = u.values.reshape(-1)
 
-    # the summed cells, off the boundary layer with r_in < |x| <= max(radii),
-    # in the grid's order; |x| > r_in > 0 on each, so x/|x| needs no guard.
-    # They lie in the box of the interior nodes with sqrt(x_a^2) <= max(radii)
-    # on every axis, as the rounded |x| is at least that.
-    ax = g.axis()
-    near = 1 + np.flatnonzero(np.sqrt(ax[1:-1] * ax[1:-1]) <= radii[-1])
-    box = ((near[0], near[-1]) if near.size else (1, 0),) * g.dim
-    r = g.radius(box)
-    inside = np.nonzero((r > r_in) & (r <= radii[-1]))
-    rc = r[inside]
-    index = tuple(i + lo for i, (lo, _) in zip(inside, box))
-    cells = np.ravel_multi_index(index, g.shape)
+    cells, unit, masks, rule = _radiation_ball(g, radii)
     # grad u at the cells: centred differences, every cell being interior
-    grads = _fields.gradient_at(g, u.values, cells)
-    iku = 1j * k * u.values.reshape(-1)[cells]
-    sq = np.zeros(rc.shape)
-    for a, gc in enumerate(grads):
-        sq += np.abs(gc - iku * (ax[index[a]] / rc)) ** 2
-    averaged = [float(np.sum(sq[rc <= R]) * g.cell_volume / R) for R in radii]
+    grads = _fields.gradient_at(g, u.values, rule)
+    iku = 1j * k * flat[cells]
+    sq = np.zeros(cells.shape)
+    for gc, x in zip(grads, unit):
+        sq += np.abs(gc - iku * x) ** 2
+    averaged = [float(np.sum(sq[mask]) * g.cell_volume / R)
+                for R, mask in zip(radii, masks)]
 
     dirs, _ = _fields.sphere_quadrature(g.dim)
     trace = _fields.sphere_trace(g, u.values, dirs)
@@ -550,12 +581,14 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     mono = all(b <= a * (1 + 1e-12) for a, b in zip(averaged, averaged[1:]))
     return RadiationReport(radii=radii, averaged_residual=tuple(averaged),
                            pointwise_residual=tuple(pointwise),
-                           inner_radius=r_in, monotone_decreasing=mono)
+                           inner_radius=0.5 * radii[0], monotone_decreasing=mono)
 
 
 def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarField:
     """Far-field amplitude g(theta) = R^((dim-1)/2) exp(-i k R) u_sc(R theta)
-    read off at |x| = R, which must not exceed the grid half-width."""
+    read off at |x| = R, which must not exceed the grid half-width; k must
+    be finite and positive."""
+    _check_k(k)
     g = u_sc.grid
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != g.dim:

@@ -42,7 +42,9 @@ whole transform.
 Flux identity.  Pairing the equation with the conjugate solution over a
 ball shows Im over the boundary sphere of conj(u) d_r u vanishes for any
 solution with a real coefficient.  The flux is computed from centered
-gradients and sphere quadrature; the point-source field e^{ikr}/(4 pi r)
+gradients and sphere quadrature, reading u on each sphere through
+fields.sphere_trace, whose corners, weights and gradient rule are built
+once per (grid, radius, directions); the point-source field e^{ikr}/(4 pi r)
 gives the positive control flux k/(4 pi) at every radius.
 
 Defocusing chain.  For f = Q |u|^(p-2) u with Q <= 0, compactly supported
@@ -298,10 +300,16 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
 
     Vanishes (up to quadrature error) for solutions with real coefficient;
     the context records the grid spacing, shell magnitudes, and whether each
-    radius encloses the coefficient support.
+    radius encloses the coefficient support.  k must be finite and positive,
+    and the radii finite, in any order.
     """
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError("k must be finite and > 0")
     g = u.grid
     radii = tuple(float(r) for r in np.atleast_1d(radii))
+    for r in radii:
+        if not math.isfinite(r):
+            raise ValueError(f"radius {r} is not finite")
     if not radii or any(r <= 0.0 or r > g.half_width for r in radii):
         raise ValueError("radii must be nonempty and lie in (0, half_width]")
     h = g.spacing

@@ -20,6 +20,7 @@ from oracles import (
     split_interpolant,
     split_sphere_trace,
     whole_grid_nonlinearity,
+    whole_grid_radiation_averages,
     whole_grid_support_diameter,
     whole_grid_weighted_norm,
 )
@@ -226,7 +227,8 @@ class TestSphereQuadrature:
             uv, du_dr = trace(R)
             np.testing.assert_allclose(uv, R * dirs @ a + (0.4 - 0.9j), atol=1e-13)
             np.testing.assert_allclose(du_dr, dirs @ a, atol=1e-13)
-        grads = fields.gradient_at(g, u, np.arange(u.size).reshape(g.shape))
+        every = np.arange(u.size).reshape(g.shape)
+        grads = fields.gradient_at(g, u, fields.gradient_rule(g, every))
         for gc, ai in zip(grads, a, strict=True):
             np.testing.assert_allclose(gc, ai, atol=1e-13)
 
@@ -250,13 +252,21 @@ def assert_matches_oracle(got, ref, dim, scale=None):
         assert np.all(np.abs(got - ref) <= bound)
 
 
+def clear_plans():
+    """Empty the diagnostics' geometry caches: the next call is cold."""
+    fields._sphere_plan.cache_clear()
+    resolvent._radiation_ball.cache_clear()
+
+
 class TestSphereTrace:
     POINTS = {2: 33, 3: 17}
     RADII = (0.5, 1.0, 1.5)
     K = 1.3
 
-    def field(self, dim):
-        g = small_grid(dim=dim, m=self.POINTS[dim])
+    def field(self, dim, pad=0):
+        # on a padded config's eval grid for pad > 0, as the CLI diagnoses
+        g = resolvent.ResolventConfig.padded(
+            small_grid(dim=dim, m=self.POINTS[dim]), pad).eval_grid
         return ComplexField(g, wave_field(g, self.K))
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -270,25 +280,41 @@ class TestSphereTrace:
             for got, ref in zip(trace(R), ref_trace(R), strict=True):
                 assert_matches_oracle(got, ref, dim)
 
-    def assert_diagnostics_match_split_oracle(self, dim, radii, monkeypatch):
-        u = self.field(dim)
+    def assert_diagnostics_match_split_oracle(self, u, radii, monkeypatch):
+        dim = u.grid.dim
         dirs, _ = fields.sphere_quadrature(dim)
 
-        def diagnostics():
-            return (resolvent.radiation_report(u, self.K, radii),
-                    verify.energy_identity(u, self.K, radii=radii),
-                    resolvent.far_field(u, self.K, dirs, radii[-1]))
+        def diagnostics(v):
+            return (resolvent.radiation_report(v, self.K, radii),
+                    verify.energy_identity(v, self.K, radii=radii),
+                    resolvent.far_field(v, self.K, dirs, radii[-1]))
 
-        rad, flux, ff = diagnostics()
+        # cold, then warm after a second field on the same grid and radii:
+        # the plans hold no values, and a warm call is the cold one bit for
+        # bit
+        clear_plans()
+        cold = diagnostics(u)
+        diagnostics(ComplexField(u.grid, wave_field(u.grid, 2.1)))
+        plans = fields._sphere_plan.cache_info(), resolvent._radiation_ball.cache_info()
+        rad, flux, ff = diagnostics(u)
+        assert fields._sphere_plan.cache_info().misses == plans[0].misses
+        assert resolvent._radiation_ball.cache_info().misses == plans[1].misses
+        assert (rad, flux) == cold[:2]
+        assert ff.amplitude.tobytes() == cold[2].amplitude.tobytes()
+
         with monkeypatch.context() as patch:
             patch.setattr(fields, "sphere_trace", split_sphere_trace)
             patch.setattr(verify, "sphere_trace", split_sphere_trace)
             patch.setattr(fields, "grid_interpolant", split_interpolant)
-            ref_rad, ref_flux, ref_ff = diagnostics()
+            fields._sphere_plan.cache_clear()
+            ref_rad, ref_flux, ref_ff = diagnostics(u)
+            # the oracle's spheres read no plan
+            assert fields._sphere_plan.cache_info().currsize == 0
 
         # the ball average does not read the trace; its oracle is
-        # whole_grid_radiation_averages (tests/test_resolvent.py)
-        assert rad.averaged_residual == ref_rad.averaged_residual
+        # whole_grid_radiation_averages
+        assert list(rad.averaged_residual) == whole_grid_radiation_averages(
+            u, self.K, radii)
         assert_matches_oracle(rad.pointwise_residual, ref_rad.pointwise_residual, dim)
         # the flux is a cancelling sum: compare it on the scale of its terms,
         # area * max|u| * max|d_r u| per shell
@@ -302,20 +328,30 @@ class TestSphereTrace:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_diagnostics_match_split_oracle(self, dim, monkeypatch):
-        self.assert_diagnostics_match_split_oracle(dim, self.RADII, monkeypatch)
+        self.assert_diagnostics_match_split_oracle(self.field(dim), self.RADII,
+                                                   monkeypatch)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_diagnostics_match_split_oracle_at_the_half_width(self, dim, monkeypatch):
         # the sphere of radius L meets the grid's faces, where the gradient
         # at the cell corners takes numpy's one-sided formulas
-        radii = self.RADII[:2] + (2.0,)
-        assert radii[-1] == self.field(dim).grid.half_width
-        self.assert_diagnostics_match_split_oracle(dim, radii, monkeypatch)
+        u = self.field(dim)
+        radii = self.RADII[:2] + (u.grid.half_width,)
+        self.assert_diagnostics_match_split_oracle(u, radii, monkeypatch)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_diagnostics_match_split_oracle_on_a_padded_grid(self, dim, monkeypatch):
+        # the eval grid of a config with pad_cells = 2, as the CLI diagnoses
+        # it, at radii inside the source grid and at the eval half-width
+        u = self.field(dim, pad=2)
+        for radii in (self.RADII, self.RADII[:2] + (u.grid.half_width,)):
+            self.assert_diagnostics_match_split_oracle(u, radii, monkeypatch)
 
     def test_diagnostics_allocate_no_whole_grid_array(self):
         # a 41^3 grid read on small spheres: a whole-grid stack of u and its
         # three gradient components would take 4 arrays of this size, and
-        # one np.gradient component 1; the gathers stay a small fraction
+        # one np.gradient component 1; the gathers stay a small fraction,
+        # with the geometry built (cold) and taken from its caches (warm)
         g = Grid(dim=3, half_width=4.0, points_per_axis=41)
         u = ComplexField(g, wave_field(g, self.K))
         Q = ComplexField(g, -0.3 * (g.radius() < 0.5) + 0j)
@@ -325,13 +361,16 @@ class TestSphereTrace:
                     lambda: verify.energy_identity(u, self.K, Q=Q, radii=radii),
                     lambda: resolvent.far_field(u, self.K, dirs, radii[-1])):
             run()
-            tracemalloc.start()
-            try:
-                run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak < u.values.nbytes
+            for cold in (True, False):
+                if cold:
+                    clear_plans()
+                tracemalloc.start()
+                try:
+                    run()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < u.values.nbytes
 
 
 class TestGradientAt:
@@ -350,7 +389,7 @@ class TestGradientAt:
         every = np.arange(u.size).reshape(g.shape)
         inside = every[(slice(1, -1),) * dim]
         for nodes in (every, rng.permutation(u.size), inside):
-            got = fields.gradient_at(g, u, nodes)
+            got = fields.gradient_at(g, u, fields.gradient_rule(g, nodes))
             ref = want.reshape(dim, -1)[:, nodes]
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
@@ -360,7 +399,7 @@ class TestGradientAt:
         with pytest.raises(ValueError):
             np.gradient(u, g.spacing, edge_order=2)
         with pytest.raises(ValueError, match="3 points"):
-            fields.gradient_at(g, u, np.arange(u.size))
+            fields.gradient_rule(g, np.arange(u.size))
 
 
 class TestGridInterpolant:

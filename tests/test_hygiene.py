@@ -10,7 +10,7 @@ names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is read, the third-party modules the
 package imports are exactly its declared dependencies, every name the
 benchmark's tracer wraps exists where it wraps it, and every cache has a
-finite size."""
+finite size and hands out only read-only arrays."""
 
 import ast
 import dataclasses
@@ -377,10 +377,10 @@ def test_every_tracer_target_resolves():
             if not hasattr(importlib.import_module(module), name)] == []
 
 
-def unbounded_caches(source: str) -> list[str]:
-    """'name (line N)' for each function cached by functools.cache, or by an
-    lru_cache whose maxsize is not a positive integer literal or a
-    module-level name bound to one."""
+def cached_functions(source: str) -> list[tuple[str, int, object]]:
+    """(name, line, maxsize) for each function cached by functools.cache
+    or lru_cache; maxsize is the literal or the module-level constant it
+    names, None where there is neither."""
     tree = ast.parse(source)
     sizes = {t.id: n.value.value for n in tree.body
              if isinstance(n, ast.Assign) and isinstance(n.value, ast.Constant)
@@ -404,9 +404,16 @@ def unbounded_caches(source: str) -> list[str]:
                 size = sizes.get(size.id)
             elif isinstance(size, ast.Constant):
                 size = size.value
-            if not (type(size) is int and size > 0):
-                found.append(f"{fn.name} (line {fn.lineno})")
-    return sorted(found)
+            found.append((fn.name, fn.lineno, size))
+    return found
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """'name (line N)' for each function cached by functools.cache, or by an
+    lru_cache whose maxsize is not a positive integer literal or a
+    module-level name bound to one."""
+    return sorted(f"{name} (line {line})" for name, line, size in cached_functions(source)
+                  if not (type(size) is int and size > 0))
 
 
 def test_every_cache_is_bounded():
@@ -428,3 +435,63 @@ def test_unbounded_cache_is_reported():
            "@lru_cache(8)\ndef g(x):\n    return x\n")
     assert unbounded_caches(src) == ["a (line 6)", "b (line 9)", "c (line 12)",
                                      "d (line 15)", "e (line 18)"]
+
+
+def cache_samples() -> dict:
+    """One call per cached function of the package, keyed 'module.name'."""
+    from helmscat import fields, resolvent, specfun, verify
+    g3 = fields.Grid(dim=3, half_width=2.0, points_per_axis=9)
+    g2 = fields.Grid(dim=2, half_width=2.0, points_per_axis=17)
+    cfg = resolvent.ResolventConfig.padded(g3, 1)
+    dirs, _ = fields.sphere_quadrature(2)
+    return {
+        "cli._parser": cli._parser,
+        "fields._octahedral_rule": fields._octahedral_rule,
+        # radius at the half-width: the gradient rule's one-sided formulas
+        "fields._sphere_plan": lambda: fields._sphere_plan(
+            g2, 2.0, dirs.tobytes()),
+        "resolvent._window_spectra": lambda: resolvent._window_spectra(
+            cfg, 1.3, "outgoing", ((2, 5), (3, 3), (1, 7))),
+        "resolvent._kappa": lambda: resolvent._kappa(2.5, cfg, None),
+        "resolvent._radiation_ball": lambda: resolvent._radiation_ball(
+            g3, (0.5, 1.0, 1.5)),
+        "specfun._zero_table": lambda: specfun._zero_table("J", 0.5, 3),
+        "verify._unit_check": lambda: verify._unit_check(3, 1.0),
+    }
+
+
+def arrays_in(value):
+    """Every numpy array reachable from value through tuples, lists, dict
+    values and dataclass fields."""
+    import numpy as np
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for part in value:
+            yield from arrays_in(part)
+    elif isinstance(value, dict):
+        for part in value.values():
+            yield from arrays_in(part)
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        for f in dataclasses.fields(value):
+            yield from arrays_in(getattr(value, f.name))
+
+
+def test_every_cache_returns_read_only_arrays():
+    # a cache hands the same result to every caller, so no caller may write
+    # to it; a cache without a sample call here fails the first assert
+    names = sorted(f"{path.stem}.{name}" for path in SOURCES
+                   for name, _, _ in cached_functions(path.read_text()))
+    samples = cache_samples()
+    assert names == sorted(samples)
+    for name, call in samples.items():
+        writable = [a.shape for a in arrays_in(call()) if a.flags.writeable]
+        assert writable == [], name
+
+
+def test_writable_cached_array_is_reported():
+    import numpy as np
+    frozen = np.zeros(2)
+    frozen.flags.writeable = False
+    nested = ({"a": [frozen, SolverConfig()]}, (np.ones(3),))
+    assert [a.shape for a in arrays_in(nested) if a.flags.writeable] == [(3,)]

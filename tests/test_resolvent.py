@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -601,19 +602,40 @@ class TestRadiation:
         with pytest.raises(ValueError, match="nonempty"):
             rv.radiation_report(u, 1.0, ())
 
+    @pytest.mark.parametrize("radii", [(0.5, math.nan), (math.nan,),
+                                       (0.5, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_radius_is_named(self, radii):
+        # NaN compares false with every bound, so it once passed the check
+        bad = next(R for R in radii if not math.isfinite(R))
+        with pytest.raises(ValueError, match=f"radius {bad} is not finite"):
+            rv.checked_radii(radii, 2.0)
+        u = ComplexField.zeros(Grid(dim=3, half_width=2.0, points_per_axis=9))
+        with pytest.raises(ValueError, match="not finite"):
+            rv.radiation_report(u, 1.0, radii)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_k_not_finite_and_positive(self, k):
+        u = ComplexField.zeros(Grid(dim=3, half_width=2.0, points_per_axis=9))
+        with pytest.raises(ValueError, match="k must be finite and > 0"):
+            rv.radiation_report(u, k, (0.5, 1.0))
+
     @pytest.mark.parametrize("dim,m", [(3, 32), (3, 33), (3, 48), (2, 32), (2, 33)])
     def test_averages_match_whole_grid_oracle(self, dim, m):
         # the gathered cells sum, bit for bit, what one whole-grid mask per
         # radius sums; odd m puts a node at the origin, and the last radius
-        # is the half-width itself
+        # is the half-width itself.  The ball is built once per radii, and
+        # the second field reads it warm
         L, k = 2.0, 1.3
         g = Grid(dim=dim, half_width=L, points_per_axis=m)
         rng = np.random.default_rng(3)
-        u = ComplexField(g, rng.standard_normal(g.shape)
-                         + 1j * rng.standard_normal(g.shape))
+        rv._radiation_ball.cache_clear()
         for radii in ((L / 4, L / 2, 3 * L / 4), (0.3, 1.1, L)):
-            got = rv.radiation_report(u, k, radii).averaged_residual
-            assert list(got) == whole_grid_radiation_averages(u, k, radii)
+            for _ in range(2):
+                u = ComplexField(g, rng.standard_normal(g.shape)
+                                 + 1j * rng.standard_normal(g.shape))
+                got = rv.radiation_report(u, k, radii).averaged_residual
+                assert list(got) == whole_grid_radiation_averages(u, k, radii)
+        assert rv._radiation_ball.cache_info().misses == 2
 
 
 class TestFarField:
@@ -658,3 +680,9 @@ class TestFarField:
                 rv.far_field(u, 1.0, np.eye(3), radius=radius)
         with pytest.raises(ValueError, match="unit"):
             rv.far_field(u, 1.0, 2.0 * np.eye(3), radius=1.0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_k_not_finite_and_positive(self, k):
+        u = ComplexField.zeros(Grid(dim=3, half_width=2.0, points_per_axis=9))
+        with pytest.raises(ValueError, match="k must be finite and > 0"):
+            rv.far_field(u, k, np.eye(3), radius=1.0)

@@ -376,6 +376,20 @@ class TestEnergyIdentity:
             energy_identity(ComplexField.zeros(g), K_REF, radii=(0.0,))
         with pytest.raises(ValueError, match="nonempty"):
             energy_identity(ComplexField.zeros(g), K_REF, radii=())
+        # in any order, but finite, each non-finite radius named
+        res = energy_identity(ComplexField.zeros(g), K_REF, radii=(1.5, 0.5))
+        assert res.radii == (1.5, 0.5)
+        for radii in ((0.5, math.nan), (math.inf,)):
+            bad = next(r for r in radii if not math.isfinite(r))
+            with pytest.raises(ValueError, match=f"radius {bad} is not finite"):
+                energy_identity(ComplexField.zeros(g), K_REF, radii=radii)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_rejects_k_not_finite_and_positive(self, k):
+        # at k = -1 quad_tol was negative, so within() could never hold
+        g = Grid(dim=3, half_width=2.0, points_per_axis=12)
+        with pytest.raises(ValueError, match="k must be finite and > 0"):
+            energy_identity(ComplexField.zeros(g), k, radii=(1.0,))
 
 
 class TestDefocusing:
