@@ -9,13 +9,12 @@ Every invocation executes one action and writes its artifacts plus a
     farfield   field.cfld, radiation.csv, farfield.csv
     verify     verify_<mode>.json   (modes sturm, fourier, energy, defocusing)
     constants  constants_zN.json    (also printed to stdout)
-    animate    frame_NNNN.csv per time, frames.json index
 
 Configs are JSON with a ``problem`` block {dim, k, L, M, alpha, nonlinearity,
 incident} and optional per-action blocks (``solver``, ``continuation``,
-``verify``, ``farfield``, ``animate``).  The table ``_CONFIG`` below admits
-exactly the keys that each block and each variant of a tagged block reads;
-it rejects any other config before any numerics run.  Floats in JSON and CSV
+``verify``, ``farfield``).  The table ``_CONFIG`` below admits exactly the
+keys that each block and each variant of a tagged block reads; it rejects
+any other config before any numerics run.  Floats in JSON and CSV
 reports are rounded to 12 significant digits so identical config + seed
 reproduces byte-identical reports; field binaries and the manifest (which
 records wall time) are exempt.
@@ -62,7 +61,6 @@ from .fields import (
     Grid,
     IncidentWave,
     NonlinearitySpec,
-    load_field,
     make_incident,
     save_field,
     sphere_quadrature,
@@ -175,10 +173,6 @@ _CONFIG = _Block({
     }),
     "farfield": _Block({"radii": _list_of(_number(0)),
                         "directions": _integer(6)}),
-    "animate": _Block({
-        "field": _Leaf("a string", lambda v: isinstance(v, str)),
-        "times": _list_of(_number()),
-    }, required=("field", "times")),
 })
 
 
@@ -598,47 +592,6 @@ def _run_constants(cfg: dict | None, args, out: str):
     return "ok", ["constants_zN.json"], {}
 
 
-def reconstruct_time_field(field_path: str, times, out_dir: str) -> list[str]:
-    """Time frames of the standing solution: psi(t, x) = e^{-ikt} u(x), k
-    the wavenumber the field file records, written as one CSV slice per time
-    (exact phase factor, no interpolation in t): coordinates, re, im, abs on
-    the mid-plane normal to the last axis in 3D, on the whole field in 2D.
-    A file that records no k (k = 0; the CLI never writes one) is
-    rejected."""
-    fld, k = load_field(field_path)
-    if k <= 0.0:
-        raise ValueError("field file carries no wavenumber")
-    g = fld.grid
-    ax = g.axis()
-    names = []
-    for i, t in enumerate(times):
-        # reduce the phase so whole periods reproduce the t = 0 frame exactly
-        theta = math.fmod(k * float(t), 2.0 * math.pi)
-        psi = (fld * complex(np.exp(-1j * theta))).values
-        plane = psi if g.dim == 2 else psi[:, :, g.points_per_axis // 2]
-        name = f"frame_{i:04d}.csv"
-        _write_csv(os.path.join(out_dir, name), ("x1", "x2", "re", "im", "abs"),
-                   [(float(ax[a]), float(ax[b]), z.real, z.imag, abs(z))
-                    for (a, b), z in np.ndenumerate(plane)])
-        names.append(name)
-    return names
-
-
-def _run_animate(cfg: dict, args, out: str):
-    if "animate" not in cfg:
-        raise ConfigError("config needs an 'animate' block")
-    ac = cfg["animate"]
-    try:
-        names = reconstruct_time_field(ac["field"], ac["times"], out)
-    except (OSError, ValueError) as e:
-        raise ConfigError(str(e)) from e
-    _write_json(os.path.join(out, "frames.json"), {
-        "source_field": ac["field"], "times": list(ac["times"]),
-        "files": names,
-    })
-    return "ok", names + ["frames.json"], {}
-
-
 # -- entry point --------------------------------------------------------------
 
 # action -> (runner, its own arguments); every action also takes --config
@@ -653,7 +606,6 @@ _ACTIONS = {
     "verify": (_run_verify, {"mode": {"choices": tuple(_VERIFY_MODES)}}),
     "constants": (_run_constants, {"what": {"choices": ("zN",)},
                                    "--dim": {"type": int, "default": 3}}),
-    "animate": (_run_animate, {}),
 }
 
 

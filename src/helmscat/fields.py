@@ -417,6 +417,12 @@ def gl_panels(fn, a, b) -> np.ndarray:
 
 # -- incident waves -----------------------------------------------------------
 
+def _check_k(k: float):
+    """The wavenumber rule: k finite and > 0."""
+    if not (math.isfinite(k) and k > 0.0):
+        raise ValueError("k must be finite and > 0")
+
+
 @dataclass
 class IncidentWave:
     """Plane incident wave exp(i k d.x) with unit direction d."""
@@ -430,8 +436,7 @@ class IncidentWave:
         norm = float(np.linalg.norm(d))
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-8:
             raise ValueError(f"direction must be unit length, |d| = {norm}")
-        if not (0.0 < k < math.inf):
-            raise ValueError(f"k must be finite and > 0, got {k}")
+        _check_k(k)
         return cls(k=float(k), direction=d / norm)
 
 

@@ -514,11 +514,6 @@ def checked_radii(radii, half_width: float) -> tuple[float, ...]:
     return radii
 
 
-def _check_k(k: float):
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError("k must be finite and > 0")
-
-
 @functools.lru_cache(maxsize=_BALL_PLANS)
 def _radiation_ball(grid: Grid, radii: tuple[float, ...]) -> tuple:
     """radiation_report's ball, read-only: the flat indices of the cells
@@ -555,7 +550,7 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
     test fields integrable.  Radii must stay inside the grid, and k must be
     finite and positive.
     """
-    _check_k(k)
+    _fields._check_k(k)
     g = u.grid
     radii = checked_radii(radii, g.half_width)
     flat = u.values.reshape(-1)
@@ -588,7 +583,7 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
     """Far-field amplitude g(theta) = R^((dim-1)/2) exp(-i k R) u_sc(R theta)
     read off at |x| = R, which must not exceed the grid half-width; k must
     be finite and positive."""
-    _check_k(k)
+    _fields._check_k(k)
     g = u_sc.grid
     dirs = np.asarray(directions, dtype=float)
     if dirs.ndim != 2 or dirs.shape[1] != g.dim:

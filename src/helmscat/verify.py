@@ -77,6 +77,7 @@ from .fields import (
     BoundCheck,
     ComplexField,
     _alignment_offset,
+    _check_k,
     box_diameter,
     box_slices,
     critical_exponent,
@@ -196,10 +197,7 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
 
     sums = np.sum(gl_panels(integrand, edges[:-1], edges[1:]), axis=1)
     sums[bessel] *= xs[bessel] ** -nu
-    # imported here: scipy.special costs a fresh process about 0.3 s
-    from scipy.special import gamma
-
-    sums[~bessel] *= 2.0 ** (-nu) / gamma(nu + 1.0)
+    sums[~bessel] *= 2.0 ** (-nu) / math.gamma(nu + 1.0)
     return sums
 
 
@@ -253,8 +251,7 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
     """
     if dim < 3:
         raise ValueError("positivity check defined for dim >= 3")
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError("k must be finite and > 0")
+    _check_k(k)
     if delta is None:
         # the key is z itself: k * (z / k) may differ from z in the last bit
         radius = truncation_threshold(dim)
@@ -303,8 +300,7 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
     radius encloses the coefficient support.  k must be finite and positive,
     and the radii finite, in any order.
     """
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError("k must be finite and > 0")
+    _check_k(k)
     g = u.grid
     radii = tuple(float(r) for r in np.atleast_1d(radii))
     for r in radii:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helmscat import cli, solver
-from helmscat.cli import _parser, main, reconstruct_time_field
+from helmscat.cli import _parser, main
 from helmscat.fields import (
     BoundCheck,
     ComplexField,
@@ -18,7 +18,6 @@ from helmscat.fields import (
     IncidentWave,
     load_field,
     make_incident,
-    save_field,
 )
 from helmscat.resolvent import ResolventConfig, apply_resolvent, estimate_kappa
 
@@ -128,19 +127,13 @@ class TestSolve:
     @pytest.mark.parametrize("action", [
         ["solve", "--seed", "5"], ["continue"], ["kappa"], ["farfield"],
         ["verify", "sturm"], ["verify", "fourier"], ["verify", "energy"],
-        ["verify", "defocusing"], ["constants", "zN"], ["animate"],
+        ["verify", "defocusing"], ["constants", "zN"],
     ], ids=action_id)
     def test_determinism(self, tmp_path, action):
         # same config and seed: same exit code and byte-identical outputs;
         # only the manifest (which records wall time) may differ
         cfg = certified_config()
         cfg["continuation"] = {"lambda_max": 1.0}
-        if action == ["animate"]:
-            solved = tmp_path / "solved"
-            assert main(["solve", "--config", write_config(tmp_path, cfg),
-                         "--out", str(solved)]) == 0
-            cfg = {"animate": {"field": str(solved / "field.cfld"),
-                               "times": [0.0, 0.5]}}
         cp = write_config(tmp_path, cfg)
         runs = []
         for tag in ("a", "b"):
@@ -407,26 +400,22 @@ class TestConfigErrors:
         assert man["error"] == ("config schema violation at solver/max_iters: "
                                 "must be an integer >= 1, got 200.0")
 
-    @pytest.mark.parametrize("action,mangle", [
+    @pytest.mark.parametrize("action,mangle,path", [
         (["solve"], lambda c: c["problem"]["nonlinearity"].update(
-            tags=["defocusing"])),
-        (["solve"], lambda c: c["solver"].update(adapt_damping=False)),
-        (["animate"], lambda c: c.update(
-            animate={"field": "field.cfld", "times": [0.0], "k": 1.0})),
+            tags=["defocusing"]), "problem/nonlinearity/tags"),
+        (["solve"], lambda c: c["solver"].update(adapt_damping=False),
+         "solver/adapt_damping"),
+        (["solve"], lambda c: c.update(
+            animate={"field": "field.cfld", "times": [0.0]}), "animate"),
         (["farfield"], lambda c: c.update(
-            farfield={"extraction_radius": 5.0})),
-    ], ids=["nonlinearity.tags", "solver.adapt_damping", "animate.k",
+            farfield={"extraction_radius": 5.0}), "farfield/extraction_radius"),
+    ], ids=["nonlinearity.tags", "solver.adapt_damping", "animate",
             "farfield.extraction_radius"])
-    def test_removed_keys_are_schema_violations(self, tmp_path, action, mangle):
+    def test_removed_keys_are_schema_violations(self, tmp_path, action, mangle,
+                                                path):
         cfg = base_config()
         mangle(cfg)
-        cp = write_config(tmp_path, cfg)
-        out = tmp_path / "run"
-        assert main([*action, "--config", cp, "--out", str(out)]) == 2
-        man = json.loads((out / "manifest.json").read_text())
-        assert man["status"] == "config_error"
-        assert "schema violation" in man["error"]
-        assert os.listdir(out) == ["manifest.json"]
+        assert_rejected_at(tmp_path, action, cfg, path)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
     @pytest.mark.parametrize("action,block,key", [
@@ -517,9 +506,7 @@ class TestConfigTable:
             "kind": "affine", "a": BUMP}), "problem/nonlinearity/b"),
         (["continue"], lambda c: c.update(continuation={"max_step": 0.5}),
          "continuation/lambda_max"),
-        (["animate"], lambda c: c.update(animate={"field": "field.cfld"}),
-         "animate/times"),
-    ], ids=["power.p", "affine.b", "continuation.lambda_max", "animate.times"])
+    ], ids=["power.p", "affine.b", "continuation.lambda_max"])
     def test_required_keys(self, tmp_path, action, mangle, path):
         cfg = base_config()
         mangle(cfg)
@@ -886,82 +873,6 @@ class TestConstants:
         assert os.listdir(out) == ["manifest.json"]
 
 
-class TestAnimate:
-    @pytest.fixture()
-    def solved_field(self, tmp_path):
-        cp = write_config(tmp_path, base_config())
-        out = tmp_path / "solve"
-        assert main(["solve", "--config", cp, "--out", str(out)]) == 0
-        return out / "field.cfld"
-
-    def test_frames_and_periodicity(self, tmp_path, solved_field):
-        acfg = {"animate": {"field": str(solved_field),
-                            "times": [0.0, 2.0 * math.pi]}}
-        cp = write_config(tmp_path, acfg, "anim.json")
-        out = tmp_path / "anim"
-        assert main(["animate", "--config", cp, "--out", str(out)]) == 0
-        idx = json.loads((out / "frames.json").read_text())
-        assert idx["files"] == ["frame_0000.csv", "frame_0001.csv"]
-        assert ((out / "frame_0000.csv").read_bytes()
-                == (out / "frame_0001.csv").read_bytes())
-
-    def test_quarter_period_gives_imaginary_part(self, tmp_path, solved_field):
-        out = tmp_path / "anim"
-        out.mkdir()
-        names = reconstruct_time_field(str(solved_field),
-                                       [0.0, math.pi / 2.0], str(out))
-        _, rows0 = read_csv(out / names[0])
-        _, rows1 = read_csv(out / names[1])
-        re0 = np.array([float(r[2]) for r in rows0])
-        im0 = np.array([float(r[3]) for r in rows0])
-        re1 = np.array([float(r[2]) for r in rows1])
-        np.testing.assert_allclose(re1, im0, atol=1e-12 * max(1.0, np.max(np.abs(re0))))
-
-    @pytest.mark.parametrize("dim,m", [(3, 5), (2, 6)])
-    def test_frame_layout(self, tmp_path, dim, m):
-        # 3D frames hold the mid-plane normal to the last axis, 2D frames the
-        # whole field, one row per node with coordinates, re, im and abs
-        g = Grid(dim=dim, half_width=1.0, points_per_axis=m)
-        path = tmp_path / "const.cfld"
-        save_field(path, ComplexField(g, np.full(g.shape, 1 + 2j)), k=1.0)
-        acfg = {"animate": {"field": str(path), "times": [0.0]}}
-        cp = write_config(tmp_path, acfg, "anim.json")
-        out = tmp_path / "anim"
-        assert main(["animate", "--config", cp, "--out", str(out)]) == 0
-        header, rows = read_csv(out / "frame_0000.csv")
-        assert header == ["x1", "x2", "re", "im", "abs"]
-        assert len(rows) == m * m
-        ax = [float(f"{x:.12g}") for x in g.axis()]
-        assert [(float(r[0]), float(r[1])) for r in rows] == [
-            (x1, x2) for x1 in ax for x2 in ax]
-        for r in rows:
-            assert (float(r[2]), float(r[3])) == (1.0, 2.0)
-            assert float(r[4]) == pytest.approx(math.sqrt(5.0), rel=1e-12)
-
-    def test_bad_field_file(self, tmp_path):
-        junk = tmp_path / "junk.cfld"
-        junk.write_bytes(b"not a field")
-        acfg = {"animate": {"field": str(junk), "times": [0.0]}}
-        cp = write_config(tmp_path, acfg, "anim.json")
-        assert main(["animate", "--config", cp,
-                     "--out", str(tmp_path / "run")]) == 2
-
-    def test_field_without_wavenumber_is_config_error(self, tmp_path):
-        # the CLI always records its problem's k; a file written elsewhere
-        # with k = 0 gives no time dependence to animate
-        nok = tmp_path / "nok.cfld"
-        save_field(nok, ComplexField.zeros(Grid(dim=3, half_width=2.0,
-                                                points_per_axis=10)), k=0.0)
-        acfg = {"animate": {"field": str(nok), "times": [0.0]}}
-        cp = write_config(tmp_path, acfg, "anim.json")
-        out = tmp_path / "run"
-        assert main(["animate", "--config", cp, "--out", str(out)]) == 2
-        man = json.loads((out / "manifest.json").read_text())
-        assert man["status"] == "config_error"
-        assert man["error"] == "field file carries no wavenumber"
-        assert os.listdir(out) == ["manifest.json"]
-
-
 class TestEnvOverrides:
     def test_out_dir_from_env(self, tmp_path, monkeypatch, capsys):
         target = tmp_path / "envdir"
@@ -1029,7 +940,7 @@ class TestEnvOverrides:
 
     @pytest.mark.parametrize("action", [
         ["continue"], ["kappa"], ["farfield"], ["verify", "fourier"],
-        ["constants", "zN"], ["animate"]], ids=action_id)
+        ["constants", "zN"]], ids=action_id)
     def test_seed_is_a_solve_flag(self, tmp_path, action, capsys):
         cp = write_config(tmp_path, base_config())
         with pytest.raises(SystemExit) as exc:
@@ -1037,6 +948,17 @@ class TestEnvOverrides:
                   "--seed", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+    def test_animate_is_no_action(self, tmp_path, capsys):
+        # a time frame is load_field's u times e^(-ikt), no CLI action
+        cp = write_config(tmp_path, {"animate": {"field": "field.cfld",
+                                                 "times": [0.0]}})
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["animate", "--config", cp, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'animate'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_temp_files_left(self, tmp_path):
         cp = write_config(tmp_path, base_config())

@@ -240,14 +240,13 @@ def test_uncalled_oracle_is_reported():
 
 
 # scipy subpackages that together cost a fresh process most of a second to
-# import; no CLI action below loads any of them.  The 3D actions that solve
-# (solve with its certificate, kappa, farfield, continue) load no scipy at
-# all: their transforms are numpy.fft's and the 3D point source is closed
-# form.  scipy.special is imported where a Bessel function without a closed
-# form or a gamma function is first needed (here verify fourier's gamma)
+# import; no CLI action loads any of them.  No step below (3D, so the point
+# source and the Bessel functions are closed form) loads any scipy at all:
+# the transforms are numpy.fft's and verify fourier's Gamma(nu + 1) is
+# math.gamma.  scipy.special is imported where a Bessel function without a
+# closed form is first needed
 HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
                "scipy.linalg", "scipy.sparse")
-SCIPY_FREE = ("import helmscat.cli", "solve", "kappa", "farfield", "continue")
 
 # run in a fresh interpreter: which heavy modules each step has loaded,
 # whether any scipy module is loaded, and the exit code of each CLI action
@@ -288,10 +287,8 @@ def test_cli_runs_import_no_heavy_scipy():
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert {step: r[:2] for step, r in report.items()} == {
-        step: [0, []] for step in report}
+    assert report == {step: [0, [], False] for step in report}
     assert len(report) == 10
-    assert [step for step, r in report.items() if not r[2]] == list(SCIPY_FREE)
 
 
 def third_party_imports(sources) -> set[str]:
