@@ -61,13 +61,13 @@ from .fields import (
     Grid,
     IncidentWave,
     NonlinearitySpec,
+    checked_radii,
     make_incident,
     save_field,
     sphere_quadrature,
 )
 from .resolvent import (
     ResolventConfig,
-    checked_radii,
     default_radii,
     estimate_kappa,
     far_field,

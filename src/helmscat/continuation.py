@@ -39,6 +39,7 @@ import numpy as np
 from .fields import ComplexField, NonlinearitySpec
 from .resolvent import ResolventConfig
 from .solver import SolverConfig, picard_solve
+from .specfun import _check_count
 
 __all__ = [
     "StepConfig",
@@ -66,8 +67,7 @@ class StepConfig:
             raise ValueError("initial_step must be > 0")
         if self.max_step is not None and not self.max_step > 0.0:
             raise ValueError("max_step must be > 0")
-        if self.max_solves < 1:
-            raise ValueError("max_solves must be >= 1")
+        _check_count(self.max_solves, "max_solves")
         if not 0.0 < self.floor_factor < 1.0:
             raise ValueError("floor_factor must lie in (0, 1)")
 

@@ -51,6 +51,7 @@ __all__ = [
     "support_diameter",
     "box_diameter",
     "critical_exponent",
+    "checked_radii",
     "make_incident",
     "apply_nonlinearity",
     "estimate_lipschitz",
@@ -421,6 +422,21 @@ def _check_k(k: float):
     """The wavenumber rule: k finite and > 0."""
     if not (math.isfinite(k) and k > 0.0):
         raise ValueError("k must be finite and > 0")
+
+
+def checked_radii(radii, half_width: float) -> tuple[float, ...]:
+    """radii as floats; ValueError unless they are nonempty, finite,
+    positive, increasing and at most the grid half-width, as the radiation
+    and flux diagnostics need."""
+    radii = tuple(float(R) for R in radii)
+    for R in radii:
+        if not math.isfinite(R):
+            raise ValueError(f"radius {R} is not finite")
+    if not radii or any(R <= 0 for R in radii) or sorted(radii) != list(radii):
+        raise ValueError("radii must be nonempty, positive and increasing")
+    if radii[-1] > half_width:
+        raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {half_width}")
+    return radii
 
 
 @dataclass

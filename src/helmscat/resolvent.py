@@ -52,12 +52,12 @@ fftn/ifftn pair (scipy.fft, 2 shared vCPUs), and onto the grid faster.
 The transforms are numpy.fft's, which wraps the pocketfft code that
 scipy.fft does and gives the same bits line for line, so a run that only
 solves in 3D imports no scipy.  Each axis is transformed in place, the
-array passed as its own out=.  numpy.fft.fftn transforms the last axis it
-is given first, so the window spectra pass it the axes reversed, and a
-real (magnitude) window takes scipy's real-input route, _fftn: every
-spectrum is scipy.fft.fftn's bit for bit.  next_fast_len is scipy's
-complex one; numpy.fft has no worker count, so every transform runs on
-one thread.
+array passed as its own out=.  A window's spectrum is built as an apply's
+forward transform is: the window is copied into the low corner of a
+complex zero array of the circulant size, which is transformed axis by
+axis from the first, so every spectrum is scipy.fft.fftn of the complex
+window bit for bit.  next_fast_len is scipy's complex one; numpy.fft has
+no worker count, so every transform runs on one thread.
 
 This transform is one operator object, BoxResolvent: bound to one box and
 one destination, it holds the spectrum and slices and maps the source's
@@ -108,7 +108,7 @@ import numpy as np
 from numpy import fft
 
 from . import fields as _fields
-from .fields import ComplexField, Grid, gl_panels, tau, weighted_norm
+from .fields import ComplexField, Grid, checked_radii, gl_panels, tau, weighted_norm
 from .specfun import FundamentalSolutionParams, fundamental_solution, hankel1
 
 __all__ = [
@@ -122,7 +122,6 @@ __all__ = [
     "radiation_report",
     "far_field",
     "default_radii",
-    "checked_radii",
     # no function here calls hankel1, but the benchmark's tracer
     # (perfbench/tracing.py) wraps it where this module binds it
     "hankel1",
@@ -159,38 +158,6 @@ def next_fast_len(n: int) -> int:
         if rest == 1:
             return n
         n += 1
-
-
-def _fftn(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """scipy.fft.fftn(x, shape) bit for bit, by numpy.fft: x zero-padded to
-    shape and transformed along every axis.  scipy transforms a complex x
-    axis by axis from the first, where numpy.fft.fftn starts from the last
-    axis it is given, so the axes are given reversed.  A real x scipy
-    transforms real-to-complex along the last axis, keeping its n//2 + 1
-    leading cells, then along the other axes from the first; it fills each
-    cell left with the conjugate of the kept cell at the mirror index,
-    -i mod size on every axis.  The kept planes that are their own mirror
-    (last index 0, and n/2 for even n) it fills in place in C order, so of
-    each mirror pair there the earlier keeps its value and the later takes
-    the conjugate of it; a cell that is its own mirror is conjugated."""
-    if np.iscomplexobj(x):
-        return fft.fftn(x, shape[::-1], axes=tuple(range(x.ndim))[::-1])
-    n = shape[-1]
-    kept = n // 2 + 1
-    half = np.zeros(shape[:-1] + (kept,), dtype=complex)
-    half[tuple(slice(0, w) for w in x.shape[:-1])] = fft.rfft(x, n)
-    for ax in range(x.ndim - 1):
-        fft.fft(half, axis=ax, out=half)
-    mirror = [-np.arange(w) % w for w in shape[:-1]]
-    out = np.empty(shape, dtype=complex)
-    out[..., :kept] = half
-    out[..., kept:] = np.conj(half[np.ix_(*mirror, n - np.arange(kept, n))])
-    order = np.arange(math.prod(shape[:-1])).reshape(shape[:-1])
-    later = order[np.ix_(*mirror)] <= order
-    for j in {0, n // 2} if n % 2 == 0 else {0}:
-        plane = out[..., j]
-        plane[later] = np.conj(plane[np.ix_(*mirror)][later])
-    return out
 
 
 @dataclass(frozen=True)
@@ -338,7 +305,10 @@ def _window_spectra(cfg: ResolventConfig, k: float | None, kind: str,
 
     def spectrum(dest):
         window = table[windows[dest]]
-        out = _fftn(window, tuple(next_fast_len(w) for w in window.shape))
+        out = np.zeros(tuple(next_fast_len(w) for w in window.shape), dtype=complex)
+        out[tuple(slice(0, w) for w in window.shape)] = window
+        for ax in range(out.ndim):
+            fft.fft(out, axis=ax, out=out)
         out.flags.writeable = False
         return out
 
@@ -497,21 +467,6 @@ def default_radii(half_width: float) -> tuple[float, float, float]:
     at the last of them."""
     L = half_width
     return (L / 4, L / 2, 3 * L / 4)
-
-
-def checked_radii(radii, half_width: float) -> tuple[float, ...]:
-    """radii as floats; ValueError unless they are nonempty, finite,
-    positive, increasing and at most the grid half-width, as
-    radiation_report needs."""
-    radii = tuple(float(R) for R in radii)
-    for R in radii:
-        if not math.isfinite(R):
-            raise ValueError(f"radius {R} is not finite")
-    if not radii or any(R <= 0 for R in radii) or sorted(radii) != list(radii):
-        raise ValueError("radii must be nonempty, positive and increasing")
-    if radii[-1] > half_width:
-        raise ValueError(f"radius {radii[-1]} exceeds the grid half-width {half_width}")
-    return radii
 
 
 @functools.lru_cache(maxsize=_BALL_PLANS)

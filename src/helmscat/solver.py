@@ -96,6 +96,7 @@ from .resolvent import (
     estimate_kappa,
     radiation_report,
 )
+from .specfun import _check_count
 
 __all__ = [
     "SolverConfig",
@@ -122,8 +123,7 @@ class SolverConfig:
     divergence_cap: float = 1e6
 
     def __post_init__(self):
-        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
-            raise ValueError("max_iters must be an integer >= 1")
+        _check_count(self.max_iters, "max_iters")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
         if not (0.0 < self.tol < math.inf and self.divergence_cap > 0.0):

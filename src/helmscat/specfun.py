@@ -77,6 +77,12 @@ def _check_order(nu: float) -> float:
     return nu
 
 
+def _check_count(n, name: str):
+    """The count rule: n an int or numpy integer >= 1, and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
+
+
 def _positive_arg(t, name: str = "t"):
     arr = np.asarray(t, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0.0)):
@@ -268,8 +274,6 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
 @functools.lru_cache(maxsize=_ZERO_TABLES)
 def _zero_table(kind: str, nu: float, count: int) -> ZeroTable:
     nu = _check_order(nu)
-    if count < 1:
-        raise ValueError("count must be >= 1")
     fn = bessel_j if kind == "J" else bessel_y
     return ZeroTable(order=nu, kind=kind, zeros=tuple(_scan_for_zeros(fn, nu, count)))
 
@@ -277,11 +281,13 @@ def _zero_table(kind: str, nu: float, count: int) -> ZeroTable:
 def j_zeros(nu: float, count: int) -> ZeroTable:
     """First `count` positive zeros of J_nu, in increasing order; a count
     the scan cannot reach raises ValueError."""
+    _check_count(count, "count")
     return _zero_table("J", nu, count)
 
 
 def y_zeros(nu: float, count: int) -> ZeroTable:
     """First `count` positive zeros of Y_nu, in increasing order."""
+    _check_count(count, "count")
     return _zero_table("Y", nu, count)
 
 

@@ -80,13 +80,14 @@ from .fields import (
     _check_k,
     box_diameter,
     box_slices,
+    checked_radii,
     critical_exponent,
     gl_panels,
     sphere_quadrature,
     sphere_trace,
     support_box,
 )
-from .specfun import bessel_j, bessel_y, first_y_zero, j_zeros
+from .specfun import _check_count, bessel_j, bessel_y, first_y_zero, j_zeros
 
 __all__ = [
     "SturmResult",
@@ -132,8 +133,7 @@ def sturm_check(nu: float, pairs: int) -> list[SturmResult]:
     """Compare consecutive arch areas of t^(1/2)|J_nu|; margin = left - right."""
     if nu < 0.5:
         raise ValueError("arch inequality holds for order >= 1/2")
-    if pairs < 1:
-        raise ValueError("pairs must be >= 1")
+    _check_count(pairs, "pairs")
     zeros = np.concatenate(([0.0], j_zeros(nu, 2 * pairs).zeros))
     # J_nu keeps one sign inside each arch, so |int| = int | . |
     arches = np.abs(gl_panels(lambda t: np.sqrt(t) * bessel_j(nu, t),
@@ -298,16 +298,12 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
     Vanishes (up to quadrature error) for solutions with real coefficient;
     the context records the grid spacing, shell magnitudes, and whether each
     radius encloses the coefficient support.  k must be finite and positive,
-    and the radii finite, in any order.
+    and the radii as checked_radii has them, but in any order.
     """
     _check_k(k)
     g = u.grid
     radii = tuple(float(r) for r in np.atleast_1d(radii))
-    for r in radii:
-        if not math.isfinite(r):
-            raise ValueError(f"radius {r} is not finite")
-    if not radii or any(r <= 0.0 or r > g.half_width for r in radii):
-        raise ValueError("radii must be nonempty and lie in (0, half_width]")
+    checked_radii(sorted(radii), g.half_width)
     h = g.spacing
     dirs, wts = sphere_quadrature(g.dim)
     trace = sphere_trace(g, u.values, dirs)

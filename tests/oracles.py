@@ -6,8 +6,9 @@ maximization.  Slow is fine; these run on tiny inputs.  The exceptions are
 full_kernel_table and full_fft_convolve, the plain loop and the whole-box
 transform that the library's mirrored kernel table and pruned FFT
 convolution replace, and scipy_window_spectra, the kernel spectra by
-scipy.fft, which the library takes by numpy.fft; the fast paths must
-reproduce them bit for bit.
+scipy.fft.fftn of the complex window, which the library builds in place
+by numpy.fft as an apply transforms; the fast paths must reproduce them
+bit for bit.
 radial_transform_quad is the radial Fourier transform by scipy's jv and
 adaptive quad, one frequency at a time, and real_kernel the transformed
 kernel by scipy's yv; the library's fixed-panel rule agrees with them to
@@ -550,10 +551,12 @@ def whole_grid_radiation_averages(u, k: float, radii) -> list[float]:
 
 def scipy_window_spectra(cfg, k, kind: str, box) -> dict:
     """The spectra of resolvent._window_spectra by scipy.fft, which the
-    library's numpy.fft route replaces: for each destination, the eval grid
-    ("grid") and the source box itself ("box"), the window of the kernel
-    table's offsets from the box to it, zero-padded to scipy's next_fast_len
-    and transformed by scipy.fft.fftn."""
+    library's in-place numpy.fft route replaces: for each destination, the
+    eval grid ("grid") and the source box itself ("box"), the window of the
+    kernel table's offsets from the box to it as a complex array (a real
+    magnitude window too, so scipy takes no real-to-complex route),
+    zero-padded to scipy's next_fast_len and transformed by
+    scipy.fft.fftn."""
     from helmscat import resolvent as rv
 
     m = cfg.eval_grid.points_per_axis
@@ -563,7 +566,8 @@ def scipy_window_spectra(cfg, k, kind: str, box) -> dict:
     def spectrum(offsets):
         # offset e - s sits at table index e - s + m - 1
         window = table[tuple(slice(a + m - 1, b + m) for a, b in offsets)]
-        return fft.fftn(window, [fft.next_fast_len(w, real=False) for w in window.shape])
+        return fft.fftn(window.astype(complex),
+                        [fft.next_fast_len(w, real=False) for w in window.shape])
 
     # destination cells minus source cells n + lo .. n + hi
     return {"grid": spectrum([(-(n + hi), m - 1 - n - lo) for lo, hi in box]),

@@ -193,7 +193,9 @@ class TestBranch:
             StepConfig(initial_step=-0.1)
         with pytest.raises(ValueError):
             StepConfig(floor_factor=2.0)
+        # 2.5 solves once allowed a third solve; a bool is no count
         for bad in ({"max_step": -1.0}, {"max_step": 0.0}, {"max_solves": 0},
+                    {"max_solves": 2.5}, {"max_solves": True},
                     {"initial_step": np.nan}, {"max_step": np.nan}):
             with pytest.raises(ValueError):
                 StepConfig(**bad)

@@ -9,12 +9,14 @@ imports no scipy at all, README's command list
 names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is read, the third-party modules the
 package imports are exactly its declared dependencies, every name the
-benchmark's tracer wraps exists where it wraps it, and every cache has a
-finite size and hands out only read-only arrays."""
+benchmark's tracer wraps exists where it wraps it, every benchmark
+workload sets up, runs and checks correct at its tiny size, and every
+cache has a finite size and hands out only read-only arrays."""
 
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import json
 import os
 import pathlib
@@ -372,6 +374,32 @@ def test_every_tracer_target_resolves():
     assert targets
     assert [f"{module}.{name}" for module, name in targets
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, imported from its file."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look the module up by name while the class is built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["solve-3d", "branch-2d", "certify-sweep"])
+def test_benchmark_workload_runs_on_this_library(name, tmp_path):
+    # the benchmark calls the library's public surface (signatures, config
+    # keys, CLI flags); a change to it fails only the benchmark run otherwise
+    wl = benchmark_workloads().WORKLOADS[name](seed=0, size="tiny",
+                                               workdir=str(tmp_path))
+    wl.load()
+    wl.build()
+    assert wl.setup_outcome.failed == 0 and wl.setup_outcome.correct, \
+        wl.setup_outcome.notes
+    inp = wl.prepare(0)
+    outcome = wl.check(inp, wl.run(inp))
+    assert outcome.correct, outcome.notes
 
 
 def cached_functions(source: str) -> list[tuple[str, int, object]]:

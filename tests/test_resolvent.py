@@ -172,12 +172,15 @@ class TestWindowSpectra:
         # solve-3d's 6-cell box: n = 40 onto the grid, 11 onto the box
         (3, 32, 0, ((13, 18),) * 3),
         (2, 16, 0, ((0, 15),) * 2),
-        (2, 17, 2, ((2, 9), (5, 5)))])
+        (2, 17, 2, ((2, 9), (5, 5))),
+        # kappa's own window: the box covers the grid, so both destinations
+        # share one array
+        (3, 9, 0, ((0, 8),) * 3)])
     def test_spectra_are_scipy_fftn_bit_for_bit(self, dim, m, pad, box, kind):
-        # the complex outgoing tables and the real magnitude ones, whose
-        # transform scipy takes real-to-complex, with odd and even last
-        # axes; the apply tests read their spectrum from the library, so
-        # only this sees the bits of a change in axis order
+        # the complex outgoing tables and the real magnitude ones, each
+        # transformed as a complex window, with odd and even last axes; the
+        # apply tests read their spectrum from the library, so only this
+        # sees the bits of a change in axis order
         cfg = rv.ResolventConfig.padded(Grid(dim=dim, half_width=2.0, points_per_axis=m), pad)
         k = None if kind == "magnitude" and dim == 3 else 1.3
         got = rv._window_spectra(cfg, k, kind, box)

@@ -269,9 +269,10 @@ class TestPicard:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(tol=-1.0)
-        # a NaN cap would read as divergence, and 2.5 iterations failed in range()
+        # a NaN cap would read as divergence, and 2.5 iterations failed in
+        # range(); a bool is no count
         for bad in ({"tol": np.nan}, {"tol": np.inf}, {"divergence_cap": np.nan},
-                    {"max_iters": 2.5}, {"max_iters": 200.0}):
+                    {"max_iters": 2.5}, {"max_iters": 200.0}, {"max_iters": True}):
             with pytest.raises(ValueError):
                 SolverConfig(**bad)
         assert SolverConfig(max_iters=np.int64(3), divergence_cap=np.inf).max_iters == 3

@@ -255,3 +255,6 @@ class TestZeros:
             specfun.ZeroTable(order=1.0, kind="J", zeros=(2.0, 1.0))
         with pytest.raises(ValueError):
             specfun.j_zeros(1.0, 0)
+        # a fractional count once raised TypeError from inside the scan
+        with pytest.raises(ValueError, match="count must be an integer"):
+            specfun.j_zeros(1.5, 2.5)

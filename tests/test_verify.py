@@ -79,6 +79,9 @@ class TestSturm:
             sturm_check(0.3, 5)
         with pytest.raises(ValueError):
             sturm_check(1.0, 0)
+        # a fractional count once raised TypeError from inside the scan
+        with pytest.raises(ValueError, match="pairs must be an integer"):
+            sturm_check(1.5, 2.5)
 
 
 def closed_form_3d(k, d, xi):
