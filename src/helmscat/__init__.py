@@ -18,7 +18,7 @@ from .fields import (
 )
 from .resolvent import ResolventConfig, apply_resolvent, estimate_kappa
 from .solver import SolverConfig, SolveReport, linear_bound_check, picard_solve
-from .specfun import FundamentalSolutionParams, first_y_zero, fundamental_solution
+from .specfun import first_y_zero, fundamental_solution
 from .verify import (
     defocusing_inequalities,
     energy_identity,
@@ -30,7 +30,6 @@ from .verify import (
 __all__ = [
     "Branch",
     "ComplexField",
-    "FundamentalSolutionParams",
     "Grid",
     "IncidentWave",
     "NonlinearitySpec",

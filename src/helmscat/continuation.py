@@ -39,7 +39,7 @@ import numpy as np
 from .fields import ComplexField, NonlinearitySpec
 from .resolvent import ResolventConfig
 from .solver import SolverConfig, picard_solve
-from .specfun import _check_count
+from .specfun import _check_count, _check_positive
 
 __all__ = [
     "StepConfig",
@@ -63,10 +63,10 @@ class StepConfig:
     max_solves: int = 1000
 
     def __post_init__(self):
-        if self.initial_step is not None and not self.initial_step > 0.0:
-            raise ValueError("initial_step must be > 0")
-        if self.max_step is not None and not self.max_step > 0.0:
-            raise ValueError("max_step must be > 0")
+        if self.initial_step is not None:
+            _check_positive(self.initial_step, "initial_step")
+        if self.max_step is not None:
+            _check_positive(self.max_step, "max_step")
         _check_count(self.max_solves, "max_solves")
         if not 0.0 < self.floor_factor < 1.0:
             raise ValueError("floor_factor must lie in (0, 1)")
@@ -110,8 +110,7 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
     (and first at lam = 0 with the zero field and no report); it is how a
     caller keeps the fields along the branch.
     """
-    if not 0.0 < lambda_max < math.inf:
-        raise ValueError("lambda_max must be finite and > 0")
+    _check_positive(lambda_max, "lambda_max")
     if phi.grid != rcfg.eval_grid:
         raise ValueError("incident field must live on the eval grid")
     if f.kind != "power":

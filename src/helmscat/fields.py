@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .specfun import _check_count, _check_positive
+
 __all__ = [
     "DEFAULT_MAX_POINTS",
     "Grid",
@@ -78,10 +80,8 @@ class Grid:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
-        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
-            raise ValueError("half_width must be finite and > 0")
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
+        _check_positive(self.half_width, "half_width")
+        _check_count(self.points_per_axis, "points_per_axis", 2)
         if self.points_per_axis ** self.dim > DEFAULT_MAX_POINTS:
             raise ValueError(
                 f"grid of {self.points_per_axis}^{self.dim} points exceeds "
@@ -90,8 +90,7 @@ class Grid:
             volume = self.cell_volume
         except OverflowError:  # float ** raises where * gives inf
             volume = math.inf
-        if not 0.0 < volume < math.inf:
-            raise ValueError(f"cell volume h^{self.dim} = {volume} must be finite and > 0")
+        _check_positive(volume, f"cell volume h^{self.dim} = {volume}")
 
     @property
     def spacing(self) -> float:
@@ -239,14 +238,13 @@ def sphere_quadrature(dim: int, points: int = 26) -> tuple[np.ndarray, np.ndarra
     sum to the sphere measure (2 pi for dim 2, 4 pi for dim 3).  In 3D, 26
     points give the octahedral rule; any other count n gives n directions on
     the golden spiral, weighted 4 pi / n, which only the far field samples."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    _check_count(points, "points", 4 if dim == 2 else 1)
     if dim == 2:
-        if points < 4:
-            raise ValueError("need at least 4 points on the circle")
         ang = np.arange(points) * 2.0 * np.pi / points
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return dirs, np.full(points, 2.0 * np.pi / points)
-    if dim != 3:
-        raise ValueError(f"dim must be 2 or 3, got {dim}")
     if points == 26:
         return _octahedral_rule()
     i = np.arange(points)
@@ -418,12 +416,6 @@ def gl_panels(fn, a, b) -> np.ndarray:
 
 # -- incident waves -----------------------------------------------------------
 
-def _check_k(k: float):
-    """The wavenumber rule: k finite and > 0."""
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValueError("k must be finite and > 0")
-
-
 def checked_radii(radii, half_width: float) -> tuple[float, ...]:
     """radii as floats; ValueError unless they are nonempty, finite,
     positive, increasing and at most the grid half-width, as the radiation
@@ -452,7 +444,7 @@ class IncidentWave:
         norm = float(np.linalg.norm(d))
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-8:
             raise ValueError(f"direction must be unit length, |d| = {norm}")
-        _check_k(k)
+        _check_positive(k, "k")
         return cls(k=float(k), direction=d / norm)
 
 
@@ -658,8 +650,7 @@ def estimate_lipschitz(f: NonlinearitySpec, cap: float, seed: int = 0) -> float:
     the power kind the x and (u, v) searches separate, so only the pair
     search is randomized.  The result is a lower estimate, not a certificate.
     """
-    if cap <= 0.0:
-        raise ValueError("cap must be > 0")
+    _check_positive(cap, "cap")
     rng = np.random.default_rng(seed)
     if f.kind == "affine":
         return weighted_norm(f.a, f.alpha)

@@ -96,7 +96,7 @@ from .resolvent import (
     estimate_kappa,
     radiation_report,
 )
-from .specfun import _check_count
+from .specfun import _check_count, _check_positive
 
 __all__ = [
     "SolverConfig",
@@ -126,8 +126,9 @@ class SolverConfig:
         _check_count(self.max_iters, "max_iters")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError("damping must lie in (0, 1]")
-        if not (0.0 < self.tol < math.inf and self.divergence_cap > 0.0):
-            raise ValueError("tol must be finite and > 0, and divergence_cap > 0")
+        _check_positive(self.tol, "tol")
+        if not self.divergence_cap > 0.0:
+            raise ValueError("divergence_cap must be > 0")
 
 
 @dataclass(frozen=True)

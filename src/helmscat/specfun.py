@@ -30,11 +30,13 @@ with Brent's method that this replaces as the oracle.  The scan ends at
 20000 pi/8; a count whose last zero must lie past that end, by the spacing
 bound, is rejected before any evaluation.
 
-The outgoing point source in dimension N >= 2 is
+The outgoing point source fundamental_solution(k, r, dim) in dimension
+N >= 2 is the one formula
 
     (i/4) * (k / (2 pi r))**((N-2)/2) * H^(1)_{(N-2)/2}(k r),
 
-which for N = 3 collapses to exp(i k r) / (4 pi r).
+which for N = 3 collapses to exp(i k r) / (4 pi r); for N = 2 the power
+is exactly 1, so it is (i/4) H^(1)_0(k r) bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FundamentalSolutionParams",
     "ZeroTable",
     "bessel_j",
     "bessel_y",
@@ -77,10 +78,16 @@ def _check_order(nu: float) -> float:
     return nu
 
 
-def _check_count(n, name: str):
-    """The count rule: n an int or numpy integer >= 1, and not a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
+def _check_positive(x, name: str):
+    """The positive-real rule: x finite and > 0; None breaks it."""
+    if x is None or not (math.isfinite(x) and x > 0.0):
+        raise ValueError(f"{name} must be finite and > 0")
+
+
+def _check_count(n, name: str, least: int = 1):
+    """The count rule: n an int or numpy integer >= least, and not a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def _positive_arg(t, name: str = "t"):
@@ -168,39 +175,19 @@ def hankel1(nu: float, t):
     return _ret(out, scalar)
 
 
-@dataclass(frozen=True)
-class FundamentalSolutionParams:
-    """Wavenumber and ambient dimension of the outgoing point source."""
-
-    k: float
-    dim: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise ValueError(f"wavenumber must be finite and > 0, got {self.k}")
-        if self.dim < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dim}")
-
-    @property
-    def order(self) -> float:
-        return 0.5 * (self.dim - 2)
-
-
-def fundamental_solution(params: FundamentalSolutionParams, r):
-    """Outgoing point source at radius r > 0.
+def fundamental_solution(k: float, r, dim: int):
+    """Outgoing point source of wavenumber k > 0 in dimension dim >= 2 at
+    radius r > 0.
 
     Diverges like r**(2-dim) (log for dim 2) toward r = 0; evaluation close
     enough to the singularity to overflow raises instead of returning inf.
     """
+    _check_positive(k, "k")
+    _check_count(dim, "dim", 2)
     arr, scalar = _positive_arg(r, "r")
-    k = params.k
+    nu = 0.5 * (dim - 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        if params.dim == 2:
-            out = 0.25j * hankel1(0.0, k * arr)
-        else:
-            amp = (k / (2.0 * np.pi * arr)) ** params.order
-            out = 0.25j * amp * hankel1(params.order, k * arr)
-    out = np.asarray(out)
+        out = np.asarray(0.25j * (k / (2.0 * np.pi * arr)) ** nu * hankel1(nu, k * arr))
     if not np.all(np.isfinite(out)):
         raise OverflowError("point source overflow: r too close to 0")
     return _ret(out, scalar)

@@ -77,7 +77,6 @@ from .fields import (
     BoundCheck,
     ComplexField,
     _alignment_offset,
-    _check_k,
     box_diameter,
     box_slices,
     checked_radii,
@@ -87,7 +86,7 @@ from .fields import (
     sphere_trace,
     support_box,
 )
-from .specfun import _check_count, bessel_j, bessel_y, first_y_zero, j_zeros
+from .specfun import _check_count, _check_positive, bessel_j, bessel_y, first_y_zero, j_zeros
 
 __all__ = [
     "SturmResult",
@@ -162,8 +161,7 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     """
     if dim < 2:
         raise ValueError("dim must be >= 2")
-    if not (0.0 < upper < math.inf):
-        raise ValueError("upper must be finite and > 0")
+    _check_positive(upper, "upper")
     nu = (dim - 2) / 2.0
     xs = np.atleast_1d(np.asarray(freqs, dtype=float))
     if np.any(xs < 0.0) or not np.all(np.isfinite(xs)):
@@ -251,15 +249,15 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
     """
     if dim < 3:
         raise ValueError("positivity check defined for dim >= 3")
-    _check_k(k)
+    _check_positive(k, "k")
     if delta is None:
         # the key is z itself: k * (z / k) may differ from z in the last bit
         radius = truncation_threshold(dim)
         delta = radius / k
     else:
         radius = k * delta
-    if not (0.0 < delta < math.inf and 0.0 < radius < math.inf):
-        raise ValueError("delta and k delta must be finite and > 0")
+    _check_positive(delta, "delta")
+    _check_positive(radius, "k delta")
     if not tolerance >= 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     # k * k, not k ** 2: a float power raises OverflowError where the
@@ -300,7 +298,7 @@ def energy_identity(u: ComplexField, k: float, Q: ComplexField | None = None,
     radius encloses the coefficient support.  k must be finite and positive,
     and the radii as checked_radii has them, but in any order.
     """
-    _check_k(k)
+    _check_positive(k, "k")
     g = u.grid
     radii = tuple(float(r) for r in np.atleast_1d(radii))
     checked_radii(sorted(radii), g.half_width)

@@ -31,7 +31,6 @@ from helmscat.resolvent import (
 )
 from helmscat.solver import SolverConfig, diagnose, linear_bound_check, picard_solve
 from helmscat.specfun import (
-    FundamentalSolutionParams,
     bessel_j,
     bessel_y,
     first_y_zero,
@@ -79,7 +78,7 @@ def test_01_fundamental_solution_fidelity(report):
     r = np.geomspace(1e-3, 100.0, 2000)
     worst = 0.0
     for k in (0.5, 1.0, 2.0):
-        got = fundamental_solution(FundamentalSolutionParams(k=k, dim=3), r)
+        got = fundamental_solution(k, r, 3)
         exact = np.exp(1j * k * r) / (4.0 * np.pi * r)
         worst = max(worst, float(np.max(np.abs(got - exact) / np.abs(exact))))
     ok = worst <= 1e-10
@@ -109,8 +108,7 @@ def test_02_resolvent_pde_residual(report):
 def test_03_radiation_discrimination(report):
     k, L = 2.0, 3.0
     g = Grid(dim=3, half_width=L, points_per_axis=32)
-    vals = fundamental_solution(FundamentalSolutionParams(k=k, dim=3),
-                                g.radius())
+    vals = fundamental_solution(k, g.radius(), 3)
     radii = (L / 4, L / 2, 3 * L / 4)
     rep_out = radiation_report(ComplexField(g, vals), k, radii)
     rep_in = radiation_report(ComplexField(g, np.conj(vals)), k, radii)

@@ -196,7 +196,8 @@ class TestBranch:
         # 2.5 solves once allowed a third solve; a bool is no count
         for bad in ({"max_step": -1.0}, {"max_step": 0.0}, {"max_solves": 0},
                     {"max_solves": 2.5}, {"max_solves": True},
-                    {"initial_step": np.nan}, {"max_step": np.nan}):
+                    {"initial_step": np.nan}, {"max_step": np.nan},
+                    {"initial_step": np.inf}, {"max_step": np.inf}):
             with pytest.raises(ValueError):
                 StepConfig(**bad)
 

@@ -69,6 +69,10 @@ class TestGrid:
         dict(dim=4, half_width=1.0, points_per_axis=5),
         dict(dim=3, half_width=0.0, points_per_axis=5),
         dict(dim=3, half_width=1.0, points_per_axis=1),
+        # a count is an integer, not a float or a bool
+        dict(dim=3, half_width=1.0, points_per_axis=10.5),
+        dict(dim=3, half_width=1.0, points_per_axis=True),
+        dict(dim=3, half_width=np.nan, points_per_axis=5),
         # h^dim overflows float64 (Python's float ** raises OverflowError)
         # or underflows to 0
         dict(dim=3, half_width=1e110, points_per_axis=10),
@@ -196,6 +200,12 @@ class TestSphereQuadrature:
         assert np.sum(wts * x**2 * y**2) == pytest.approx(4 * np.pi / 15, rel=1e-12)
         assert np.sum(wts * x**6) == pytest.approx(4 * np.pi / 7, rel=1e-12)
         assert np.sum(wts * x**3 * y**2) == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("dim,points", [(3, 0), (3, 2.5), (3, True), (2, 3)])
+    def test_validation(self, dim, points):
+        # 0 points once divided by zero, and 2.5 or True failed in arange
+        with pytest.raises(ValueError, match="points must be an integer >= "):
+            fields.sphere_quadrature(dim, points)
 
     @pytest.mark.parametrize("n", [6, 7, 30, 50, 200])
     def test_golden_spiral_gives_the_count_asked_for(self, n):

@@ -3,13 +3,15 @@ module or re-exported through its __all__, every private module-level
 name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, no module reads
-numpy's gradient (fields.gradient_at is its one home), a CLI run imports
+numpy's gradient (fields.gradient_at is its one home), the positive-real
+and count rules are stated only in specfun, a CLI run imports
 none of the scipy subpackages it has no use for and a 3D run that solves
 imports no scipy at all, README's command list
 names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is read, the third-party modules the
 package imports are exactly its declared dependencies, every name the
-benchmark's tracer wraps exists where it wraps it, every benchmark
+benchmark's tracer wraps exists where it wraps it and has the parameter
+its annotator reads at the position it reads it from, every benchmark
 workload sets up, runs and checks correct at its tiny size, and every
 cache has a finite size and hands out only read-only arrays."""
 
@@ -17,6 +19,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pathlib
@@ -182,6 +185,69 @@ def test_numpy_gradient_read_is_reported():
     src = ("import numpy as np\nimport numpy\nfrom numpy import gradient as g\n"
            "a = np.gradient(x)\nb = numpy.gradient\nc = self.gradient(x)\n")
     assert numpy_gradient_reads(src) == ["line 3", "line 4", "line 5"]
+
+
+# the positive-real and count rules' messages, and the specfun functions
+# that state them
+RULE_TEXTS = ("must be finite and > 0", "must be an integer >=")
+RULE_HOMES = {"_check_positive", "_positive_arg", "_check_count"}
+
+
+def message_text(node) -> str:
+    """A message's text: a string, or the constant parts of an f-string."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+    return ""
+
+
+def input_rule_sites(source: str) -> list[tuple[str, int]]:
+    """(qualified name of the innermost function or class, line) of each
+    ``raise ValueError(message)`` in a module whose message states the
+    positive-real or the count rule; '' at module level."""
+    sites = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Raise) and isinstance(child.exc, ast.Call)
+                    and isinstance(child.exc.func, ast.Name)
+                    and child.exc.func.id == "ValueError" and child.exc.args
+                    and any(t in message_text(child.exc.args[0]) for t in RULE_TEXTS)):
+                sites.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return sites
+
+
+def test_input_rules_have_one_home():
+    # every module imports specfun's rules rather than writing its own copy
+    copies = [f"{path.name}: {where} (line {line})" for path in SOURCES
+              for where, line in input_rule_sites(path.read_text())
+              if not (path.name == "specfun.py" and where in RULE_HOMES)]
+    assert copies == []
+
+
+def test_input_rule_copy_is_reported():
+    src = ("def _check_positive(x, name):\n"
+           "    raise ValueError(f'{name} must be finite and > 0')\n"
+           "class Grid:\n    def __post_init__(self):\n"
+           "        if self.bad:\n"
+           "            raise ValueError('half_width must be finite and > 0')\n"
+           "        raise ValueError(f'cell h^{d} = {v} must be finite and > 0')\n"
+           "def padded(n):\n"
+           "    raise ValueError(f'pad_cells must be an integer >= {0}')\n"
+           "def other(msg):\n    raise ValueError('tol must be > 0')\n"
+           "    raise TypeError('k must be finite and > 0')\n"
+           "    raise ValueError(msg)\n"
+           "raise ValueError('count must be an integer >= 1')\n")
+    assert input_rule_sites(src) == [
+        ("_check_positive", 2), ("Grid.__post_init__", 6),
+        ("Grid.__post_init__", 7), ("padded", 9), ("", 14)]
 
 
 def test_every_public_function_has_a_caller():
@@ -374,6 +440,61 @@ def test_every_tracer_target_resolves():
     assert targets
     assert [f"{module}.{name}" for module, name in targets
             if not hasattr(importlib.import_module(module), name)] == []
+
+
+def misread_parameters(source: str) -> list[str]:
+    """For each entry of the tracer's TARGETS tuple whose annotator reads
+    ``args[i] if ... else kwargs["name"]``, read from its source, the
+    wrapped function's i-th parameter where it is not name."""
+    tree = ast.parse(source)
+    reads = {fn.name: [(n.body.slice.value, n.orelse.slice.value)
+                       for n in ast.walk(fn) if isinstance(n, ast.IfExp)
+                       and isinstance(n.body, ast.Subscript)
+                       and isinstance(n.body.value, ast.Name)
+                       and n.body.value.id == "args"
+                       and isinstance(n.orelse, ast.Subscript)
+                       and isinstance(n.orelse.value, ast.Name)
+                       and n.orelse.value.id == "kwargs"]
+             for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                        for t in n.targets))
+    wrong = []
+    for entry in node.value.elts:
+        module, attr, annotate = entry.elts[0].value, entry.elts[1].value, entry.elts[3]
+        if not isinstance(annotate, ast.Name):
+            continue
+        fn = getattr(importlib.import_module(module), attr)
+        params = list(inspect.signature(fn).parameters)
+        for i, name in reads[annotate.id]:
+            got = params[i] if i < len(params) else None
+            if got != name:
+                wrong.append(f"{module}.{attr}: args[{i}] is {got}, not {name}")
+    return wrong
+
+
+def test_tracer_annotators_match_library_signatures():
+    # an annotator that reads the wrong parameter records a wrong figure
+    # rather than failing: had r left second place in fundamental_solution,
+    # specfun.fundamental_solution.points would count 1 per call
+    tracing = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    assert misread_parameters(tracing.read_text()) == []
+
+
+def test_misread_parameter_is_reported():
+    src = ("def _r(args, kwargs, out):\n    r = args[0] if args else kwargs['r']\n"
+           "def _k(args, kwargs, out):\n"
+           "    return args[0] if len(args) > 0 else kwargs['k']\n"
+           "def _far(args, kwargs, out):\n"
+           "    return args[5] if len(args) > 5 else kwargs['x']\n"
+           "TARGETS = (\n"
+           "    ('helmscat.specfun', 'fundamental_solution', 'a', _r),\n"
+           "    ('helmscat.specfun', 'fundamental_solution', 'b', _k),\n"
+           "    ('helmscat.specfun', 'fundamental_solution', 'c', _far),\n"
+           "    ('helmscat.specfun', 'hankel1', 'd', None),\n)\n")
+    assert misread_parameters(src) == [
+        "helmscat.specfun.fundamental_solution: args[0] is k, not r",
+        "helmscat.specfun.fundamental_solution: args[5] is None, not x"]
 
 
 def benchmark_workloads():

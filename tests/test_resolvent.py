@@ -6,7 +6,7 @@ import pytest
 
 from helmscat import resolvent as rv
 from helmscat.fields import ComplexField, Grid, tau, weighted_norm
-from helmscat.specfun import FundamentalSolutionParams, fundamental_solution
+from helmscat.specfun import fundamental_solution
 from oracles import (
     direct_convolve,
     discrete_laplacian,
@@ -72,6 +72,13 @@ class TestConfig:
         assert cfg.eval_grid.spacing == pytest.approx(g.spacing)
         assert cfg.eval_grid.half_width == pytest.approx(2.0 + 2 * g.spacing)
 
+    @pytest.mark.parametrize("pad", [-1, 2.5, True])
+    def test_padded_validation(self, pad):
+        # 2.5 once failed the alignment check, and True padded by one
+        g = Grid(dim=3, half_width=2.0, points_per_axis=9)
+        with pytest.raises(ValueError, match="pad_cells must be an integer >= 0"):
+            rv.ResolventConfig.padded(g, pad)
+
     def test_rejects_mismatched_grids(self):
         src = Grid(dim=3, half_width=2.0, points_per_axis=9)
         ev = Grid(dim=3, half_width=2.1, points_per_axis=9)
@@ -107,11 +114,10 @@ class TestSingularCell:
         from scipy import integrate
 
         rho = h * (3.0 / (4.0 * np.pi)) ** (1.0 / 3.0) if dim == 3 else h / np.sqrt(np.pi)
-        params = FundamentalSolutionParams(k=k, dim=dim)
         area = (lambda r: 4.0 * np.pi * r**2) if dim == 3 else (lambda r: 2.0 * np.pi * r)
 
         def f(r, part):
-            val = fundamental_solution(params, r) * area(r)
+            val = fundamental_solution(k, r, dim) * area(r)
             return val.real if part == "re" else val.imag
 
         want = (integrate.quad(f, 0, rho, args=("re",), limit=200)[0]
@@ -244,9 +250,9 @@ class TestApplyResolvent:
         calls = []
         kernel = rv.fundamental_solution
 
-        def counting(params, r):
+        def counting(k, r, dim):
             calls.append(np.size(r))
-            return kernel(params, r)
+            return kernel(k, r, dim)
 
         monkeypatch.setattr(rv, "fundamental_solution", counting)
         rv._window_spectra.cache_clear()
@@ -301,9 +307,9 @@ class TestApplyResolvent:
         points = []
         kernel = rv.fundamental_solution
 
-        def counting(params, r):
+        def counting(k, r, dim):
             points.append(np.size(r))
-            return kernel(params, r)
+            return kernel(k, r, dim)
 
         monkeypatch.setattr(rv, "fundamental_solution", counting)
         cfg = cfg_for(Grid(dim=dim, half_width=2.0, points_per_axis=m))
@@ -461,7 +467,8 @@ class TestBoxResolvent:
             rv.BoxResolvent(cfg, 1.0, box, "incoming")
         with pytest.raises(ValueError, match="destination"):
             rv.BoxResolvent(cfg, 1.0, box, dest="eval")
-        for k in (0.0, -1.0, float("nan"), float("inf")):
+        # None is the k of the 3D magnitude kernel alone
+        for k in (0.0, -1.0, float("nan"), float("inf"), None):
             with pytest.raises(ValueError, match="k must"):
                 rv.BoxResolvent(cfg, k, box)
 
@@ -566,8 +573,7 @@ class TestRadiation:
     @staticmethod
     def point_source_field(k=2.0, L=3.0, m=32, conj=False):
         g = Grid(dim=3, half_width=L, points_per_axis=m)
-        params = FundamentalSolutionParams(k=k, dim=3)
-        vals = fundamental_solution(params, g.radius())
+        vals = fundamental_solution(k, g.radius(), 3)
         if conj:
             vals = np.conj(vals)
         return g, ComplexField(g, vals)
@@ -645,8 +651,7 @@ class TestFarField:
     def test_point_source_constant_amplitude(self):
         k = 1.0
         g = Grid(dim=3, half_width=3.0, points_per_axis=60)
-        params = FundamentalSolutionParams(k=k, dim=3)
-        u = ComplexField(g, fundamental_solution(params, g.radius()))
+        u = ComplexField(g, fundamental_solution(k, g.radius(), 3))
         dirs, _ = __import__("helmscat.fields", fromlist=["sphere_quadrature"]).sphere_quadrature(3, 26)
         ff = rv.far_field(u, k, dirs, radius=2.5)
         np.testing.assert_allclose(np.abs(ff.amplitude), 1.0 / (4.0 * np.pi), rtol=0.02)

@@ -250,6 +250,16 @@ class TestPicard:
         assert cert["product"] > 1.0
         assert not cert["certified"]
 
+    def test_certificate_rejects_cap_not_finite_and_positive(self):
+        # a NaN cap was certified with ell 0.0, and an infinite one gave NaN
+        rcfg = small_rcfg()
+        kappa = estimate_kappa(ALPHA, rcfg, K_REF)
+        f = NonlinearitySpec.power(radial_bump(rcfg.source_grid, -0.2), p=3.0,
+                                   alpha=ALPHA)
+        for cap in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="cap must be finite and > 0"):
+                contraction_certificate(f, kappa, cap)
+
     def test_grid_mismatch_rejected(self):
         rcfg = small_rcfg()
         other = small_grid(points=10)

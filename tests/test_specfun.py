@@ -115,44 +115,45 @@ class TestEvaluation:
 class TestFundamentalSolution:
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_dim3_closed_form(self, k):
-        params = specfun.FundamentalSolutionParams(k=k, dim=3)
         r = np.geomspace(1e-3, 100.0, 400)
-        got = specfun.fundamental_solution(params, r)
+        got = specfun.fundamental_solution(k, r, 3)
         want = np.exp(1j * k * r) / (4.0 * np.pi * r)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_dim3_magnitude_near_field(self):
         # |H_{1/2}| is exactly sqrt(2/(pi t)), so |Phi| = 1/(4 pi r) exactly
-        params = specfun.FundamentalSolutionParams(k=2.0, dim=3)
         r = np.array([1e-4, 1e-3, 1e-2])
-        got = np.abs(specfun.fundamental_solution(params, r))
+        got = np.abs(specfun.fundamental_solution(2.0, r, 3))
         np.testing.assert_allclose(got, 1.0 / (4.0 * np.pi * r), rtol=1e-12)
 
     def test_dim2_is_quarter_i_hankel(self):
-        params = specfun.FundamentalSolutionParams(k=1.3, dim=2)
         r = np.geomspace(1e-3, 50.0, 100)
-        got = specfun.fundamental_solution(params, r)
+        got = specfun.fundamental_solution(1.3, r, 2)
         want = 0.25j * specfun.hankel1(0.0, 1.3 * r)
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_far_field_decay_rate(self):
         # |Phi| ~ r^{(1-dim)/2} for large r
         for dim in (2, 3):
-            params = specfun.FundamentalSolutionParams(k=1.0, dim=dim)
-            a = np.abs(specfun.fundamental_solution(params, 200.0))
-            b = np.abs(specfun.fundamental_solution(params, 800.0))
+            a = np.abs(specfun.fundamental_solution(1.0, 200.0, dim))
+            b = np.abs(specfun.fundamental_solution(1.0, 800.0, dim))
             assert a / b == pytest.approx(4.0 ** ((dim - 1) / 2.0), rel=0.02)
 
     def test_domain_and_overflow_guard(self):
-        params = specfun.FundamentalSolutionParams(k=1.0, dim=3)
         with pytest.raises(ValueError):
-            specfun.fundamental_solution(params, 0.0)
+            specfun.fundamental_solution(1.0, 0.0, 3)
         with pytest.raises(OverflowError):
-            specfun.fundamental_solution(params, 1e-320)
+            specfun.fundamental_solution(1.0, 1e-320, 3)
         with pytest.raises(ValueError):
-            specfun.FundamentalSolutionParams(k=0.0, dim=3)
+            specfun.fundamental_solution(0.0, 1.0, 3)
         with pytest.raises(ValueError):
-            specfun.FundamentalSolutionParams(k=1.0, dim=1)
+            specfun.fundamental_solution(1.0, 1.0, 1)
+        for k in (np.nan, np.inf, None):
+            with pytest.raises(ValueError, match="k must be finite and > 0"):
+                specfun.fundamental_solution(k, 1.0, 3)
+        for dim in (2.5, True):
+            with pytest.raises(ValueError, match="dim must be an integer >= 2"):
+                specfun.fundamental_solution(1.0, 1.0, dim)
 
 
 class TestZeros:
