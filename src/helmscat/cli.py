@@ -109,13 +109,12 @@ _Block = collections.namedtuple("_Block", "keys required", defaults=((),))
 _Tagged = collections.namedtuple("_Tagged", "tag variants")
 
 
-def _number(above: float = -math.inf, at_most: float = math.inf) -> _Leaf:
-    """A JSON number in (above, at_most] that a float holds; bool, an int
-    subclass, is none."""
-    what = ("a number" if above == -math.inf else f"a number > {above:g}"
-            if at_most == math.inf else f"a number in ({above:g}, {at_most:g}]")
+def _number(above: float = -math.inf) -> _Leaf:
+    """A JSON number > above that a float holds; bool, an int subclass, is
+    none."""
+    what = "a number" if above == -math.inf else f"a number > {above:g}"
     return _Leaf(what, lambda v: isinstance(v, (int, float)) and not isinstance(
-        v, bool) and above < v <= at_most and abs(v) <= sys.float_info.max)
+        v, bool) and above < v and abs(v) <= sys.float_info.max)
 
 
 def _integer(least: int, most: float = math.inf) -> _Leaf:
@@ -157,8 +156,7 @@ _CONFIG = _Block({
         }),
     }, required=("dim", "k", "L", "M")),
     "solver": _Block({
-        "max_iters": _integer(1), "tol": _number(0), "damping": _number(0, 1),
-        "divergence_cap": _number(0),
+        "max_iters": _integer(1), "tol": _number(0), "divergence_cap": _number(0),
         "certify": _Leaf("a boolean", lambda v: isinstance(v, bool)),
     }),
     "continuation": _Block({

@@ -78,6 +78,7 @@ class Grid:
     points_per_axis: int
 
     def __post_init__(self):
+        _check_count(self.dim, "dim", 2)
         if self.dim not in (2, 3):
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         _check_positive(self.half_width, "half_width")

@@ -5,10 +5,10 @@
 with contraction certificates and the linear a priori sup bound.
 
 The iteration is u_{n+1} = (1 - theta) u_n + theta (R_k N_f(u_n) + phi),
-started at phi (or a caller-supplied warm start u0).  The damping always
-adapts: when an update increases the damped step, theta is halved, down to
-min(1/16, damping).  A sup norm beyond the divergence cap stops the run
-with partial data, and so does a value that leaves float64.  The solve
+started at phi (or a caller-supplied warm start u0).  theta starts at 1
+and adapts: when an update increases the damped step, theta is halved,
+down to 1/16.  A sup norm beyond the divergence cap stops the run with
+partial data, and so does a value that leaves float64.  The solve
 runs in one errstate scope in which an overflow or invalid operation gives
 inf or NaN unflagged, as the FFT does anyway, and the maxima the solve
 takes read them: the damped step on the box (a non-finite step ends the
@@ -24,28 +24,23 @@ the box and one onto the eval grid.  An iteration evaluates f on the box
 and applies the box-to-box operator, at the circulant size of the box
 (11^3 for the README bump at M = 32, against 40^3 onto the grid).  Beside
 v it carries, on the box, the damped source s <- (1 - theta) s +
-theta f(v) and a scalar c <- (1 - theta) c, so that the eval-grid iterate
-is
+theta f(v); the first step is undamped, so every later eval-grid iterate
+is phi + R_k s, one apply onto the grid.  theta, the divergence cap and
+the finiteness check read the box.  The damped step on the box is never
+larger than on the grid, so when it reaches tol the stop test reads the
+whole step once on the eval grid,
 
-    u = c u0 + (1 - c) phi + R_k s,
+    max |u_N - u_(N-1)| = max |R_k (s_N - s_(N-1))|,
 
-one apply onto the grid (phi + R_k f(v_prev) for damping 1 without a warm
-start).  theta, the divergence cap and the finiteness check read the box.
-The damped step on the box is never larger than on the grid, so when it
-reaches tol the stop test reads the whole step once on the eval grid,
-
-    max |u_N - u_(N-1)| = max |R_k (s_N - s_(N-1)) + (c_N - c_(N-1)) (u0 - phi)|,
-
-records it in place of the box's step, and stops "converged" when it is at
-most tol; otherwise the iteration goes on.  The run thus stops where the
-whole-grid loop (tests/oracles.py) stops, and a converged solve makes
-three applies onto the grid: this test, the field and the final residual,
-max |R_k N_f(u) + phi - u|.  The field is checked against the cap and for
-finiteness too.  converged still means that the damped step, not the
-undamped residual, is at most tol.  The residual history records the
-damped step on the box, which equals the grid's wherever that step peaks
-on the box; a warm start whose difference from phi fills the grid (a
-continuation's rescaled incident) can peak off it while theta < 1.
+less u0 - phi at the first step, records it in place of the box's step,
+and stops "converged" when it is at most tol; otherwise the iteration goes
+on.  The run thus stops where the whole-grid loop (tests/oracles.py)
+stops, and a converged solve makes three applies onto the grid: this
+test, the field and the final residual, max |R_k N_f(u) + phi - u|.  The
+field is checked against the cap and for finiteness too.  converged still
+means that the damped step, not the undamped residual, is at most tol.
+The residual history records the damped step on the box, which equals the
+grid's wherever that step peaks on the box.
 
 The contraction certificate multiplies the kappa estimate by the sampled
 Lipschitz estimate of the nonlinearity on a ball of radius cap; a product
@@ -119,13 +114,10 @@ _DAMPING_FLOOR = 1.0 / 16.0
 class SolverConfig:
     max_iters: int = 200
     tol: float = 1e-10
-    damping: float = 1.0
     divergence_cap: float = 1e6
 
     def __post_init__(self):
         _check_count(self.max_iters, "max_iters")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         _check_positive(self.tol, "tol")
         if not self.divergence_cap > 0.0:
             raise ValueError("divergence_cap must be > 0")
@@ -169,19 +161,10 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
     onto_grid = BoxResolvent(rcfg, k, f.box)
     box = onto_grid.in_eval
     phi_box = phi.values[box]
-    # u0 - phi, the part of the start that the source s does not carry
-    lift = None if u0 is None else start.values - phi.values
-
-    def on_grid(src, scale):
-        """R src + scale (u0 - phi) on the eval grid."""
-        out = onto_grid(src)
-        return out if lift is None or scale == 0.0 else out + scale * lift
-
-    # the iterate is u = c u0 + (1 - c) phi + R s, with v = u on the box
+    # v = u on the box; after the first, undamped step u = phi + R s
     v = start.values[box]
     s = np.zeros_like(v)
-    c = 1.0
-    theta = cfg.damping
+    theta = 1.0
     history: list[float] = []
     status = "max_iters"
     prev_res = math.inf
@@ -204,11 +187,10 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
                 cand += theta * mapped
                 res = float(np.abs(cand - v).max(initial=0.0))
             # the stop test below, and only it, reads s_N - s_(N-1)
-            s_prev, c_prev = (s.copy() if res <= cfg.tol else None), c
+            s_prev = s.copy() if res <= cfg.tol else None
             s *= 1.0 - theta
             fv *= theta
             s += fv
-            c *= 1.0 - theta
             v = cand
             history.append(res)
             prev_res = res
@@ -218,7 +200,11 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
             if res <= cfg.tol:
                 # the step on the box is no larger than on the grid: the stop
                 # test reads the whole step u_N - u_(N-1) on the eval grid
-                step = float(np.max(np.abs(on_grid(s - s_prev, c - c_prev))))
+                diff = onto_grid(s - s_prev)
+                if len(history) == 1:
+                    diff -= start.values - phi.values
+                step = float(np.max(np.abs(diff)))
+                del diff  # free the transform buffer it views before the read-out
                 if not math.isfinite(step):
                     status = "diverged"
                     break
@@ -227,7 +213,8 @@ def picard_solve(f: NonlinearitySpec, phi: ComplexField, k: float,
                     status = "converged"
                     break
 
-        values = on_grid(s, c) + phi.values
+        # a run that ends before its first step completes returns the start
+        values = onto_grid(s) + phi.values if history else start.values
         sup = float(np.max(np.abs(values)))
         # the start stands in for a last iterate that leaves float64 off the box
         u = ComplexField(start.grid, values) if math.isfinite(sup) else start

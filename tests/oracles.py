@@ -339,8 +339,8 @@ def bound_map(f, phi, k, rcfg):
 def whole_grid_picard(f, phi, k, cfg, rcfg, u0=None):
     """The damped Picard loop on the whole eval grid, the route that the
     solver's iteration on the coefficients' box replaces: each iteration
-    maps the eval-grid iterate through bound_map, halves theta (not below
-    1/16) while the damped step max|u_N - u_(N-1)| grows,
+    maps the eval-grid iterate through bound_map, halves theta (from 1, not
+    below 1/16) while the damped step max|u_N - u_(N-1)| grows,
     stops diverged on a sup norm above the cap or an image that leaves
     float64, and converged on a damped step <= tol.  Returns the field and
     (status, iterations, residual_history, final_residual, damping_used)."""
@@ -358,7 +358,7 @@ def whole_grid_picard(f, phi, k, cfg, rcfg, u0=None):
 
     floor = 1.0 / 16.0
     u = (u0 if u0 is not None else phi).copy()
-    theta = cfg.damping
+    theta = 1.0
     history = []
     status = "max_iters"
     prev_res = math.inf

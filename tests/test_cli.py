@@ -291,17 +291,6 @@ class TestSolve:
         rep = json.loads((out / "solve_report.json").read_text())
         assert rep["status"] == "diverged" and rep["final_residual"] is None
 
-    def test_damping_below_adaptive_floor_is_kept(self, tmp_path):
-        # the schema admits any damping in (0, 1]; one below the adaptive
-        # floor of 1/16 is kept, not rejected
-        cfg = base_config()
-        cfg["solver"]["damping"] = 0.05
-        cp = write_config(tmp_path, cfg)
-        out = tmp_path / "run"
-        assert main(["solve", "--config", cp, "--out", str(out)]) != 2
-        rep = json.loads((out / "solve_report.json").read_text())
-        assert rep["damping_used"] == 0.05
-
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -405,12 +394,13 @@ class TestConfigErrors:
             tags=["defocusing"]), "problem/nonlinearity/tags"),
         (["solve"], lambda c: c["solver"].update(adapt_damping=False),
          "solver/adapt_damping"),
+        (["solve"], lambda c: c["solver"].update(damping=1.0), "solver/damping"),
         (["solve"], lambda c: c.update(
             animate={"field": "field.cfld", "times": [0.0]}), "animate"),
         (["farfield"], lambda c: c.update(
             farfield={"extraction_radius": 5.0}), "farfield/extraction_radius"),
-    ], ids=["nonlinearity.tags", "solver.adapt_damping", "animate",
-            "farfield.extraction_radius"])
+    ], ids=["nonlinearity.tags", "solver.adapt_damping", "solver.damping",
+            "animate", "farfield.extraction_radius"])
     def test_removed_keys_are_schema_violations(self, tmp_path, action, mangle,
                                                 path):
         cfg = base_config()

@@ -78,6 +78,9 @@ class TestGrid:
         dict(dim=3, half_width=1e110, points_per_axis=10),
         dict(dim=3, half_width=1e-300, points_per_axis=10),
         dict(dim=2, half_width=1e-300, points_per_axis=10),
+        # so is a dimension
+        dict(dim=2.0, half_width=1.0, points_per_axis=5),
+        dict(dim=3.0, half_width=1.0, points_per_axis=5),
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

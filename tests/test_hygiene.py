@@ -8,9 +8,10 @@ and count rules are stated only in specfun, a CLI run imports
 none of the scipy subpackages it has no use for and a 3D run that solves
 imports no scipy at all, README's command list
 names exactly the CLI's actions and verify modes, every solver and
-continuation key of the config table is read, the third-party modules the
-package imports are exactly its declared dependencies, every name the
-benchmark's tracer wraps exists where it wraps it and has the parameter
+continuation key of the config table is a field of its config, every field
+of the solver and step configs is read outside its class, the third-party
+modules the package imports are exactly its declared dependencies, every
+name the benchmark's tracer wraps exists where it wraps it and has the parameter
 its annotator reads at the position it reads it from, every benchmark
 workload sets up, runs and checks correct at its tiny size, and every
 cache has a finite size and hands out only read-only arrays."""
@@ -421,6 +422,41 @@ def test_solver_and_continuation_keys_match_their_configs():
 
     assert keys("solver") == fields(SolverConfig) | {"certify"}
     assert keys("continuation") == fields(StepConfig) | {"lambda_max"}
+
+
+def unread_fields(sources, classes) -> list[str]:
+    """'Class.field' for each annotated field of the named classes that no
+    source reads as an attribute (cfg.tol) outside the class's own body."""
+    trees = [ast.parse(src) for src in sources]
+    loads = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)]
+    missing = []
+    for cls in (node for tree in trees for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name in classes):
+        own = {id(n) for n in ast.walk(cls)}
+        read = {n.attr for n in loads if id(n) not in own}
+        missing += [f"{cls.name}.{item.target.id}" for item in cls.body
+                    if isinstance(item, ast.AnnAssign)
+                    and item.target.id not in read]
+    return sorted(missing)
+
+
+def test_every_solver_and_step_setting_is_read():
+    # a setting that only its own validation reads changes nothing
+    sources = [p.read_text() for p in SOURCES]
+    assert unread_fields(sources, {SolverConfig.__name__,
+                                   StepConfig.__name__}) == []
+
+
+def test_unread_setting_is_reported():
+    # K.checked is read only in K's own body, K.unread nowhere; K.used is
+    # read through a parameter, and J is not a class asked about
+    lib = ("class K:\n    used: int = 1\n    checked: float = 0.5\n"
+           "    unread: int = 2\n    def __post_init__(self):\n"
+           "        assert self.checked > 0\n"
+           "class J:\n    other: int = 0\n")
+    user = "def run(cfg):\n    return cfg.used\n"
+    assert unread_fields([lib, user], {"K"}) == ["K.checked", "K.unread"]
 
 
 def tracer_targets(source: str) -> list[tuple[str, str]]:
