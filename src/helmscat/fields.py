@@ -597,10 +597,12 @@ def apply_nonlinearity(f: NonlinearitySpec, u: ComplexField) -> ComplexField:
 # rounds around the best pair
 _LIPSCHITZ_SAMPLES = 4000
 _LIPSCHITZ_ROUNDS = 8
+# unit-disk searches kept by the LRU of _unit_quotient_sup, a float each
+_UNIT_QUOTIENTS = 16
 
 
-def _power_quotient_sup(p: float, cap: float, rng) -> float:
-    """sup over |u|,|v| <= cap of ||u|^(p-2)u - |v|^(p-2)v| / |u - v| by
+def _power_quotient_sup(p: float, rng) -> float:
+    """sup over |u|,|v| <= 1 of ||u|^(p-2)u - |v|^(p-2)v| / |u - v| by
     randomized search with shrinking refinement around the best pair."""
     def g(z):
         return np.abs(z) ** (p - 2.0) * z
@@ -612,28 +614,28 @@ def _power_quotient_sup(p: float, cap: float, rng) -> float:
         return np.where(d > 0.0, q, 0.0)
 
     def draw(n):
-        u = cap * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        u = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         mode = rng.uniform(0, 1, n)
-        eps = cap * 10.0 ** rng.uniform(-9, -1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        eps = 10.0 ** rng.uniform(-9, -1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         v_near = u + eps
-        v_far = cap * np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        v_far = np.sqrt(rng.uniform(0, 1, n)) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         v = np.where(mode < 0.5, v_near, v_far)
         av = np.abs(v)
-        v = np.where(av > cap, v * (cap / np.maximum(av, 1e-300)), v)
+        v = np.where(av > 1.0, v * (1.0 / np.maximum(av, 1e-300)), v)
         return u, v
 
     u, v = draw(_LIPSCHITZ_SAMPLES)
     q = quot(u, v)
     best = float(np.max(q))
     bu, bv = u[np.argmax(q)], v[np.argmax(q)]
-    scale = 0.3 * cap
+    scale = 0.3
     n = _LIPSCHITZ_SAMPLES // 4
     for _ in range(_LIPSCHITZ_ROUNDS):
         du = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         dv = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         u = bu + du
         v = bv + dv
-        keep = (np.abs(u) <= cap) & (np.abs(v) <= cap)
+        keep = (np.abs(u) <= 1.0) & (np.abs(v) <= 1.0)
         if keep.any():
             q = quot(u[keep], v[keep])
             if q.size and float(np.max(q)) > best:
@@ -643,20 +645,34 @@ def _power_quotient_sup(p: float, cap: float, rng) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=_UNIT_QUOTIENTS)
+def _unit_quotient_sup(p: float, seed: int) -> float:
+    """The unit-disk search of _power_quotient_sup, run once per (p, seed)."""
+    return _power_quotient_sup(p, np.random.default_rng(seed))
+
+
 def estimate_lipschitz(f: NonlinearitySpec, cap: float, seed: int = 0) -> float:
     """Estimate sup over x, |u|,|v| <= cap of
     <x>^alpha |f(x,u) - f(x,v)| / |u - v|.
 
     For the affine kind the supremum is exactly the weighted norm of a.  For
-    the power kind the x and (u, v) searches separate, so only the pair
-    search is randomized.  The result is a lower estimate, not a certificate.
+    the power kind the x and (u, v) searches separate, and the quotient of
+    g(z) = |z|^(p-2) z is homogeneous of degree p - 2: its sup over
+    |u|,|v| <= cap is cap^(p-2) times its sup over the unit disk.  Only that
+    unit-disk search is randomized; it runs once per (p, seed) and is kept,
+    so seed must be an integer >= 0.  A cap^(p-2) beyond the float range
+    gives inf (0 for a zero Q).  The result is a lower estimate, not a certificate.
     """
     _check_positive(cap, "cap")
-    rng = np.random.default_rng(seed)
+    _check_count(seed, "seed", 0)
     if f.kind == "affine":
         return weighted_norm(f.a, f.alpha)
     coef = weighted_norm(f.Q, f.alpha)
-    return coef * _power_quotient_sup(f.p, cap, rng)
+    try:
+        scale = math.pow(cap, f.p - 2.0)
+    except OverflowError:
+        return math.inf if coef else 0.0
+    return coef * (scale * _unit_quotient_sup(f.p, seed))
 
 
 # -- aligned subgrids ---------------------------------------------------------

@@ -44,7 +44,9 @@ grid's wherever that step peaks on the box.
 
 The contraction certificate multiplies the kappa estimate by the sampled
 Lipschitz estimate of the nonlinearity on a ball of radius cap; a product
-below 1 indicates (but does not certify) a contractive map.
+below 1 indicates (but does not certify) a contractive map.  For the power
+kind the pair search runs on the unit disk once per (p, seed), and each
+cap scales its result by cap^(p-2).
 
 For the affine nonlinearity f(x, u) = a(x) u + b(x) with
 kappa_hat ||a||_alpha < 1 the solution obeys

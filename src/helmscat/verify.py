@@ -270,8 +270,7 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
                          f"not finite")
     return FourierPositivityResult(
         dim=dim, k=k, delta=float(delta),
-        freqs=tuple(float(x) for x in _check_freqs(delta)),
-        values=tuple(float(v) for v in vals),
+        freqs=tuple(_check_freqs(delta).tolist()), values=tuple(vals.tolist()),
         min_value=float(np.min(vals)), tolerance=tolerance)
 
 

@@ -685,6 +685,14 @@ class TestNonlinearity:
         assert fields.box_diameter(g, None) == 0.0
 
 
+def unit_coefficient():
+    """Q = 1 at the origin of a 5^3 grid, 0 elsewhere: weighted norm 1."""
+    g = small_grid(m=5)
+    vals = np.zeros(g.shape, dtype=complex)
+    vals[2, 2, 2] = 1.0
+    return ComplexField(g, vals)
+
+
 class TestLipschitzEstimate:
     def test_affine_exact(self):
         g = small_grid(m=7)
@@ -709,28 +717,51 @@ class TestLipschitzEstimate:
         assert est >= 0.95 * 2.0 * q * cap
 
     def test_power_oracle_brute_force(self):
-        # compare the (u, v) search against a coarse lattice oracle
-        g = small_grid(m=5)
-        vals = np.zeros(g.shape)
-        vals[2, 2, 2] = 1.0
-        Q = ComplexField(g, vals.astype(complex))
-        spec = NonlinearitySpec.power(Q, p=3.0, alpha=3.0)
-        cap = 1.0
-        est = fields.estimate_lipschitz(spec, cap=cap, seed=0)
-        def gfun(z):
-            return abs(z) * z
-        best = 0.0
-        radii = np.linspace(0, cap, 21)
-        angs = np.linspace(0, 2 * np.pi, 17, endpoint=False)
-        zs = [r * np.exp(1j * a) for r in radii for a in angs]
-        zs = zs[:: max(1, len(zs) // 150)]
-        for u in zs:
-            for v in zs:
-                if u != v:
-                    best = max(best, abs(gfun(u) - gfun(v)) / abs(u - v))
-        # the randomized search must dominate the coarse oracle
-        assert est >= best - 1e-9
-        assert est <= 2.0 * cap * (1 + 1e-9)
+        # the (u, v) search dominates a coarse lattice oracle and stays below
+        # the exact constant (p - 1) cap^(p-2)
+        angs = np.exp(1j * np.linspace(0, 2 * np.pi, 17, endpoint=False))
+        for p in (2.5, 3.0, 4.0):
+            spec = NonlinearitySpec.power(unit_coefficient(), p=p, alpha=3.0)
+            for cap in (0.37, 1.0, 2.9):
+                est = fields.estimate_lipschitz(spec, cap=cap, seed=0)
+                zs = np.outer(np.linspace(0, cap, 21), angs).ravel()
+                zs = zs[:: max(1, zs.size // 150)]
+                gz = np.abs(zs) ** (p - 2.0) * zs
+                d = np.abs(zs[:, None] - zs[None, :])
+                num = np.abs(gz[:, None] - gz[None, :])
+                best = np.max(num[d > 0] / d[d > 0])
+                assert best <= est <= (p - 1.0) * cap ** (p - 2.0) * (1 + 1e-9)
+
+    def test_cap_scales_the_unit_disk_search(self):
+        Q = unit_coefficient()
+        for p in (2.5, 3.0, 4.0):
+            spec = NonlinearitySpec.power(Q, p=p, alpha=3.0)
+            one = fields.estimate_lipschitz(spec, cap=1.0)
+            for cap in (1e-3, 0.37, 0.5, 2.0, 2.9, 1e3):
+                ratio = fields.estimate_lipschitz(spec, cap=cap) / one
+                assert ratio == pytest.approx(cap ** (p - 2.0), rel=4e-16, abs=0.0)
+
+    def test_extreme_caps(self):
+        # finite where |z|^(p-1) leaves the float range (a search on the
+        # ball of radius cap reads NaN at 1e160 and 0.0 at 1e-200), inf
+        # where cap^(p-2) does, and 0 for a zero coefficient
+        spec3 = NonlinearitySpec.power(unit_coefficient(), p=3.0, alpha=3.0)
+        spec4 = NonlinearitySpec.power(unit_coefficient(), p=4.0, alpha=3.0)
+        unit3 = fields.estimate_lipschitz(spec3, cap=1.0)
+        for cap in (1e160, 1e-200):
+            assert fields.estimate_lipschitz(spec3, cap=cap) == cap * unit3
+        assert fields.estimate_lipschitz(spec4, cap=1e160) == math.inf
+        zero = NonlinearitySpec.power(ComplexField.zeros(small_grid(m=5)),
+                                      p=4.0, alpha=3.0)
+        assert fields.estimate_lipschitz(zero, cap=1e160) == 0.0
+
+    def test_seed_is_an_integer_cache_key(self):
+        spec = NonlinearitySpec.power(unit_coefficient(), p=3.0, alpha=3.0)
+        for seed in (None, [0], -1, 1.0, True):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                fields.estimate_lipschitz(spec, cap=1.0, seed=seed)
+        assert (fields.estimate_lipschitz(spec, cap=1.0, seed=np.int64(3))
+                == fields.estimate_lipschitz(spec, cap=1.0, seed=3))
 
     def test_scaling_in_q(self):
         g = small_grid(m=7)

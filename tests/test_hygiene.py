@@ -632,6 +632,7 @@ def cache_samples() -> dict:
         # radius at the half-width: the gradient rule's one-sided formulas
         "fields._sphere_plan": lambda: fields._sphere_plan(
             g2, 2.0, dirs.tobytes()),
+        "fields._unit_quotient_sup": lambda: fields._unit_quotient_sup(3.0, 0),
         "resolvent._window_spectra": lambda: resolvent._window_spectra(
             cfg, 1.3, "outgoing", ((2, 5), (3, 3), (1, 7))),
         "resolvent._kappa": lambda: resolvent._kappa(2.5, cfg, None),

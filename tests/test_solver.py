@@ -13,7 +13,7 @@ from helmscat.fields import (
     support_box,
     weighted_norm,
 )
-from helmscat import resolvent, solver
+from helmscat import fields, resolvent, solver
 from helmscat.resolvent import ResolventConfig, estimate_kappa
 from helmscat.solver import (
     SolverConfig,
@@ -228,6 +228,29 @@ class TestPicard:
         c1 = contraction_certificate(f1, kappa, cap=1.0, seed=3)
         c2 = contraction_certificate(f2, kappa, cap=1.0, seed=3)
         assert c2["product"] == pytest.approx(2.0 * c1["product"], rel=1e-12)
+
+    def test_certificates_share_one_unit_disk_search(self, monkeypatch):
+        # one search per (p, seed), whatever the cap; a new p or seed
+        # searches again
+        calls = []
+        search = fields._power_quotient_sup
+
+        def counted(*args):
+            calls.append(args[0])
+            return search(*args)
+        monkeypatch.setattr(fields, "_power_quotient_sup", counted)
+        fields._unit_quotient_sup.cache_clear()
+        rcfg = small_rcfg()
+        kappa = estimate_kappa(ALPHA, rcfg, K_REF)
+        Q = radial_bump(rcfg.source_grid, -0.2)
+        f3 = NonlinearitySpec.power(Q, p=3.0, alpha=ALPHA)
+        for cap in (0.5, 2.0):
+            contraction_certificate(f3, kappa, cap, seed=5)
+        assert calls == [3.0]
+        contraction_certificate(f3, kappa, 0.5, seed=6)
+        contraction_certificate(NonlinearitySpec.power(Q, p=4.0, alpha=ALPHA),
+                                kappa, 0.5, seed=5)
+        assert calls == [3.0, 3.0, 4.0]
 
     def test_certificate_rejects_huge_coefficient(self):
         rcfg = small_rcfg()

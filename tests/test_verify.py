@@ -288,6 +288,15 @@ class TestFourierPositivity:
                 fourier_positivity(dim, k)
         assert sorted(calls) == [3, 4, 5, 6]
 
+    def test_result_holds_tuples_of_python_floats(self):
+        # the same tuples as a float() per element
+        k = 1.3
+        res = fourier_positivity(3, k)
+        vals = verify._unit_check(3, truncation_threshold(3)) / (k * k)
+        assert res.freqs == tuple(float(x) for x in check_freqs(res.delta))
+        assert res.values == tuple(float(v) for v in vals)
+        assert all(type(x) is float for x in res.freqs + res.values)
+
     def test_values_below_float_range_are_zero(self):
         # the transform scales as k^(-2), about 1e-400 here
         res = fourier_positivity(3, k=1e200)
