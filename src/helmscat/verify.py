@@ -112,6 +112,9 @@ _LIMIT_ARGUMENT = 1e-8
 # k = 1 positivity checks kept by the LRU of _unit_check, one per
 # (dim, k delta); each holds 181 floats
 _UNIT_CHECKS = 16
+# the positivity check's frequencies at delta = 1, built once; read-only
+_UNIT_FREQS = np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180)))
+_UNIT_FREQS.flags.writeable = False
 
 
 # -- arch inequality ----------------------------------------------------------
@@ -217,7 +220,7 @@ class FourierPositivityResult:
 def _check_freqs(delta: float) -> np.ndarray:
     """The positivity check's frequencies: 0 and 180 points geometrically
     spaced over [0.1, 60] / delta."""
-    return np.concatenate(([0.0], np.geomspace(0.1, 60.0, 180) / delta))
+    return _UNIT_FREQS / delta
 
 
 @functools.lru_cache(maxsize=_UNIT_CHECKS)

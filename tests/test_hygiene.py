@@ -5,8 +5,8 @@ has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, no module reads
 numpy's gradient (fields.gradient_at is its one home), the positive-real
 and count rules are stated only in specfun, a CLI run imports
-none of the scipy subpackages it has no use for and a 3D run that solves
-imports no scipy at all, README's command list
+none of the scipy subpackages it has no use for and a 2D or 3D run that
+solves imports no scipy at all, README's command list
 names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is a field of its config, every field
 of the solver and step configs is read outside its class, the third-party
@@ -309,11 +309,12 @@ def test_uncalled_oracle_is_reported():
 
 
 # scipy subpackages that together cost a fresh process most of a second to
-# import; no CLI action loads any of them.  No step below (3D, so the point
-# source and the Bessel functions are closed form) loads any scipy at all:
-# the transforms are numpy.fft's and verify fourier's Gamma(nu + 1) is
-# math.gamma.  scipy.special is imported where a Bessel function without a
-# closed form is first needed
+# import; no CLI action loads any of them.  No step below loads any scipy at
+# all: the point sources of 2D and 3D (H_0 and H_{1/2}) and the Bessel
+# functions the 3D checks read are numpy-only, the transforms are
+# numpy.fft's and verify fourier's Gamma(nu + 1) is math.gamma.
+# scipy.special is imported where a Bessel function without a closed form is
+# first needed
 HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
                "scipy.linalg", "scipy.sparse")
 
@@ -326,7 +327,7 @@ loaded = lambda: sorted(m for m in heavy if m in sys.modules)
 scipy_loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
 from helmscat import cli
 report = {"import helmscat.cli": [0, loaded(), scipy_loaded()]}
-cfg = {
+cfg3 = {
     "problem": {"dim": 3, "k": 1.0, "L": 2.0, "M": 10,
                 "nonlinearity": {"kind": "power", "p": 3.0, "coefficient": {
                     "type": "radial_bump", "amplitude": -0.8, "width": 4.0,
@@ -335,16 +336,30 @@ cfg = {
     "continuation": {"lambda_max": 1.0},
     "verify": {"nu": 1.5, "pairs": 3},
 }
-with tempfile.TemporaryDirectory() as d:
-    path = os.path.join(d, "cfg.json")
-    with open(path, "w") as fh:
-        json.dump(cfg, fh)
-    for action in (["solve"], ["kappa"], ["farfield"], ["continue"],
-                   ["verify", "fourier"], ["verify", "sturm"],
-                   ["verify", "energy"], ["verify", "defocusing"],
-                   ["constants", "zN"]):
-        code = cli.main(action + ["--config", path, "--out", d])
-        report[" ".join(action)] = [code, loaded(), scipy_loaded()]
+# the branch-2d benchmark's focusing bump at a small M; its branch reaches
+# lambda_max = 1, so continue runs no blow-up probe
+cfg2 = {
+    "problem": {"dim": 2, "k": 1.0, "L": 4.0, "M": 12,
+                "nonlinearity": {"kind": "power", "p": 3.0, "coefficient": {
+                    "type": "radial_bump", "amplitude": 0.3, "width": 1.0,
+                    "cutoff": 3.5}}},
+    "solver": {"tol": 1e-10},
+    "continuation": {"lambda_max": 1.0},
+}
+runs = (("", cfg3, (["solve"], ["kappa"], ["farfield"], ["continue"],
+                    ["verify", "fourier"], ["verify", "sturm"],
+                    ["verify", "energy"], ["verify", "defocusing"],
+                    ["constants", "zN"])),
+        ("2D ", cfg2, (["solve"], ["kappa"], ["farfield"], ["continue"],
+                       ["verify", "energy"])))
+for label, cfg, actions in runs:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        for action in actions:
+            code = cli.main(action + ["--config", path, "--out", d])
+            report[label + " ".join(action)] = [code, loaded(), scipy_loaded()]
 print(json.dumps(report))
 """
 
@@ -357,7 +372,7 @@ def test_cli_runs_import_no_heavy_scipy():
         env={**os.environ, "PYTHONPATH": str(src)})
     report = json.loads(proc.stdout.strip().splitlines()[-1])
     assert report == {step: [0, [], False] for step in report}
-    assert len(report) == 10
+    assert len(report) == 15
 
 
 def third_party_imports(sources) -> set[str]:

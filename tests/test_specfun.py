@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -110,6 +115,78 @@ class TestEvaluation:
                 # 0.5 takes J_2's series, 2.0 its recurrence
                 assert isinstance(fn(nu, 0.5), float)
                 assert isinstance(fn(nu, 2.0), float)
+
+
+def mp_hankel0(t) -> np.ndarray:
+    """H^(1)_0 at each t by 30-digit mpmath."""
+    with mp.workdps(30):
+        return np.array([complex(mp.hankel1(0, mp.mpf(float(x))))
+                         for x in np.atleast_1d(t)])
+
+
+def envelope_error(got, want, t) -> np.ndarray:
+    """|got - want| over max(|want|, sqrt(2/(pi t)))."""
+    return np.abs(got - want) / np.maximum(np.abs(want), np.sqrt(2.0 / (np.pi * t)))
+
+
+class TestHankelOrderZero:
+    # H^(1)_0 is evaluated with numpy alone; the accuracy bar is 2e-15 of
+    # the envelope max(|H_0|, sqrt(2/(pi t)))
+    BAR = 2e-15
+
+    def test_against_mpmath_across_every_switch_point(self):
+        # the series gives way to the first band, and each band to the next
+        t = np.concatenate([np.geomspace(1e-6, 1e4, 300)]
+                           + [[np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)]
+                              for s, _, _ in specfun._H0_BANDS])
+        err = envelope_error(specfun.hankel1(0.0, t), mp_hankel0(t), t)
+        assert np.all(err <= self.BAR), (err.max(), t[err.argmax()])
+
+    def test_j0_and_y0_are_its_parts(self):
+        t = np.geomspace(1e-6, 1e4, 2001)
+        h = specfun.hankel1(0.0, t)
+        np.testing.assert_array_equal(specfun.bessel_j(0.0, t), h.real)
+        np.testing.assert_array_equal(specfun.bessel_y(0.0, t), h.imag)
+
+    def test_value_does_not_depend_on_the_call(self):
+        # blocks of specfun._H0_BLOCK points: a point gives the same bits
+        # alone as anywhere in a call that spans several blocks
+        t = np.random.default_rng(3).uniform(0.01, 40.0, 3 * specfun._H0_BLOCK + 5)
+        h = specfun.hankel1(0.0, t.reshape(-1, 1))[:, 0]
+        for i in range(0, t.size, 97):
+            assert specfun.hankel1(0.0, t[i]) == h[i]
+
+    @pytest.mark.parametrize("t", [1e3, 1e4])
+    def test_j0_and_y0_meet_the_bar_at_large_argument(self, t):
+        # scipy's j0 and y0 are 5e-13 of the envelope off here
+        want = mp_hankel0(t)[0]
+        env = max(abs(want), math.sqrt(2.0 / (math.pi * t)))
+        assert abs(specfun.bessel_j(0.0, t) - want.real) <= self.BAR * env
+        assert abs(specfun.bessel_y(0.0, t) - want.imag) <= self.BAR * env
+
+    @pytest.mark.parametrize("t", [5e-324, 1e-300, 2.3e15, 1e300])
+    def test_finite_and_accurate_at_extreme_arguments(self, t):
+        # scipy's hankel1(0, t) is NaN at a subnormal t and from t = 2.27e15
+        # on; the bar holds relative to |H_0| itself here
+        want = mp_hankel0(t)[0]
+        got = specfun.hankel1(0.0, t)
+        assert abs(got - want) <= self.BAR * abs(want)
+        assert specfun.bessel_y(0.0, t) == got.imag
+        assert abs(specfun.fundamental_solution(1.0, t, 2) - 0.25j * want) <= (
+            self.BAR * 0.25 * abs(want))
+
+    def test_order_zero_and_the_2d_point_source_load_no_scipy(self):
+        code = ("import json, sys\nimport numpy as np\nfrom helmscat import specfun\n"
+                "t = np.geomspace(1e-3, 1e3, 50)\n"
+                "specfun.hankel1(0.0, t); specfun.bessel_j(0.0, t)\n"
+                "specfun.bessel_y(0.0, 2.0); specfun.fundamental_solution(1.5, t, 2)\n"
+                "print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m.split('.')[0] == 'scipy')))\n")
+        src = pathlib.Path(specfun.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert json.loads(proc.stdout) == []
 
 
 class TestFundamentalSolution:

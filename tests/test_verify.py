@@ -297,6 +297,15 @@ class TestFourierPositivity:
         assert res.values == tuple(float(v) for v in vals)
         assert all(type(x) is float for x in res.freqs + res.values)
 
+    @pytest.mark.parametrize("dim, k, delta", [(3, 1.3, None), (6, 0.7, None),
+                                               (4, 1.0, 0.37), (5, 2.5, 1e-3)])
+    def test_frequencies_are_built_per_call_bit_for_bit(self, dim, k, delta):
+        # the frequencies are one read-only table at delta = 1 divided by
+        # delta: the same floats as building the geometric rule per call
+        res = fourier_positivity(dim, k, delta)
+        assert res.freqs == tuple(check_freqs(res.delta).tolist())
+        assert not verify._UNIT_FREQS.flags.writeable
+
     def test_values_below_float_range_are_zero(self):
         # the transform scales as k^(-2), about 1e-400 here
         res = fourier_positivity(3, k=1e200)
