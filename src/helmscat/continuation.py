@@ -23,10 +23,16 @@ blowup_probe fits the trailing branch points to the blow-up model
 
 by minimizing, over candidate lambda*, the residual of the linear regression
 of log sup|u| on log(lambda* - lambda) over the last 8 branch points (at
-least 4 are needed).  The probe reports the located lambda*, the exponent
+least 4 are needed).  The candidates lie in (lam_last, lam_last + 2 span],
+span the window's width in lambda; a fit with gamma > 0 ranks before any
+with gamma <= 0.  Each regression is in closed form, so one numpy pass fits
+a grid of 33 candidates, and the grid is zoomed onto the two steps around
+its best candidate until the bracket is narrower than 1e-12 max(hi, 1),
+hi its upper end.  The probe reports the located lambda*, the exponent
 gamma, and the fit residual; it detects a blow-up only for gamma > 0, where
-sup|u| grows toward lambda*.  A branch that reached lambda_max reports no
-blow-up instead.
+sup|u| grows toward lambda*, and its message says so when lambda* is the
+bracket's upper end, where the residual was still falling.  A branch that
+reached lambda_max reports no blow-up instead.
 """
 
 from __future__ import annotations
@@ -168,15 +174,37 @@ def continue_branch(f: NonlinearitySpec, phi: ComplexField, k: float,
 
 _BLOWUP_WINDOW = 8
 _BLOWUP_MIN_POINTS = 4
+# candidates per pass of the lambda* search; each pass keeps the two grid
+# steps around its best candidate, so the bracket shrinks 16-fold a pass
+_BLOWUP_GRID = 33
 
 
-def _fit_at(s: float, lams: np.ndarray, sups: np.ndarray):
-    """Linear regression of log sup on log(s - lam); returns (ssr, gamma, logC)."""
-    z = np.log(s - lams)
+def _fit(stars: np.ndarray, lams: np.ndarray, sups: np.ndarray):
+    """Least-squares line of log sup on log(s - lam) for each candidate s in
+    stars, in closed form; returns the arrays (ssr, gamma, logC)."""
+    z = np.log(stars[:, None] - lams)
     y = np.log(sups)
-    slope, intercept = np.polyfit(z, y, 1)
-    ssr = float(np.sum((y - (slope * z + intercept)) ** 2))
-    return ssr, -slope, intercept
+    zc = z - z.mean(axis=1, keepdims=True)
+    yc = y - y.mean()
+    slope = (zc @ yc) / np.einsum("ij,ij->i", zc, zc)
+    ssr = np.sum((yc - slope[:, None] * zc) ** 2, axis=1)
+    return ssr, -slope, y.mean() - slope * z.mean(axis=1)
+
+
+def _search(lo: float, hi: float, xatol: float, lams: np.ndarray,
+            sups: np.ndarray):
+    """The best candidate of [lo, hi] and its fit, (lambda*, ssr, gamma,
+    logC): the least fit residual among the candidates with gamma > 0, or
+    among all when none has.  A grid of _BLOWUP_GRID candidates is zoomed
+    onto the neighbours of its best one until the bracket is narrower than
+    xatol."""
+    while True:
+        stars = np.linspace(lo, hi, _BLOWUP_GRID)
+        fit = _fit(stars, lams, sups)
+        best = int(np.lexsort((fit[0], fit[1] <= 0.0))[0])
+        if hi - lo < xatol:
+            return tuple(float(v[best]) for v in (stars, *fit))
+        lo, hi = stars[max(best - 1, 0)], stars[min(best + 1, _BLOWUP_GRID - 1)]
 
 
 def blowup_probe(branch: Branch) -> BlowupEstimate:
@@ -196,26 +224,15 @@ def blowup_probe(branch: Branch) -> BlowupEstimate:
     span = lam_last - lams[0]
     lo = lam_last + 1e-9 * max(lam_last, 1.0)
     hi = lam_last + 2.0 * span
-
-    def objective(s):
-        ssr, gamma, _ = _fit_at(s, lams, sups)
-        if gamma <= 0.0:
-            return ssr + 1e6
-        return ssr
-
-    # imported here: scipy.optimize costs a fresh process about 0.2 s, and
-    # only a branch that stops short of lambda_max gets this far
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12 * max(hi, 1.0)})
-    star = float(res.x)
-    ssr, gamma, logc = _fit_at(star, lams, sups)
+    xatol = 1e-12 * max(hi, 1.0)
+    star, ssr, gamma, logc = _search(lo, hi, xatol, lams, sups)
     rms = math.sqrt(ssr / len(tail))
-    detected = bool(gamma > 0.0)
+    detected = gamma > 0.0
     fit = f"lambda* = {star:.6g}, gamma = {gamma:.3g}"
+    if hi - star <= xatol:
+        fit += ", at the upper end of the search bracket"
     message = (f"blow-up fit at {fit}" if detected else
                f"no blow-up detected: sup|u| does not grow (best fit {fit})")
-    return BlowupEstimate(detected=detected, lambda_star=star, gamma=float(gamma),
+    return BlowupEstimate(detected=detected, lambda_star=star, gamma=gamma,
                           amplitude=float(np.exp(logc)), fit_rms=rms,
                           points_used=len(tail), message=message)

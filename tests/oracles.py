@@ -21,6 +21,11 @@ rgi_interpolant (scipy's RegularGridInterpolator) and brentq_zeros (a
 scalar scan with Brent's method) are the routes that the library's own
 multilinear interpolant and vectorized zero scan replace, so that no solve
 imports scipy.interpolate or scipy.optimize; these agree to roundoff.
+bounded_lambda_star is the blow-up probe's lambda* by scipy's bounded
+minimize_scalar over np.polyfit residuals, which the probe's zoomed grid of
+closed-form fits replaces, so that no branch imports scipy.optimize; at an
+interior minimum the two agree to 1e-9 relative, the bounded search's own
+tolerance being about sqrt(eps) relative.
 whole_grid_nonlinearity and picard_map are the whole-grid nonlinearity
 and the field-by-field Picard map that the library's evaluation on the
 coefficients' box replaces; bound_map, the same map bound once to the box,
@@ -75,6 +80,29 @@ def generic_bessel(kind: str, nu: float, t):
     yv, the route the library's closed forms at orders 0, 1, 2, 1/2 and 3/2
     replace."""
     return (jv if kind == "J" else yv)(nu, t)
+
+
+def bounded_lambda_star(lams, sups) -> float:
+    """lambda* of the blow-up model sup ~ C (lambda* - lam)^(-gamma) fitted to
+    the branch points (lams, sups): scipy's bounded minimize_scalar on
+    (lam_last + 1e-9 max(lam_last, 1), lam_last + 2 span], xatol
+    1e-12 max(hi, 1), of the residual of np.polyfit's line of log sups on
+    log(lambda* - lams), plus 1e6 where the fitted gamma <= 0."""
+    from scipy.optimize import minimize_scalar
+
+    lams, y = np.asarray(lams, dtype=float), np.log(sups)
+    lam_last = lams[-1]
+    lo = lam_last + 1e-9 * max(lam_last, 1.0)
+    hi = lam_last + 2.0 * (lam_last - lams[0])
+
+    def objective(s):
+        z = np.log(s - lams)
+        slope, intercept = np.polyfit(z, y, 1)
+        ssr = float(np.sum((y - (slope * z + intercept)) ** 2))
+        return ssr + 1e6 if slope >= 0.0 else ssr
+
+    return float(minimize_scalar(objective, bounds=(lo, hi), method="bounded",
+                                 options={"xatol": 1e-12 * max(hi, 1.0)}).x)
 
 
 def bisect(fn, a: float, b: float, iters: int = 200) -> float:

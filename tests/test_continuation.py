@@ -18,6 +18,7 @@ from helmscat.fields import (
 )
 from helmscat.resolvent import ResolventConfig
 from helmscat.solver import SolverConfig, picard_solve
+from oracles import bounded_lambda_star
 
 K_REF = 1.0
 ALPHA = 3.0
@@ -253,6 +254,34 @@ class TestBlowupProbe:
         assert est.lambda_star == pytest.approx(2.0, abs=1e-3)
         assert not est.detected
         assert est.message.startswith("no blow-up detected: sup|u| does not grow")
+
+    @pytest.mark.parametrize("model", [(1.3, 1.5, 2.0), (1.0, 1.0, 1.0),
+                                       (1.4, 0.5, 0.7)])
+    def test_search_agrees_with_the_bounded_oracle(self, model):
+        # an interior minimum, found by the zoomed grid and by scipy's
+        # bounded search over the same bracket
+        branch = self.synthetic_branch(*model)
+        pts = branch.points[1:]
+        want = bounded_lambda_star([p.lam for p in pts], [p.sup_norm for p in pts])
+        est = blowup_probe(branch)
+        assert est.lambda_star == pytest.approx(want, rel=1e-9)
+        assert "upper end" not in est.message
+
+    def test_fit_at_the_bracket_end_says_so(self):
+        # sup|u| = 1 + lam: the fit residual falls monotonically toward the
+        # bracket's upper end, lam_last + 2 span = 2.55, where both searches
+        # stop; gamma > 0 there, so the fit reads as a blow-up
+        lams = [0.6, 0.8, 0.95, 1.05, 1.12, 1.18, 1.22, 1.25]
+        pts = [BranchPoint(0.0, 0.0, 0.0)] + [
+            BranchPoint(lam, 1.0 + lam, 1e-12) for lam in lams]
+        est = blowup_probe(Branch(points=tuple(pts), lambda_max=2.0,
+                                  terminated_reason="step_floor",
+                                  final_field=self.FIELD))
+        assert est.lambda_star == 1.25 + 2.0 * (1.25 - 0.6)
+        assert est.detected and est.gamma > 0.0
+        assert est.message.endswith(", at the upper end of the search bracket")
+        assert bounded_lambda_star(lams, [1.0 + lam for lam in lams]) == (
+            pytest.approx(est.lambda_star, rel=1e-7))
 
     def test_completed_branch_reports_no_blowup(self):
         b = Branch(points=(BranchPoint(0.0, 0.0, 0.0),), lambda_max=1.0,

@@ -6,7 +6,8 @@ tests/oracles.py has a reader somewhere in the tests, no module reads
 numpy's gradient (fields.gradient_at is its one home), the positive-real
 and count rules are stated only in specfun, a CLI run imports
 none of the scipy subpackages it has no use for and a 2D or 3D run that
-solves imports no scipy at all, README's command list
+solves, a 2D branch that stops short of lambda_max and `constants zN` at
+dims 4 and 6 import no scipy at all, README's command list
 names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is a field of its config, every field
 of the solver and step configs is read outside its class, the third-party
@@ -310,11 +311,12 @@ def test_uncalled_oracle_is_reported():
 
 # scipy subpackages that together cost a fresh process most of a second to
 # import; no CLI action loads any of them.  No step below loads any scipy at
-# all: the point sources of 2D and 3D (H_0 and H_{1/2}) and the Bessel
-# functions the 3D checks read are numpy-only, the transforms are
-# numpy.fft's and verify fourier's Gamma(nu + 1) is math.gamma.
-# scipy.special is imported where a Bessel function without a closed form is
-# first needed
+# all: the point sources of 2D and 3D (H_0 and H_{1/2}), the Bessel
+# functions of orders 0 to 2 that the checks and `constants zN` at dims 3 to
+# 6 read, and the blow-up probe of a 2D branch that stops short of
+# lambda_max are numpy-only, the transforms are numpy.fft's and verify
+# fourier's Gamma(nu + 1) is math.gamma.  scipy.special is imported where a
+# Bessel function without a closed form is first needed
 HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
                "scipy.linalg", "scipy.sparse")
 
@@ -346,12 +348,17 @@ cfg2 = {
     "solver": {"tol": 1e-10},
     "continuation": {"lambda_max": 1.0},
 }
+# the same branch to lambda_max = 10 on the benchmark's step floor: it stops
+# short (exit 3), so continue runs the blow-up probe
+cfg2_short = {**cfg2, "continuation": {"lambda_max": 10.0, "floor_factor": 1e-2}}
 runs = (("", cfg3, (["solve"], ["kappa"], ["farfield"], ["continue"],
                     ["verify", "fourier"], ["verify", "sturm"],
                     ["verify", "energy"], ["verify", "defocusing"],
-                    ["constants", "zN"])),
+                    ["constants", "zN"], ["constants", "zN", "--dim", "4"],
+                    ["constants", "zN", "--dim", "6"])),
         ("2D ", cfg2, (["solve"], ["kappa"], ["farfield"], ["continue"],
-                       ["verify", "energy"])))
+                       ["verify", "energy"])),
+        ("2D short ", cfg2_short, (["continue"],)))
 for label, cfg, actions in runs:
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "cfg.json")
@@ -371,8 +378,9 @@ def test_cli_runs_import_no_heavy_scipy():
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {step: [0, [], False] for step in report}
-    assert len(report) == 15
+    exits = {"2D short continue": 3}
+    assert report == {step: [exits.get(step, 0), [], False] for step in report}
+    assert len(report) == 18
 
 
 def third_party_imports(sources) -> set[str]:

@@ -117,16 +117,25 @@ class TestEvaluation:
                 assert isinstance(fn(nu, 2.0), float)
 
 
-def mp_hankel0(t) -> np.ndarray:
-    """H^(1)_0 at each t by 30-digit mpmath."""
+def mp_hankel(nu, t) -> np.ndarray:
+    """H^(1)_nu at each t by 30-digit mpmath."""
     with mp.workdps(30):
-        return np.array([complex(mp.hankel1(0, mp.mpf(float(x))))
+        return np.array([complex(mp.hankel1(nu, mp.mpf(float(x))))
                          for x in np.atleast_1d(t)])
 
 
 def envelope_error(got, want, t) -> np.ndarray:
     """|got - want| over max(|want|, sqrt(2/(pi t)))."""
     return np.abs(got - want) / np.maximum(np.abs(want), np.sqrt(2.0 / (np.pi * t)))
+
+
+def switch_points(*cuts) -> np.ndarray:
+    """300 log-spaced t in [1e-6, 1e4], and each switch point of the order 0
+    and 1 evaluation and each of cuts, each with the floats next to it."""
+    return np.concatenate([np.geomspace(1e-6, 1e4, 300)]
+                          + [[np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)]
+                             for s in [band[0] for band in specfun._HANKEL_BANDS]
+                             + list(cuts)])
 
 
 class TestHankelOrderZero:
@@ -136,10 +145,8 @@ class TestHankelOrderZero:
 
     def test_against_mpmath_across_every_switch_point(self):
         # the series gives way to the first band, and each band to the next
-        t = np.concatenate([np.geomspace(1e-6, 1e4, 300)]
-                           + [[np.nextafter(s, 0.0), s, np.nextafter(s, np.inf)]
-                              for s, _, _ in specfun._H0_BANDS])
-        err = envelope_error(specfun.hankel1(0.0, t), mp_hankel0(t), t)
+        t = switch_points()
+        err = envelope_error(specfun.hankel1(0.0, t), mp_hankel(0, t), t)
         assert np.all(err <= self.BAR), (err.max(), t[err.argmax()])
 
     def test_j0_and_y0_are_its_parts(self):
@@ -149,9 +156,9 @@ class TestHankelOrderZero:
         np.testing.assert_array_equal(specfun.bessel_y(0.0, t), h.imag)
 
     def test_value_does_not_depend_on_the_call(self):
-        # blocks of specfun._H0_BLOCK points: a point gives the same bits
+        # blocks of specfun._HANKEL_BLOCK points: a point gives the same bits
         # alone as anywhere in a call that spans several blocks
-        t = np.random.default_rng(3).uniform(0.01, 40.0, 3 * specfun._H0_BLOCK + 5)
+        t = np.random.default_rng(3).uniform(0.01, 40.0, 3 * specfun._HANKEL_BLOCK + 5)
         h = specfun.hankel1(0.0, t.reshape(-1, 1))[:, 0]
         for i in range(0, t.size, 97):
             assert specfun.hankel1(0.0, t[i]) == h[i]
@@ -159,7 +166,7 @@ class TestHankelOrderZero:
     @pytest.mark.parametrize("t", [1e3, 1e4])
     def test_j0_and_y0_meet_the_bar_at_large_argument(self, t):
         # scipy's j0 and y0 are 5e-13 of the envelope off here
-        want = mp_hankel0(t)[0]
+        want = mp_hankel(0, t)[0]
         env = max(abs(want), math.sqrt(2.0 / (math.pi * t)))
         assert abs(specfun.bessel_j(0.0, t) - want.real) <= self.BAR * env
         assert abs(specfun.bessel_y(0.0, t) - want.imag) <= self.BAR * env
@@ -168,7 +175,7 @@ class TestHankelOrderZero:
     def test_finite_and_accurate_at_extreme_arguments(self, t):
         # scipy's hankel1(0, t) is NaN at a subnormal t and from t = 2.27e15
         # on; the bar holds relative to |H_0| itself here
-        want = mp_hankel0(t)[0]
+        want = mp_hankel(0, t)[0]
         got = specfun.hankel1(0.0, t)
         assert abs(got - want) <= self.BAR * abs(want)
         assert specfun.bessel_y(0.0, t) == got.imag
@@ -180,6 +187,84 @@ class TestHankelOrderZero:
                 "t = np.geomspace(1e-3, 1e3, 50)\n"
                 "specfun.hankel1(0.0, t); specfun.bessel_j(0.0, t)\n"
                 "specfun.bessel_y(0.0, 2.0); specfun.fundamental_solution(1.5, t, 2)\n"
+                "print(json.dumps(sorted(m for m in sys.modules\n"
+                "                        if m.split('.')[0] == 'scipy')))\n")
+        src = pathlib.Path(specfun.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert json.loads(proc.stdout) == []
+
+
+class TestHankelOrdersOneAndTwo:
+    # H^(1)_1 is evaluated with numpy alone and H^(1)_2 by one recurrence
+    # step from it and H^(1)_0; both meet order zero's bar
+    BAR = TestHankelOrderZero.BAR
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_against_mpmath_across_every_switch_point(self, nu):
+        # order 2 also switches to J_2's power series below _J2_SERIES_CUT
+        t = switch_points(specfun._J2_SERIES_CUT)
+        err = envelope_error(specfun.hankel1(nu, t), mp_hankel(nu, t), t)
+        assert np.all(err <= self.BAR), (err.max(), t[err.argmax()])
+
+    @pytest.mark.parametrize("nu", [1.0, 2.0])
+    def test_j_and_y_are_its_parts(self, nu):
+        t = np.geomspace(1e-6, 1e4, 2001)
+        h = specfun.hankel1(nu, t)
+        np.testing.assert_array_equal(specfun.bessel_j(nu, t), h.real)
+        np.testing.assert_array_equal(specfun.bessel_y(nu, t), h.imag)
+
+    @pytest.mark.parametrize("t", [1e3, 1e4])
+    def test_j1_and_y1_meet_the_bar_at_large_argument(self, t):
+        # scipy's j1 and y1 are 2e-13 of the envelope off near here
+        want = mp_hankel(1, t)[0]
+        env = max(abs(want), math.sqrt(2.0 / (math.pi * t)))
+        assert abs(specfun.bessel_j(1.0, t) - want.real) <= self.BAR * env
+        assert abs(specfun.bessel_y(1.0, t) - want.imag) <= self.BAR * env
+
+    @pytest.mark.parametrize("t", [5e-309, 1e-300, 3e15, 1e300])
+    def test_finite_and_accurate_at_extreme_arguments(self, t):
+        # scipy's hankel1(1, t) is NaN from t = 3e15 on
+        want = mp_hankel(1, t)[0]
+        got = specfun.hankel1(1.0, t)
+        assert abs(got - want) <= self.BAR * abs(want)
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    @pytest.mark.parametrize("r", [3e15, 1e300])
+    def test_point_source_is_finite_at_a_huge_radius(self, dim, r):
+        # these raised "r too close to 0" when H_1 and H_2 came from scipy;
+        # at 1e300 the value underflows to 0
+        nu = (dim - 2) // 2
+        with mp.workdps(30):
+            want = complex(0.25j * (1.0 / (2.0 * mp.pi * r)) ** nu
+                           * mp.hankel1(nu, mp.mpf(r)))
+        got = specfun.fundamental_solution(1.0, r, dim)
+        assert abs(got - want) <= self.BAR * abs(want)
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_point_source_still_raises_at_a_tiny_radius(self, dim):
+        with pytest.raises(OverflowError, match="r too close to 0"):
+            specfun.fundamental_solution(1.0, 1e-170, dim)
+
+    def test_generic_order_at_a_huge_radius_blames_no_small_r(self):
+        # dim 7 takes scipy's hankel1 at order 5/2, NaN at k r = 1e300
+        with pytest.raises(ValueError, match="not finite at k r = 1e"):
+            specfun.fundamental_solution(1.0, np.array([1.0, 1e300]), 7)
+
+    @pytest.mark.parametrize("nu, bracket", [(1.0, (2.0, 2.5)), (2.0, (3.0, 3.6))])
+    def test_first_y_zero_is_within_two_ulp_of_scipy(self, nu, bracket):
+        want = bisect(lambda x: generic_bessel("Y", nu, x), *bracket)
+        assert abs(specfun.first_y_zero(nu) - want) <= 2.0 * np.spacing(want)
+
+    def test_orders_one_and_two_load_no_scipy(self):
+        code = ("import json, sys\nimport numpy as np\nfrom helmscat import specfun\n"
+                "t = np.geomspace(1e-3, 1e3, 50)\n"
+                "for nu in (1.0, 2.0):\n"
+                "    specfun.hankel1(nu, t); specfun.bessel_j(nu, t)\n"
+                "    specfun.bessel_y(nu, 2.0); specfun.first_y_zero(nu)\n"
+                "specfun.fundamental_solution(1.5, t, 4)\n"
+                "specfun.fundamental_solution(1.5, t, 6)\n"
                 "print(json.dumps(sorted(m for m in sys.modules\n"
                 "                        if m.split('.')[0] == 'scipy')))\n")
         src = pathlib.Path(specfun.__file__).parents[1]
