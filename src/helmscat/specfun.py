@@ -1,10 +1,11 @@
-"""Cylinder functions of real order, their positive zeros, and the outgoing
-Helmholtz point source.
+"""Cylinder functions of the orders 0, 1/2, 1, 3/2 and 2, their positive
+zeros, and the outgoing Helmholtz point source of dimensions 2 to 6.
 
+These five orders are the orders (N - 2)/2 of the point sources of
+dimensions N = 2 to 6, and every evaluation rejects any other order.
 Evaluation of J_nu, Y_nu and H^(1)_nu holds better than 1e-12 relative
 accuracy (relative to the modulus envelope sqrt(2/(pi t)) near zeros) over
-the working range t in [1e-6, 1e4].  J_nu and Y_nu take closed forms at the
-orders the kernels of dimensions 2 to 6 use:
+the working range t in [1e-6, 1e4], with numpy alone:
 
   * nu = 0, 1: the real and imaginary parts of H^(1)_0 and H^(1)_1, below;
   * nu = 2: the real and imaginary parts of H^(1)_2, one upward recurrence
@@ -12,11 +13,8 @@ orders the kernels of dimensions 2 to 6 use:
     J_2 is summed from its power series below t = 1, where the step cancels;
   * nu = 1/2, 3/2: trigonometric forms.
 
-Every other order goes through scipy's generic jv and yv.  H^(1)_nu has
-the same closed forms at 0, 1/2, 1, 3/2 and 2 and goes through scipy's
-hankel1 otherwise.  The test suite checks each closed form against the
-generic route.  scipy.special is imported where a routine first calls it,
-so the point sources of dimensions 2 to 6 load no scipy.
+The test suite checks each against scipy's generic jv and yv and against
+30-digit mpmath.
 
 H^(1)_0(t) = J_0(t) + i Y_0(t) is evaluated with numpy alone.  Below t = 2
 it is the power series in q = t^2/4, 24 terms,
@@ -61,17 +59,19 @@ largest float.
 
 Zeros are never read from a table.  A sign-change scan on the lattice of
 pi/8 steps brackets each zero (consecutive positive zeros of a cylinder
-function are separated by more than 2.9, so the scan cannot skip one); the
-lattice is evaluated in one vectorized call, and every bracket is then
-bisected at once, one call per step for all brackets, until its ends are
-adjacent floats; the end where the function is smaller is the zero.  Each
-zero stays certified by its bracket.  The test suite keeps the scalar scan
-with Brent's method that this replaces as the oracle.  The scan ends at
-20000 pi/8; a count whose last zero must lie past that end, by the spacing
-bound, is rejected before any evaluation.
+function are separated by more than 2.9, so the scan cannot skip one).  The
+lattice of 8 count + 16 + floor(nu/(pi/8)) nodes holds the count-th zero,
+at each of the five orders, for J and Y and for every count the scan
+reaches, at least 5.8 short of its end; it is evaluated in one vectorized
+call, and every bracket is then bisected at once, one call per step for all
+brackets, until its ends are adjacent floats; the end where the function is
+smaller is the zero.  Each zero stays certified by its bracket.  The test
+suite keeps the scalar scan with Brent's method that this replaces as the
+oracle.  The scan ends at 20000 pi/8; a count whose last zero must lie past
+that end, by the spacing bound, is rejected before any evaluation.
 
 The outgoing point source fundamental_solution(k, r, dim) in dimension
-N >= 2 is the one formula
+N = 2 to 6 is the one formula
 
     (i/4) * (k / (2 pi r))**((N-2)/2) * H^(1)_{(N-2)/2}(k r),
 
@@ -98,6 +98,9 @@ __all__ = [
     "y_zeros",
 ]
 
+# the orders (dim - 2)/2 of the point sources of dims 2 to 6, the only
+# orders evaluated
+_ORDERS = (0.0, 0.5, 1.0, 1.5, 2.0)
 # Scan step for zero bracketing.  Positive zeros of any fixed-order cylinder
 # function are spaced by more than _MIN_ZERO_GAP, so pi/8 cannot straddle two.
 _SCAN_STEP = math.pi / 8.0
@@ -153,8 +156,9 @@ _Y_SERIES = (
 
 def _check_order(nu: float) -> float:
     nu = float(nu)
-    if not math.isfinite(nu) or nu < 0.0:
-        raise ValueError(f"order must be finite and >= 0, got {nu}")
+    if nu not in _ORDERS:
+        raise ValueError(f"order must be 0, 1/2, 1, 3/2 or 2, the orders of "
+                         f"dims 2 to 6; got {nu:g}")
     return nu
 
 
@@ -265,7 +269,7 @@ def _hankel2(t: np.ndarray) -> np.ndarray:
 
 
 def bessel_j(nu: float, t):
-    """J_nu(t) for real nu >= 0, t > 0.  Scalar or array t."""
+    """J_nu(t) for nu in 0, 1/2, 1, 3/2 and 2, t > 0.  Scalar or array t."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
     if nu in (0.0, 1.0):
@@ -274,17 +278,13 @@ def bessel_j(nu: float, t):
         out = np.sqrt(2.0 / (np.pi * arr)) * np.sin(arr)
     elif nu == 1.5:
         out = np.sqrt(2.0 / (np.pi * arr)) * (np.sin(arr) / arr - np.cos(arr))
-    elif nu == 2.0:
+    else:  # nu == 2
         out = _hankel2(arr).real
-    else:
-        from scipy import special
-
-        out = special.jv(nu, arr)
     return _ret(out, scalar)
 
 
 def bessel_y(nu: float, t):
-    """Y_nu(t) for real nu >= 0, t > 0.  Scalar or array t."""
+    """Y_nu(t) for nu in 0, 1/2, 1, 3/2 and 2, t > 0.  Scalar or array t."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
     if nu in (0.0, 1.0):
@@ -293,17 +293,13 @@ def bessel_y(nu: float, t):
         out = -np.sqrt(2.0 / (np.pi * arr)) * np.cos(arr)
     elif nu == 1.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * (np.cos(arr) / arr + np.sin(arr))
-    elif nu == 2.0:
+    else:  # nu == 2
         out = _hankel2(arr).imag
-    else:
-        from scipy import special
-
-        out = special.yv(nu, arr)
     return _ret(out, scalar)
 
 
 def hankel1(nu: float, t):
-    """H^(1)_nu(t) = J_nu(t) + i Y_nu(t) for real nu >= 0, t > 0."""
+    """H^(1)_nu(t) = J_nu(t) + i Y_nu(t), nu as in bessel_j, t > 0."""
     nu = _check_order(nu)
     arr, scalar = _positive_arg(t)
     if nu in (0.0, 1.0):
@@ -312,26 +308,25 @@ def hankel1(nu: float, t):
         out = -1j * np.sqrt(2.0 / (np.pi * arr)) * np.exp(1j * arr)
     elif nu == 1.5:
         out = -np.sqrt(2.0 / (np.pi * arr)) * np.exp(1j * arr) * (1.0 + 1j / arr)
-    elif nu == 2.0:
+    else:  # nu == 2
         out = _hankel2(arr)
-    else:
-        from scipy import special
-
-        out = special.hankel1(nu, arr)
     return _ret(out, scalar)
 
 
 def fundamental_solution(k: float, r, dim: int):
-    """Outgoing point source of wavenumber k > 0 in dimension dim >= 2 at
+    """Outgoing point source of wavenumber k > 0 in dimension dim = 2 to 6 at
     radius r > 0.
 
     Diverges like r**(2-dim) (log for dim 2) toward r = 0; evaluation close
     enough to the singularity to overflow raises OverflowError instead of
-    returning inf.  Far out it may underflow to 0; from dim 7 on, where
-    scipy's hankel1 is NaN from k r of about 3e15, it raises ValueError.
+    returning inf.  Far out it may underflow to 0.  A value past the largest
+    float at k r >= 1, where (k / (2 pi r))**((dim-2)/2) overflows (dims 5
+    and 6 at k = 1e200, r = 1e-100), raises ValueError.
     """
     _check_positive(k, "k")
     _check_count(dim, "dim", 2)
+    if dim > 6:
+        raise ValueError(f"point source defined for dims 2 to 6, got dim {dim}")
     arr, scalar = _positive_arg(r, "r")
     nu = 0.5 * (dim - 2)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -340,8 +335,8 @@ def fundamental_solution(k: float, r, dim: int):
     if np.any(bad):
         if np.all(k * arr[bad] < 1.0):
             raise OverflowError("point source overflow: r too close to 0")
-        raise ValueError(f"point source not finite at k r = {k * arr[bad].max():.3g}, "
-                         f"beyond the range of H^(1)_{nu:g}")
+        raise ValueError(f"point source not finite at k r = {k * arr[bad].max():.3g}: "
+                         f"its value leaves the float range")
     return _ret(out, scalar)
 
 
@@ -370,22 +365,17 @@ def _scan_for_zeros(fn, nu: float, count: int) -> list[float]:
     if (count - 1) * _MIN_ZERO_GAP >= end:
         raise ValueError(f"{count} zeros out of reach: zero {count} lies "
                          f"beyond t = {end:.6g}, where the scan ends")
-    # The lattice t_j = j pi/8, 1 <= j < _MAX_SCAN_STEPS, is evaluated from
-    # its start, doubled until it holds count zeros: a lattice node past nu
-    # where fn vanishes (other than the last) or a sign change between two
-    # nonzero neighbours.  J_nu and Y_nu have no zero in (0, nu], where J_nu
-    # underflows to 0 for large nu.  Zeros are spaced by about pi = 8 steps.
+    # The lattice t_j = j pi/8, 1 <= j <= n, holds count zeros (module
+    # docstring): a lattice node where fn vanishes (other than the last) or
+    # a sign change between two nonzero neighbours.  Zeros are spaced by
+    # about pi = 8 steps.
     n = min(_MAX_SCAN_STEPS - 1, 8 * count + 16 + int(nu / _SCAN_STEP))
-    while True:
-        t = np.arange(1, n + 1) * _SCAN_STEP
-        f = fn(nu, t)
-        sign = np.sign(f)
-        exact = (sign[:-1] == 0.0) & (t[:-1] > nu)
-        change = sign[:-1] * sign[1:] < 0.0
-        found = np.flatnonzero(exact | change)
-        if found.size >= count or n == _MAX_SCAN_STEPS - 1:
-            break
-        n = min(_MAX_SCAN_STEPS - 1, 2 * n)
+    t = np.arange(1, n + 1) * _SCAN_STEP
+    f = fn(nu, t)
+    sign = np.sign(f)
+    exact = sign[:-1] == 0.0
+    change = sign[:-1] * sign[1:] < 0.0
+    found = np.flatnonzero(exact | change)
     if found.size < count:
         raise ValueError(f"{count} zeros out of reach: the scan found "
                          f"{found.size} in {_MAX_SCAN_STEPS} steps")

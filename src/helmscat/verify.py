@@ -2,8 +2,9 @@
 
 Four independent checks live here.
 
-Arch inequality.  For z(t) = t^(1/2) J_nu(t) with nu >= 1/2, the areas of
-consecutive arches of |z| between zeros of J_nu are nonincreasing,
+Arch inequality.  For z(t) = t^(1/2) J_nu(t) with nu >= 1/2 (here 1/2, 1,
+3/2 or 2, the orders specfun evaluates), the areas of consecutive arches of
+|z| between zeros of J_nu are nonincreasing,
 
     int_{j^(2m-2)}^{j^(2m-1)} |z| dt >= int_{j^(2m-1)}^{j^(2m)} |z| dt,
 
@@ -149,8 +150,8 @@ def sturm_check(nu: float, pairs: int) -> list[SturmResult]:
 
 def truncation_threshold(dim: int) -> float:
     """Largest k*delta keeping the truncated kernel transform nonnegative."""
-    if dim < 3:
-        raise ValueError("threshold defined for dim >= 3")
+    if dim not in (3, 4, 5, 6):
+        raise ValueError(f"threshold defined for dims 3 to 6, got {dim}")
     return first_y_zero((dim - 2) / 2.0)
 
 
@@ -162,8 +163,8 @@ def radial_transform(profile, dim: int, upper: float, freqs) -> np.ndarray:
     frequency with xi upper < 1e-8 gets the xi = 0 value, which F(xi)
     equals there to roundoff.
     """
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
+    if dim not in (2, 3, 4, 5, 6):
+        raise ValueError(f"radial transform defined for dims 2 to 6, got {dim}")
     _check_positive(upper, "upper")
     nu = (dim - 2) / 2.0
     xs = np.atleast_1d(np.asarray(freqs, dtype=float))
@@ -250,8 +251,8 @@ def fourier_positivity(dim: int, k: float, delta: float | None = None,
     are those of the k = 1 check on the ball of radius k delta, divided by
     k^2 (module docstring); a value outside the float range is a ValueError.
     """
-    if dim < 3:
-        raise ValueError("positivity check defined for dim >= 3")
+    if dim not in (3, 4, 5, 6):
+        raise ValueError(f"positivity check defined for dims 3 to 6, got {dim}")
     _check_positive(k, "k")
     if delta is None:
         # the key is z itself: k * (z / k) may differ from z in the last bit

@@ -169,7 +169,11 @@ def verify_brackets(table, width: float = 1e-9) -> bool:
 
 
 def cyl_derivative(fn, nu: float, t):
-    """d/dt C_nu(t) = -C_{nu+1}(t) + (nu/t) C_nu(t), valid for J and Y."""
+    """d/dt C_nu(t), valid for J and Y, by the recurrence that stays among
+    the orders 0 to 2: C_{nu-1}(t) - (nu/t) C_nu(t) from nu = 1 on, and
+    -C_{nu+1}(t) + (nu/t) C_nu(t) below."""
+    if nu >= 1.0:
+        return fn(nu - 1.0, t) - (nu / t) * fn(nu, t)
     return -fn(nu + 1.0, t) + (nu / t) * fn(nu, t)
 
 

@@ -726,6 +726,24 @@ class TestVerifyModes:
         assert not res["breach"]
         assert all(abs(m) <= 1e-10 for m in res["margins"])
 
+    def test_sturm_order_two(self, tmp_path):
+        cp = write_config(tmp_path, {"verify": {"nu": 2.0, "pairs": 5}})
+        out = tmp_path / "run"
+        assert main(["verify", "sturm", "--config", cp, "--out", str(out)]) == 0
+        res = json.loads((out / "verify_sturm.json").read_text())
+        assert not res["breach"]
+        assert len(res["margins"]) == 5 and res["min_margin"] > 0.0
+
+    def test_sturm_order_of_no_dim_is_config_error(self, tmp_path):
+        cp = write_config(tmp_path, {"verify": {"nu": 2.5, "pairs": 5}})
+        out = tmp_path / "run"
+        assert main(["verify", "sturm", "--config", cp, "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert man["error"] == ("order must be 0, 1/2, 1, 3/2 or 2, the orders "
+                                "of dims 2 to 6; got 2.5")
+        assert os.listdir(out) == ["manifest.json"]
+
     def test_sturm_out_of_reach_is_config_error(self, tmp_path):
         # 6000 zeros lie beyond the zero scan's range
         cp = write_config(tmp_path, {"verify": {"nu": 1.5, "pairs": 3000}})
@@ -854,13 +872,31 @@ class TestConstants:
                      "--out", str(tmp_path / "run")]) == 2
 
     def test_out_of_reach_dim_is_config_error(self, tmp_path):
-        # the zero of Y_(dim-2)/2 lies past the zero scan's end
+        # the threshold is defined for the dims whose order specfun evaluates
         out = tmp_path / "run"
         assert main(["constants", "zN", "--dim", "16000", "--out", str(out)]) == 2
         man = json.loads((out / "manifest.json").read_text())
         assert man["status"] == "config_error"
-        assert "out of reach" in man["error"]
+        assert man["error"] == "threshold defined for dims 3 to 6, got 16000"
         assert os.listdir(out) == ["manifest.json"]
+
+    def test_dim5_value(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["constants", "zN", "--dim", "5", "--out", str(out)]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["nu"] == 1.5
+        # Y_(3/2)(t) = -sqrt(2/(pi t)) (cos t / t + sin t) vanishes where
+        # tan t = -1/t
+        z = printed["z"]
+        assert math.tan(z) == pytest.approx(-1.0 / z, rel=1e-12)
+        assert 2.0 < z < 3.0
+
+    def test_dim7_is_config_error(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["constants", "zN", "--dim", "7", "--out", str(out)]) == 2
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["status"] == "config_error"
+        assert man["error"] == "threshold defined for dims 3 to 6, got 7"
 
 
 class TestEnvOverrides:

@@ -4,18 +4,17 @@ name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, no module reads
 numpy's gradient (fields.gradient_at is its one home), the positive-real
-and count rules are stated only in specfun, a CLI run imports
-none of the scipy subpackages it has no use for and a 2D or 3D run that
-solves, a 2D branch that stops short of lambda_max and `constants zN` at
-dims 4 and 6 import no scipy at all, README's command list
-names exactly the CLI's actions and verify modes, every solver and
+and count rules are stated only in specfun, every CLI action of a 2D and
+a 3D run exits as it should where scipy cannot be imported, README's command
+list names exactly the CLI's actions and verify modes, every solver and
 continuation key of the config table is a field of its config, every field
 of the solver and step configs is read outside its class, the third-party
-modules the package imports are exactly its declared dependencies, every
-name the benchmark's tracer wraps exists where it wraps it and has the parameter
-its annotator reads at the position it reads it from, every benchmark
-workload sets up, runs and checks correct at its tiny size, and every
-cache has a finite size and hands out only read-only arrays."""
+modules the package imports are exactly its declared dependencies and
+those the tests import are declared too, every name the benchmark's tracer
+wraps exists where it wraps it and has the parameter its annotator reads at
+the position it reads it from, every benchmark workload sets up, runs and
+checks correct at its tiny size, and every cache has a finite size and
+hands out only read-only arrays."""
 
 import ast
 import dataclasses
@@ -309,26 +308,20 @@ def test_uncalled_oracle_is_reported():
     assert unread_oracles(oracles, tests) == ["unread"]
 
 
-# scipy subpackages that together cost a fresh process most of a second to
-# import; no CLI action loads any of them.  No step below loads any scipy at
-# all: the point sources of 2D and 3D (H_0 and H_{1/2}), the Bessel
-# functions of orders 0 to 2 that the checks and `constants zN` at dims 3 to
-# 6 read, and the blow-up probe of a 2D branch that stops short of
-# lambda_max are numpy-only, the transforms are numpy.fft's and verify
-# fourier's Gamma(nu + 1) is math.gamma.  scipy.special is imported where a
-# Bessel function without a closed form is first needed
-HEAVY_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.interpolate",
-               "scipy.linalg", "scipy.sparse")
-
-# run in a fresh interpreter: which heavy modules each step has loaded,
-# whether any scipy module is loaded, and the exit code of each CLI action
+# run in a fresh interpreter in which every scipy import fails: the exit
+# code of each CLI action
 CLI_RUNS = """
-import json, os, sys, tempfile
-heavy = json.loads(sys.argv[1])
-loaded = lambda: sorted(m for m in heavy if m in sys.modules)
-scipy_loaded = lambda: any(m.split(".")[0] == "scipy" for m in sys.modules)
+import importlib.abc, json, os, sys, tempfile
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"no {name} here")
+
+
+sys.meta_path.insert(0, NoScipy())
 from helmscat import cli
-report = {"import helmscat.cli": [0, loaded(), scipy_loaded()]}
 cfg3 = {
     "problem": {"dim": 3, "k": 1.0, "L": 2.0, "M": 10,
                 "nonlinearity": {"kind": "power", "p": 3.0, "coefficient": {
@@ -355,32 +348,36 @@ runs = (("", cfg3, (["solve"], ["kappa"], ["farfield"], ["continue"],
                     ["verify", "fourier"], ["verify", "sturm"],
                     ["verify", "energy"], ["verify", "defocusing"],
                     ["constants", "zN"], ["constants", "zN", "--dim", "4"],
-                    ["constants", "zN", "--dim", "6"])),
+                    ["constants", "zN", "--dim", "5"],
+                    ["constants", "zN", "--dim", "6"],
+                    ["constants", "zN", "--dim", "7"])),
         ("2D ", cfg2, (["solve"], ["kappa"], ["farfield"], ["continue"],
                        ["verify", "energy"])),
         ("2D short ", cfg2_short, (["continue"],)))
+report = {}
 for label, cfg, actions in runs:
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "cfg.json")
         with open(path, "w") as fh:
             json.dump(cfg, fh)
         for action in actions:
-            code = cli.main(action + ["--config", path, "--out", d])
-            report[label + " ".join(action)] = [code, loaded(), scipy_loaded()]
+            report[label + " ".join(action)] = cli.main(
+                action + ["--config", path, "--out", d])
 print(json.dumps(report))
 """
 
 
-def test_cli_runs_import_no_heavy_scipy():
+def test_cli_runs_without_scipy():
+    # an action that imported scipy would end with status error, exit 1
     src = pathlib.Path(helmscat.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", CLI_RUNS, json.dumps(HEAVY_SCIPY)],
+        [sys.executable, "-c", CLI_RUNS],
         capture_output=True, text=True, timeout=120, check=True,
         env={**os.environ, "PYTHONPATH": str(src)})
     report = json.loads(proc.stdout.strip().splitlines()[-1])
-    exits = {"2D short continue": 3}
-    assert report == {step: [exits.get(step, 0), [], False] for step in report}
-    assert len(report) == 18
+    exits = {"2D short continue": 3, "constants zN --dim 7": 2}
+    assert report == {step: exits.get(step, 0) for step in report}
+    assert len(report) == 19
 
 
 def third_party_imports(sources) -> set[str]:
@@ -396,16 +393,37 @@ def third_party_imports(sources) -> set[str]:
     return found - sys.stdlib_module_names
 
 
+def pyproject() -> dict:
+    """The [project] table of pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    path = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    return tomllib.loads(path.read_text())["project"]
+
+
+def requirement_names(requirements) -> set[str]:
+    """The distribution names of requirement strings, lowercase, with _ for -."""
+    return {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+            for d in requirements}
+
+
 def test_declared_dependencies_are_the_imported_ones():
     # a declared dependency that no module imports is installed for nothing,
     # and an undeclared import fails on a clean install
-    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
-    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
-    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
-    names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
-             for d in declared}
+    names = requirement_names(pyproject()["dependencies"])
     assert third_party_imports(path.read_text() for path in SOURCES) == names
-    assert names == {"numpy", "scipy"}
+    assert names == {"numpy"}
+
+
+def test_test_imports_are_declared():
+    # the oracles' scipy and mpmath come with the test extra alone: a clean
+    # install of it that lacked one would fail to collect
+    project = pyproject()
+    declared = requirement_names(project["dependencies"]
+                                 + project["optional-dependencies"]["test"])
+    local = {"helmscat"} | {path.stem for path in TESTS}
+    used = third_party_imports(path.read_text() for path in TESTS) - local
+    assert used == {"hypothesis", "mpmath", "numpy", "pytest", "scipy"}
+    assert used <= declared
 
 
 def test_third_party_import_is_reported():

@@ -50,6 +50,11 @@ class TestSturm:
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 3.0])
     def test_margins_never_negative(self, nu):
+        if nu == 3.0:
+            # no dim from 2 to 6 has order 3, so the zero scan rejects it
+            with pytest.raises(ValueError, match="the orders of dims 2 to 6; got 3$"):
+                sturm_check(nu, 20)
+            return
         for r in sturm_check(nu, 20):
             assert r.margin >= -1e-9
 
@@ -202,8 +207,9 @@ class TestRadialTransform:
         assert sorted(calls) == ["bessel_j", "j_zeros"]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            radial_transform(lambda s: s, 1, 1.0, [1.0])
+        for dim in (1, 7):
+            with pytest.raises(ValueError, match=f"dims 2 to 6, got {dim}$"):
+                radial_transform(lambda s: s, dim, 1.0, [1.0])
         for upper in (-1.0, 0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="upper"):
                 radial_transform(lambda s: s, 3, upper, [1.0])
@@ -231,8 +237,11 @@ class TestFourierPositivity:
         assert truncation_threshold(3) == pytest.approx(math.pi / 2.0, abs=1e-12)
         assert truncation_threshold(4) == pytest.approx(y1_zeros(1)[0][0].real,
                                                         abs=1e-10)
-        ts = [truncation_threshold(n) for n in range(3, 10)]
+        ts = [truncation_threshold(n) for n in range(3, 7)]
         assert all(a < b for a, b in zip(ts, ts[1:]))
+        for dim in (2, 7, 8, 9):
+            with pytest.raises(ValueError, match=f"dims 3 to 6, got {dim}$"):
+                truncation_threshold(dim)
 
     @pytest.mark.parametrize("dim", [3, 4, 5, 6])
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
@@ -312,8 +321,9 @@ class TestFourierPositivity:
         assert res.min_value == 0.0 and max(res.values) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fourier_positivity(2, k=1.0)
+        for dim in (2, 7):
+            with pytest.raises(ValueError, match=f"dims 3 to 6, got {dim}$"):
+                fourier_positivity(dim, k=1.0)
         with pytest.raises(ValueError):
             fourier_positivity(3, k=-1.0)
         with pytest.raises(ValueError):
