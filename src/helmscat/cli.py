@@ -507,11 +507,11 @@ def _run_farfield(cfg: dict, args, out: str):
 
 def _verify_sturm(cfg: dict, vc: dict, prob, u):
     tol = float(vc.get("tolerance", 1e-9))
-    margins = [r.margin for r in sturm_check(float(vc.get("nu", 0.5)),
-                                             vc.get("pairs", 5))]
+    checks = sturm_check(float(vc.get("nu", 0.5)), vc.get("pairs", 5), tol)
+    margins = [c.margin for c in checks]
     return ({"nu": vc.get("nu", 0.5), "tolerance": tol, "margins": margins,
              "min_margin": min(margins)},
-            any(m < -tol for m in margins), {"margin_tol": tol})
+            not all(c.satisfied for c in checks), {"margin_tol": tol})
 
 
 def _verify_fourier(cfg: dict, vc: dict, prob, u):

@@ -94,10 +94,11 @@ fields.sphere_trace.  All they read but u depends on the grid and the
 radii alone, so it is built once per (grid, radii) and kept read-only in
 small LRUs, the ball in _radiation_ball and each sphere in
 fields._sphere_plan; a call only gathers u and combines the values.
-far_field interpolates u alone, through one fields.grid_interpolant, on
-the sphere of its one radius, and returns only the amplitudes.  The radial
-integrals, the ball integral of the kernel (singular cell and the kappa
-tail bound's near mass) and the tail bound's annulus term, are
+far_field sums u alone over the corners of the plan of its one sphere (at
+3L/4 with the 26-point rule, the radiation report's own).  The residuals
+are diagnostics: no tolerance is derived for them yet, and no verdict.
+The radial integrals, the ball integral of the kernel (singular cell and
+the kappa tail bound's near mass) and the tail bound's annulus term, are
 Gauss-Legendre panel sums (fields.gl_panels).
 """
 
@@ -213,13 +214,13 @@ class KappaEstimate:
 
 @dataclass(frozen=True)
 class RadiationReport:
-    """Outgoing-radiation residuals over a family of ball radii."""
+    """Outgoing-radiation residuals over a family of ball radii:
+    diagnostics, with no tolerance and no verdict."""
 
     radii: tuple[float, ...]
     averaged_residual: tuple[float, ...]
     pointwise_residual: tuple[float, ...]
     inner_radius: float
-    monotone_decreasing: bool
 
 
 @dataclass(frozen=True)
@@ -529,10 +530,9 @@ def radiation_report(u: ComplexField, k: float, radii) -> RadiationReport:
         res = np.abs(du_dr - 1j * k * uv) * R ** (0.5 * (g.dim - 1))
         pointwise.append(float(np.max(res)))
 
-    mono = all(b <= a * (1 + 1e-12) for a, b in zip(averaged, averaged[1:]))
     return RadiationReport(radii=radii, averaged_residual=tuple(averaged),
                            pointwise_residual=tuple(pointwise),
-                           inner_radius=0.5 * radii[0], monotone_decreasing=mono)
+                           inner_radius=0.5 * radii[0])
 
 
 def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarField:
@@ -550,6 +550,8 @@ def far_field(u_sc: ComplexField, k: float, directions, radius: float) -> FarFie
     if not 0 < radius <= g.half_width:
         raise ValueError(f"radius {radius} must lie in (0, {g.half_width}], "
                          f"the grid half-width")
-    at = _fields.grid_interpolant(g, u_sc.values)
-    amp = radius ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * radius) * at(radius * dirs)
+    key = np.ascontiguousarray(dirs).tobytes()
+    nodes, weights, _ = _fields._sphere_plan(g, float(radius), key)
+    at = _fields._corner_sum(u_sc.values.reshape(-1)[nodes], weights)
+    amp = radius ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * radius) * at
     return FarField(amplitude=amp)

@@ -290,11 +290,8 @@ def linear_bound_check(f: NonlinearitySpec, phi: ComplexField, u: ComplexField,
     if small >= 1.0:
         raise ValueError(f"kappa_hat * ||a||_alpha = {small:.3f} >= 1; bound void")
     rhs = (kappa.kappa_hat * bn + phi.sup_norm) / (1.0 - small)
-    lhs = u.sup_norm
-    margin = rhs - lhs
     return BoundCheck(
-        name="linear_sup_bound", lhs=lhs, rhs=rhs, margin=margin,
-        satisfied=bool(margin >= 0.0),
+        name="linear_sup_bound", lhs=u.sup_norm, rhs=rhs,
         context={"kappa_hat": kappa.kappa_hat, "coef_norm": qn,
                  "offset_norm": bn, "smallness": small},
     )

@@ -11,7 +11,8 @@ Arch inequality.  For z(t) = t^(1/2) J_nu(t) with nu >= 1/2 (here 1/2, 1,
 with j^(0) = 0 and equality for nu = 1/2, where every arch integrates to
 2 sqrt(2/pi).  Each arch is integrated by Gauss-Legendre with 32 nodes;
 the integrand is smooth between consecutive zeros.  Every check evaluates
-its integrand once, on the nodes of all its panels.
+its integrand once, on the nodes of all its panels.  Pair m is the
+BoundCheck arch_pair_<m>: right arch <= left arch, within a tolerance.
 
 Radial Fourier positivity.  The transform of a radial profile f supported
 in [0, delta] is evaluated through the one-dimensional reduction
@@ -58,8 +59,8 @@ satisfies the chained integral bounds
 
 q = 2 dim/(dim+2) the dual critical exponent, Omega = {Q != 0}.  All
 integrals are cell sums on the coefficient grid, taken over the support box
-of Q, off which every term is an exact zero; every check reports a signed
-margin, never a boolean alone.  The chain is checked together with
+of Q, off which every term is an exact zero; every check is a BoundCheck,
+with a signed margin, never a boolean alone.  The chain is checked with
 its hypotheses: a coefficient that is not real, nonpositive and zero on the
 boundary layer of its grid is rejected, and the support diameter is
 checked against z/k as a fifth bound.
@@ -90,7 +91,6 @@ from .fields import (
 from .specfun import _check_count, _check_positive, bessel_j, bessel_y, first_y_zero, j_zeros
 
 __all__ = [
-    "SturmResult",
     "sturm_check",
     "FourierPositivityResult",
     "radial_transform",
@@ -120,30 +120,21 @@ _UNIT_FREQS.flags.writeable = False
 
 # -- arch inequality ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class SturmResult:
-    order: float
-    pair_index: int
-    left_integral: float
-    right_integral: float
-
-    @property
-    def margin(self) -> float:
-        return self.left_integral - self.right_integral
-
-
-def sturm_check(nu: float, pairs: int) -> list[SturmResult]:
-    """Compare consecutive arch areas of t^(1/2)|J_nu|; margin = left - right."""
+def sturm_check(nu: float, pairs: int,
+                tolerance: float = 1e-9) -> tuple[BoundCheck, ...]:
+    """The arch inequality for the pairs m = 1..pairs of consecutive arch
+    areas of t^(1/2)|J_nu|: check arch_pair_<m> has lhs the right arch and
+    rhs the left one, so its margin is left - right."""
     if nu < 0.5:
         raise ValueError("arch inequality holds for order >= 1/2")
     _check_count(pairs, "pairs")
     zeros = np.concatenate(([0.0], j_zeros(nu, 2 * pairs).zeros))
     # J_nu keeps one sign inside each arch, so |int| = int | . |
     arches = np.abs(gl_panels(lambda t: np.sqrt(t) * bessel_j(nu, t),
-                              zeros[:-1], zeros[1:]))
-    return [SturmResult(order=nu, pair_index=m, left_integral=arches[2 * m - 2],
-                        right_integral=arches[2 * m - 1])
-            for m in range(1, pairs + 1)]
+                              zeros[:-1], zeros[1:])).tolist()
+    return tuple(BoundCheck(f"arch_pair_{m}", lhs=arches[2 * m - 1],
+                            rhs=arches[2 * m - 2], tolerance=tolerance)
+                 for m in range(1, pairs + 1))
 
 
 # -- radial Fourier transform -------------------------------------------------
@@ -396,21 +387,16 @@ def defocusing_inequalities(u: ComplexField, phi: ComplexField, Q: ComplexField,
     dual_norm = float(np.sum(weighted ** qdual * vol) ** (1.0 / qdual))
     cap_d = omega ** (1.0 / qdual) * normq * phisup ** (p - 1.0)
 
-    def check(name, lhs, rhs, extra=None):
-        margin = rhs - lhs
-        ctx = {"tolerance": tolerance}
-        if extra:
-            ctx.update(extra)
-        return BoundCheck(name=name, lhs=lhs, rhs=rhs, margin=margin,
-                          satisfied=bool(margin >= -tolerance), context=ctx)
+    def check(name, lhs, rhs, **context):
+        return BoundCheck(name, lhs, rhs, tolerance, context)
 
     return (
         check("defocusing_first_bound", int_p, phisup * int_pm1),
         check("weighted_mass_p_minus_1", int_pm1, phisup ** (p - 1.0) * int_q,
-              extra={"loose_rhs": omega * normq * phisup ** (p - 1.0)}),
+              loose_rhs=omega * normq * phisup ** (p - 1.0)),
         check("weighted_mass_p", int_p, phisup ** p * int_q),
         check("source_dual_norm", dual_norm, cap_d,
-              extra={"dual_exponent": qdual, "support_measure": omega}),
+              dual_exponent=qdual, support_measure=omega),
         check("support_diameter", box_diameter(Q.grid, box),
-              truncation_threshold(dim) / k, extra={"k": k}),
+              truncation_threshold(dim) / k, k=k),
     )

@@ -12,14 +12,17 @@ bit for bit.
 radial_transform_quad is the radial Fourier transform by scipy's jv and
 adaptive quad, one frequency at a time, and real_kernel the transformed
 kernel by scipy's yv; the library's fixed-panel rule agrees with them to
-1e-12 of the largest value.  split_interpolant and
-split_sphere_trace are the real/imaginary split, one interpolant per part
-and per component of u and its whole-grid np.gradient, that the library's
-gradient at the cell corners it reads replaces; sphere diagnostics must
-reproduce them.
+1e-12 of the largest value.  grid_interpolant is the library's corner
+rule (fields._cell_corners) applied to a stack of whole-grid fields at any
+points; it came from the library, where only the far field called it.
+split_interpolant, split_sphere_trace and split_far_field are the
+real/imaginary split, one interpolant per part and per component of u and
+its whole-grid np.gradient, that the library's gradient at the cell
+corners it reads and its sum over the cached plan's corners replace;
+sphere diagnostics and the far field must reproduce them.
 rgi_interpolant (scipy's RegularGridInterpolator) and brentq_zeros (a
 scalar scan with Brent's method) are the routes that the library's own
-multilinear interpolant and vectorized zero scan replace, so that no solve
+multilinear corner rule and vectorized zero scan replace, so that no solve
 imports scipy.interpolate or scipy.optimize; these agree to roundoff.
 bounded_lambda_star is the blow-up probe's lambda* by scipy's bounded
 minimize_scalar over np.polyfit residuals, which the probe's zoomed grid of
@@ -59,7 +62,7 @@ from scipy import fft
 from scipy.interpolate import RegularGridInterpolator
 from scipy.special import gamma, jv, yv
 
-from helmscat.fields import grid_interpolant
+from helmscat.fields import _cell_corners
 
 
 def j0_series(t: float, terms: int = 80) -> float:
@@ -531,20 +534,45 @@ def field_file_bytes(fld, k: float) -> bytes:
             + np.ascontiguousarray(fld.values).astype("<c16").tobytes())
 
 
+def grid_interpolant(grid, values):
+    """Multilinear interpolant of values given on the grid's nodes.  values
+    has shape grid.shape + trailing, so one interpolant samples a stack of
+    fields.  Returns at(points) for points of shape (..., dim), with values
+    of shape points.shape[:-1] + trailing; a point outside the grid is a
+    ValueError."""
+    flat = values.reshape((-1,) + values.shape[grid.dim:])
+    trailing = (np.newaxis,) * (values.ndim - grid.dim)
+
+    def at(points):
+        nodes, weights = _cell_corners(grid, points)
+        out = 0.0
+        for node, weight in zip(nodes, weights):
+            out = out + flat[node] * weight[(Ellipsis,) + trailing]
+        return out
+
+    return at
+
+
 def rgi_interpolant(grid, values):
     """scipy's RegularGridInterpolator (linear, out-of-bounds points raise
-    ValueError) over the grid's axes, called like fields.grid_interpolant."""
+    ValueError) over the grid's axes, called like grid_interpolant."""
     return RegularGridInterpolator((grid.axis(),) * grid.dim, values)
 
 
 def split_interpolant(grid, values):
     """Multilinear interpolant of complex grid values as two real
-    fields.grid_interpolants, one per part; called like
-    fields.grid_interpolant.  The library function is bound at import, so a
-    test may put this one in its place."""
+    grid_interpolants, one per part; called like grid_interpolant."""
     re = grid_interpolant(grid, values.real)
     im = grid_interpolant(grid, values.imag)
     return lambda pts: re(pts) + 1j * im(pts)
+
+
+def split_far_field(u_sc, k: float, dirs, radius: float) -> np.ndarray:
+    """The far-field amplitudes R^((dim-1)/2) exp(-i k R) u_sc(R dirs) read
+    through split_interpolant."""
+    g = u_sc.grid
+    at = split_interpolant(g, u_sc.values)
+    return radius ** (0.5 * (g.dim - 1)) * np.exp(-1j * k * radius) * at(radius * dirs)
 
 
 def split_sphere_trace(grid, values, dirs):

@@ -183,7 +183,7 @@ def test_06_special_function_anchors(report):
 
 
 def test_07_sturm_arch_inequality(report):
-    eq_dev = max(max(abs(r.left_integral - 2.0 * math.sqrt(2.0 / math.pi)),
+    eq_dev = max(max(abs(r.rhs - 2.0 * math.sqrt(2.0 / math.pi)),
                      abs(r.margin)) for r in sturm_check(0.5, 20))
     min_margin = min(r.margin for nu in (1.0, 1.5, 2.0)
                      for r in sturm_check(nu, 20))

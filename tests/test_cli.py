@@ -220,7 +220,7 @@ class TestSolve:
 
     def test_failed_bound_check_exit_code(self, tmp_path, monkeypatch):
         breach = BoundCheck(name="linear_sup_bound", lhs=2.0, rhs=1.0,
-                            margin=-1.0, satisfied=False)
+                            tolerance=0.5)
         monkeypatch.setattr(solver, "linear_bound_check",
                             lambda f, phi, u, kappa: breach)
         cp = write_config(tmp_path, affine_config())
@@ -230,7 +230,8 @@ class TestSolve:
         assert man["status"] == "verification_breach"
         rep = json.loads((out / "solve_report.json").read_text())
         assert rep["converged"]
-        assert [c["satisfied"] for c in rep["bound_checks"]] == [False]
+        assert [(c["margin"], c["tolerance"], c["satisfied"])
+                for c in rep["bound_checks"]] == [(-1.0, 0.5, False)]
 
     @pytest.mark.parametrize("action", [
         ["solve"], ["farfield"], ["verify", "energy"], ["verify", "defocusing"],
@@ -725,6 +726,17 @@ class TestVerifyModes:
         res = json.loads((out / "verify_sturm.json").read_text())
         assert not res["breach"]
         assert all(abs(m) <= 1e-10 for m in res["margins"])
+
+    def test_sturm_breach_follows_the_tolerance(self, tmp_path):
+        # the schema's tolerance is > 0; at 1e-20 a half-order margin below
+        # 0 by roundoff breaches
+        cfg = {"verify": {"nu": 0.5, "pairs": 5, "tolerance": 1e-20}}
+        cp = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        code = main(["verify", "sturm", "--config", cp, "--out", str(out)])
+        res = json.loads((out / "verify_sturm.json").read_text())
+        assert res["breach"] == (res["min_margin"] < -1e-20)
+        assert code == (4 if res["breach"] else 0)
 
     def test_sturm_order_two(self, tmp_path):
         cp = write_config(tmp_path, {"verify": {"nu": 2.0, "pairs": 5}})

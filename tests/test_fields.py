@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helmscat import fields, resolvent, verify
-from helmscat.fields import ComplexField, Grid, IncidentWave, NonlinearitySpec
+from helmscat.fields import BoundCheck, ComplexField, Grid, IncidentWave, NonlinearitySpec
 from oracles import (
     discrete_laplacian,
     embed_field,
@@ -17,7 +17,7 @@ from oracles import (
     nonlinearity_derivative,
     plane_wave,
     rgi_interpolant,
-    split_interpolant,
+    split_far_field,
     split_sphere_trace,
     whole_grid_nonlinearity,
     whole_grid_radiation_averages,
@@ -105,6 +105,26 @@ class TestComplexField:
         other = ComplexField(small_grid(m=7), np.zeros((7, 7, 7)))
         with pytest.raises(ValueError):
             a + other
+
+
+class TestBoundCheck:
+    # the one verdict rule: margin = rhs - lhs, satisfied iff
+    # margin >= -tolerance
+    @pytest.mark.parametrize("lhs, rhs, tolerance, satisfied", [
+        (1.25, 1.0, 0.25, True),  # margin exactly -tolerance
+        (np.nextafter(1.25, 2.0), 1.0, 0.25, False),  # one ulp below it
+        (math.nan, 1.0, math.inf, False),  # NaN, whatever the tolerance
+    ], ids=["at_minus_tolerance", "just_below", "nan"])
+    def test_rule(self, lhs, rhs, tolerance, satisfied):
+        c = BoundCheck("rule", lhs=lhs, rhs=rhs, tolerance=tolerance)
+        assert c.margin == rhs - lhs or math.isnan(c.margin)
+        assert c.satisfied is satisfied
+
+    def test_margin_and_verdict_are_computed_not_given(self):
+        with pytest.raises(TypeError):
+            BoundCheck("given", lhs=2.0, rhs=1.0, margin=1.0, satisfied=True)
+        c = BoundCheck("default", lhs=1.0, rhs=np.nextafter(1.0, 0.0))
+        assert c.tolerance == 0.0 and not c.satisfied
 
 
 class TestWeightedNorm:
@@ -318,11 +338,11 @@ class TestSphereTrace:
         with monkeypatch.context() as patch:
             patch.setattr(fields, "sphere_trace", split_sphere_trace)
             patch.setattr(verify, "sphere_trace", split_sphere_trace)
-            patch.setattr(fields, "grid_interpolant", split_interpolant)
             fields._sphere_plan.cache_clear()
-            ref_rad, ref_flux, ref_ff = diagnostics(u)
-            # the oracle's spheres read no plan
-            assert fields._sphere_plan.cache_info().currsize == 0
+            ref_rad, ref_flux, _ = diagnostics(u)
+            ref_ff = split_far_field(u, self.K, dirs, radii[-1])
+            # the far field alone reads a plan; the oracle's spheres read none
+            assert fields._sphere_plan.cache_info().currsize == 1
 
         # the ball average does not read the trace; its oracle is
         # whole_grid_radiation_averages
@@ -336,8 +356,8 @@ class TestSphereTrace:
                  for R, s in zip(radii, ref_flux.context["shells"])]
         assert_matches_oracle(flux.flux_imag, ref_flux.flux_imag, dim, scale=max(terms))
         assert_matches_oracle(flux.quad_tol, ref_flux.quad_tol, dim)
-        scale = np.max(np.abs(ref_ff.amplitude))
-        assert_matches_oracle(ff.amplitude, ref_ff.amplitude, dim, scale=scale)
+        scale = np.max(np.abs(ref_ff))
+        assert_matches_oracle(ff.amplitude, ref_ff, dim, scale=scale)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_diagnostics_match_split_oracle(self, dim, monkeypatch):
@@ -415,9 +435,27 @@ class TestGradientAt:
             fields.gradient_rule(g, np.arange(u.size))
 
 
+def plan_interpolant(grid, values):
+    """The library's corner rule at points of shape (n, dim): the corner
+    nodes and weights of fields._sphere_plan (at R = 1, the points as its
+    directions), summed by fields._corner_sum for each field of the stack
+    values of shape grid.shape + trailing; values of shape (n,) + trailing."""
+    flat = values.reshape((-1,) + values.shape[grid.dim:])
+
+    def at(points):
+        key = np.ascontiguousarray(points, dtype=float).tobytes()
+        nodes, weights, _ = fields._sphere_plan(grid, 1.0, key)
+        # the corner and point axes last, as _corner_sum reads them
+        at_corners = np.moveaxis(flat[nodes], (0, 1), (-2, -1))
+        return np.moveaxis(fields._corner_sum(at_corners, weights), -1, 0)
+
+    return at
+
+
 class TestGridInterpolant:
-    """fields.grid_interpolant against scipy's RegularGridInterpolator, on
-    random complex stacks of dim + 1 fields."""
+    """The library's corner rule, which the sphere traces and the far field
+    sum from fields._sphere_plan, against scipy's RegularGridInterpolator,
+    on random complex stacks of dim + 1 fields."""
 
     SIZES = {2: 41, 3: 32}
 
@@ -429,7 +467,7 @@ class TestGridInterpolant:
 
     def assert_agrees(self, g, vals, pts):
         # roundoff in the cell weights, on the scale of the values
-        got = fields.grid_interpolant(g, vals)(pts)
+        got = plan_interpolant(g, vals)(pts)
         ref = rgi_interpolant(g, vals)(pts)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vals))
@@ -456,14 +494,14 @@ class TestGridInterpolant:
         corners = np.array([[L] * dim, [-L] * dim, [L] + [-L] * (dim - 1)])
         self.assert_agrees(g, vals, np.concatenate([pts, corners]))
         # nodes are reproduced: the far corner is the last node's value
-        np.testing.assert_allclose(fields.grid_interpolant(g, vals)(corners[:1])[0],
+        np.testing.assert_allclose(plan_interpolant(g, vals)(corners[:1])[0],
                                    vals[(-1,) * dim], rtol=1e-14)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_out_of_bounds_raises_like_rgi(self, dim):
         g, vals = self.stack(dim)
         L = g.half_width
-        at = fields.grid_interpolant(g, vals)
+        at = plan_interpolant(g, vals)
         ref = rgi_interpolant(g, vals)
         for bad in (L * (1 + 1e-12), -L * (1 + 1e-12), 3.0, math.nan):
             pts = np.zeros((3, dim))

@@ -3,7 +3,8 @@ module or re-exported through its __all__, every private module-level
 name it defines is read somewhere in it, every public function or method
 has a reader somewhere in the package, every public function of
 tests/oracles.py has a reader somewhere in the tests, no module reads
-numpy's gradient (fields.gradient_at is its one home), the positive-real
+numpy's gradient (fields.gradient_at is its one home), only
+fields._sphere_plan calls the multilinear corner rule, the positive-real
 and count rules are stated only in specfun, every CLI action of a 2D and
 a 3D run exits as it should where scipy cannot be imported, README's command
 list names exactly the CLI's actions and verify modes, every solver and
@@ -186,6 +187,43 @@ def test_numpy_gradient_read_is_reported():
     src = ("import numpy as np\nimport numpy\nfrom numpy import gradient as g\n"
            "a = np.gradient(x)\nb = numpy.gradient\nc = self.gradient(x)\n")
     assert numpy_gradient_reads(src) == ["line 3", "line 4", "line 5"]
+
+
+def corner_rule_callers(source: str) -> list[str]:
+    """The innermost function ('' at module level) around each call of
+    _cell_corners in a module, by name or as an attribute, in line order."""
+    callers = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                fn = child.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", "")
+                if name == "_cell_corners":
+                    callers.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return callers
+
+
+def test_interpolation_has_one_home():
+    # the multilinear corner rule is taken once per sphere, in the cached
+    # plan that the sphere traces and the far field read; the test suite's
+    # grid_interpolant oracle calls it too
+    callers = [f"{path.stem}.{where}" for path in SOURCES
+               for where in corner_rule_callers(path.read_text())]
+    assert callers == ["fields._sphere_plan"]
+
+
+def test_corner_rule_caller_is_reported():
+    src = ("def a():\n    return _cell_corners(g, p)\n"
+           "def b():\n    def c():\n        return fields._cell_corners(g, p)\n"
+           "    return c\nx = _cell_corners\ny = _cell_corners(g, p)\n")
+    assert corner_rule_callers(src) == ["a", "c", ""]
 
 
 # the positive-real and count rules' messages, and the specfun functions

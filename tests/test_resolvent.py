@@ -585,11 +585,11 @@ class TestRadiation:
         _, in_f = self.point_source_field(k, L, conj=True)
         rep_o = rv.radiation_report(out_f, k, radii)
         rep_i = rv.radiation_report(in_f, k, radii)
-        assert rep_o.monotone_decreasing
-        a = np.array(rep_o.averaged_residual)
-        assert np.all(np.diff(a) < 0)
+        # the residuals are diagnostics with no verdict: the outgoing ones
+        # fall with R, the incoming ones rise and sit far above them
+        assert np.all(np.diff(rep_o.averaged_residual) < 0)
+        assert np.all(np.diff(rep_i.averaged_residual) > 0)
         assert rep_i.averaged_residual[-1] > 10.0 * rep_o.averaged_residual[-1]
-        assert not rep_i.monotone_decreasing
 
     def test_pointwise_residual_decay(self):
         # for the point source, r |du/dr - i k u| = 1/(4 pi r)

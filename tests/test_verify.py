@@ -44,8 +44,9 @@ def kernel_profile(dim, k):
 class TestSturm:
     def test_half_order_arches_all_equal(self):
         for r in sturm_check(0.5, 20):
-            assert r.left_integral == pytest.approx(EQUAL_ARCH, abs=1e-10)
-            assert r.right_integral == pytest.approx(EQUAL_ARCH, abs=1e-10)
+            # rhs the left arch, lhs the right one
+            assert r.rhs == pytest.approx(EQUAL_ARCH, abs=1e-10)
+            assert r.lhs == pytest.approx(EQUAL_ARCH, abs=1e-10)
             assert abs(r.margin) < 1e-10
 
     @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5, 2.0, 3.0])
@@ -68,6 +69,16 @@ class TestSturm:
         assert all(m1 > m2 for m1, m2 in zip(margins, margins[1:]))
         assert margins[-1] < 1e-4
 
+    def test_checks_name_their_pair_and_carry_the_tolerance(self):
+        checks = sturm_check(1.5, 4, tolerance=1e-6)
+        assert [c.name for c in checks] == [f"arch_pair_{m}" for m in range(1, 5)]
+        assert all(c.tolerance == 1e-6 and c.satisfied for c in checks)
+        # the equal arches of order 1/2 differ by roundoff of either sign,
+        # which tolerance 0 fails below 0 and the default passes
+        exact = sturm_check(0.5, 5, tolerance=0.0)
+        assert [c.satisfied for c in exact] == [c.margin >= 0.0 for c in exact]
+        assert all(c.satisfied for c in sturm_check(0.5, 5))
+
     def test_first_arch_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         from helmscat.specfun import j_zeros
@@ -76,8 +87,8 @@ class TestSturm:
         right = -mp.quad(lambda t: mp.sqrt(t) * mp.besselj(1, t), [j1, j2])
         res = sturm_check(1.0, 1)[0]
         # the t^(3/2) behaviour at the origin costs the first panel accuracy
-        assert res.left_integral == pytest.approx(float(left), rel=1e-7)
-        assert res.right_integral == pytest.approx(float(right), rel=1e-12)
+        assert res.rhs == pytest.approx(float(left), rel=1e-7)
+        assert res.lhs == pytest.approx(float(right), rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -114,10 +125,12 @@ class TestRadialTransform:
         assert vals[0] == pytest.approx((2.0 * math.pi) ** -1.5 * plain,
                                         rel=1e-12)
 
-    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
     def test_tiny_frequency_takes_the_zero_frequency_value(self, dim):
         # below xi upper = 1e-8 the transform is its xi = 0 value to
-        # roundoff; J_nu(s xi) and xi^(-nu), formed apart, used to overflow
+        # roundoff; J_nu(s xi) and xi^(-nu), formed apart, used to overflow.
+        # In dim 5 the Bessel row past the cutoff once read J_3/2 from its
+        # cancelling closed form, which is 0 at t = 1e-8
         upper = 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
